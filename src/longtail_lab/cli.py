@@ -108,8 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(payload: dict, out_path) -> None:
     text = jsonio.dumps(payload) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        jsonio.write_atomic(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -219,8 +218,7 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(entries, parallelism=args.parallelism)
     csv_text = sweep_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        jsonio.write_atomic(args.out, csv_text)
     sys.stdout.write(csv_text)
     return 1 if any(row["error"] for row in rows) else 0
 

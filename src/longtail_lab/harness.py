@@ -173,9 +173,10 @@ def _parse_dataset(raw: dict) -> DatasetConfig:
     boundaries = None
     if "group_boundaries" in raw:
         b = raw["group_boundaries"]
-        if not isinstance(b, (list, tuple)) or len(b) != 2:
-            raise ConfigError("group_boundaries must be a [h, m] pair")
-        boundaries = (int(b[0]), int(b[1]))
+        if (not isinstance(b, (list, tuple)) or len(b) != 2
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in b)):
+            raise ConfigError("group_boundaries must be a [h, m] pair of integers")
+        boundaries = (b[0], b[1])
     return DatasetConfig(synth=synth, manifest_path=raw.get("manifest"),
                          pareto=pareto, group_boundaries=boundaries)
 
@@ -284,16 +285,9 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
         }
     if out_path is not None:
         with _stage("report"):
-            _atomic_write(out_path, jsonio.dumps(report) + "\n")
+            jsonio.write_atomic(out_path, jsonio.dumps(report) + "\n")
     return ExperimentResult(report=report, manifest=manifest, stage1_model=model,
                             final_classifier=final, history=history)
-
-
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _sweep_worker(name: str, raw_config: dict) -> dict:
@@ -320,11 +314,17 @@ def run_sweep(entries, parallelism: int = 1) -> list[dict]:
         raise ConfigError("sweep needs at least one config")
     for _, raw in entries:  # reject bad configs before any compute
         parse_config(raw)
-    if parallelism <= 1:
+    workers = sweep_workers(parallelism, len(entries), os.cpu_count())
+    if workers <= 1:
         return [_sweep_worker(name, raw) for name, raw in entries]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_sweep_worker, name, raw) for name, raw in entries]
         return [f.result() for f in futures]
+
+
+def sweep_workers(parallelism: int, num_entries: int, cpu_count: int | None) -> int:
+    """Worker processes for a sweep: no more than entries to run or CPUs to run them."""
+    return min(parallelism, num_entries, cpu_count or 1)
 
 
 def sweep_csv(rows) -> str:

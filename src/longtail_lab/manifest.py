@@ -1,8 +1,22 @@
-"""Labeled feature-vector manifests: JSONL IO, Pareto subsetting, synthetic blobs."""
+"""Labeled feature-vector manifests: JSONL IO, Pareto subsetting, synthetic blobs.
+
+On-disk format (JSON Lines, UTF-8, one ``"\n"`` after every line)::
+
+    {"num_classes": 3, "feature_dim": 2, "task": "single"}
+    {"id": "a", "features": [0.5, -1.0], "label": 2, "split": "train"}
+
+The header line comes first; each record line has its keys in the order
+``id, features, label, split`` (``labels``, a 0/1 list of length
+``num_classes``, for ``task: "multi"``). Separators are ``", "`` and
+``": "``. Floats are written with 17 significant digits (``%.17g``, so they
+round-trip exactly), with ``.0`` appended when that prints neither a point
+nor an exponent; labels are plain integers.
+"""
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +54,9 @@ class Manifest:
         n = len(self.ids)
         if n == 0:
             raise ValueError("manifest has no records")
+        if len(set(self.ids)) != n:
+            dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
+            raise ValueError(f"duplicate id {dup!r}")
         self.features = np.asarray(self.features, dtype=np.float64)
         self.splits = np.asarray(self.splits, dtype="U8")
         if self.features.shape != (n, self.feature_dim):
@@ -189,33 +206,34 @@ def synth_gaussian(
     )
 
 
+_LABEL_KEY = {"single": "label", "multi": "labels"}
+
+
 def save_manifest(manifest: Manifest, path) -> None:
-    """Write JSON Lines: a header line, then one record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "num_classes": manifest.num_classes,
-            "feature_dim": manifest.feature_dim,
-            "task": manifest.task_kind,
-        }
-        fh.write(jsonio.dumps(header) + "\n")
-        for i, rid in enumerate(manifest.ids):
-            record = {"id": rid, "features": manifest.features[i]}
-            if manifest.task_kind == "single":
-                record["label"] = int(manifest.labels[i])
-            else:
-                record["labels"] = [int(v) for v in manifest.labels[i]]
-            record["split"] = str(manifest.splits[i])
-            fh.write(jsonio.dumps(record) + "\n")
-
-
-_RECORD_KEYS_SINGLE = {"id", "features", "label", "split"}
-_RECORD_KEYS_MULTI = {"id", "features", "labels", "split"}
+    """Write JSON Lines, a header line and then one record per line, atomically."""
+    header = {
+        "num_classes": manifest.num_classes,
+        "feature_dim": manifest.feature_dim,
+        "task": manifest.task_kind,
+    }
+    label_key = _LABEL_KEY[manifest.task_kind]
+    lines = [jsonio.dumps(header)]
+    for rid, feats, label, split in zip(manifest.ids, manifest.features, manifest.labels,
+                                        manifest.splits.tolist()):
+        lines.append(jsonio.dumps({"id": rid, "features": feats, label_key: label,
+                                   "split": split}))
+    lines.append("")  # every line, the last too, ends in "\n"
+    jsonio.write_atomic(path, "\n".join(lines))
 
 
 def load_manifest(path) -> Manifest:
     """Read a JSONL manifest, rejecting records that violate the header."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    # JSON booleans are the literal tokens true/false: without them no value is a bool
+    may_hold_bools = "true" in text or "false" in text
+    lines = text.splitlines()
+    del text
     if not lines:
         raise ManifestFormatError("manifest file is empty")
     header = _parse_line(lines[0], 1)
@@ -224,38 +242,27 @@ def load_manifest(path) -> Manifest:
     k, d, task = header["num_classes"], header["feature_dim"], header["task"]
     if not isinstance(k, int) or not isinstance(d, int) or task not in TASK_KINDS:
         raise ManifestFormatError("malformed header values")
-    expected_keys = _RECORD_KEYS_SINGLE if task == "single" else _RECORD_KEYS_MULTI
 
-    ids, features, labels, splits = [], [], [], []
+    records, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        record = _parse_line(line, lineno)
-        if set(record) != expected_keys:
-            raise ManifestFormatError(f"line {lineno}: record keys must be {sorted(expected_keys)}")
-        if not isinstance(record["id"], str):
-            raise ManifestFormatError(f"line {lineno}: id must be a string")
-        feats = record["features"]
-        if (not isinstance(feats, list) or len(feats) != d
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats)):
-            raise ManifestFormatError(f"line {lineno}: features must be {d} numbers")
-        if task == "single":
-            label = record["label"]
-            if not isinstance(label, int) or isinstance(label, bool) or not 0 <= label < k:
-                raise ManifestFormatError(f"line {lineno}: label must be an int in [0, {k})")
-            labels.append(label)
-        else:
-            lab = record["labels"]
-            if not isinstance(lab, list) or len(lab) != k or any(v not in (0, 1) for v in lab):
-                raise ManifestFormatError(f"line {lineno}: labels must be {k} binary values")
-            labels.append(lab)
-        if record["split"] not in SPLITS:
-            raise ManifestFormatError(f"line {lineno}: split must be one of {SPLITS}")
-        ids.append(record["id"])
-        features.append(feats)
-        splits.append(record["split"])
-    if not ids:
+        try:
+            records.append(_parse_line(line, lineno))
+        except ManifestFormatError:
+            _check_records(records, linenos, k, d, task)  # an earlier bad line is named first
+            raise
+        linenos.append(lineno)
+    del lines
+    if not records:
         raise ManifestFormatError("manifest has no records")
+    columns = None if may_hold_bools else _columns(records, k, d, task)
+    if columns is None:
+        _check_records(records, linenos, k, d, task)
+        columns = ([r["id"] for r in records], [r["features"] for r in records],
+                   [r[_LABEL_KEY[task]] for r in records], [r["split"] for r in records])
+    ids, features, labels, splits = columns
+    del records
     try:
         return Manifest(
             ids=tuple(ids),
@@ -268,6 +275,61 @@ def load_manifest(path) -> Manifest:
         )
     except ValueError as exc:
         raise ManifestFormatError(str(exc)) from exc
+
+
+def _columns(records: list[dict], k: int, d: int, task: str):
+    """(ids, features, labels, splits) when whole-column checks pass, else None.
+
+    Passing implies every record passes ``_check_records``, so a manifest is
+    accepted or rejected exactly as line by line; records hold no booleans.
+    """
+    label_key = _LABEL_KEY[task]
+    keys = {"id", "features", label_key, "split"}
+    if not all(r.keys() == keys for r in records):
+        return None
+    ids = [r["id"] for r in records]
+    splits = [r["split"] for r in records]
+    if not all(isinstance(rid, str) for rid in ids) or not all(s in SPLITS for s in splits):
+        return None
+    n = len(records)
+    try:
+        features = np.array([r["features"] for r in records])
+        labels = np.array([r[label_key] for r in records])
+    except ValueError:  # ragged rows
+        return None
+    if features.shape != (n, d) or features.dtype.kind not in "iuf":
+        return None
+    if task == "single":
+        ok = (labels.shape == (n,) and labels.dtype.kind in "iu"
+              and labels.min() >= 0 and labels.max() < k)
+    else:
+        ok = (labels.shape == (n, k) and labels.dtype.kind in "iuf"
+              and bool(((labels == 0) | (labels == 1)).all()))
+    return (ids, features, labels, splits) if ok else None
+
+
+def _check_records(records: list[dict], linenos: list[int], k: int, d: int, task: str) -> None:
+    """Raise ManifestFormatError naming the first record that violates the header."""
+    expected_keys = {"id", "features", _LABEL_KEY[task], "split"}
+    for lineno, record in zip(linenos, records):
+        if set(record) != expected_keys:
+            raise ManifestFormatError(f"line {lineno}: record keys must be {sorted(expected_keys)}")
+        if not isinstance(record["id"], str):
+            raise ManifestFormatError(f"line {lineno}: id must be a string")
+        feats = record["features"]
+        if (not isinstance(feats, list) or len(feats) != d
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats)):
+            raise ManifestFormatError(f"line {lineno}: features must be {d} numbers")
+        if task == "single":
+            label = record["label"]
+            if not isinstance(label, int) or isinstance(label, bool) or not 0 <= label < k:
+                raise ManifestFormatError(f"line {lineno}: label must be an int in [0, {k})")
+        else:
+            lab = record["labels"]
+            if not isinstance(lab, list) or len(lab) != k or any(v not in (0, 1) for v in lab):
+                raise ManifestFormatError(f"line {lineno}: labels must be {k} binary values")
+        if record["split"] not in SPLITS:
+            raise ManifestFormatError(f"line {lineno}: split must be one of {SPLITS}")
 
 
 def _parse_line(line: str, lineno: int) -> dict:

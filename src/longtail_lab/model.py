@@ -9,6 +9,7 @@ from . import jsonio
 
 CLASSIFIER_KINDS = ("linear", "cosine")
 CHECKPOINT_VERSION = 1
+NCM_CHUNK_ELEMENTS = 1 << 20  # difference-tensor elements per NCM scoring chunk (8 MB)
 
 
 @dataclass
@@ -226,8 +227,14 @@ def decision_scores(classifier, features) -> np.ndarray:
     elif isinstance(classifier, NcmClassifier):
         if classifier.encoder_w is not None:
             x = np.maximum(x @ classifier.encoder_w.T + classifier.encoder_b, 0.0)
-        diffs = x[:, None, :] - classifier.means[None, :, :]
-        scores = -np.sqrt((diffs ** 2).sum(axis=2))
+        # (rows, K, d) differences a chunk of rows at a time: memory O(n*K), not O(n*K*d);
+        # each score reduces over d alone, so chunking leaves every bit unchanged
+        means = classifier.means
+        rows = max(1, NCM_CHUNK_ELEMENTS // max(1, means.size))
+        scores = np.empty((x.shape[0], means.shape[0]))
+        for start in range(0, x.shape[0], rows):
+            diffs = x[start:start + rows, None, :] - means[None, :, :]
+            scores[start:start + rows] = -np.sqrt((diffs ** 2).sum(axis=2))
     else:
         raise TypeError(f"unsupported classifier type {type(classifier).__name__}")
     return scores[0] if single else scores
@@ -269,8 +276,7 @@ def save_checkpoint(classifier, path) -> None:
         }
     else:
         raise TypeError(f"cannot checkpoint {type(classifier).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(jsonio.dumps(payload) + "\n")
+    jsonio.write_atomic(path, jsonio.dumps(payload) + "\n")
 
 
 def load_checkpoint(path):

@@ -39,6 +39,7 @@ class Stage2Spec:
             raise ValueError(f"unknown stage-2 kind {self.kind!r}")
         if self.epochs is not None and self.epochs < 0:
             raise ValueError("stage-2 epochs must be >= 0")
+        _check_temperature(self.temperature, "stage-2 temperature")
 
     def to_config(self) -> dict:
         cfg = {"kind": self.kind}
@@ -80,6 +81,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        _check_temperature(self.temperature, "temperature")
+
+
+def _check_temperature(value, name: str) -> None:
+    """A configured cosine temperature (the trained one may move; ModelState is not checked)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def evaluate_split(classifier, manifest: Manifest, split: str, groups: GroupSplit) -> GroupReport:

@@ -5,6 +5,7 @@ import pytest
 
 from longtail_lab import (ConfigError, load_checkpoint, load_manifest, parse_config,
                           run_experiment, run_sweep, save_manifest, sweep_csv)
+from longtail_lab.harness import sweep_workers
 from longtail_lab.cli import main
 
 from conftest import blob_manifest, multilabel_manifest
@@ -73,6 +74,35 @@ class TestParseConfig:
         assert a.digest != b.digest
         assert a.digest != c.digest
         assert a.digest == parse_config(small_config()).digest
+
+    @pytest.mark.parametrize("section, value", [
+        ("train", -1), ("train", 0), ("train", float("inf")), ("train", float("nan")),
+        ("train", True), ("train", "16"),
+        ("stage2", 0), ("stage2", -2.5), ("stage2", float("nan")),
+    ])
+    def test_bad_temperature_rejected(self, section, value):
+        raw = small_config()
+        if section == "train":
+            raw["train"].update(classifier_kind="cosine", temperature=value)
+        else:
+            raw["train"]["stage2"] = {"kind": "cosine_retrain", "temperature": value}
+        with pytest.raises(ConfigError, match="temperature must be a finite number > 0"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("bounds", [[1.9, "5"], [1, "5"], [1.0, 3], [True, 3], [1], "13"])
+    def test_group_boundaries_must_be_two_ints(self, bounds):
+        raw = small_config()
+        raw["dataset"]["group_boundaries"] = bounds
+        with pytest.raises(ConfigError, match="group_boundaries must be a \\[h, m\\] pair"):
+            parse_config(raw)
+
+    def test_bad_temperature_exits_2(self, tmp_path, capsys):
+        raw = small_config()
+        raw["train"]["temperature"] = -1
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert "temperature" in capsys.readouterr().err
 
     def test_digest_ignores_name_and_report_path(self):
         a = parse_config(small_config())
@@ -183,6 +213,13 @@ class TestSweep:
         assert [r["method"] for r in rows] == ["ce", "bad", "balanced_softmax", "focal"]
         assert rows[1]["error"] and rows[1]["head"] is None
         assert all(r["error"] is None for i, r in enumerate(rows) if i != 1)
+
+    @pytest.mark.parametrize("parallelism, entries, cpus, expected", [
+        (4, 10, 2, 2), (4, 3, 8, 3), (2, 10, 8, 2), (1, 10, 8, 1), (0, 10, 8, 0),
+        (10 ** 9, 5, None, 1), (10 ** 9, 2, 64, 2),
+    ])
+    def test_workers_clamped_to_entries_and_cpus(self, parallelism, entries, cpus, expected):
+        assert sweep_workers(parallelism, entries, cpus) == expected
 
     def test_invalid_config_rejected_before_compute(self):
         bad = small_config()

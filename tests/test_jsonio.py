@@ -1,0 +1,118 @@
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays, from_dtype
+
+from longtail_lab import Manifest, jsonio, save_manifest
+
+# -0.0, integral values either side of 1e16 and 1e17 (where %.17g switches to an
+# exponent), the smallest subnormal, and NaN (written as null)
+SPECIAL = (-0.0, 0.0, 1.0, 1e16, 1e16 + 2, 1e17 - 16, 1e17, 1e17 + 16, -1e17,
+           99999998430674944.0, 5e-324, 2.2250738585072014e-308, 0.1, float("nan"))
+DTYPES = (np.float64, np.float32, np.int64, np.uint8, np.bool_)
+SHAPES = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+
+
+def _elements(dtype):
+    if np.dtype(dtype).kind != "f":
+        return from_dtype(np.dtype(dtype))
+    special = sorted({np.dtype(dtype).type(v).item() for v in SPECIAL}, key=repr)
+    return st.one_of(st.sampled_from(special),
+                     st.floats(allow_infinity=False, width=8 * np.dtype(dtype).itemsize))
+
+
+@st.composite
+def numeric_arrays(draw):
+    dtype = draw(st.sampled_from(DTYPES))
+    return draw(arrays(dtype, SHAPES, elements=_elements(dtype)))
+
+
+class TestArrayEncoding:
+    @settings(max_examples=300, deadline=None)
+    @given(numeric_arrays())
+    def test_array_matches_list_encoding(self, a):
+        assert jsonio.dumps(a) == jsonio.dumps(a.tolist())
+        assert jsonio.dumps(a.T) == jsonio.dumps(a.T.tolist())
+        assert jsonio.dumps({"k": a}) == jsonio.dumps({"k": a.tolist()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((np.float64, np.float32)),
+           array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4), st.data())
+    def test_infinity_raises(self, dtype, shape, data):
+        a = data.draw(arrays(dtype, shape, elements=_elements(dtype)))
+        flat = a.reshape(-1)  # a view: writing it writes a
+        flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(st.sampled_from((np.inf, -np.inf)))
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.dumps(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.dumps(a.tolist())
+
+    def test_boundary_tokens(self):
+        a = np.array([[1e16, 1e17 - 16, 1e17], [-0.0, np.nan, 0.5]])
+        assert jsonio.dumps(a) == ("[[10000000000000000.0, 99999999999999984.0, 1e+17], "
+                                   "[-0.0, null, 0.5]]")
+
+
+# The on-disk manifest format, byte for byte (see the manifest module docstring).
+GOLDEN_SINGLE = (
+    '{"num_classes": 3, "feature_dim": 2, "task": "single"}\n'
+    '{"id": "a", "features": [0.5, -1.0], "label": 2, "split": "train"}\n'
+    '{"id": "b", "features": [0.10000000000000001, -0.0], "label": 0, "split": "val"}\n'
+    '{"id": "c", "features": [9.9999999999999995e-08, 2.5e+17], "label": 1, "split": "test"}\n'
+)
+GOLDEN_MULTI = (
+    '{"num_classes": 3, "feature_dim": 2, "task": "multi"}\n'
+    '{"id": "x", "features": [1.0, 0.66666666666666663], "labels": [1, 0, 1], "split": "train"}\n'
+    '{"id": "y", "features": [-3.0, 10000000000000000.0], "labels": [0, 0, 1], "split": "test"}\n'
+)
+
+
+class TestManifestGoldenBytes:
+    def test_single_label(self, tmp_path):
+        m = Manifest(ids=("a", "b", "c"),
+                     features=np.array([[0.5, -1.0], [0.1, -0.0], [1e-7, 2.5e17]]),
+                     labels=np.array([2, 0, 1]), splits=np.array(["train", "val", "test"]),
+                     num_classes=3, feature_dim=2, task_kind="single")
+        save_manifest(m, tmp_path / "m.jsonl")
+        assert (tmp_path / "m.jsonl").read_bytes() == GOLDEN_SINGLE.encode("utf-8")
+
+    def test_multi_label(self, tmp_path):
+        m = Manifest(ids=("x", "y"), features=np.array([[1.0, 2.0 / 3.0], [-3.0, 1e16]]),
+                     labels=np.array([[1, 0, 1], [0, 0, 1]]), splits=np.array(["train", "test"]),
+                     num_classes=3, feature_dim=2, task_kind="multi")
+        save_manifest(m, tmp_path / "m.jsonl")
+        assert (tmp_path / "m.jsonl").read_bytes() == GOLDEN_MULTI.encode("utf-8")
+
+
+class TestWriteAtomic:
+    def test_writes_and_replaces(self, tmp_path):
+        path = tmp_path / "out.json"
+        jsonio.write_atomic(path, "old\n")
+        jsonio.write_atomic(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(UnicodeEncodeError):
+            jsonio.write_atomic(path, "ok\ud800")  # a lone surrogate cannot be UTF-8 encoded
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_keeps_old_content(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            jsonio.write_atomic(path, "new\ud800")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_failed_manifest_save_leaves_no_file(self, tmp_path):
+        m = Manifest(ids=("ok", "bad\ud800"), features=np.zeros((2, 1)), labels=np.array([0, 1]),
+                     splits=np.array(["train", "test"]), num_classes=2, feature_dim=1,
+                     task_kind="single")
+        with pytest.raises(UnicodeEncodeError):
+            save_manifest(m, tmp_path / "m.jsonl")
+        assert os.listdir(tmp_path) == []

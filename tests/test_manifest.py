@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longtail_lab import (Manifest, ManifestFormatError, compute_distribution,
                           label_cardinality, load_manifest, pareto_targets,
@@ -182,3 +184,175 @@ class TestManifestIO:
         n = len(tiny_manifest)
         total = sum(tiny_manifest.split_indices(s).size for s in ("train", "val", "test"))
         assert total == n
+
+
+class TestDuplicateIds:
+    def test_manifest_rejects_duplicate_id(self):
+        with pytest.raises(ValueError, match="duplicate id 'a'"):
+            Manifest(ids=("a", "b", "a"), features=np.zeros((3, 2)), labels=np.array([0, 1, 0]),
+                     splits=np.array(["train"] * 3), num_classes=2, feature_dim=2,
+                     task_kind="single")
+
+    def test_load_rejects_duplicate_id(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        path.write_text("\n".join([
+            '{"num_classes": 2, "feature_dim": 2, "task": "single"}',
+            '{"id": "a", "features": [1.0, 2.0], "label": 0, "split": "train"}',
+            '{"id": "a", "features": [3.0, 4.0], "label": 1, "split": "test"}',
+        ]) + "\n")
+        with pytest.raises(ManifestFormatError, match="duplicate id 'a'"):
+            load_manifest(path)
+
+
+def _reference_load(path):
+    """The record-by-record loader: every value checked in Python, line by line."""
+    import json
+
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ManifestFormatError("manifest file is empty")
+
+    def parse(line, lineno):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ManifestFormatError(f"line {lineno}: expected a JSON object")
+        return obj
+
+    header = parse(lines[0], 1)
+    if set(header) != {"num_classes", "feature_dim", "task"}:
+        raise ManifestFormatError("header must carry exactly num_classes, feature_dim, task")
+    k, d, task = header["num_classes"], header["feature_dim"], header["task"]
+    if not isinstance(k, int) or not isinstance(d, int) or task not in ("single", "multi"):
+        raise ManifestFormatError("malformed header values")
+    label_key = "label" if task == "single" else "labels"
+    splits_ok = ("train", "val", "test")
+    ids, features, labels, splits = [], [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        record = parse(line, lineno)
+        if set(record) != {"id", "features", label_key, "split"}:
+            raise ManifestFormatError(
+                f"line {lineno}: record keys must be {sorted(['id', 'features', label_key, 'split'])}")
+        if not isinstance(record["id"], str):
+            raise ManifestFormatError(f"line {lineno}: id must be a string")
+        feats = record["features"]
+        if (not isinstance(feats, list) or len(feats) != d
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats)):
+            raise ManifestFormatError(f"line {lineno}: features must be {d} numbers")
+        lab = record[label_key]
+        if task == "single":
+            if not isinstance(lab, int) or isinstance(lab, bool) or not 0 <= lab < k:
+                raise ManifestFormatError(f"line {lineno}: label must be an int in [0, {k})")
+        elif not isinstance(lab, list) or len(lab) != k or any(v not in (0, 1) for v in lab):
+            raise ManifestFormatError(f"line {lineno}: labels must be {k} binary values")
+        if record["split"] not in splits_ok:
+            raise ManifestFormatError(f"line {lineno}: split must be one of {splits_ok}")
+        ids.append(record["id"])
+        features.append(feats)
+        labels.append(lab)
+        splits.append(record["split"])
+    if not ids:
+        raise ManifestFormatError("manifest has no records")
+    try:
+        return Manifest(ids=tuple(ids), features=np.asarray(features, dtype=np.float64),
+                        labels=np.asarray(labels, dtype=np.int64), splits=np.asarray(splits),
+                        num_classes=k, feature_dim=d, task_kind=task)
+    except ValueError as exc:
+        raise ManifestFormatError(str(exc)) from exc
+
+
+# Field values for a K=3, d=2 manifest, the first of each valid, the rest each a case
+# some check must catch (or a valid corner). "{i}" becomes the line's index, so
+# ids are unique unless a line says "dup".
+FEATURES = ("[0.5, -1.0]", "[1, 2]", "[1e5, 100000000000000000000000]", "[true, 1.0]",
+            "[0.5, false]", "[null, 1.0]", '["1.0", 2.0]', "[1.0]", "[[1.0], 2.0]", "[1.0, 1e400]",
+            "[NaN, 1.0]", "{}", "3.0")
+SINGLE_LABELS = ("0", "2", "3", "-1", "1.0", "true", "null", "[1]", "100000000000000000000000")
+MULTI_LABELS = ("[1, 0, 1]", "[1.0, 0, -0.0]", "[true, false, 0]", "[2, 0, 0]", "[1, 0]",
+                '["1", 0, 0]', "[null, 0, 0]", "1", "[[1], 0, 0]", "[NaN, 0, 0]")
+IDS = ('"r{i}"', '"dup"', '"true-{i}"', "5", "null")
+SPLITS_JSON = ('"train"', '"test"', '"dev"', "1", '["train"]')
+
+
+@st.composite
+def record_line(draw, task):
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from(("", "not json", "[1, 2]", '{"id": "r{i}"}')))
+    label_key, label_values = (("label", SINGLE_LABELS) if task == "single"
+                               else ("labels", MULTI_LABELS))
+
+    def pick(values):  # the valid value half the time, so most lines have one fault
+        return draw(st.sampled_from(values)) if draw(st.booleans()) else values[0]
+
+    fields = {"id": pick(IDS), "features": pick(FEATURES), label_key: pick(label_values),
+              "split": pick(SPLITS_JSON)}
+    if draw(st.integers(0, 15)) == 0:
+        fields["extra"] = "1"
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+
+
+@st.composite
+def manifest_text(draw):
+    task = draw(st.sampled_from(("single", "multi")))
+    lines = draw(st.lists(record_line(task), min_size=0, max_size=5))
+    header = f'{{"num_classes": 3, "feature_dim": 2, "task": "{task}"}}'
+    return "\n".join([header] + [line.replace("{i}", str(i)) for i, line in enumerate(lines)]) + "\n"
+
+
+def _outcome(load, path):
+    try:
+        m = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (m.ids, m.features.tobytes(), m.features.shape, m.labels.tobytes(), m.labels.shape,
+            m.splits.tolist(), m.task_kind)
+
+
+def _one_fault_cases():
+    for task, label_key, label_values in (("single", "label", SINGLE_LABELS),
+                                          ("multi", "labels", MULTI_LABELS)):
+        pools = {"id": IDS, "features": FEATURES, label_key: label_values, "split": SPLITS_JSON}
+        for field, values in pools.items():
+            for value in values[1:]:
+                yield task, {key: (value if key == field else pool[0])
+                             for key, pool in pools.items()}
+
+
+class TestLoaderMatchesReference:
+    @pytest.mark.parametrize("task, fields", list(_one_fault_cases()))
+    def test_each_field_value(self, tmp_path, task, fields):
+        record = "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+        valid = ('{"id": "dup", "features": [0.5, -1.0], '
+                 + ('"label": 1' if task == "single" else '"labels": [1, 0, 1]')
+                 + ', "split": "train"}')
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([f'{{"num_classes": 3, "feature_dim": 2, "task": "{task}"}}',
+                                   valid, record.replace("{i}", "1")]) + "\n")
+        assert _outcome(load_manifest, path) == _outcome(_reference_load, path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(manifest_text())
+    def test_same_acceptance_and_messages(self, text):
+        import tempfile
+        from pathlib import Path
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.jsonl"
+            path.write_text(text, encoding="utf-8")
+            assert _outcome(load_manifest, path) == _outcome(_reference_load, path)
+
+    def test_bool_feature_rejected_and_float_label_accepted(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([
+            '{"num_classes": 2, "feature_dim": 2, "task": "multi"}',
+            '{"id": "a", "features": [1.0, 2.0], "labels": [1.0, 0], "split": "train"}',
+            '{"id": "b", "features": [true, 2.0], "labels": [0, 1], "split": "train"}',
+        ]) + "\n")
+        with pytest.raises(ManifestFormatError, match="^line 3: features must be 2 numbers$"):
+            load_manifest(path)
+        path.write_text(path.read_text().replace("true", "3.0"))
+        assert load_manifest(path).labels.tolist() == [[1, 0], [0, 1]]

@@ -5,6 +5,7 @@ from longtail_lab import (LossSpec, ModelState, NcmClassifier, batch_loss_and_gr
                           decision_scores, distribution_from_counts, forward,
                           init_model, load_checkpoint, save_checkpoint, tau_normalize,
                           weight_norms)
+from longtail_lab import model as model_module
 from longtail_lab.model import backward, forward_with_cache
 
 
@@ -98,6 +99,20 @@ class TestNcm:
         ncm = NcmClassifier(means=np.array([[0.0, 0.0], [3.0, 4.0]]))
         scores = decision_scores(ncm, np.array([0.0, 0.0]))
         np.testing.assert_allclose(scores, [0.0, -5.0])
+
+
+    @pytest.mark.parametrize("hidden", [None, 5])
+    def test_chunked_scores_bitwise_equal_full_tensor(self, monkeypatch, hidden):
+        rng = np.random.default_rng(4)
+        ncm = NcmClassifier(means=rng.standard_normal((7, 5 if hidden else 3)))
+        if hidden:
+            ncm.encoder_w, ncm.encoder_b = rng.standard_normal((5, 3)), rng.standard_normal(5)
+        x = rng.standard_normal((103, 3))
+        feats = x if hidden is None else np.maximum(x @ ncm.encoder_w.T + ncm.encoder_b, 0.0)
+        full = -np.sqrt(((feats[:, None, :] - ncm.means[None, :, :]) ** 2).sum(axis=2))
+        # 10 rows per chunk: 103 rows leave a short last chunk
+        monkeypatch.setattr(model_module, "NCM_CHUNK_ELEMENTS", 10 * ncm.means.size)
+        assert decision_scores(ncm, x).tobytes() == full.tobytes()
 
 
 class TestCheckpoints:
