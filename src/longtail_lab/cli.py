@@ -12,7 +12,7 @@ import numpy as np
 
 from . import jsonio
 from .distribution import default_boundaries, group_split, pareto_targets
-from .harness import ConfigError, parse_config, run_experiment, run_sweep, sweep_csv
+from .harness import ConfigError, parse_config, run_experiment, run_sweep, stage_rngs, sweep_csv
 from .losses import posthoc_adjust
 from .manifest import load_manifest, save_manifest, subsample_longtail, synth_gaussian
 from .metrics import gaps_from_series, mean_average_precision
@@ -165,8 +165,8 @@ def _cmd_stage2(args) -> int:
     manifest = load_manifest(args.manifest)
     if config.train.stage2.kind == "none":
         raise ConfigError("config has stage2.kind 'none'; nothing to do")
-    rng = np.random.default_rng(config.seed)
-    final = apply_stage2(model, manifest, config.train, rng=rng)
+    _, _, stage2_rng = stage_rngs(config.seed)
+    final = apply_stage2(model, manifest, config.train, rng=stage2_rng)
     save_checkpoint(final, args.out)
     print(f"wrote stage-2 checkpoint to {args.out}")
     return 0

@@ -11,7 +11,7 @@ import numpy as np
 from . import jsonio
 from .distribution import default_boundaries, group_split, pareto_targets
 from .losses import LossSpec
-from .manifest import Manifest, load_manifest, subsample_longtail, synth_gaussian
+from .manifest import Manifest, load_manifest, subsample_longtail, synth_gaussian, synth_targets
 from .metrics import GapStats, checkpoint_gaps, mean_average_precision
 from .model import ModelState, decision_scores, weight_norms
 from .optim import OptimizerSpec
@@ -40,6 +40,10 @@ class SynthSpec:
     class_separation: float = 3.0
     val_per_class: int = 100
     test_per_class: int = 100
+
+    def __post_init__(self):
+        synth_targets(self.num_classes, self.feature_dim, self.n0, self.ratio,
+                      self.class_separation, self.val_per_class, self.test_per_class)
 
     def to_config(self) -> dict:
         return {
@@ -243,23 +247,31 @@ def build_dataset(config: ExperimentConfig, seed=None) -> Manifest:
     return manifest
 
 
+def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
+    """Independent (dataset, train, stage-2) generators for a run seeded with ``seed``.
+
+    The one seed derivation: ``run_experiment`` and the CLI ``stage2`` command
+    both use it, so training in one go or resuming from a stage-1 checkpoint
+    gives the same stage-2 head.
+    """
+    return tuple(np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(3))
+
+
 def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
     """Execute one configured run and (optionally) write its report JSON.
 
     Reports are written atomically after success, so a failed run leaves no
     partial output. Byte-identical reports for identical configs.
     """
-    data_ss, train_ss, stage2_ss = np.random.SeedSequence(config.seed).spawn(3)
+    data_rng, train_rng, stage2_rng = stage_rngs(config.seed)
     with _stage("dataset"):
-        manifest = build_dataset(config, seed=data_ss)
+        manifest = build_dataset(config, seed=data_rng)
         boundaries = config.dataset.group_boundaries or default_boundaries(manifest.num_classes)
         groups = group_split(manifest.train_distribution(), boundaries)
     with _stage("train"):
-        model, history = train_stage1(manifest, config.train,
-                                      rng=np.random.default_rng(train_ss), groups=groups)
+        model, history = train_stage1(manifest, config.train, rng=train_rng, groups=groups)
     with _stage("stage2"):
-        final = apply_stage2(model, manifest, config.train,
-                             rng=np.random.default_rng(stage2_ss))
+        final = apply_stage2(model, manifest, config.train, rng=stage2_rng)
     with _stage("evaluate"):
         final_test = evaluate_split(final, manifest, "test", groups)
         final_val = evaluate_split(final, manifest, "val", groups)

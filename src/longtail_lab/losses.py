@@ -253,7 +253,7 @@ def batch_loss_and_grad(spec: LossSpec, logits, targets, dist: ClassDistribution
 
     if spec.multi_label:
         t = np.asarray(targets, dtype=np.float64)
-        if t.shape != (n, k) or not np.isin(t, (0.0, 1.0)).all():
+        if t.shape != (n, k) or not ((t == 0) | (t == 1)).all():
             raise ValueError(f"multi-label targets must be a binary (n, {k}) matrix")
         if spec.kind == "bce_ml":
             return _bce(z, t)

@@ -75,7 +75,7 @@ class Manifest:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (n, self.num_classes):
                 raise ValueError(f"multi-label manifest needs (n, {self.num_classes}) label matrix")
-            if not np.isin(self.labels, (0, 1)).all():
+            if not ((self.labels == 0) | (self.labels == 1)).all():
                 raise ValueError("multi-label entries must be 0 or 1")
 
     def __len__(self) -> int:
@@ -150,6 +150,20 @@ def subsample_longtail(manifest: Manifest, targets, seed: int) -> Manifest:
     return manifest.subset(selected)
 
 
+def synth_targets(num_classes: int, feature_dim: int, n0: int, ratio: float,
+                  class_separation: float, val_per_class: int, test_per_class: int) -> np.ndarray:
+    """Train counts of a ``synth_gaussian`` dataset; ValueError if it cannot be built."""
+    if num_classes < 2:
+        raise ValueError("need at least two classes")
+    if feature_dim < 2:
+        raise ValueError("need at least two feature dimensions")
+    if class_separation < 0:
+        raise ValueError("class_separation must be non-negative")
+    if val_per_class < 1 or test_per_class < 1:
+        raise ValueError("val/test per-class counts must be >= 1")
+    return pareto_targets(n0, num_classes, ratio)
+
+
 def synth_gaussian(
     num_classes: int,
     feature_dim: int,
@@ -167,15 +181,8 @@ def synth_gaussian(
     dimensions. Train counts follow pareto_targets(n0, K, ratio); val and test
     are balanced at the given per-class counts.
     """
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
-    if feature_dim < 2:
-        raise ValueError("need at least two feature dimensions")
-    if class_separation < 0:
-        raise ValueError("class_separation must be non-negative")
-    if val_per_class < 1 or test_per_class < 1:
-        raise ValueError("val/test per-class counts must be >= 1")
-    targets = pareto_targets(n0, num_classes, ratio)
+    targets = synth_targets(num_classes, feature_dim, n0, ratio, class_separation,
+                            val_per_class, test_per_class)
     means = np.zeros((num_classes, feature_dim))
     angles = 2.0 * math.pi * np.arange(num_classes) / num_classes
     means[:, 0] = class_separation * np.cos(angles)
@@ -274,7 +281,25 @@ def load_manifest(path) -> Manifest:
             task_kind=task,
         )
     except ValueError as exc:
-        raise ManifestFormatError(str(exc)) from exc
+        raise ManifestFormatError(_line_at_fault(ids, features, linenos) or str(exc)) from exc
+
+
+def _line_at_fault(ids, features, linenos: list[int]) -> str | None:
+    """Name the first line at fault when ``Manifest`` rejects checked columns.
+
+    Records that pass ``_check_records`` can still hold a repeated id or a
+    non-finite feature (``NaN``, ``Infinity`` and ``1e400`` all parse); the
+    faults are looked for in the order ``Manifest`` checks them.
+    """
+    first_seen: dict[str, int] = {}
+    for rid, lineno in zip(ids, linenos):
+        if rid in first_seen:
+            return f"line {lineno}: duplicate id {rid!r} (first on line {first_seen[rid]})"
+        first_seen[rid] = lineno
+    bad = np.flatnonzero(~np.isfinite(np.asarray(features, dtype=np.float64)).all(axis=1))
+    if bad.size:
+        return f"line {linenos[bad[0]]}: features must be finite"
+    return None
 
 
 def _columns(records: list[dict], k: int, d: int, task: str):

@@ -89,25 +89,41 @@ def group_report_from_values(per_class_values, split: GroupSplit) -> GroupReport
 def average_precision_per_label(scores, truths) -> np.ndarray:
     """AP per label; NaN (with a warning) for labels with no positives.
 
-    Ranking is by descending score, ties broken by ascending sample index.
+    Ranking is by descending score, ties broken by ascending sample index
+    (NaN scores rank last, and -0.0 ties with 0.0). All labels are scored in
+    one pass over a transposed (labels, samples) layout: each label's ranking
+    is a contiguous row, so its final sum is the same pairwise 1-d sum as
+    when that label is scored alone, and every AP is bitwise equal to a
+    per-label loop. Rows are ordered by one default argsort; only rows holding
+    a tie, a signed zero or a NaN are re-sorted stably, since elsewhere every
+    correct sort gives the same order.
     """
     s = np.asarray(scores, dtype=np.float64)
     t = np.asarray(truths)
     if s.ndim != 2 or s.shape != t.shape:
         raise ValueError("scores and truths must be equal-shape (n, K) arrays")
-    if not np.isin(t, (0, 1)).all():
+    if not ((t == 0) | (t == 1)).all():
         raise ValueError("truths must be binary")
     n, k = s.shape
     aps = np.full(k, np.nan)
-    ranks = np.arange(1, n + 1)
-    for label in range(k):
-        positives = t[:, label].sum()
-        if positives == 0:
-            continue
-        order = np.argsort(-s[:, label], kind="stable")
-        rel = t[order, label].astype(np.float64)
-        precision_at = np.cumsum(rel) / ranks
-        aps[label] = float((precision_at * rel).sum() / positives)
+    positives = t.sum(axis=0)
+    scored = np.flatnonzero(positives > 0)
+    if scored.size:
+        # the large temporaries are updated in place: fewer fresh pages per call
+        keys = np.ascontiguousarray(s.T[scored])
+        np.negative(keys, out=keys)
+        order = np.argsort(keys, axis=1)
+        keys.sort(axis=1)
+        unsure = ~(keys[:, 1:] > keys[:, :-1]).all(axis=1)
+        if unsure.any():
+            order[unsure] = np.argsort(-s.T[scored[unsure]], axis=1, kind="stable")
+        order *= k  # flat positions of the ranked samples in t
+        order += scored[:, None]
+        rel = t.ravel().take(order).astype(np.float64)
+        precision = np.cumsum(rel, axis=1)
+        precision /= np.arange(1, n + 1)
+        precision *= rel
+        aps[scored] = precision.sum(axis=1) / positives[scored]
     empty = [int(c) for c in np.flatnonzero(np.isnan(aps))]
     if empty:
         warnings.warn(f"labels {empty} have no positives; skipped in mAP")

@@ -32,8 +32,7 @@ class ModelState:
     logit_offset: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.classifier_kind not in CLASSIFIER_KINDS:
-            raise ValueError(f"unknown classifier kind {self.classifier_kind!r}")
+        check_architecture(self.classifier_kind)
         if self.classifier_kind == "cosine":
             if self.temperature is None:
                 raise ValueError("cosine classifier needs a temperature")
@@ -69,16 +68,23 @@ class ModelState:
         )
 
 
+def check_architecture(classifier_kind: str, hidden_dim: int | None = None) -> None:
+    """Reject a head kind or a hidden-layer width that no model can have."""
+    if classifier_kind not in CLASSIFIER_KINDS:
+        raise ValueError(f"unknown classifier kind {classifier_kind!r}")
+    if hidden_dim is not None and hidden_dim < 1:
+        raise ValueError("hidden_dim must be >= 1")
+
+
 def init_model(num_classes: int, feature_dim: int, *, hidden_dim: int | None = None,
                classifier_kind: str = "linear", temperature: float = 16.0,
                rng: np.random.Generator | None = None) -> ModelState:
     """Fresh model: zero-initialized linear head, or small random rows for cosine."""
+    check_architecture(classifier_kind, hidden_dim)
     rng = rng or np.random.default_rng(0)
     encoder_w = encoder_b = None
     f = feature_dim
     if hidden_dim is not None:
-        if hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
         encoder_w = rng.standard_normal((hidden_dim, feature_dim)) * np.sqrt(2.0 / feature_dim)
         encoder_b = np.zeros(hidden_dim)
         f = hidden_dim

@@ -68,9 +68,8 @@ class Optimizer:
         if self.spec.kind == "sgd":
             for name, p in params.items():
                 g = grads[name]
-                buf = self._state.setdefault(name, {"buf": np.zeros_like(p)})["buf"]
-                buf = self.spec.momentum * buf + g
-                self._state[name]["buf"] = buf
+                st = self._slots(name, p, ("buf",))
+                st["buf"] = buf = self.spec.momentum * st["buf"] + g
                 updated[name] = p - lr * buf
         else:
             self._t += 1
@@ -78,13 +77,20 @@ class Optimizer:
             correct2 = 1.0 - self.spec.beta2 ** self._t
             for name, p in params.items():
                 g = grads[name]
-                st = self._state.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
+                st = self._slots(name, p, ("m", "v"))
                 st["m"] = self.spec.beta1 * st["m"] + (1.0 - self.spec.beta1) * g
                 st["v"] = self.spec.beta2 * st["v"] + (1.0 - self.spec.beta2) * g * g
                 m_hat = st["m"] / correct1
                 v_hat = st["v"] / correct2
                 updated[name] = p - lr * m_hat / (np.sqrt(v_hat) + self.spec.eps)
         return updated
+
+    def _slots(self, name: str, p: np.ndarray, keys: tuple[str, ...]) -> dict:
+        """The state of parameter ``name``, zero-filled on its first step only."""
+        st = self._state.get(name)
+        if st is None:
+            st = self._state[name] = {key: np.zeros_like(p) for key in keys}
+        return st
 
 
 def global_grad_norm(grads: dict) -> float:

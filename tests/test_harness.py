@@ -104,6 +104,22 @@ class TestParseConfig:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
         assert "temperature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("synth", "num_classes", 1), ("synth", "feature_dim", 1), ("synth", "n0", 0),
+        ("synth", "ratio", 0.5), ("train", "classifier_kind", "foo"), ("train", "hidden_dim", 0),
+    ])
+    def test_unbuildable_config_exits_2_before_compute(self, tmp_path, capsys, section, key, value):
+        raw = small_config()
+        (raw["dataset"]["synth"] if section == "synth" else raw["train"])[key] = value
+        with pytest.raises(ConfigError):
+            parse_config(raw)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        report = tmp_path / "r.json"
+        assert main(["train", "--config", str(path), "--out", str(report)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not report.exists()
+
     def test_digest_ignores_name_and_report_path(self):
         a = parse_config(small_config())
         b = parse_config(small_config(name="erm", report_path="out.json"))
@@ -295,6 +311,25 @@ class TestCli:
                      "--config", str(config_path), "--out", str(out_ckpt)]) == 0
         model = load_checkpoint(out_ckpt)
         np.testing.assert_allclose(np.linalg.norm(model.cls_w, axis=1), 1.0, atol=1e-12)
+
+    def test_stage2_command_matches_integrated_run(self, tmp_path):
+        manifest_path = tmp_path / "data.jsonl"
+        save_manifest(blob_manifest([40, 20, 6], val_per_class=10, test_per_class=10),
+                      manifest_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "seed": 7,
+            "dataset": {"manifest": str(manifest_path), "group_boundaries": [1, 2]},
+            "train": {"epochs": 2, "batch_size": 16,
+                      "optimizer": {"kind": "sgd", "lr": 0.05},
+                      "stage2": {"kind": "crt", "epochs": 2}},
+        }))
+        stage1, final, resumed = (tmp_path / name for name in ("s1.json", "final.json", "s2.json"))
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json"),
+                     "--stage1-checkpoint", str(stage1), "--checkpoint", str(final)]) == 0
+        assert main(["stage2", "--checkpoint", str(stage1), "--manifest", str(manifest_path),
+                     "--config", str(config_path), "--out", str(resumed)]) == 0
+        assert resumed.read_bytes() == final.read_bytes()
 
     def test_eval_with_posthoc_adjustment(self, tmp_path):
         manifest_path = tmp_path / "data.jsonl"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,44 @@ class TestDuplicateIds:
         with pytest.raises(ManifestFormatError, match="duplicate id 'a'"):
             load_manifest(path)
 
+    def test_load_names_line_of_repeated_id(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        path.write_text("\n".join([
+            '{"num_classes": 2, "feature_dim": 2, "task": "single"}',
+            '{"id": "a", "features": [1.0, 2.0], "label": 0, "split": "train"}',
+            '{"id": "b", "features": [1.0, 2.0], "label": 0, "split": "train"}',
+            "",
+            '{"id": "b", "features": [3.0, 4.0], "label": 1, "split": "test"}',
+            '{"id": "a", "features": [3.0, 4.0], "label": 1, "split": "test"}',
+        ]) + "\n")
+        with pytest.raises(ManifestFormatError,
+                           match=r"^line 5: duplicate id 'b' \(first on line 3\)$"):
+            load_manifest(path)
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_load_names_line(self, tmp_path, token):
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([
+            '{"num_classes": 2, "feature_dim": 2, "task": "single"}',
+            '{"id": "a", "features": [1.0, 2.0], "label": 0, "split": "train"}',
+            f'{{"id": "b", "features": [{token}, 2.0], "label": 1, "split": "train"}}',
+            f'{{"id": "c", "features": [1.0, {token}], "label": 1, "split": "val"}}',
+        ]) + "\n")
+        with pytest.raises(ManifestFormatError, match="^line 3: features must be finite$"):
+            load_manifest(path)
+
+    def test_repeated_id_is_named_before_a_non_finite_feature(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([
+            '{"num_classes": 2, "feature_dim": 2, "task": "single"}',
+            '{"id": "a", "features": [NaN, 2.0], "label": 0, "split": "train"}',
+            '{"id": "a", "features": [1.0, 2.0], "label": 1, "split": "train"}',
+        ]) + "\n")
+        with pytest.raises(ManifestFormatError, match="^line 3: duplicate id 'a'"):
+            load_manifest(path)
+
 
 def _reference_load(path):
     """The record-by-record loader: every value checked in Python, line by line."""
@@ -229,7 +269,7 @@ def _reference_load(path):
         raise ManifestFormatError("malformed header values")
     label_key = "label" if task == "single" else "labels"
     splits_ok = ("train", "val", "test")
-    ids, features, labels, splits = [], [], [], []
+    ids, features, labels, splits, linenos = [], [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -255,6 +295,7 @@ def _reference_load(path):
         features.append(feats)
         labels.append(lab)
         splits.append(record["split"])
+        linenos.append(lineno)
     if not ids:
         raise ManifestFormatError("manifest has no records")
     try:
@@ -262,6 +303,15 @@ def _reference_load(path):
                         labels=np.asarray(labels, dtype=np.int64), splits=np.asarray(splits),
                         num_classes=k, feature_dim=d, task_kind=task)
     except ValueError as exc:
+        first_line = {}
+        for rid, lineno in zip(ids, linenos):
+            if rid in first_line:
+                raise ManifestFormatError(
+                    f"line {lineno}: duplicate id {rid!r} (first on line {first_line[rid]})") from exc
+            first_line[rid] = lineno
+        for feats, lineno in zip(features, linenos):
+            if not all(math.isfinite(v) for v in feats):
+                raise ManifestFormatError(f"line {lineno}: features must be finite") from exc
         raise ManifestFormatError(str(exc)) from exc
 
 

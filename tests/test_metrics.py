@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longtail_lab import (EpochRecord, GroupReport, RunHistory, checkpoint_gaps,
                           average_precision_per_label, distribution_from_counts,
@@ -166,6 +170,72 @@ class TestMeanAveragePrecision:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mean_average_precision(np.ones((3, 2)), np.ones((2, 3), dtype=int))
+
+
+def ap_per_label_loop(scores, truths):
+    """Per-label AP one label at a time, each ranked by its own stable argsort."""
+    s = np.asarray(scores, dtype=np.float64)
+    t = np.asarray(truths)
+    n, k = s.shape
+    aps = np.full(k, np.nan)
+    ranks = np.arange(1, n + 1)
+    for label in range(k):
+        positives = t[:, label].sum()
+        if positives == 0:
+            continue
+        order = np.argsort(-s[:, label], kind="stable")
+        rel = t[order, label].astype(np.float64)
+        precision_at = np.cumsum(rel) / ranks
+        aps[label] = float((precision_at * rel).sum() / positives)
+    return aps
+
+
+# Few distinct values, so ties, signed zeros, NaN and infinities are common
+SCORE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def scored_truths(draw):
+    """(n, K) scores, each drawn from a small pool with some probability, else normal."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 12), st.integers(120, 300)))
+    k = draw(st.integers(1, 6))
+    pool = np.array(draw(st.lists(SCORE_VALUES, min_size=1, max_size=8)))
+    pooled = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=k, max_size=k))
+    dtype = draw(st.sampled_from([np.int64, np.float64, bool]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = np.where(rng.random((n, k)) < pooled, rng.choice(pool, size=(n, k)),
+                      rng.standard_normal((n, k)))
+    return scores, (rng.random((n, k)) < rates).astype(dtype)
+
+
+class TestAveragePrecisionPerLabel:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_truths())
+    def test_bitwise_equal_to_per_label_loop(self, case):
+        scores, truths = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = average_precision_per_label(scores, truths)
+        want = ap_per_label_loop(scores, truths)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_inputs_are_not_modified(self):
+        scores = np.random.default_rng(3).standard_normal((20, 4))
+        truths = np.eye(20, 4, dtype=np.int64)
+        before = scores.copy()
+        average_precision_per_label(scores, truths)
+        assert np.array_equal(scores, before)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_non_binary_truths_rejected(self, bad):
+        truths = np.zeros((3, 2))
+        truths[1, 1] = bad
+        with pytest.raises(ValueError, match="truths must be binary"):
+            average_precision_per_label(np.ones((3, 2)), truths)
 
 
 def history_from(val, test):
