@@ -32,7 +32,7 @@ class ModelState:
     logit_offset: np.ndarray | None = None
 
     def __post_init__(self):
-        check_architecture(self.classifier_kind)
+        check_classifier_kind(self.classifier_kind)
         if self.classifier_kind == "cosine":
             if self.temperature is None:
                 raise ValueError("cosine classifier needs a temperature")
@@ -68,10 +68,12 @@ class ModelState:
         )
 
 
-def check_architecture(classifier_kind: str, hidden_dim: int | None = None) -> None:
-    """Reject a head kind or a hidden-layer width that no model can have."""
+def check_classifier_kind(classifier_kind: str) -> None:
     if classifier_kind not in CLASSIFIER_KINDS:
         raise ValueError(f"unknown classifier kind {classifier_kind!r}")
+
+
+def check_hidden_dim(hidden_dim: int | None) -> None:
     if hidden_dim is not None and hidden_dim < 1:
         raise ValueError("hidden_dim must be >= 1")
 
@@ -80,7 +82,7 @@ def init_model(num_classes: int, feature_dim: int, *, hidden_dim: int | None = N
                classifier_kind: str = "linear", temperature: float = 16.0,
                rng: np.random.Generator | None = None) -> ModelState:
     """Fresh model: zero-initialized linear head, or small random rows for cosine."""
-    check_architecture(classifier_kind, hidden_dim)
+    check_hidden_dim(hidden_dim)
     rng = rng or np.random.default_rng(0)
     encoder_w = encoder_b = None
     f = feature_dim

@@ -10,8 +10,8 @@ from .distribution import ClassDistribution, GroupSplit, default_boundaries, gro
 from .losses import LossSpec, batch_loss_and_grad, draw_noise
 from .manifest import Manifest
 from .metrics import EpochRecord, GroupReport, RunHistory, average_precision_per_label, group_report, group_report_from_values
-from .model import (ModelState, NcmClassifier, backward, check_architecture, decision_scores,
-                    forward_with_cache, init_model, weight_norms)
+from .model import (ModelState, NcmClassifier, backward, check_classifier_kind, check_hidden_dim,
+                    decision_scores, forward_with_cache, init_model, weight_norms)
 from .optim import Optimizer, OptimizerSpec, sam_step
 from .samplers import BatchSampler, MixupSpec, SamplerSpec, mixup_batch
 
@@ -81,7 +81,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        check_architecture(self.classifier_kind, self.hidden_dim)
+        check_classifier_kind(self.classifier_kind)
+        check_hidden_dim(self.hidden_dim)
         _check_temperature(self.temperature, "temperature")
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longtail_lab import metrics as metrics_module
 from longtail_lab import (EpochRecord, GroupReport, RunHistory, checkpoint_gaps,
                           average_precision_per_label, distribution_from_counts,
                           gaps_from_series, group_report, group_report_from_values,
@@ -222,6 +223,21 @@ class TestAveragePrecisionPerLabel:
             got = average_precision_per_label(scores, truths)
         want = ap_per_label_loop(scores, truths)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_label_blocks_bitwise_equal_one_block(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        scores = np.round(rng.standard_normal((37, 11)), 1)  # rounding makes ties
+        truths = (rng.random((37, 11)) < 0.3).astype(np.int64)
+        truths[:, 4] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            whole = average_precision_per_label(scores, truths)
+            # 3 labels per block: the 10 scored labels leave a short last block
+            monkeypatch.setattr(metrics_module, "AP_CHUNK_ELEMENTS", 3 * 37)
+            blocked = average_precision_per_label(scores, truths)
+        assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+        assert np.array_equal(whole.view(np.uint64),
+                              ap_per_label_loop(scores, truths).view(np.uint64))
 
     def test_inputs_are_not_modified(self):
         scores = np.random.default_rng(3).standard_normal((20, 4))
