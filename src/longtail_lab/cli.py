@@ -14,7 +14,8 @@ from . import jsonio
 from .distribution import default_boundaries, group_split, pareto_targets
 from .harness import ConfigError, parse_config, run_experiment, run_sweep, stage_rngs, sweep_csv
 from .losses import posthoc_adjust
-from .manifest import load_manifest, save_manifest, subsample_longtail, synth_gaussian
+from .manifest import (ManifestFormatError, load_manifest, save_manifest, subsample_longtail,
+                       synth_gaussian)
 from .metrics import gaps_from_series, mean_average_precision
 from .model import ModelState, decision_scores, load_checkpoint, save_checkpoint, weight_norms
 from .training import apply_stage2, evaluate_split
@@ -28,12 +29,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ConfigError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # invalid input exits 2: a bad config, or a bad manifest, also one a run's dataset stage read
+        invalid = (ConfigError, ManifestFormatError, json.JSONDecodeError)
+        bad_input = isinstance(exc, invalid) or isinstance(exc.__cause__, ManifestFormatError)
+        return 2 if bad_input else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

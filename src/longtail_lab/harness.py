@@ -167,12 +167,15 @@ def _parse_dataset(raw: dict) -> DatasetConfig:
         extra = set(raw["synth"]) - allowed
         if extra:
             raise ConfigError(f"unknown synth keys: {sorted(extra)}")
+        _check_ints("synth", raw["synth"], ("num_classes", "feature_dim", "n0",
+                                            "val_per_class", "test_per_class"))
         synth = SynthSpec(**raw["synth"])
     pareto = None
     if "pareto" in raw:
         extra = set(raw["pareto"]) - {"n0", "ratio"}
         if extra:
             raise ConfigError(f"unknown pareto keys: {sorted(extra)}")
+        _check_ints("pareto", raw["pareto"], ("n0",))
         pareto = ParetoSpec(**raw["pareto"])
     boundaries = None
     if "group_boundaries" in raw:
@@ -194,20 +197,34 @@ def _parse_train(raw: dict, seed: int) -> TrainConfig:
     if unknown:
         # the experiment-level seed is the single seed authority
         raise ConfigError(f"unknown train keys: {sorted(unknown)}")
+    _check_ints("train", raw, ("epochs", "batch_size", "eval_every"), nullable=("hidden_dim",))
     kwargs: dict = {k: raw[k] for k in
                     ("epochs", "batch_size", "eval_every", "hidden_dim",
                      "classifier_kind", "temperature") if k in raw}
     if "loss" in raw:
         kwargs["loss"] = LossSpec.from_config(raw["loss"])
     if "sampler" in raw:
+        _check_ints("sampler", raw["sampler"], nullable=("epoch_length",))
         kwargs["sampler"] = SamplerSpec.from_config(raw["sampler"])
     if "mixup" in raw:
         kwargs["mixup"] = MixupSpec.from_config(raw["mixup"])
     if "optimizer" in raw:
         kwargs["optimizer"] = OptimizerSpec.from_config(raw["optimizer"])
     if "stage2" in raw:
+        _check_ints("stage2", raw["stage2"], nullable=("epochs",))
         kwargs["stage2"] = Stage2Spec.from_config(raw["stage2"])
     return TrainConfig(seed=seed, **kwargs)
+
+
+def _check_ints(section: str, raw, required=(), nullable=()) -> None:
+    """Reject an integer field given as another type: a bool, or a null where none is allowed."""
+    if not isinstance(raw, dict):  # left to the section's own parser to reject
+        return
+    for key in required + nullable:
+        value = raw.get(key)
+        if (key in raw and not (value is None and key in nullable)
+                and (isinstance(value, bool) or not isinstance(value, int))):
+            raise ConfigError(f"{section} {key} must be an integer, got {value!r}")
 
 
 @dataclass

@@ -280,7 +280,7 @@ def load_manifest(path) -> Manifest:
             feature_dim=d,
             task_kind=task,
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise ManifestFormatError(_line_at_fault(ids, features, linenos) or str(exc)) from exc
 
 
@@ -288,17 +288,22 @@ def _line_at_fault(ids, features, linenos: list[int]) -> str | None:
     """Name the first line at fault when ``Manifest`` rejects checked columns.
 
     Records that pass ``_check_records`` can still hold a repeated id or a
-    non-finite feature (``NaN``, ``Infinity`` and ``1e400`` all parse); the
-    faults are looked for in the order ``Manifest`` checks them.
+    non-finite feature (``NaN``, ``Infinity`` and ``1e400`` all parse, and an
+    integer beyond float range does not convert); the faults are looked for
+    in the order ``Manifest`` checks them.
     """
     first_seen: dict[str, int] = {}
     for rid, lineno in zip(ids, linenos):
         if rid in first_seen:
             return f"line {lineno}: duplicate id {rid!r} (first on line {first_seen[rid]})"
         first_seen[rid] = lineno
-    bad = np.flatnonzero(~np.isfinite(np.asarray(features, dtype=np.float64)).all(axis=1))
-    if bad.size:
-        return f"line {linenos[bad[0]]}: features must be finite"
+    for row, lineno in zip(features, linenos):
+        try:
+            finite = np.isfinite(np.asarray(row, dtype=np.float64)).all()
+        except OverflowError:
+            finite = False
+        if not finite:
+            return f"line {lineno}: features must be finite"
     return None
 
 

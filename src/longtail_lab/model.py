@@ -112,18 +112,19 @@ def forward(model: ModelState, features) -> np.ndarray:
     return logits[0] if single else logits
 
 
+def encode(classifier, x: np.ndarray) -> np.ndarray:
+    """Classifier-input features: ReLU(x W^T + b) through the encoder, or ``x`` without one."""
+    if classifier.encoder_w is None:
+        return x
+    return np.maximum(x @ classifier.encoder_w.T + classifier.encoder_b, 0.0)
+
+
 def forward_with_cache(model: ModelState, x: np.ndarray):
     """Batched forward pass keeping the intermediates backward() needs."""
     if x.ndim != 2 or x.shape[1] != model.feature_dim:
         raise ValueError(f"expected features of dimension {model.feature_dim}")
-    cache: dict = {"x": x}
-    if model.encoder_w is not None:
-        pre = x @ model.encoder_w.T + model.encoder_b
-        feats = np.maximum(pre, 0.0)
-        cache["pre"] = pre
-    else:
-        feats = x
-    cache["feats"] = feats
+    feats = encode(model, x)
+    cache: dict = {"x": x, "feats": feats}
 
     if model.classifier_kind == "linear":
         base = feats @ model.cls_w.T
@@ -165,22 +166,25 @@ def backward(model: ModelState, cache: dict, grad_logits: np.ndarray) -> dict:
         grads["cls_w"] = g.T @ feats
         if model.cls_b is not None:
             grads["cls_b"] = g.sum(axis=0)
-        g_feats = g @ model.cls_w
     else:
         temp = model.temperature
         cos = cache["cos"]
-        grads["temperature"] = np.asarray((g * cos).sum())
+        g_cos = g * cos
+        grads["temperature"] = np.asarray(g_cos.sum())
         # d cos_ic / d w_c = (x_hat_i - cos_ic * w_hat_c) / ||w_c||
-        per_class = g.T @ cache["x_hat"] - (g * cos).sum(axis=0)[:, None] * cache["w_hat"]
+        per_class = g.T @ cache["x_hat"] - g_cos.sum(axis=0)[:, None] * cache["w_hat"]
         grads["cls_w"] = temp * per_class / cache["w_safe"][:, None]
         grads["cls_w"][cache["w_norm"] == 0] = 0.0
-        # d cos_ic / d x_i = (w_hat_c - cos_ic * x_hat_i) / ||x_i||
-        g_feats = temp * (g @ cache["w_hat"] - (g * cos).sum(axis=1, keepdims=True)
-                          * cache["x_hat"]) / cache["x_safe"][:, None]
-        g_feats[cache["x_norm"] == 0] = 0.0
 
     if model.encoder_w is not None:
-        g_pre = g_feats * (cache["pre"] > 0)
+        if model.classifier_kind == "linear":
+            g_feats = g @ model.cls_w
+        else:
+            # d cos_ic / d x_i = (w_hat_c - cos_ic * x_hat_i) / ||x_i||
+            g_feats = temp * (g @ cache["w_hat"] - g_cos.sum(axis=1, keepdims=True)
+                              * cache["x_hat"]) / cache["x_safe"][:, None]
+            g_feats[cache["x_norm"] == 0] = 0.0
+        g_pre = g_feats * (feats > 0)  # ReLU mask: feats > 0 exactly where pre > 0
         grads["encoder_w"] = g_pre.T @ cache["x"]
         grads["encoder_b"] = g_pre.sum(axis=0)
     return grads
@@ -233,8 +237,7 @@ def decision_scores(classifier, features) -> np.ndarray:
     if isinstance(classifier, ModelState):
         scores = forward(classifier, x)
     elif isinstance(classifier, NcmClassifier):
-        if classifier.encoder_w is not None:
-            x = np.maximum(x @ classifier.encoder_w.T + classifier.encoder_b, 0.0)
+        x = encode(classifier, x)
         # (rows, K, d) differences a chunk of rows at a time: memory O(n*K), not O(n*K*d);
         # each score reduces over d alone, so chunking leaves every bit unchanged
         means = classifier.means

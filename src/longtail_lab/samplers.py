@@ -73,7 +73,8 @@ class BatchSampler:
     """Stateful with-replacement batch source over a manifest's train split.
 
     Single-writer: the training loop owns it. All randomness comes from the
-    generator passed to next_batch.
+    generator passed to next_batch. ``features`` holds the train rows batches
+    are cut from; stage 2 replaces them with their frozen-encoder features.
     """
 
     def __init__(self, spec: SamplerSpec, manifest):
@@ -81,7 +82,7 @@ class BatchSampler:
         train_idx = manifest.split_indices("train")
         if train_idx.size == 0:
             raise ValueError("train split is empty")
-        self._features = manifest.features[train_idx]
+        self.features = manifest.features[train_idx]
         self._labels = manifest.labels[train_idx]
         self._num_classes = manifest.num_classes
         self.epoch_length = spec.epoch_length or int(train_idx.size)
@@ -130,7 +131,7 @@ class BatchSampler:
             classes = np.minimum(classes, self._num_classes - 1)
             offsets = (rng.random(batch_size) * self._pool_sizes[classes]).astype(np.int64)
             idx = self._pool[self._pool_offsets[classes] + offsets]
-        return self._features[idx], self._labels[idx]
+        return self.features[idx], self._labels[idx]
 
 
 @dataclass(frozen=True)

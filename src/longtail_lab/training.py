@@ -1,4 +1,12 @@
-"""Stage-1 training and the decoupled stage-2 classifier schemes."""
+"""Stage-1 training and the decoupled stage-2 classifier schemes.
+
+Stage 2 keeps the stage-1 encoder frozen. The head-fit schemes (cRT, LWS,
+DisAlign, cosine retrain) are each described in ``_HEAD_FITS`` by four
+fields: the head init, the trainable keys, the sampler (``class_balanced``,
+or ``original`` for DisAlign) and the class weights (inverse frequency for
+DisAlign, none otherwise). ``_fit_head`` serves all four: it encodes the
+train rows once, trains a head-only model on them and puts the encoder back.
+"""
 from __future__ import annotations
 
 import math
@@ -6,12 +14,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distribution import ClassDistribution, GroupSplit, default_boundaries, group_split
+from .distribution import GroupSplit, default_boundaries, group_split
 from .losses import LossSpec, batch_loss_and_grad, draw_noise
 from .manifest import Manifest
 from .metrics import EpochRecord, GroupReport, RunHistory, average_precision_per_label, group_report, group_report_from_values
 from .model import (ModelState, NcmClassifier, backward, check_classifier_kind, check_hidden_dim,
-                    decision_scores, forward_with_cache, init_model, weight_norms)
+                    decision_scores, encode, forward_with_cache, init_model, tau_normalize,
+                    weight_norms)
 from .optim import Optimizer, OptimizerSpec, sam_step
 from .samplers import BatchSampler, MixupSpec, SamplerSpec, mixup_batch
 
@@ -110,69 +119,40 @@ def train_stage1(manifest: Manifest, config: TrainConfig,
                  groups: GroupSplit | None = None):
     """First-stage training; returns the model and its per-epoch history."""
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    dist = manifest.train_distribution()
     if groups is None:
-        groups = group_split(dist, default_boundaries(manifest.num_classes))
+        groups = group_split(manifest.train_distribution(),
+                             default_boundaries(manifest.num_classes))
     model = init_model(
         manifest.num_classes, manifest.feature_dim, hidden_dim=config.hidden_dim,
         classifier_kind=config.classifier_kind, temperature=config.temperature, rng=rng,
     )
-    return _fit(
-        model, manifest, dist, _trainable_keys(model), config.sampler, config.loss,
-        config.mixup, config.optimizer, config.epochs, config.batch_size, rng,
-        groups=groups, eval_every=config.eval_every, record_history=True,
-    )
+    trainable = _head_keys(model) + (() if model.encoder_w is None else ("encoder_w", "encoder_b"))
+    return _fit(model, manifest, config, rng, trainable, config.sampler, config.loss,
+                config.mixup, config.epochs, groups=groups)
 
 
 def stage2_crt(model: ModelState, manifest: Manifest, config: TrainConfig,
                rng: np.random.Generator | None = None) -> ModelState:
     """Classifier re-training: frozen encoder, re-initialized head, class-balanced CE."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    out = model.copy()
-    out.cls_w = 0.01 * rng.standard_normal(out.cls_w.shape)
-    if out.cls_b is not None:
-        out.cls_b = 0.01 * rng.standard_normal(out.cls_b.shape)
-    return _retrain_head(out, manifest, config, rng, _head_keys(out))
+    return _fit_head("crt", model, manifest, config, rng)
 
 
 def stage2_lws(model: ModelState, manifest: Manifest, config: TrainConfig,
                rng: np.random.Generator | None = None) -> ModelState:
     """Learnable per-class weight scaling; only the scales train."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    out = model.copy()
-    out.logit_scale = np.ones(model.num_classes)
-    return _retrain_head(out, manifest, config, rng, ("logit_scale",))
+    return _fit_head("lws", model, manifest, config, rng)
 
 
 def stage2_disalign(model: ModelState, manifest: Manifest, config: TrainConfig,
                     rng: np.random.Generator | None = None) -> ModelState:
     """Affine logit calibration z' = scale * z + offset under 1/n_c-reweighted CE."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    out = model.copy()
-    out.logit_scale = np.ones(model.num_classes)
-    out.logit_offset = np.zeros(model.num_classes)
-    dist = manifest.train_distribution()
-    inv = 1.0 / dist.counts.astype(np.float64)
-    class_weights = inv * (dist.num_classes / inv.sum())
-    epochs = config.stage2.epochs if config.stage2.epochs is not None else config.epochs
-    fitted, _ = _fit(
-        out, manifest, dist, ("logit_scale", "logit_offset"),
-        SamplerSpec("original", epoch_length=config.sampler.epoch_length),
-        LossSpec("ce"), MixupSpec(enabled=False), config.optimizer,
-        epochs, config.batch_size, rng, class_weights=class_weights,
-    )
-    return fitted
+    return _fit_head("disalign", model, manifest, config, rng)
 
 
 def stage2_cosine_retrain(model: ModelState, manifest: Manifest, config: TrainConfig,
                           rng: np.random.Generator | None = None) -> ModelState:
     """Swap in a re-initialized cosine head and retrain it with class-balanced CE."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    out = model.copy()
-    out = replace(out, cls_w=0.01 * rng.standard_normal(out.cls_w.shape), cls_b=None,
-                  classifier_kind="cosine", temperature=float(config.stage2.temperature),
-                  logit_scale=None, logit_offset=None)
-    return _retrain_head(out, manifest, config, rng, _head_keys(out))
+    return _fit_head("cosine_retrain", model, manifest, config, rng)
 
 
 def stage2_ncm(model: ModelState, manifest: Manifest) -> NcmClassifier:
@@ -182,9 +162,7 @@ def stage2_ncm(model: ModelState, manifest: Manifest) -> NcmClassifier:
         raise ValueError("train split is empty")
     if manifest.task_kind != "single":
         raise ValueError("nearest class mean requires single-label data")
-    feats = manifest.features[train_idx]
-    if model.encoder_w is not None:
-        feats = np.maximum(feats @ model.encoder_w.T + model.encoder_b, 0.0)
+    feats = encode(model, manifest.features[train_idx])
     labels = manifest.labels[train_idx]
     means = np.empty((manifest.num_classes, feats.shape[1]))
     for c in range(manifest.num_classes):
@@ -192,32 +170,25 @@ def stage2_ncm(model: ModelState, manifest: Manifest) -> NcmClassifier:
         if not mask.any():
             raise ValueError(f"class {c} has no training samples")
         means[c] = feats[mask].mean(axis=0)
-    enc_w = None if model.encoder_w is None else model.encoder_w.copy()
-    enc_b = None if model.encoder_b is None else model.encoder_b.copy()
-    return NcmClassifier(means=means, encoder_w=enc_w, encoder_b=enc_b)
+    frozen = model.copy()
+    return NcmClassifier(means=means, encoder_w=frozen.encoder_w, encoder_b=frozen.encoder_b)
+
+
+_STAGE2 = {
+    "none": lambda model, manifest, config, rng: model,
+    "tau_norm": lambda model, manifest, config, rng: tau_normalize(model, config.stage2.tau),
+    "ncm": lambda model, manifest, config, rng: stage2_ncm(model, manifest),
+    "crt": stage2_crt,
+    "lws": stage2_lws,
+    "disalign": stage2_disalign,
+    "cosine_retrain": stage2_cosine_retrain,
+}
 
 
 def apply_stage2(model: ModelState, manifest: Manifest, config: TrainConfig,
                  rng: np.random.Generator | None = None):
     """Dispatch the configured stage-2 scheme; returns the final classifier."""
-    from .model import tau_normalize
-
-    kind = config.stage2.kind
-    if kind == "none":
-        return model
-    if kind == "tau_norm":
-        return tau_normalize(model, config.stage2.tau)
-    if kind == "ncm":
-        return stage2_ncm(model, manifest)
-    if kind == "crt":
-        return stage2_crt(model, manifest, config, rng)
-    if kind == "lws":
-        return stage2_lws(model, manifest, config, rng)
-    if kind == "disalign":
-        return stage2_disalign(model, manifest, config, rng)
-    if kind == "cosine_retrain":
-        return stage2_cosine_retrain(model, manifest, config, rng)
-    raise AssertionError(f"unhandled stage-2 kind {kind!r}")
+    return _STAGE2[config.stage2.kind](model, manifest, config, rng)
 
 
 def _head_keys(model: ModelState) -> tuple[str, ...]:
@@ -229,71 +200,84 @@ def _head_keys(model: ModelState) -> tuple[str, ...]:
     return tuple(keys)
 
 
-def _trainable_keys(model: ModelState) -> tuple[str, ...]:
-    keys = list(_head_keys(model))
-    if model.encoder_w is not None:
-        keys += ["encoder_w", "encoder_b"]
-    if model.logit_scale is not None:
-        keys.append("logit_scale")
-    if model.logit_offset is not None:
-        keys.append("logit_offset")
-    return tuple(keys)
+def _redraw_head(head: ModelState, config: TrainConfig, rng: np.random.Generator) -> ModelState:
+    cls_w = 0.01 * rng.standard_normal(head.cls_w.shape)
+    cls_b = None if head.cls_b is None else 0.01 * rng.standard_normal(head.cls_b.shape)
+    return replace(head, cls_w=cls_w, cls_b=cls_b)
 
 
-def _extract_params(model: ModelState, keys) -> dict:
-    values = {
-        "cls_w": model.cls_w, "cls_b": model.cls_b,
-        "encoder_w": model.encoder_w, "encoder_b": model.encoder_b,
-        "logit_scale": model.logit_scale, "logit_offset": model.logit_offset,
-        "temperature": None if model.temperature is None else np.asarray(model.temperature),
-    }
-    return {k: np.asarray(values[k], dtype=np.float64).copy() for k in keys}
+def _scaled_head(head: ModelState, config: TrainConfig, rng: np.random.Generator) -> ModelState:
+    return replace(head, logit_scale=np.ones(head.num_classes))
+
+
+def _aligned_head(head: ModelState, config: TrainConfig, rng: np.random.Generator) -> ModelState:
+    return replace(head, logit_scale=np.ones(head.num_classes),
+                   logit_offset=np.zeros(head.num_classes))
+
+
+def _cosine_head(head: ModelState, config: TrainConfig, rng: np.random.Generator) -> ModelState:
+    return replace(head, cls_w=0.01 * rng.standard_normal(head.cls_w.shape), cls_b=None,
+                   classifier_kind="cosine", temperature=float(config.stage2.temperature),
+                   logit_scale=None, logit_offset=None)
+
+
+# kind: (head init, trainable keys of the head, sampler kind, inverse-frequency class weights)
+_HEAD_FITS = {
+    "crt": (_redraw_head, _head_keys, "class_balanced", False),
+    "lws": (_scaled_head, lambda head: ("logit_scale",), "class_balanced", False),
+    "disalign": (_aligned_head, lambda head: ("logit_scale", "logit_offset"), "original", True),
+    "cosine_retrain": (_cosine_head, _head_keys, "class_balanced", False),
+}
+
+
+def _fit_head(kind: str, model: ModelState, manifest: Manifest, config: TrainConfig,
+              rng: np.random.Generator | None) -> ModelState:
+    """Re-fit a head-only model on the train rows, encoded once by the frozen encoder."""
+    init, trainable, sampler_kind, reweight = _HEAD_FITS[kind]
+    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    frozen = model.copy()
+    head = init(replace(frozen, encoder_w=None, encoder_b=None), config, rng)
+    class_weights = None
+    if reweight:
+        inv = 1.0 / manifest.train_distribution().counts.astype(np.float64)
+        class_weights = inv * (inv.size / inv.sum())
+    epochs = config.stage2.epochs if config.stage2.epochs is not None else config.epochs
+    fitted, _ = _fit(head, manifest, config, rng, trainable(head),
+                     SamplerSpec(sampler_kind, epoch_length=config.sampler.epoch_length),
+                     LossSpec("ce"), MixupSpec(), epochs, encoder=frozen,
+                     class_weights=class_weights)
+    return replace(fitted, encoder_w=frozen.encoder_w, encoder_b=frozen.encoder_b)
 
 
 def _with_params(model: ModelState, params: dict) -> ModelState:
-    updates = {}
-    for key, value in params.items():
-        if key == "temperature":
-            updates[key] = float(value)
-        else:
-            updates[key] = value
-    return replace(model, **updates)
+    return replace(model, **{k: float(v) if k == "temperature" else v for k, v in params.items()})
 
 
-def _retrain_head(model: ModelState, manifest: Manifest, config: TrainConfig,
-                  rng: np.random.Generator, trainable) -> ModelState:
-    dist = manifest.train_distribution()
-    epochs = config.stage2.epochs if config.stage2.epochs is not None else config.epochs
-    fitted, _ = _fit(
-        model, manifest, dist, trainable,
-        SamplerSpec("class_balanced", epoch_length=config.sampler.epoch_length),
-        LossSpec("ce"), MixupSpec(enabled=False), config.optimizer,
-        epochs, config.batch_size, rng,
-    )
-    return fitted
+def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.random.Generator,
+         trainable, sampler_spec: SamplerSpec, loss_spec: LossSpec, mixup: MixupSpec,
+         epochs: int, *, encoder: ModelState | None = None,
+         class_weights: np.ndarray | None = None, groups: GroupSplit | None = None):
+    """Train the ``trainable`` parameters; the optimizer and batch size come from ``config``.
 
-
-def _fit(model: ModelState, manifest: Manifest, dist: ClassDistribution, trainable,
-         sampler_spec: SamplerSpec, loss_spec: LossSpec, mixup: MixupSpec,
-         opt_spec: OptimizerSpec, epochs: int, batch_size: int, rng: np.random.Generator,
-         *, groups: GroupSplit | None = None, eval_every: int = 1,
-         class_weights: np.ndarray | None = None, record_history: bool = False):
-    if record_history and groups is None:
-        raise ValueError("history recording needs a group split")
+    With ``encoder``, the sampled train rows are its features, computed once,
+    and ``model`` is a head that reads them. With ``groups``, each evaluated
+    epoch is recorded in the history and feeds the difficulty sampler.
+    """
     if loss_spec.multi_label != (manifest.task_kind == "multi"):
         raise ValueError(f"loss kind {loss_spec.kind!r} does not match task {manifest.task_kind!r}")
-    if class_weights is not None and mixup.enabled:
-        raise ValueError("class-reweighted training does not combine with mixup")
+    dist = manifest.train_distribution()
     sampler = BatchSampler(sampler_spec, manifest)
-    optimizer = Optimizer(opt_spec)
-    params = _extract_params(model, trainable)
-    steps = max(1, math.ceil(sampler.epoch_length / batch_size))
+    if encoder is not None:
+        sampler.features = encode(encoder, sampler.features)
+    optimizer = Optimizer(config.optimizer)
+    params = {k: np.array(getattr(model, k), dtype=np.float64) for k in trainable}
+    steps = max(1, math.ceil(sampler.epoch_length / config.batch_size))
     history = RunHistory()
 
     for epoch in range(epochs):
         epoch_loss = 0.0
         for step in range(steps):
-            features, targets = sampler.next_batch(batch_size, rng)
+            features, targets = sampler.next_batch(config.batch_size, rng)
             mixed = None
             if mixup.enabled:
                 perm = rng.permutation(len(features))
@@ -330,8 +314,8 @@ def _fit(model: ModelState, manifest: Manifest, dist: ClassDistribution, trainab
             epoch_loss += value
 
         model = _with_params(model, params)
-        evaluate_now = (epoch + 1) % eval_every == 0 or epoch == epochs - 1
-        if record_history and evaluate_now:
+        evaluate_now = (epoch + 1) % config.eval_every == 0 or epoch == epochs - 1
+        if groups is not None and evaluate_now:
             val_report = evaluate_split(model, manifest, "val", groups)
             test_report = evaluate_split(model, manifest, "test", groups)
             history.records.append(EpochRecord(

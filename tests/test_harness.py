@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from longtail_lab import (ConfigError, load_checkpoint, load_manifest, parse_config,
-                          run_experiment, run_sweep, save_manifest, sweep_csv)
+from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, jsonio, load_checkpoint,
+                          load_manifest, parse_config, run_experiment, run_sweep, save_manifest,
+                          sweep_csv)
 from longtail_lab.harness import sweep_workers
+from longtail_lab.samplers import SAMPLER_KINDS
+from longtail_lab.training import STAGE2_KINDS
 from longtail_lab.cli import main
 
 from conftest import blob_manifest, multilabel_manifest
@@ -28,6 +32,64 @@ def small_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+POSITIVE = st.floats(0.01, 100.0)
+FRACTION = st.floats(0.0, 0.9)
+HYPER = st.floats(0.01, 0.9)  # valid for every loss hyperparameter
+
+
+@st.composite
+def written_configs(draw):
+    """Valid raw configs holding, in each section, the fields its ``to_config`` writes."""
+    if draw(st.booleans()):
+        dataset = {"synth": {
+            "num_classes": draw(st.integers(2, 12)), "feature_dim": draw(st.integers(2, 32)),
+            "n0": draw(st.integers(1, 500)), "ratio": draw(st.floats(1.0, 200.0)),
+            "class_separation": draw(st.floats(0.0, 10.0)),
+            "val_per_class": draw(st.integers(1, 50)), "test_per_class": draw(st.integers(1, 50))}}
+    else:
+        dataset = {"manifest": draw(st.text(min_size=1, max_size=12))}
+        if draw(st.booleans()):
+            dataset["pareto"] = {"n0": draw(st.integers(1, 500)),
+                                 "ratio": draw(st.floats(1.0, 200.0))}
+    if draw(st.booleans()):
+        h = draw(st.integers(1, 5))
+        dataset["group_boundaries"] = [h, h + draw(st.integers(1, 5))]
+    loss_kind = draw(st.sampled_from(LOSS_KINDS))
+    loss = {"kind": loss_kind, **{name: draw(HYPER) for name in LossSpec(loss_kind).to_config()
+                                  if name != "kind"}}
+    sampler = {"kind": draw(st.sampled_from(SAMPLER_KINDS))}
+    if sampler["kind"] == "difficulty":
+        sampler["difficulty_floor"] = draw(POSITIVE)
+    if draw(st.booleans()):
+        sampler["epoch_length"] = draw(st.integers(1, 1000))
+    optimizer = {"kind": draw(st.sampled_from(("sgd", "adam"))), "lr": draw(POSITIVE)}
+    if optimizer["kind"] == "sgd":
+        optimizer["momentum"] = draw(FRACTION)
+    else:
+        optimizer.update(beta1=draw(FRACTION), beta2=draw(FRACTION), eps=draw(POSITIVE))
+    if draw(st.booleans()):
+        optimizer.update(sam=True, sam_rho=draw(FRACTION))
+    stage2 = {"kind": draw(st.sampled_from(STAGE2_KINDS))}
+    if stage2["kind"] == "tau_norm":
+        stage2["tau"] = draw(FRACTION)
+    if stage2["kind"] in ("crt", "lws", "disalign", "cosine_retrain") and draw(st.booleans()):
+        stage2["epochs"] = draw(st.integers(0, 10))
+    if stage2["kind"] == "cosine_retrain":
+        stage2["temperature"] = draw(POSITIVE)
+    train = {
+        "epochs": draw(st.integers(1, 50)), "batch_size": draw(st.integers(1, 512)),
+        "eval_every": draw(st.integers(1, 10)),
+        "hidden_dim": draw(st.none() | st.integers(1, 64)),
+        "classifier_kind": draw(st.sampled_from(("linear", "cosine"))),
+        "temperature": draw(POSITIVE), "loss": loss, "sampler": sampler,
+        "mixup": {"alpha": draw(POSITIVE), "enabled": draw(st.booleans())},
+        "optimizer": optimizer, "stage2": stage2,
+    }
+    return {"seed": draw(st.integers(0, 2 ** 32)), "name": draw(st.none() | st.text(max_size=8)),
+            "dataset": dataset, "train": train,
+            "report_path": draw(st.none() | st.text(max_size=8))}
 
 
 class TestParseConfig:
@@ -107,6 +169,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("section, key, value", [
         ("synth", "num_classes", 1), ("synth", "feature_dim", 1), ("synth", "n0", 0),
         ("synth", "ratio", 0.5), ("train", "classifier_kind", "foo"), ("train", "hidden_dim", 0),
+        ("synth", "num_classes", "3"), ("train", "hidden_dim", "3"), ("train", "epochs", 2.5),
+        ("train", "batch_size", True),
     ])
     def test_unbuildable_config_exits_2_before_compute(self, tmp_path, capsys, section, key, value):
         raw = small_config()
@@ -124,6 +188,15 @@ class TestParseConfig:
         a = parse_config(small_config())
         b = parse_config(small_config(name="erm", report_path="out.json"))
         assert a.digest == b.digest
+
+    @settings(max_examples=200, deadline=None)
+    @given(written_configs())
+    def test_to_config_round_trip(self, raw):
+        config = parse_config(raw)
+        for again in (parse_config(config.to_config()),
+                      parse_config(json.loads(jsonio.dumps(config.to_config())))):
+            assert again == config
+            assert again.digest == config.digest
 
 
 class TestRunExperiment:
@@ -312,7 +385,8 @@ class TestCli:
         model = load_checkpoint(out_ckpt)
         np.testing.assert_allclose(np.linalg.norm(model.cls_w, axis=1), 1.0, atol=1e-12)
 
-    def test_stage2_command_matches_integrated_run(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["crt", "lws", "disalign", "cosine_retrain"])
+    def test_stage2_command_matches_integrated_run(self, tmp_path, kind):
         manifest_path = tmp_path / "data.jsonl"
         save_manifest(blob_manifest([40, 20, 6], val_per_class=10, test_per_class=10),
                       manifest_path)
@@ -320,9 +394,9 @@ class TestCli:
         config_path.write_text(json.dumps({
             "seed": 7,
             "dataset": {"manifest": str(manifest_path), "group_boundaries": [1, 2]},
-            "train": {"epochs": 2, "batch_size": 16,
+            "train": {"epochs": 2, "batch_size": 16, "hidden_dim": 5,
                       "optimizer": {"kind": "sgd", "lr": 0.05},
-                      "stage2": {"kind": "crt", "epochs": 2}},
+                      "stage2": {"kind": kind, "epochs": 2}},
         }))
         stage1, final, resumed = (tmp_path / name for name in ("s1.json", "final.json", "s2.json"))
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json"),
@@ -356,6 +430,18 @@ class TestCli:
         config_path.write_text(json.dumps(small_config() | {"name": "x"}).replace("ce", "zz"))
         code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+    def test_bad_manifest_exits_2(self, tmp_path, capsys):
+        manifest_path = tmp_path / "data.jsonl"
+        manifest_path.write_text('{"num_classes": 2, "feature_dim": 2, "task": "single"}\n'
+                                 '{"id": "a", "features": [1.0, 1' + "0" * 400 + '], '
+                                 '"label": 0, "split": "train"}\n')
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 0, "dataset": {"manifest": str(manifest_path)}}))
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json")]) == 2
+        assert main(["make-longtail", "--manifest", str(manifest_path), "--n0", "1",
+                     "--imbalance", "1", "--out", str(tmp_path / "lt.jsonl")]) == 2
+        assert capsys.readouterr().err.count("line 2: features must be finite") == 2
 
     def test_missing_file_exits_1(self, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.json"),

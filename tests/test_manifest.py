@@ -244,6 +244,13 @@ class TestNonFiniteFeatures:
             load_manifest(path)
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to convert to float
+        return False
+
+
 def _reference_load(path):
     """The record-by-record loader: every value checked in Python, line by line."""
     import json
@@ -302,7 +309,7 @@ def _reference_load(path):
         return Manifest(ids=tuple(ids), features=np.asarray(features, dtype=np.float64),
                         labels=np.asarray(labels, dtype=np.int64), splits=np.asarray(splits),
                         num_classes=k, feature_dim=d, task_kind=task)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         first_line = {}
         for rid, lineno in zip(ids, linenos):
             if rid in first_line:
@@ -310,7 +317,7 @@ def _reference_load(path):
                     f"line {lineno}: duplicate id {rid!r} (first on line {first_line[rid]})") from exc
             first_line[rid] = lineno
         for feats, lineno in zip(features, linenos):
-            if not all(math.isfinite(v) for v in feats):
+            if not all(_finite(v) for v in feats):
                 raise ManifestFormatError(f"line {lineno}: features must be finite") from exc
         raise ManifestFormatError(str(exc)) from exc
 
@@ -321,6 +328,8 @@ def _reference_load(path):
 FEATURES = ("[0.5, -1.0]", "[1, 2]", "[1e5, 100000000000000000000000]", "[true, 1.0]",
             "[0.5, false]", "[null, 1.0]", '["1.0", 2.0]', "[1.0]", "[[1.0], 2.0]", "[1.0, 1e400]",
             "[NaN, 1.0]", "{}", "3.0")
+# Listed after FEATURES so that the enumerated cases above keep their test ids.
+LATE_FEATURES = ("[1.0, 1" + "0" * 400 + "]",)
 SINGLE_LABELS = ("0", "2", "3", "-1", "1.0", "true", "null", "[1]", "100000000000000000000000")
 MULTI_LABELS = ("[1, 0, 1]", "[1.0, 0, -0.0]", "[true, false, 0]", "[2, 0, 0]", "[1, 0]",
                 '["1", 0, 0]', "[null, 0, 0]", "1", "[[1], 0, 0]", "[NaN, 0, 0]")
@@ -338,8 +347,8 @@ def record_line(draw, task):
     def pick(values):  # the valid value half the time, so most lines have one fault
         return draw(st.sampled_from(values)) if draw(st.booleans()) else values[0]
 
-    fields = {"id": pick(IDS), "features": pick(FEATURES), label_key: pick(label_values),
-              "split": pick(SPLITS_JSON)}
+    fields = {"id": pick(IDS), "features": pick(FEATURES + LATE_FEATURES),
+              label_key: pick(label_values), "split": pick(SPLITS_JSON)}
     if draw(st.integers(0, 15)) == 0:
         fields["extra"] = "1"
     return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
@@ -363,13 +372,16 @@ def _outcome(load, path):
 
 
 def _one_fault_cases():
+    late = []
     for task, label_key, label_values in (("single", "label", SINGLE_LABELS),
                                           ("multi", "labels", MULTI_LABELS)):
         pools = {"id": IDS, "features": FEATURES, label_key: label_values, "split": SPLITS_JSON}
+        valid = {key: pool[0] for key, pool in pools.items()}
         for field, values in pools.items():
             for value in values[1:]:
-                yield task, {key: (value if key == field else pool[0])
-                             for key, pool in pools.items()}
+                yield task, {**valid, field: value}
+        late += [(task, {**valid, "features": value}) for value in LATE_FEATURES]
+    yield from late
 
 
 class TestLoaderMatchesReference:

@@ -6,6 +6,7 @@ from longtail_lab import (LossContext, LossSpec, MixupSpec, OptimizerSpec, Sampl
                           batch_loss_and_grad, decision_scores, distribution_from_counts,
                           evaluate_split, group_split, init_model, synth_gaussian,
                           train_stage1, weight_norms)
+from longtail_lab import model as model_module, training as training_module
 from longtail_lab.model import forward_with_cache, backward
 from longtail_lab.optim import Optimizer
 from longtail_lab.training import (stage2_cosine_retrain, stage2_crt, stage2_disalign,
@@ -214,6 +215,31 @@ class TestStage2Lws:
             scales.append(out.logit_scale)
         scales = np.concatenate(scales)
         assert scales.min() > 0.5 and scales.max() < 2.0
+
+
+class TestStage2EncodesOnce:
+    @pytest.mark.parametrize("epochs", [1, 4])
+    @pytest.mark.parametrize("fit", [stage2_crt, stage2_lws, stage2_disalign,
+                                     stage2_cosine_retrain])
+    def test_one_pass_over_train_rows(self, monkeypatch, fit, epochs):
+        manifest = blob_manifest([40, 20, 6], val_per_class=10, test_per_class=10)
+        model, _, _ = trained_stage1(manifest, epochs=2, hidden=6)
+        kind = fit.__name__.removeprefix("stage2_")
+        config = TrainConfig(epochs=2, batch_size=8, seed=0, hidden_dim=6,
+                             optimizer=OptimizerSpec("sgd", lr=0.05, sam=True, sam_rho=0.05),
+                             stage2=Stage2Spec(kind, epochs=epochs))
+        encode, encoded_rows = model_module.encode, []
+
+        def counting_encode(classifier, x):
+            if classifier.encoder_w is not None:
+                encoded_rows.append(len(x))
+            return encode(classifier, x)
+
+        monkeypatch.setattr(model_module, "encode", counting_encode)
+        monkeypatch.setattr(training_module, "encode", counting_encode)
+        out = fit(model, manifest, config, np.random.default_rng(0))
+        assert encoded_rows == [manifest.split_indices("train").size]
+        assert np.array_equal(out.encoder_w, model.encoder_w)
 
 
 class TestStage2Ncm:
