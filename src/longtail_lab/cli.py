@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-
-import numpy as np
 
 from . import jsonio
 from .distribution import default_boundaries, group_split, pareto_targets
-from .harness import ConfigError, parse_config, run_experiment, run_sweep, stage_rngs, sweep_csv
-from .losses import posthoc_adjust
+from .harness import (ConfigError, check_task, parse_config, run_experiment, run_sweep, stage_rngs,
+                      sweep_csv)
 from .manifest import (ManifestFormatError, load_manifest, save_manifest, subsample_longtail,
                        synth_gaussian)
 from .metrics import gaps_from_series, mean_average_precision
@@ -166,6 +165,7 @@ def _cmd_stage2(args) -> int:
     manifest = load_manifest(args.manifest)
     if config.train.stage2.kind == "none":
         raise ConfigError("config has stage2.kind 'none'; nothing to do")
+    check_task(config.train, manifest.task_kind)
     _, _, stage2_rng = stage_rngs(config.seed)
     final = apply_stage2(model, manifest, config.train, rng=stage2_rng)
     save_checkpoint(final, args.out)
@@ -193,14 +193,8 @@ def _cmd_eval(args) -> int:
     if args.posthoc_tau is not None:
         if manifest.task_kind != "single":
             raise ConfigError("post-hoc adjustment applies to single-label tasks")
-        scores = decision_scores(classifier, manifest.features[idx])
-        adjusted = posthoc_adjust(scores, manifest.train_distribution(), args.posthoc_tau)
-        from .metrics import group_report
-
-        report = group_report(np.argmax(adjusted, axis=1), manifest.labels[idx], groups)
         payload["posthoc_tau"] = args.posthoc_tau
-    else:
-        report = evaluate_split(classifier, manifest, args.split, groups)
+    report = evaluate_split(classifier, manifest, args.split, groups, posthoc_tau=args.posthoc_tau)
     payload["group_report"] = report.to_dict()
     if manifest.task_kind == "multi":
         scores = decision_scores(classifier, manifest.features[idx])
@@ -225,8 +219,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _stem(path: str) -> str:
-    import os
-
     return os.path.splitext(os.path.basename(path))[0]
 
 

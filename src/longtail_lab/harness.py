@@ -1,22 +1,25 @@
-"""Config-driven experiment runner: dataset -> stage-1 -> stage-2 -> report."""
+"""Config-driven experiment runner: dataset -> stage-1 -> stage-2 -> report.
+
+A config section's keys are the fields of its dataclass, and each value's type
+is the field's annotation (``jsonio.parse_fields``). Only the dataset section is
+read by hand, since its ``manifest`` key names ``manifest_path`` and its
+``group_boundaries`` is a pair.
+"""
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import jsonio
 from .distribution import default_boundaries, group_split, pareto_targets
-from .losses import LossSpec
 from .manifest import Manifest, load_manifest, subsample_longtail, synth_gaussian, synth_targets
-from .metrics import GapStats, checkpoint_gaps, mean_average_precision
+from .metrics import checkpoint_gaps, mean_average_precision
 from .model import ModelState, decision_scores, weight_norms
-from .optim import OptimizerSpec
-from .samplers import MixupSpec, SamplerSpec
-from .training import Stage2Spec, TrainConfig, apply_stage2, evaluate_split, train_stage1
+from .training import TrainConfig, apply_stage2, evaluate_split, train_stage1
 
 
 class ConfigError(ValueError):
@@ -46,11 +49,7 @@ class SynthSpec:
                       self.class_separation, self.val_per_class, self.test_per_class)
 
     def to_config(self) -> dict:
-        return {
-            "num_classes": self.num_classes, "feature_dim": self.feature_dim,
-            "n0": self.n0, "ratio": self.ratio, "class_separation": self.class_separation,
-            "val_per_class": self.val_per_class, "test_per_class": self.test_per_class,
-        }
+        return jsonio.fields_to_config(self)
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class ParetoSpec:
     ratio: float
 
     def to_config(self) -> dict:
-        return {"n0": self.n0, "ratio": self.ratio}
+        return jsonio.fields_to_config(self)
 
 
 @dataclass(frozen=True)
@@ -87,23 +86,37 @@ class DatasetConfig:
             cfg["group_boundaries"] = list(self.group_boundaries)
         return cfg
 
+    @classmethod
+    def from_config(cls, raw: dict) -> "DatasetConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"dataset must be a JSON object, got {raw!r}")
+        unknown = set(raw) - {"synth", "manifest", "pareto", "group_boundaries"}
+        if unknown:
+            raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
+        path = raw.get("manifest")
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"dataset manifest must be a string path, got {path!r}")
+        boundaries = raw.get("group_boundaries")
+        if "group_boundaries" in raw and (
+                not isinstance(boundaries, (list, tuple)) or len(boundaries) != 2
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in boundaries)):
+            raise ConfigError("group_boundaries must be a [h, m] pair of integers")
+        synth = jsonio.parse_fields(SynthSpec, raw["synth"], "synth") if "synth" in raw else None
+        pareto = jsonio.parse_fields(ParetoSpec, raw["pareto"], "pareto") if "pareto" in raw else None
+        return cls(synth=synth, manifest_path=path, pareto=pareto,
+                   group_boundaries=None if boundaries is None else tuple(boundaries))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
     dataset: DatasetConfig
-    train: TrainConfig
+    train: TrainConfig = field(default_factory=TrainConfig)
     name: str | None = None
     report_path: str | None = None
 
     def to_config(self) -> dict:
-        return {
-            "seed": self.seed,
-            "name": self.name,
-            "dataset": self.dataset.to_config(),
-            "train": _train_to_config(self.train),
-            "report_path": self.report_path,
-        }
+        return jsonio.fields_to_config(self)
 
     @property
     def digest(self) -> str:
@@ -114,117 +127,31 @@ class ExperimentConfig:
         return jsonio.digest(cfg)
 
 
-def _train_to_config(train: TrainConfig) -> dict:
-    return {
-        "epochs": train.epochs,
-        "batch_size": train.batch_size,
-        "eval_every": train.eval_every,
-        "hidden_dim": train.hidden_dim,
-        "classifier_kind": train.classifier_kind,
-        "temperature": train.temperature,
-        "loss": train.loss.to_config(),
-        "sampler": train.sampler.to_config(),
-        "mixup": train.mixup.to_config(),
-        "optimizer": train.optimizer.to_config(),
-        "stage2": train.stage2.to_config(),
-    }
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON config dict; rejected before any compute on error."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - {"seed", "name", "dataset", "train", "report_path"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "seed" not in raw or not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
-        raise ConfigError("config needs an integer 'seed'")
-    if "dataset" not in raw:
-        raise ConfigError("config needs a 'dataset' section")
     try:
-        dataset = _parse_dataset(raw["dataset"])
-        train = _parse_train(raw.get("train", {}), seed=raw["seed"])
+        config = jsonio.parse_fields(ExperimentConfig, raw, "config")
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        seed=raw["seed"], dataset=dataset, train=train,
-        name=raw.get("name"), report_path=raw.get("report_path"),
-    )
+    # the experiment seed is the one seed authority; the train section has none of its own
+    return replace(config, train=replace(config.train, seed=config.seed))
 
 
-def _parse_dataset(raw: dict) -> DatasetConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("'dataset' must be an object")
-    unknown = set(raw) - {"synth", "manifest", "pareto", "group_boundaries"}
-    if unknown:
-        raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
-    synth = None
-    if "synth" in raw:
-        allowed = {"num_classes", "feature_dim", "n0", "ratio", "class_separation",
-                   "val_per_class", "test_per_class"}
-        extra = set(raw["synth"]) - allowed
-        if extra:
-            raise ConfigError(f"unknown synth keys: {sorted(extra)}")
-        _check_ints("synth", raw["synth"], ("num_classes", "feature_dim", "n0",
-                                            "val_per_class", "test_per_class"))
-        synth = SynthSpec(**raw["synth"])
-    pareto = None
-    if "pareto" in raw:
-        extra = set(raw["pareto"]) - {"n0", "ratio"}
-        if extra:
-            raise ConfigError(f"unknown pareto keys: {sorted(extra)}")
-        _check_ints("pareto", raw["pareto"], ("n0",))
-        pareto = ParetoSpec(**raw["pareto"])
-    boundaries = None
-    if "group_boundaries" in raw:
-        b = raw["group_boundaries"]
-        if (not isinstance(b, (list, tuple)) or len(b) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in b)):
-            raise ConfigError("group_boundaries must be a [h, m] pair of integers")
-        boundaries = (b[0], b[1])
-    return DatasetConfig(synth=synth, manifest_path=raw.get("manifest"),
-                         pareto=pareto, group_boundaries=boundaries)
+def check_task(train: TrainConfig, task_kind: str) -> None:
+    """Reject a loss, sampler or stage-2 scheme that ``task_kind`` data cannot train.
 
-
-def _parse_train(raw: dict, seed: int) -> TrainConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("'train' must be an object")
-    allowed = {"epochs", "batch_size", "eval_every", "hidden_dim", "classifier_kind",
-               "temperature", "loss", "sampler", "mixup", "optimizer", "stage2"}
-    unknown = set(raw) - allowed
-    if unknown:
-        # the experiment-level seed is the single seed authority
-        raise ConfigError(f"unknown train keys: {sorted(unknown)}")
-    _check_ints("train", raw, ("epochs", "batch_size", "eval_every"), nullable=("hidden_dim",))
-    kwargs: dict = {k: raw[k] for k in
-                    ("epochs", "batch_size", "eval_every", "hidden_dim",
-                     "classifier_kind", "temperature") if k in raw}
-    if "loss" in raw:
-        kwargs["loss"] = LossSpec.from_config(raw["loss"])
-    if "sampler" in raw:
-        _check_ints("sampler", raw["sampler"], nullable=("epoch_length",))
-        kwargs["sampler"] = SamplerSpec.from_config(raw["sampler"])
-    if "mixup" in raw:
-        kwargs["mixup"] = MixupSpec.from_config(raw["mixup"])
-    if "optimizer" in raw:
-        kwargs["optimizer"] = OptimizerSpec.from_config(raw["optimizer"])
-    if "stage2" in raw:
-        _check_ints("stage2", raw["stage2"], nullable=("epochs",))
-        kwargs["stage2"] = Stage2Spec.from_config(raw["stage2"])
-    return TrainConfig(seed=seed, **kwargs)
-
-
-def _check_ints(section: str, raw, required=(), nullable=()) -> None:
-    """Reject an integer field given as another type: a bool, or a null where none is allowed."""
-    if not isinstance(raw, dict):  # left to the section's own parser to reject
-        return
-    for key in required + nullable:
-        value = raw.get(key)
-        if (key in raw and not (value is None and key in nullable)
-                and (isinstance(value, bool) or not isinstance(value, int))):
-            raise ConfigError(f"{section} {key} must be an integer, got {value!r}")
+    Run as soon as the dataset is built, before any training: multi-label data
+    needs a multi-label loss, the ``original`` sampler, and stage 2 ``none`` or
+    ``tau_norm``; single-label data needs a single-label loss.
+    """
+    if train.loss.multi_label != (task_kind == "multi"):
+        raise ConfigError(f"loss kind {train.loss.kind!r} does not match task {task_kind!r}")
+    if task_kind == "multi" and train.sampler.kind != "original":
+        raise ConfigError(f"{train.sampler.kind} sampling requires single-label data")
+    if task_kind == "multi" and train.stage2.kind not in ("none", "tau_norm"):
+        raise ConfigError(f"stage-2 kind {train.stage2.kind!r} requires single-label data")
 
 
 @dataclass
@@ -285,6 +212,7 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
         manifest = build_dataset(config, seed=data_rng)
         boundaries = config.dataset.group_boundaries or default_boundaries(manifest.num_classes)
         groups = group_split(manifest.train_distribution(), boundaries)
+    check_task(config.train, manifest.task_kind)
     with _stage("train"):
         model, history = train_stage1(manifest, config.train, rng=train_rng, groups=groups)
     with _stage("stage2"):

@@ -1,11 +1,14 @@
-"""Deterministic JSON emission (fixed float formatting, so equal runs give equal bytes)
-and atomic file writes."""
+"""Deterministic JSON emission (fixed float formatting, so equal runs give equal bytes),
+atomic file writes, and config sections read from and written as dataclass fields."""
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import typing
 from typing import Any
 
 import numpy as np
@@ -114,3 +117,66 @@ def write_atomic(path, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+# what a config value of each annotated type may be; a bool is only ever a bool
+_ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
+_DESCRIBES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+@functools.cache  # get_type_hints evaluates every string annotation on each call
+def _config_types(cls) -> dict:
+    """The annotation of each field of dataclass ``cls`` that a config sets: all fields but
+    those marked ``config: False``."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)
+            if f.metadata.get("config", True)}
+
+
+def parse_fields(cls, raw, section: str):
+    """Build dataclass ``cls`` from the config ``section`` ``raw``.
+
+    ``raw`` must be a JSON object whose keys are config fields of ``cls``, each
+    value of the type its annotation names: ``int`` an int, ``float`` an int or
+    a float, ``bool`` and ``str`` only themselves, ``X | None`` also null, and a
+    nested spec an object read by the spec's ``from_config``. An annotation
+    ``Annotated[X, "..."]`` says in its text what a value must be. The
+    constructor of ``cls`` then checks ranges. Faults raise ``ValueError``.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section} must be a JSON object, got {raw!r}")
+    types = _config_types(cls)
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    missing = [f.name for f in dataclasses.fields(cls) if f.name in types and f.name not in raw
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{section} needs the keys {missing}")
+    return cls(**{key: _field_value(types[key], value, f"{section} {key}")
+                  for key, value in raw.items()})
+
+
+def _field_value(hint, value, name: str):
+    """``value`` if it has the type ``hint`` names; a nested spec is read by its ``from_config``."""
+    describes = None
+    if typing.get_origin(hint) is typing.Annotated:
+        hint, describes = typing.get_args(hint)
+    options = typing.get_args(hint) or (hint,)  # ``X | None`` gives (X, NoneType)
+    if value is None and type(None) in options:
+        return None
+    kind = options[0]
+    if dataclasses.is_dataclass(kind):
+        return kind.from_config(value)
+    if isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTS[kind]):
+        return value
+    raise ValueError(f"{name} must be {describes or _DESCRIBES[kind]}, got {value!r}")
+
+
+def fields_to_config(spec) -> dict:
+    """The config fields of dataclass instance ``spec``; a nested spec gives its ``to_config``."""
+    config = {}
+    for name in _config_types(type(spec)):
+        value = getattr(spec, name)
+        config[name] = value.to_config() if dataclasses.is_dataclass(value) else value
+    return config

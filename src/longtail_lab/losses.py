@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import jsonio
 from .distribution import ClassDistribution
 
 SINGLE_LABEL_KINDS = (
@@ -117,15 +118,11 @@ class LossSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "LossSpec":
-        if "kind" not in cfg:
-            raise ValueError("loss config needs a 'kind'")
-        kind = cfg["kind"]
-        if kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {kind!r}")
-        unknown = set(cfg) - {"kind"} - set(_KIND_HYPERS[kind])
+        spec = jsonio.parse_fields(cls, cfg, "loss")
+        unknown = set(cfg) - {"kind"} - set(_KIND_HYPERS[spec.kind])
         if unknown:
-            raise ValueError(f"loss kind {kind!r} does not take: {sorted(unknown)}")
-        return cls(**cfg)
+            raise ValueError(f"loss kind {spec.kind!r} does not take: {sorted(unknown)}")
+        return spec
 
 
 @dataclass

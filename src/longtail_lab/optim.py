@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
+
 OPTIMIZER_KINDS = ("sgd", "adam")
 _DEFAULT_LR = {"sgd": 0.01, "adam": 3e-4}
 
@@ -12,7 +14,7 @@ _DEFAULT_LR = {"sgd": 0.01, "adam": 3e-4}
 @dataclass(frozen=True)
 class OptimizerSpec:
     kind: str = "adam"
-    lr: float | None = None
+    lr: float | None = None  # None: the kind's default, set on construction
     momentum: float = 0.9
     beta1: float = 0.9
     beta2: float = 0.999
@@ -23,17 +25,19 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.lr is not None and self.lr <= 0:
+        if self.lr is None:  # so a spec equals the spec its config parses to
+            object.__setattr__(self, "lr", _DEFAULT_LR[self.kind])
+        if self.lr <= 0:
             raise ValueError("learning rate must be positive")
         if self.sam_rho < 0:
             raise ValueError("sam_rho must be non-negative")
 
     @property
     def resolved_lr(self) -> float:
-        return self.lr if self.lr is not None else _DEFAULT_LR[self.kind]
+        return self.lr
 
     def to_config(self) -> dict:
-        cfg = {"kind": self.kind, "lr": self.resolved_lr}
+        cfg = {"kind": self.kind, "lr": self.lr}
         if self.kind == "sgd":
             cfg["momentum"] = self.momentum
         else:
@@ -44,11 +48,7 @@ class OptimizerSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "OptimizerSpec":
-        allowed = {"kind", "lr", "momentum", "beta1", "beta2", "eps", "sam", "sam_rho"}
-        unknown = set(cfg) - allowed
-        if unknown:
-            raise ValueError(f"unknown optimizer config keys: {sorted(unknown)}")
-        return cls(**cfg)
+        return jsonio.parse_fields(cls, cfg, "optimizer")
 
 
 class Optimizer:

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
+
 SAMPLER_KINDS = ("original", "class_balanced", "difficulty")
 
 
@@ -40,11 +42,7 @@ class SamplerSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SamplerSpec":
-        allowed = {"kind", "difficulty_floor", "epoch_length"}
-        unknown = set(cfg) - allowed
-        if unknown:
-            raise ValueError(f"unknown sampler config keys: {sorted(unknown)}")
-        return cls(**cfg)
+        return jsonio.parse_fields(cls, cfg, "sampler")
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,11 @@ class MixupSpec:
             raise ValueError("mixup alpha must be positive")
 
     def to_config(self) -> dict:
-        return {"alpha": self.alpha, "enabled": self.enabled}
+        return jsonio.fields_to_config(self)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "MixupSpec":
-        unknown = set(cfg) - {"alpha", "enabled"}
-        if unknown:
-            raise ValueError(f"unknown mixup config keys: {sorted(unknown)}")
-        return cls(**cfg)
+        return jsonio.parse_fields(cls, cfg, "mixup")
 
 
 class BatchSampler:

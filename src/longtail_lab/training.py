@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
+from . import jsonio
 from .distribution import GroupSplit, default_boundaries, group_split
-from .losses import LossSpec, batch_loss_and_grad, draw_noise
+from .losses import LossSpec, batch_loss_and_grad, draw_noise, posthoc_adjust
 from .manifest import Manifest
 from .metrics import EpochRecord, GroupReport, RunHistory, average_precision_per_label, group_report, group_report_from_values
 from .model import (ModelState, NcmClassifier, backward, check_classifier_kind, check_hidden_dim,
@@ -25,6 +27,9 @@ from .optim import Optimizer, OptimizerSpec, sam_step
 from .samplers import BatchSampler, MixupSpec, SamplerSpec, mixup_batch
 
 STAGE2_KINDS = ("none", "crt", "tau_norm", "lws", "ncm", "disalign", "cosine_retrain")
+# a cosine temperature; a config value that is not a number is refused in the words of
+# _check_temperature
+Temperature = Annotated[float, "a finite number > 0"]
 
 
 class TrainingDivergedError(RuntimeError):
@@ -41,7 +46,7 @@ class Stage2Spec:
     kind: str = "none"
     tau: float = 1.0
     epochs: int | None = None
-    temperature: float = 16.0
+    temperature: Temperature = 16.0
 
     def __post_init__(self):
         if self.kind not in STAGE2_KINDS:
@@ -62,17 +67,14 @@ class Stage2Spec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Stage2Spec":
-        unknown = set(cfg) - {"kind", "tau", "epochs", "temperature"}
-        if unknown:
-            raise ValueError(f"unknown stage-2 config keys: {sorted(unknown)}")
-        return cls(**cfg)
+        return jsonio.parse_fields(cls, cfg, "stage2")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     batch_size: int = 64
-    seed: int = 0
+    seed: int = field(default=0, metadata={"config": False})  # the experiment's seed
     loss: LossSpec = field(default_factory=lambda: LossSpec("ce"))
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
     mixup: MixupSpec = field(default_factory=MixupSpec)
@@ -81,7 +83,7 @@ class TrainConfig:
     eval_every: int = 1
     hidden_dim: int | None = None
     classifier_kind: str = "linear"
-    temperature: float = 16.0
+    temperature: Temperature = 16.0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -94,6 +96,13 @@ class TrainConfig:
         check_hidden_dim(self.hidden_dim)
         _check_temperature(self.temperature, "temperature")
 
+    def to_config(self) -> dict:
+        return jsonio.fields_to_config(self)
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "TrainConfig":
+        return jsonio.parse_fields(cls, cfg, "train")
+
 
 def _check_temperature(value, name: str) -> None:
     """A configured cosine temperature (the trained one may move; ModelState is not checked)."""
@@ -102,12 +111,19 @@ def _check_temperature(value, name: str) -> None:
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-def evaluate_split(classifier, manifest: Manifest, split: str, groups: GroupSplit) -> GroupReport:
-    """Group report over one split: top-1 accuracy, or per-label AP when multi-label."""
+def evaluate_split(classifier, manifest: Manifest, split: str, groups: GroupSplit,
+                   posthoc_tau: float | None = None) -> GroupReport:
+    """Group report over one split: top-1 accuracy, or per-label AP when multi-label.
+
+    With ``posthoc_tau``, the scores are first shifted by ``-posthoc_tau * log``
+    of the train class priors (``losses.posthoc_adjust``).
+    """
     idx = manifest.split_indices(split)
     if idx.size == 0:
         raise ValueError(f"{split} split is empty")
     scores = decision_scores(classifier, manifest.features[idx])
+    if posthoc_tau is not None:
+        scores = posthoc_adjust(scores, manifest.train_distribution(), posthoc_tau)
     if manifest.task_kind == "single":
         return group_report(np.argmax(scores, axis=1), manifest.labels[idx], groups)
     aps = average_precision_per_label(scores, manifest.labels[idx])

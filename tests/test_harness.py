@@ -1,12 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, jsonio, load_checkpoint,
-                          load_manifest, parse_config, run_experiment, run_sweep, save_manifest,
-                          sweep_csv)
+                          load_manifest, optim, parse_config, run_experiment, run_sweep,
+                          save_manifest, sweep_csv)
 from longtail_lab.harness import sweep_workers
 from longtail_lab.samplers import SAMPLER_KINDS
 from longtail_lab.training import STAGE2_KINDS
@@ -32,6 +33,22 @@ def small_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+TASK_MISMATCH = "does not match task|requires single-label data"
+
+
+def count_optimizer_steps(monkeypatch) -> list:
+    """A list that grows by one on every optimizer step from now on."""
+    steps = []
+    step = optim.Optimizer.step
+
+    def counting_step(self, *args, **kwargs):
+        steps.append(1)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(optim.Optimizer, "step", counting_step)
+    return steps
 
 
 POSITIVE = st.floats(0.01, 100.0)
@@ -64,7 +81,9 @@ def written_configs(draw):
         sampler["difficulty_floor"] = draw(POSITIVE)
     if draw(st.booleans()):
         sampler["epoch_length"] = draw(st.integers(1, 1000))
-    optimizer = {"kind": draw(st.sampled_from(("sgd", "adam"))), "lr": draw(POSITIVE)}
+    optimizer = {"kind": draw(st.sampled_from(("sgd", "adam")))}
+    if draw(st.booleans()):  # an omitted lr is the kind's default
+        optimizer["lr"] = draw(POSITIVE)
     if optimizer["kind"] == "sgd":
         optimizer["momentum"] = draw(FRACTION)
     else:
@@ -184,6 +203,36 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert not report.exists()
 
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("train", "mixup"), {"enabled": "no"}, id="mixup-enabled-str"),
+        pytest.param(("train", "optimizer"), {"kind": "sgd", "sam": "no"}, id="sam-str"),
+        pytest.param(("train", "stage2"), {"kind": "tau_norm", "tau": "1"}, id="tau-str"),
+        pytest.param(("train", "sampler"), [], id="sampler-list"),
+        pytest.param(("train", "optimizer"), 5, id="optimizer-int"),
+        pytest.param(("dataset", "synth"), 5, id="synth-int"),
+        pytest.param(("dataset",), {"manifest": "data.jsonl", "pareto": None}, id="pareto-null"),
+        pytest.param(("train", "loss"), {"kind": "focal", "gamma": "2"}, id="gamma-str"),
+        pytest.param(("dataset", "synth", "ratio"), "100", id="ratio-str"),
+        pytest.param(("train", "sampler"), {"kind": "difficulty", "difficulty_floor": "0.1"},
+                     id="difficulty_floor-str"),
+        pytest.param(("train", "optimizer"), {"kind": "sgd", "lr": "0.1"}, id="lr-str"),
+        pytest.param(("dataset",), {"manifest": 0}, id="manifest-int"),
+    ])
+    def test_wrong_typed_value_exits_2_at_parse(self, tmp_path, capsys, path, value):
+        raw = small_config()
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ConfigError):
+            parse_config(raw)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(raw))
+        report = tmp_path / "r.json"
+        assert main(["train", "--config", str(config_path), "--out", str(report)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not report.exists()
+
     def test_digest_ignores_name_and_report_path(self):
         a = parse_config(small_config())
         b = parse_config(small_config(name="erm", report_path="out.json"))
@@ -260,6 +309,34 @@ class TestRunExperiment:
         }
         result = run_experiment(parse_config(raw))
         assert 0.0 <= result.report["final"]["map"] <= 1.0
+
+    @pytest.mark.parametrize("task, train", [
+        pytest.param("multi", {"loss": {"kind": "bce_ml"}, "stage2": {"kind": "crt"}},
+                     id="multi-crt"),
+        pytest.param("multi", {"loss": {"kind": "bce_ml"}, "stage2": {"kind": "ncm"}},
+                     id="multi-ncm"),
+        pytest.param("multi", {"loss": {"kind": "bce_ml"}, "sampler": {"kind": "class_balanced"}},
+                     id="multi-class_balanced"),
+        pytest.param("multi", {"loss": {"kind": "ce"}}, id="multi-ce"),
+        pytest.param("single", {"loss": {"kind": "bce_ml"}}, id="single-bce_ml"),
+    ])
+    def test_task_mismatch_rejected_before_training(self, tmp_path, monkeypatch, capsys,
+                                                    task, train):
+        manifest = (multilabel_manifest(n=60) if task == "multi"
+                    else blob_manifest([20, 10, 5], val_per_class=5, test_per_class=5))
+        manifest_path = tmp_path / "m.jsonl"
+        save_manifest(manifest, manifest_path)
+        raw = {"seed": 1, "dataset": {"manifest": str(manifest_path), "group_boundaries": [1, 2]},
+               "train": {"epochs": 3, "batch_size": 16,
+                         "optimizer": {"kind": "sgd", "lr": 0.05}, **train}}
+        steps = count_optimizer_steps(monkeypatch)
+        with pytest.raises(ConfigError, match=TASK_MISMATCH):
+            run_experiment(parse_config(raw))
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json")]) == 2
+        assert re.search(TASK_MISMATCH, capsys.readouterr().err)
+        assert steps == []
 
     def test_failure_leaves_no_partial_report(self, tmp_path):
         raw = small_config()
@@ -404,6 +481,28 @@ class TestCli:
         assert main(["stage2", "--checkpoint", str(stage1), "--manifest", str(manifest_path),
                      "--config", str(config_path), "--out", str(resumed)]) == 0
         assert resumed.read_bytes() == final.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["crt", "lws", "disalign", "cosine_retrain", "ncm"])
+    def test_stage2_command_rejects_multilabel_before_fitting(self, tmp_path, monkeypatch, capsys,
+                                                               kind):
+        manifest_path = tmp_path / "ml.jsonl"
+        save_manifest(multilabel_manifest(n=60), manifest_path)
+        config = {"seed": 1, "dataset": {"manifest": str(manifest_path)},
+                  "train": {"epochs": 2, "batch_size": 16, "loss": {"kind": "bce_ml"},
+                            "optimizer": {"kind": "sgd", "lr": 0.05}}}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        stage1 = tmp_path / "s1.json"
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json"),
+                     "--stage1-checkpoint", str(stage1)]) == 0
+        config["train"]["stage2"] = {"kind": kind}
+        config_path.write_text(json.dumps(config))
+        steps = count_optimizer_steps(monkeypatch)
+        out = tmp_path / "s2.json"
+        assert main(["stage2", "--checkpoint", str(stage1), "--manifest", str(manifest_path),
+                     "--config", str(config_path), "--out", str(out)]) == 2
+        assert "requires single-label data" in capsys.readouterr().err
+        assert steps == [] and not out.exists()
 
     def test_eval_with_posthoc_adjustment(self, tmp_path):
         manifest_path = tmp_path / "data.jsonl"

@@ -1,4 +1,5 @@
 import os
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -68,6 +69,61 @@ GOLDEN_MULTI = (
     '{"id": "x", "features": [1.0, 0.66666666666666663], "labels": [1, 0, 1], "split": "train"}\n'
     '{"id": "y", "features": [-3.0, 10000000000000000.0], "labels": [0, 0, 1], "split": "test"}\n'
 )
+
+
+@dataclass(frozen=True)
+class Inner:
+    flag: bool = False
+
+    @classmethod
+    def from_config(cls, cfg):
+        return jsonio.parse_fields(cls, cfg, "inner")
+
+    def to_config(self):
+        return jsonio.fields_to_config(self)
+
+
+@dataclass(frozen=True)
+class Spec:
+    count: int
+    scale: float = 1.0
+    name: str = "a"
+    limit: int | None = None
+    inner: Inner = field(default_factory=Inner)
+    hidden: int = field(default=0, metadata={"config": False})
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
+
+
+class TestConfigFields:
+    def test_values_of_their_annotated_types(self):
+        raw = {"count": 2, "scale": 3, "name": "b", "limit": None, "inner": {"flag": True}}
+        spec = jsonio.parse_fields(Spec, raw, "spec")
+        assert spec == Spec(2, 3, "b", None, Inner(True))
+        assert jsonio.fields_to_config(spec) == raw
+        assert jsonio.fields_to_config(Spec(1, limit=4, hidden=9)) == {
+            "count": 1, "scale": 1.0, "name": "a", "limit": 4, "inner": {"flag": False}}
+
+    @pytest.mark.parametrize("raw, message", [
+        ([], "spec must be a JSON object"),
+        ({"count": 1, "hidden": 1}, r"unknown spec keys: \['hidden'\]"),
+        ({"scale": 1.0}, r"spec needs the keys \['count'\]"),
+        ({"count": True}, "spec count must be an integer, got True"),
+        ({"count": 1.0}, "spec count must be an integer, got 1.0"),
+        ({"count": None}, "spec count must be an integer, got None"),
+        ({"count": 1, "scale": False}, "spec scale must be a number, got False"),
+        ({"count": 1, "scale": "1"}, "spec scale must be a number, got '1'"),
+        ({"count": 1, "name": 5}, "spec name must be a string, got 5"),
+        ({"count": 1, "limit": 2.5}, "spec limit must be an integer, got 2.5"),
+        ({"count": 1, "inner": {"flag": 1}}, "inner flag must be true or false, got 1"),
+        ({"count": 1, "inner": None}, "inner must be a JSON object, got None"),
+        ({"count": -1}, "count must be >= 0"),
+    ])
+    def test_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            jsonio.parse_fields(Spec, raw, "spec")
 
 
 class TestManifestGoldenBytes:

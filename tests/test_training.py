@@ -4,8 +4,8 @@ import pytest
 from longtail_lab import (LossContext, LossSpec, MixupSpec, OptimizerSpec, SamplerSpec,
                           Stage2Spec, TrainConfig, TrainingDivergedError,
                           batch_loss_and_grad, decision_scores, distribution_from_counts,
-                          evaluate_split, group_split, init_model, synth_gaussian,
-                          train_stage1, weight_norms)
+                          evaluate_split, group_report, group_split, init_model,
+                          posthoc_adjust, synth_gaussian, train_stage1, weight_norms)
 from longtail_lab import model as model_module, training as training_module
 from longtail_lab.model import forward_with_cache, backward
 from longtail_lab.optim import Optimizer
@@ -157,6 +157,21 @@ def trained_stage1(manifest, seed=0, epochs=8, hidden=None):
     groups = groups_for(manifest, (1, 2))
     model, _ = train_stage1(manifest, config, rng=np.random.default_rng(seed), groups=groups)
     return model, config, groups
+
+
+class TestEvaluateSplit:
+    def test_posthoc_tau_scores_the_adjusted_argmax(self):
+        manifest = blob_manifest([80, 20, 4], val_per_class=10, test_per_class=10)
+        model, _, groups = trained_stage1(manifest, epochs=3)
+        idx = manifest.split_indices("test")
+        scores = decision_scores(model, manifest.features[idx])
+        plain = evaluate_split(model, manifest, "test", groups).to_dict()
+        assert evaluate_split(model, manifest, "test", groups, posthoc_tau=0.0).to_dict() == plain
+        for tau in (0.5, 1.0, 3.0):
+            adjusted = posthoc_adjust(scores, manifest.train_distribution(), tau)
+            expected = group_report(np.argmax(adjusted, axis=1), manifest.labels[idx], groups)
+            got = evaluate_split(model, manifest, "test", groups, posthoc_tau=tau)
+            assert got.to_dict() == expected.to_dict()
 
 
 class TestStage2Crt:
