@@ -57,6 +57,12 @@ class ParetoSpec:
     n0: int
     ratio: float
 
+    def __post_init__(self):
+        if self.n0 < 1:
+            raise ValueError(f"pareto n0 must be >= 1, got {self.n0!r}")
+        if not self.ratio >= 1:
+            raise ValueError(f"pareto ratio must be >= 1, got {self.ratio!r}")
+
     def to_config(self) -> dict:
         return jsonio.fields_to_config(self)
 

@@ -122,6 +122,7 @@ def write_atomic(path, text: str) -> None:
 # what a config value of each annotated type may be; a bool is only ever a bool
 _ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
 _DESCRIBES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_INT64 = np.iinfo(np.int64)
 
 
 @functools.cache  # get_type_hints evaluates every string annotation on each call
@@ -139,9 +140,10 @@ def parse_fields(cls, raw, section: str):
     ``raw`` must be a JSON object whose keys are config fields of ``cls``, each
     value of the type its annotation names: ``int`` an int, ``float`` an int or
     a float, ``bool`` and ``str`` only themselves, ``X | None`` also null, and a
-    nested spec an object read by the spec's ``from_config``. An annotation
-    ``Annotated[X, "..."]`` says in its text what a value must be. The
-    constructor of ``cls`` then checks ranges. Faults raise ``ValueError``.
+    nested spec an object read by the spec's ``from_config``. An integer must
+    lie within the int64 range, so that no later numpy call overflows on it. An
+    annotation ``Annotated[X, "..."]`` says in its text what a value must be.
+    The constructor of ``cls`` then checks ranges. Faults raise ``ValueError``.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{section} must be a JSON object, got {raw!r}")
@@ -169,6 +171,8 @@ def _field_value(hint, value, name: str):
     if dataclasses.is_dataclass(kind):
         return kind.from_config(value)
     if isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTS[kind]):
+        if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
+            raise ValueError(f"{name} must lie within the int64 range, got {value!r}")
         return value
     raise ValueError(f"{name} must be {describes or _DESCRIBES[kind]}, got {value!r}")
 

@@ -55,11 +55,12 @@ def group_report(predictions, truths, split: GroupSplit) -> GroupReport:
     k = split.num_classes
     if trues.min() < 0 or trues.max() >= k:
         raise ValueError(f"truth classes must lie in [0, {k})")
+    # a sum of 0/1 hits is exact, so each value is the float64 quotient a per-class mean gives
+    counts = np.bincount(trues, minlength=k)
+    hits = np.bincount(trues, weights=preds == trues, minlength=k)
     per_class = np.full(k, np.nan)
-    for c in range(k):
-        mask = trues == c
-        if mask.any():
-            per_class[c] = 100.0 * float((preds[mask] == c).mean())
+    seen = counts > 0
+    per_class[seen] = 100.0 * (hits[seen] / counts[seen])
     return group_report_from_values(per_class, split)
 
 
@@ -68,7 +69,7 @@ def group_report_from_values(per_class_values, split: GroupSplit) -> GroupReport
     values = np.asarray(per_class_values, dtype=np.float64)
     if values.shape != (split.num_classes,):
         raise ValueError(f"expected {split.num_classes} per-class values")
-    missing = [c for c in range(split.num_classes) if np.isnan(values[c])]
+    missing = np.flatnonzero(np.isnan(values)).tolist()
     if missing:
         warnings.warn(f"classes {missing} have no evaluation samples; excluded from group means")
     group_values = {}

@@ -1,4 +1,12 @@
-"""SGD, Adam, and a sharpness-aware wrapper over named parameter dictionaries."""
+"""SGD, Adam, and a sharpness-aware wrapper over one flat float64 parameter buffer.
+
+A fit keeps its trainable parameters in one buffer (``flatten``) and reads them
+through views shaped like each parameter (``unflatten``). ``Optimizer.step``
+packs the gradient dict with one concatenation and updates the buffer in place
+with elementwise ufuncs, so each element gets the bits that an update of its own
+array would give; the state is one buffer per moment. Given a dict of arrays,
+``step`` packs it, applies the same update and returns a dict of fresh arrays.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -32,10 +40,6 @@ class OptimizerSpec:
         if self.sam_rho < 0:
             raise ValueError("sam_rho must be non-negative")
 
-    @property
-    def resolved_lr(self) -> float:
-        return self.lr
-
     def to_config(self) -> dict:
         cfg = {"kind": self.kind, "lr": self.lr}
         if self.kind == "sgd":
@@ -51,65 +55,91 @@ class OptimizerSpec:
         return jsonio.parse_fields(cls, cfg, "optimizer")
 
 
+def flatten(arrays: dict) -> np.ndarray:
+    """The values of ``arrays``, in order, raveled into one new float64 buffer."""
+    return np.concatenate(list(arrays.values()), axis=None, dtype=np.float64)
+
+
+def unflatten(flat: np.ndarray, like: dict) -> dict:
+    """Views of ``flat`` with the names and shapes of the values of ``like``, in order."""
+    views, start = {}, 0
+    for name, value in like.items():
+        stop = start + np.size(value)
+        views[name] = flat[start:stop].reshape(np.shape(value))
+        start = stop
+    return views
+
+
 class Optimizer:
-    """Stateful inner optimizer; step() returns fresh parameter arrays."""
+    """Stateful inner optimizer over one flat parameter buffer."""
 
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
-        self._state: dict[str, dict] = {}
+        self._moments: tuple[np.ndarray, ...] = ()  # (buf,) for SGD, (m, v) for Adam
         self._t = 0
 
-    def step(self, params: dict, grads: dict) -> dict:
-        for name, g in grads.items():
-            if not np.isfinite(g).all():
-                raise ValueError(f"non-finite gradient for {name!r}")
-        lr = self.spec.resolved_lr
-        updated = {}
-        if self.spec.kind == "sgd":
-            for name, p in params.items():
-                g = grads[name]
-                st = self._slots(name, p, ("buf",))
-                st["buf"] = buf = self.spec.momentum * st["buf"] + g
-                updated[name] = p - lr * buf
-        else:
-            self._t += 1
-            correct1 = 1.0 - self.spec.beta1 ** self._t
-            correct2 = 1.0 - self.spec.beta2 ** self._t
-            for name, p in params.items():
-                g = grads[name]
-                st = self._slots(name, p, ("m", "v"))
-                st["m"] = self.spec.beta1 * st["m"] + (1.0 - self.spec.beta1) * g
-                st["v"] = self.spec.beta2 * st["v"] + (1.0 - self.spec.beta2) * g * g
-                m_hat = st["m"] / correct1
-                v_hat = st["v"] / correct2
-                updated[name] = p - lr * m_hat / (np.sqrt(v_hat) + self.spec.eps)
-        return updated
+    def step(self, params, grads: dict):
+        """Apply ``grads``, a dict of gradients in the order of the parameters.
 
-    def _slots(self, name: str, p: np.ndarray, keys: tuple[str, ...]) -> dict:
-        """The state of parameter ``name``, zero-filled on its first step only."""
-        st = self._state.get(name)
-        if st is None:
-            st = self._state[name] = {key: np.zeros_like(p) for key in keys}
-        return st
+        ``params`` is the flat buffer, updated in place and returned, or a
+        dict of arrays, for which a dict of fresh arrays is returned.
+        """
+        as_dict = isinstance(params, dict)
+        if as_dict:
+            grads = {name: grads[name] for name in params}
+        flat = flatten(params) if as_dict else params
+        g = flatten(grads)
+        if not np.isfinite(g).all():
+            name = next(name for name, v in grads.items() if not np.isfinite(v).all())
+            raise ValueError(f"non-finite gradient for {name!r}")
+        spec = self.spec
+        if not self._moments:
+            self._moments = tuple(np.zeros_like(g) for _ in range(1 if spec.kind == "sgd" else 2))
+        if spec.kind == "sgd":
+            (buf,) = self._moments
+            buf *= spec.momentum
+            buf += g
+            flat -= spec.lr * buf
+        else:
+            m, v = self._moments
+            self._t += 1
+            correct1 = 1.0 - spec.beta1 ** self._t
+            correct2 = 1.0 - spec.beta2 ** self._t
+            m *= spec.beta1
+            m += (1.0 - spec.beta1) * g
+            v *= spec.beta2
+            v += (1.0 - spec.beta2) * g * g
+            update = m / correct1
+            update *= spec.lr
+            denom = v / correct2
+            np.sqrt(denom, out=denom)
+            denom += spec.eps
+            update /= denom
+            flat -= update
+        return unflatten(flat, params) if as_dict else flat
 
 
 def global_grad_norm(grads: dict) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
 
 
-def sam_step(optimizer: Optimizer, params: dict, grad_fn):
+def sam_step(optimizer: Optimizer, params, grad_fn):
     """One training step, sharpness-aware when the spec asks for it.
 
-    grad_fn(params) -> (loss_value, grads). With sam enabled the gradient is
-    recomputed at params + rho * g / ||g|| (same batch, same stochastic draws)
-    and the inner optimizer applies that gradient from the unperturbed params.
-    rho = 0 reduces exactly to the inner optimizer: the perturbation is the
-    zero vector, so the second pass is skipped.
+    ``params`` is a flat buffer or a dict of arrays, as for ``Optimizer.step``;
+    grad_fn(params) -> (loss_value, grads), grads a dict in parameter order.
+    With sam enabled the gradient is recomputed at a new params + rho * g / ||g||
+    (same batch, same stochastic draws) and the inner optimizer applies that
+    gradient from the unperturbed params. rho = 0 reduces exactly to the inner
+    optimizer: the perturbation is the zero vector, so the second pass is skipped.
     """
     spec = optimizer.spec
     value, grads = grad_fn(params)
     if spec.sam and spec.sam_rho > 0:
         scale = spec.sam_rho / (global_grad_norm(grads) + 1e-12)
-        shifted = {name: p + scale * grads[name] for name, p in params.items()}
+        if isinstance(params, dict):
+            shifted = {name: p + scale * grads[name] for name, p in params.items()}
+        else:
+            shifted = params + scale * flatten(grads)
         _, grads = grad_fn(shifted)
     return value, optimizer.step(params, grads)

@@ -23,7 +23,7 @@ from .metrics import EpochRecord, GroupReport, RunHistory, average_precision_per
 from .model import (ModelState, NcmClassifier, backward, check_classifier_kind, check_hidden_dim,
                     decision_scores, encode, forward_with_cache, init_model, tau_normalize,
                     weight_norms)
-from .optim import Optimizer, OptimizerSpec, sam_step
+from .optim import Optimizer, OptimizerSpec, flatten, sam_step, unflatten
 from .samplers import BatchSampler, MixupSpec, SamplerSpec, mixup_batch
 
 STAGE2_KINDS = ("none", "crt", "tau_norm", "lws", "ncm", "disalign", "cosine_retrain")
@@ -265,8 +265,10 @@ def _fit_head(kind: str, model: ModelState, manifest: Manifest, config: TrainCon
     return replace(fitted, encoder_w=frozen.encoder_w, encoder_b=frozen.encoder_b)
 
 
-def _with_params(model: ModelState, params: dict) -> ModelState:
-    return replace(model, **{k: float(v) if k == "temperature" else v for k, v in params.items()})
+def _owned(model: ModelState, trainable) -> ModelState:
+    """``model`` with its own copy of each trainable array, and a float temperature."""
+    return replace(model, **{k: float(getattr(model, k)) if k == "temperature"
+                             else getattr(model, k).copy() for k in trainable})
 
 
 def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.random.Generator,
@@ -274,6 +276,13 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
          epochs: int, *, encoder: ModelState | None = None,
          class_weights: np.ndarray | None = None, groups: GroupSplit | None = None):
     """Train the ``trainable`` parameters; the optimizer and batch size come from ``config``.
+
+    The trainable parameters live in one flat float64 buffer for the whole
+    fit. One ``ModelState`` is bound to views of it, once, so each optimizer
+    step moves that model in place; SAM's shifted point is a second buffer,
+    bound to a model of its own for its gradient pass. A model that owns its
+    arrays, with a float temperature, is built only for evaluation and for
+    the result; with ``epochs == 0`` the result is ``model`` itself.
 
     With ``encoder``, the sampled train rows are its features, computed once,
     and ``model`` is a head that reads them. With ``groups``, each evaluated
@@ -286,9 +295,12 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     if encoder is not None:
         sampler.features = encode(encoder, sampler.features)
     optimizer = Optimizer(config.optimizer)
-    params = {k: np.array(getattr(model, k), dtype=np.float64) for k in trainable}
+    layout = {k: getattr(model, k) for k in trainable}
+    params = flatten(layout)
+    bound = replace(model, **unflatten(params, layout))
     steps = max(1, math.ceil(sampler.epoch_length / config.batch_size))
     history = RunHistory()
+    result = model
 
     for epoch in range(epochs):
         epoch_loss = 0.0
@@ -303,7 +315,7 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
             noise = draw_noise(loss_spec, rng, len(features), manifest.num_classes)
 
             def grad_fn(p):
-                candidate = _with_params(model, p)
+                candidate = bound if p is params else replace(model, **unflatten(p, layout))
                 logits, cache = forward_with_cache(candidate, features)
                 if mixed is not None:
                     va, ga = batch_loss_and_grad(loss_spec, logits, mixed.labels_a, dist,
@@ -319,26 +331,28 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
                     values = values * class_weights[targets]
                     grads = grads * class_weights[targets][:, None]
                 param_grads = backward(candidate, cache, grads / len(features))
-                return float(values.mean()), {k: param_grads[k] for k in p}
+                return float(values.mean()), {k: param_grads[k] for k in trainable}
 
             try:
-                value, params = sam_step(optimizer, params, grad_fn)
+                value, _ = sam_step(optimizer, params, grad_fn)  # moves params, so bound
             except ValueError as exc:
                 raise TrainingDivergedError(epoch, step, str(exc)) from exc
             if not math.isfinite(value):
                 raise TrainingDivergedError(epoch, step, f"loss value {value}")
             epoch_loss += value
 
-        model = _with_params(model, params)
-        evaluate_now = (epoch + 1) % config.eval_every == 0 or epoch == epochs - 1
-        if groups is not None and evaluate_now:
-            val_report = evaluate_split(model, manifest, "val", groups)
-            test_report = evaluate_split(model, manifest, "test", groups)
+        last = epoch == epochs - 1
+        evaluate_now = groups is not None and ((epoch + 1) % config.eval_every == 0 or last)
+        if evaluate_now or last:
+            result = _owned(bound, trainable)
+        if evaluate_now:
+            val_report = evaluate_split(result, manifest, "val", groups)
+            test_report = evaluate_split(result, manifest, "test", groups)
             history.records.append(EpochRecord(
                 epoch=epoch, train_loss=epoch_loss / steps,
-                val=val_report, test=test_report, weight_norms=weight_norms(model),
+                val=val_report, test=test_report, weight_norms=weight_norms(result),
             ))
             if sampler_spec.kind == "difficulty":
                 acc = np.nan_to_num(val_report.per_class_acc / 100.0, nan=1.0)
                 sampler.update_difficulty(acc)
-    return model, history
+    return result, history

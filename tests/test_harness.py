@@ -217,6 +217,9 @@ class TestParseConfig:
                      id="difficulty_floor-str"),
         pytest.param(("train", "optimizer"), {"kind": "sgd", "lr": "0.1"}, id="lr-str"),
         pytest.param(("dataset",), {"manifest": 0}, id="manifest-int"),
+        pytest.param(("dataset", "synth", "n0"), 10 ** 30, id="n0-beyond-int64"),
+        pytest.param(("train", "batch_size"), 10 ** 23, id="batch_size-beyond-int64"),
+        pytest.param(("dataset", "synth", "ratio"), 10 ** 400, id="ratio-beyond-int64"),
     ])
     def test_wrong_typed_value_exits_2_at_parse(self, tmp_path, capsys, path, value):
         raw = small_config()
@@ -231,6 +234,21 @@ class TestParseConfig:
         report = tmp_path / "r.json"
         assert main(["train", "--config", str(config_path), "--out", str(report)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("pareto", [{"n0": 0, "ratio": 2.0}, {"n0": 10, "ratio": 0.5}])
+    def test_bad_pareto_exits_2_at_parse(self, tmp_path, capsys, pareto):
+        manifest_path = tmp_path / "data.jsonl"
+        save_manifest(blob_manifest([40, 20, 6]), manifest_path)
+        raw = small_config(dataset={"manifest": str(manifest_path), "pareto": pareto,
+                                    "group_boundaries": [1, 2]})
+        with pytest.raises(ConfigError, match="pareto (n0|ratio) must be >= 1"):
+            parse_config(raw)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(raw))
+        report = tmp_path / "r.json"
+        assert main(["train", "--config", str(config_path), "--out", str(report)]) == 2
+        assert capsys.readouterr().err.startswith("error: pareto")
         assert not report.exists()
 
     def test_digest_ignores_name_and_report_path(self):

@@ -111,6 +111,34 @@ class TestGroupReport:
             assert report.head == base.head
 
 
+def per_class_acc_loop(preds, truths, k):
+    """Reference: a masked mean per class, NaN for a class with no samples."""
+    per_class = np.full(k, np.nan)
+    for c in range(k):
+        mask = truths == c
+        if mask.any():
+            per_class[c] = 100.0 * float((preds[mask] == c).mean())
+    return per_class
+
+
+class TestGroupReportWholeArray:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 40), st.integers(3, 500), st.floats(0.0, 1.0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_per_class_loop(self, k, n, hit_rate, seed):
+        rng = np.random.default_rng(seed)
+        # skewed truths so that some classes are often absent
+        truths = np.minimum(rng.geometric(0.3, size=n) - 1, k - 1)
+        truths[:3] = np.arange(3)  # every group of the (1, 2) split keeps a class
+        preds = np.where(rng.random(n) < hit_rate, truths, rng.integers(0, k, size=n))
+        split = group_split(distribution_from_counts(np.arange(k, 0, -1) * 10), (1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            report = group_report(preds, truths, split)
+        expected = per_class_acc_loop(preds, truths, k)
+        assert report.per_class_acc.tobytes() == expected.tobytes()
+
+
 def ap_bruteforce(scores, truth):
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     hits, total = 0, 0.0

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longtail_lab import Optimizer, OptimizerSpec, global_grad_norm, sam_step
+from longtail_lab.optim import flatten, unflatten
 
 
 def as_params(**kwargs):
@@ -23,8 +26,8 @@ class TestSgd:
         assert float(params["w"]) == pytest.approx(-0.29)
 
     def test_default_lr(self):
-        assert OptimizerSpec("sgd").resolved_lr == 0.01
-        assert OptimizerSpec("adam").resolved_lr == 3e-4
+        assert OptimizerSpec("sgd").lr == 0.01
+        assert OptimizerSpec("adam").lr == 3e-4
 
 
 class TestAdam:
@@ -113,7 +116,116 @@ class TestValidation:
     def test_config_round_trip(self):
         spec = OptimizerSpec("sgd", lr=0.05, sam=True, sam_rho=0.02)
         again = OptimizerSpec.from_config(spec.to_config())
-        assert again.kind == "sgd" and again.resolved_lr == 0.05
+        assert again.kind == "sgd" and again.lr == 0.05
         assert again.sam and again.sam_rho == 0.02
         with pytest.raises(ValueError, match="unknown optimizer"):
             OptimizerSpec.from_config({"kind": "sgd", "nesterov": True})
+
+
+def reference_steps(spec, params, grad_steps):
+    """The per-array update loop: one state entry per parameter name."""
+    state, t = {}, 0
+    for grads in grad_steps:
+        updated = {}
+        if spec.kind == "adam":
+            t += 1
+        for name, p in params.items():
+            g = grads[name]
+            if spec.kind == "sgd":
+                buf = state.get(name, np.zeros_like(p))
+                state[name] = buf = spec.momentum * buf + g
+                updated[name] = p - spec.lr * buf
+            else:
+                m, v = state.get(name, (np.zeros_like(p), np.zeros_like(p)))
+                m = spec.beta1 * m + (1.0 - spec.beta1) * g
+                v = spec.beta2 * v + (1.0 - spec.beta2) * g * g
+                state[name] = m, v
+                m_hat = m / (1.0 - spec.beta1 ** t)
+                v_hat = v / (1.0 - spec.beta2 ** t)
+                updated[name] = p - spec.lr * m_hat / (np.sqrt(v_hat) + spec.eps)
+        params = updated
+    return params
+
+
+SPECS = [OptimizerSpec("sgd", lr=0.1, momentum=0.0), OptimizerSpec("sgd", lr=0.03, momentum=0.9),
+         OptimizerSpec("adam", lr=0.01), OptimizerSpec("adam", lr=1e-3, beta1=0.5, eps=1e-3)]
+shapes = st.lists(st.one_of(st.just(()), st.tuples(st.integers(1, 5)),
+                            st.tuples(st.integers(1, 4), st.integers(1, 4))),
+                  min_size=1, max_size=6)
+
+
+def random_layout(shape_list, rng):
+    """Named arrays of the given shapes; the first 0-d block is the temperature."""
+    names = ["temperature" if shape == () and () not in shape_list[:i] else f"p{i}"
+             for i, shape in enumerate(shape_list)]
+    scale = 10.0 ** rng.integers(-6, 4)
+    return {name: scale * rng.standard_normal(shape) for name, shape in zip(names, shape_list)}
+
+
+def bits(arrays: dict) -> dict:
+    return {name: np.asarray(a).tobytes() for name, a in arrays.items()}
+
+
+class TestFlatUpdate:
+    @settings(max_examples=150, deadline=None)
+    @given(shapes, st.sampled_from(SPECS), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_per_array_loop(self, shape_list, spec, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        params = random_layout(shape_list, rng)
+        grad_steps = [{k: v + rng.standard_normal(np.shape(v)) for k, v in params.items()}
+                      for _ in range(n_steps)]
+        expected = bits(reference_steps(spec, params, grad_steps))
+
+        flat = flatten(params)
+        opt = Optimizer(spec)
+        for grads in grad_steps:
+            assert opt.step(flat, grads) is flat  # the buffer moves in place
+        assert bits(unflatten(flat, params)) == expected
+
+        opt, out = Optimizer(spec), params
+        for grads in grad_steps:
+            out = opt.step(out, grads)
+        assert bits(out) == expected
+        assert all(np.shape(out[k]) == np.shape(v) for k, v in params.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes, st.sampled_from(SPECS), st.sampled_from([0.05, 2.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_sam_flat_matches_dict(self, shape_list, spec, rho, seed):
+        rng = np.random.default_rng(seed)
+        params = random_layout(shape_list, rng)
+        spec = OptimizerSpec(spec.kind, lr=spec.lr, momentum=spec.momentum, sam=True,
+                             sam_rho=rho)
+
+        def grads_at(arrays):
+            return {k: np.sin(v) + 0.5 * v for k, v in arrays.items()}
+
+        dict_points, flat_points = [], []
+
+        def dict_grad_fn(p):
+            dict_points.append(p)
+            return 0.0, grads_at(p)
+
+        def flat_grad_fn(p):
+            flat_points.append(p)
+            return 0.0, grads_at(unflatten(p, params))
+
+        _, expected = sam_step(Optimizer(spec), params, dict_grad_fn)
+        flat = flatten(params)
+        _, got = sam_step(Optimizer(spec), flat, flat_grad_fn)
+        assert got is flat
+        # the flat shifted point is a new buffer, equal bit for bit to the per-array one
+        assert flat_points[1] is not flat
+        assert flatten(dict_points[1]).tobytes() == flat_points[1].tobytes()
+        assert bits(unflatten(flat, params)) == bits(expected)
+        assert global_grad_norm(grads_at(params)) == global_grad_norm(
+            grads_at(unflatten(flatten(params), params)))
+
+    def test_non_finite_gradient_names_its_block(self):
+        params = as_params(a=np.zeros(3), b=np.zeros((2, 2)), temperature=1.0)
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        grads["b"][1, 0] = np.inf
+        flat = flatten(params)
+        with pytest.raises(ValueError, match="non-finite gradient for 'b'"):
+            Optimizer(OptimizerSpec("adam")).step(flat, grads)
+        assert flat.tobytes() == flatten(params).tobytes()  # nothing moved

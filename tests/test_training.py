@@ -151,6 +151,50 @@ class TestSamCollapse:
         assert not np.array_equal(plain.cls_w, sam.cls_w)
 
 
+class TestFlatParameterBuffer:
+    @staticmethod
+    def record_buffers(monkeypatch) -> list:
+        """The ``params`` argument of every optimizer step from now on."""
+        buffers, step = [], Optimizer.step
+
+        def recording_step(self, params, grads):
+            buffers.append(params)
+            return step(self, params, grads)
+
+        monkeypatch.setattr(Optimizer, "step", recording_step)
+        return buffers
+
+    @pytest.mark.parametrize("classifier_kind", ["linear", "cosine"])
+    def test_stage1_result_owns_its_arrays(self, monkeypatch, classifier_kind):
+        buffers = self.record_buffers(monkeypatch)
+        manifest = blob_manifest([30, 15, 5], val_per_class=10, test_per_class=10)
+        config = TrainConfig(epochs=2, batch_size=16, seed=3, hidden_dim=4,
+                             classifier_kind=classifier_kind,
+                             optimizer=OptimizerSpec("adam", lr=0.01, sam=True, sam_rho=0.05))
+        model, _ = train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+        flat = buffers[0]
+        assert all(b is flat for b in buffers)  # one buffer, moved in place, for the fit
+        assert flat.size == sum(np.size(getattr(model, k)) for k in
+                                ("cls_w", "cls_b", "temperature", "encoder_w", "encoder_b")
+                                if getattr(model, k) is not None)
+        for name in ("cls_w", "cls_b", "encoder_w", "encoder_b"):
+            arr = getattr(model, name)
+            assert arr is None or not np.shares_memory(arr, flat)
+        if classifier_kind == "cosine":
+            assert type(model.temperature) is float
+        else:
+            assert model.temperature is None
+
+    def test_stage2_result_owns_its_arrays(self, monkeypatch):
+        manifest = blob_manifest([40, 20, 6], val_per_class=10, test_per_class=10)
+        model, config, _ = trained_stage1(manifest, epochs=2)
+        buffers = self.record_buffers(monkeypatch)
+        out = stage2_disalign(model, manifest, config, np.random.default_rng(0))
+        assert buffers and all(b is buffers[0] for b in buffers)
+        for name in ("logit_scale", "logit_offset"):
+            assert not np.shares_memory(getattr(out, name), buffers[0])
+
+
 def trained_stage1(manifest, seed=0, epochs=8, hidden=None):
     config = TrainConfig(epochs=epochs, batch_size=32, seed=seed, optimizer=SGD,
                          hidden_dim=hidden)
