@@ -1,23 +1,31 @@
 """Command-line workflows: dataset construction, training, evaluation, analyses.
 
-Exit codes: 0 ok, 1 run failure, 2 invalid config/arguments.
+Each command calls its stage's library function, the one a config run calls:
+synth, make-longtail: ``harness.build_dataset``; train: ``harness.run_experiment``;
+stage2: ``training.apply_stage2``, seeded by ``training.stage_rngs``; eval:
+``training.evaluate_split``; sweep: ``harness.run_sweep``; norms:
+``model.weight_norms``; gaps: ``metrics.checkpoint_gaps``.
+
+Exit codes: 0 ok, 1 run failure, 2 invalid config, arguments or manifest. A flag
+value is checked as the same value in a config is, and exits 2 where it would,
+before anything is scored or written.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import jsonio
-from .distribution import default_boundaries, group_split, pareto_targets
-from .harness import (ConfigError, check_task, parse_config, run_experiment, run_sweep, stage_rngs,
-                      sweep_csv)
-from .manifest import (ManifestFormatError, load_manifest, save_manifest, subsample_longtail,
-                       synth_gaussian)
-from .metrics import gaps_from_series, mean_average_precision
-from .model import ModelState, decision_scores, load_checkpoint, save_checkpoint, weight_norms
-from .training import apply_stage2, evaluate_split
+from .distribution import group_split
+from .harness import (ConfigError, DatasetConfig, build_dataset, check_task, config_values,
+                      parse_config, run_experiment, run_sweep, sweep_csv)
+from .manifest import ManifestFormatError, load_manifest, save_manifest
+from .metrics import checkpoint_gaps
+from .model import ModelState, load_checkpoint, save_checkpoint, weight_norms
+from .training import apply_stage2, evaluate_split, stage_rngs
 
 
 def main(argv=None) -> int:
@@ -114,22 +122,24 @@ def _emit(payload: dict, out_path) -> None:
 
 
 def _cmd_synth(args) -> int:
-    manifest = synth_gaussian(
-        args.classes, args.dim, args.n0, args.imbalance,
-        class_separation=args.separation, seed=args.seed,
-        val_per_class=args.val_per_class, test_per_class=args.test_per_class,
-    )
-    save_manifest(manifest, args.out)
-    print(f"wrote {len(manifest)} records to {args.out}")
-    return 0
+    return _write_dataset({"synth": {
+        "num_classes": args.classes, "feature_dim": args.dim, "n0": args.n0,
+        "ratio": args.imbalance, "class_separation": args.separation,
+        "val_per_class": args.val_per_class, "test_per_class": args.test_per_class}}, args)
 
 
 def _cmd_make_longtail(args) -> int:
-    manifest = load_manifest(args.manifest)
-    targets = pareto_targets(args.n0, manifest.num_classes, args.imbalance)
-    subset = subsample_longtail(manifest, targets, args.seed)
-    save_manifest(subset, args.out)
-    print(f"wrote {len(subset)} records to {args.out}")
+    return _write_dataset({"manifest": args.manifest,
+                           "pareto": {"n0": args.n0, "ratio": args.imbalance}}, args)
+
+
+def _write_dataset(section: dict, args) -> int:
+    """Read the dataset ``section`` that the flags spell as a config's, then build and save it."""
+    with config_values():
+        dataset = DatasetConfig.from_config(section)
+    manifest = build_dataset(dataset, args.seed)
+    save_manifest(manifest, args.out)
+    print(f"wrote {len(manifest)} records to {args.out}")
     return 0
 
 
@@ -166,28 +176,28 @@ def _cmd_stage2(args) -> int:
     if config.train.stage2.kind == "none":
         raise ConfigError("config has stage2.kind 'none'; nothing to do")
     check_task(config.train, manifest.task_kind)
-    _, _, stage2_rng = stage_rngs(config.seed)
-    final = apply_stage2(model, manifest, config.train, rng=stage2_rng)
+    final = apply_stage2(model, manifest, config.train, rng=stage_rngs(config.seed)[2])
     save_checkpoint(final, args.out)
     print(f"wrote stage-2 checkpoint to {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    classifier = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.manifest)
+    boundaries = None
     if args.boundaries is not None:
         try:
             h, m = (int(v) for v in args.boundaries.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --boundaries {args.boundaries!r}: expected H,M") from exc
         boundaries = (h, m)
-    else:
-        boundaries = default_boundaries(manifest.num_classes)
-    groups = group_split(manifest.train_distribution(), boundaries)
+    if args.posthoc_tau is not None and not math.isfinite(args.posthoc_tau):
+        raise ConfigError(f"--posthoc-tau must be a finite number, got {args.posthoc_tau!r}")
+    classifier = load_checkpoint(args.checkpoint)
+    manifest = load_manifest(args.manifest)
+    with config_values():
+        groups = group_split(manifest.train_distribution(), boundaries)
 
-    idx = manifest.split_indices(args.split)
-    if idx.size == 0:
+    if manifest.split_indices(args.split).size == 0:
         raise ConfigError(f"{args.split} split is empty")
     payload: dict = {"split": args.split}
     if args.posthoc_tau is not None:
@@ -196,9 +206,8 @@ def _cmd_eval(args) -> int:
         payload["posthoc_tau"] = args.posthoc_tau
     report = evaluate_split(classifier, manifest, args.split, groups, posthoc_tau=args.posthoc_tau)
     payload["group_report"] = report.to_dict()
-    if manifest.task_kind == "multi":
-        scores = decision_scores(classifier, manifest.features[idx])
-        payload["map"] = mean_average_precision(scores, manifest.labels[idx])
+    if report.map is not None:
+        payload["map"] = report.map
     _emit(payload, args.out)
     return 0
 
@@ -234,14 +243,8 @@ def _cmd_norms(args) -> int:
 def _cmd_gaps(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    history = report.get("history") or []
-    if not history:
-        raise ConfigError("report has an empty history")
-    stats = gaps_from_series(
-        [entry["val"]["average"] for entry in history],
-        [entry["test"]["average"] for entry in history],
-        [entry["epoch"] for entry in history],
-    )
+    with config_values():  # an empty history is a bad report
+        stats = checkpoint_gaps(report.get("history") or [])
     _emit(stats.to_dict(), args.out)
     return 0
 

@@ -106,8 +106,13 @@ class GroupSplit:
         return (("head", self.head), ("medium", self.medium), ("tail", self.tail))
 
 
-def group_split(dist: ClassDistribution, boundaries: tuple[int, int]) -> GroupSplit:
-    """Split classes into head/medium/tail at cumulative rank indices (h, m)."""
+def group_split(dist: ClassDistribution, boundaries: tuple[int, int] | None = None) -> GroupSplit:
+    """Split classes into head/medium/tail at cumulative rank indices (h, m).
+
+    ``boundaries`` None means ``default_boundaries(K)``; ValueError unless 0 < h < m <= K.
+    """
+    if boundaries is None:
+        boundaries = default_boundaries(dist.num_classes)
     h, m = int(boundaries[0]), int(boundaries[1])
     k = dist.num_classes
     if not (0 < h < m <= k):

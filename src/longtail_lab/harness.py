@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import jsonio
-from .distribution import default_boundaries, group_split, pareto_targets
+from .distribution import group_split, pareto_targets
 from .manifest import Manifest, load_manifest, subsample_longtail, synth_gaussian, synth_targets
-from .metrics import checkpoint_gaps, mean_average_precision
-from .model import ModelState, decision_scores, weight_norms
-from .training import TrainConfig, apply_stage2, evaluate_split, train_stage1
+from .metrics import checkpoint_gaps
+from .model import ModelState, weight_norms
+from .training import TrainConfig, apply_stage2, evaluate_split, stage_rngs, train_stage1
 
 
 class ConfigError(ValueError):
@@ -45,8 +45,7 @@ class SynthSpec:
     test_per_class: int = 100
 
     def __post_init__(self):
-        synth_targets(self.num_classes, self.feature_dim, self.n0, self.ratio,
-                      self.class_separation, self.val_per_class, self.test_per_class)
+        synth_targets(**vars(self))  # the fields are synth_targets' and synth_gaussian's arguments
 
     def to_config(self) -> dict:
         return jsonio.fields_to_config(self)
@@ -133,14 +132,21 @@ class ExperimentConfig:
         return jsonio.digest(cfg)
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw JSON config dict; rejected before any compute on error."""
+@contextmanager
+def config_values():
+    """Raise the ``ValueError`` of a spec that refuses a config or flag value as a ``ConfigError``."""
     try:
-        config = jsonio.parse_fields(ExperimentConfig, raw, "config")
+        yield
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def parse_config(raw: dict) -> ExperimentConfig:
+    """Validate a raw JSON config dict; rejected before any compute on error."""
+    with config_values():
+        config = jsonio.parse_fields(ExperimentConfig, raw, "config")
     # the experiment seed is the one seed authority; the train section has none of its own
     return replace(config, train=replace(config.train, seed=config.seed))
 
@@ -179,32 +185,19 @@ def _stage(name: str):
         raise ExperimentError(name, exc) from exc
 
 
-def build_dataset(config: ExperimentConfig, seed=None) -> Manifest:
-    """Materialize the configured dataset (synth, or loaded + optional Pareto cut)."""
-    seed = config.seed if seed is None else seed
-    if config.dataset.synth is not None:
-        spec = config.dataset.synth
-        return synth_gaussian(
-            spec.num_classes, spec.feature_dim, spec.n0, spec.ratio,
-            class_separation=spec.class_separation, seed=seed,
-            val_per_class=spec.val_per_class, test_per_class=spec.test_per_class,
-        )
-    manifest = load_manifest(config.dataset.manifest_path)
-    if config.dataset.pareto is not None:
-        targets = pareto_targets(config.dataset.pareto.n0, manifest.num_classes,
-                                 config.dataset.pareto.ratio)
+def build_dataset(dataset: DatasetConfig, seed) -> Manifest:
+    """Materialize a dataset section: a synth draw, or a loaded manifest and optional Pareto cut.
+
+    The one dataset entry point of ``run_experiment`` and the CLI. ``seed``, an
+    int or a ``np.random.Generator``, drives the synth draw or the Pareto cut.
+    """
+    if dataset.synth is not None:
+        return synth_gaussian(**vars(dataset.synth), seed=seed)
+    manifest = load_manifest(dataset.manifest_path)
+    if dataset.pareto is not None:
+        targets = pareto_targets(dataset.pareto.n0, manifest.num_classes, dataset.pareto.ratio)
         manifest = subsample_longtail(manifest, targets, seed)
     return manifest
-
-
-def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
-    """Independent (dataset, train, stage-2) generators for a run seeded with ``seed``.
-
-    The one seed derivation: ``run_experiment`` and the CLI ``stage2`` command
-    both use it, so training in one go or resuming from a stage-1 checkpoint
-    gives the same stage-2 head.
-    """
-    return tuple(np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(3))
 
 
 def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
@@ -215,9 +208,8 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
     """
     data_rng, train_rng, stage2_rng = stage_rngs(config.seed)
     with _stage("dataset"):
-        manifest = build_dataset(config, seed=data_rng)
-        boundaries = config.dataset.group_boundaries or default_boundaries(manifest.num_classes)
-        groups = group_split(manifest.train_distribution(), boundaries)
+        manifest = build_dataset(config.dataset, data_rng)
+        groups = group_split(manifest.train_distribution(), config.dataset.group_boundaries)
     check_task(config.train, manifest.task_kind)
     with _stage("train"):
         model, history = train_stage1(manifest, config.train, rng=train_rng, groups=groups)
@@ -226,24 +218,22 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
     with _stage("evaluate"):
         final_test = evaluate_split(final, manifest, "test", groups)
         final_val = evaluate_split(final, manifest, "val", groups)
-        gaps = checkpoint_gaps(history)
+        history_dicts = history.to_dict()
         final_block = {
             "group_report": final_test.to_dict(),
             "val_group_report": final_val.to_dict(),
             "weight_norms": ([float(v) for v in weight_norms(final)]
                              if isinstance(final, ModelState) else None),
-            "gaps": gaps.to_dict(),
+            "gaps": checkpoint_gaps(history_dicts).to_dict(),
         }
         if manifest.task_kind == "multi":
-            test_idx = manifest.split_indices("test")
-            scores = decision_scores(final, manifest.features[test_idx])
-            final_block["map"] = mean_average_precision(scores, manifest.labels[test_idx])
+            final_block["map"] = final_test.map
         report = {
             "config_digest": config.digest,
             "name": config.name,
             "seed": config.seed,
             "task": manifest.task_kind,
-            "history": history.to_dict(),
+            "history": history_dicts,
             "final": final_block,
         }
     if out_path is not None:

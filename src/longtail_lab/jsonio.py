@@ -141,7 +141,8 @@ def parse_fields(cls, raw, section: str):
     value of the type its annotation names: ``int`` an int, ``float`` an int or
     a float, ``bool`` and ``str`` only themselves, ``X | None`` also null, and a
     nested spec an object read by the spec's ``from_config``. An integer must
-    lie within the int64 range, so that no later numpy call overflows on it. An
+    lie within the int64 range, so that no later numpy call overflows on it, and
+    a float must be finite (``json.load`` reads ``NaN`` and ``Infinity``). An
     annotation ``Annotated[X, "..."]`` says in its text what a value must be.
     The constructor of ``cls`` then checks ranges. Faults raise ``ValueError``.
     """
@@ -173,6 +174,8 @@ def _field_value(hint, value, name: str):
     if isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTS[kind]):
         if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
             raise ValueError(f"{name} must lie within the int64 range, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be {describes or 'a finite number'}, got {value!r}")
         return value
     raise ValueError(f"{name} must be {describes or _DESCRIBES[kind]}, got {value!r}")
 

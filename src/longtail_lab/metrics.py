@@ -26,6 +26,8 @@ class GroupReport:
     Groups whose every class lacks evaluation samples raise; a group that
     contains no classes at all (possible when K = 2) reports NaN and is
     excluded from the average.
+    For multi-label data ``per_class_acc`` is per-label AP (percent) and ``map``
+    the mean of that AP vector (a fraction), else None; ``to_dict`` leaves it out.
     """
 
     per_class_acc: np.ndarray
@@ -33,6 +35,7 @@ class GroupReport:
     medium: float
     tail: float
     average: float
+    map: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -219,13 +222,16 @@ def gaps_from_series(val_averages, test_averages, epochs=None) -> GapStats:
     )
 
 
-def checkpoint_gaps(history: RunHistory) -> GapStats:
-    """Gap statistics over a run history (selection by the 'average' field)."""
-    records = history.records if isinstance(history, RunHistory) else list(history)
+def checkpoint_gaps(history) -> GapStats:
+    """Gap statistics over a run history (selection by the 'average' field).
+
+    ``history`` is a ``RunHistory`` or its dict form, a run report's ``history``.
+    """
+    records = history.to_dict() if isinstance(history, RunHistory) else list(history)
     if not records:
         raise ValueError("empty run history")
     return gaps_from_series(
-        [r.val.average for r in records],
-        [r.test.average for r in records],
-        [r.epoch for r in records],
+        [r["val"]["average"] for r in records],
+        [r["test"]["average"] for r in records],
+        [r["epoch"] for r in records],
     )

@@ -16,7 +16,7 @@ from typing import Annotated
 import numpy as np
 
 from . import jsonio
-from .distribution import GroupSplit, default_boundaries, group_split
+from .distribution import GroupSplit, group_split
 from .losses import LossSpec, batch_loss_and_grad, draw_noise, posthoc_adjust
 from .manifest import Manifest
 from .metrics import EpochRecord, GroupReport, RunHistory, average_precision_per_label, group_report, group_report_from_values
@@ -111,12 +111,24 @@ def _check_temperature(value, name: str) -> None:
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
+def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
+    """Independent (dataset, train, stage-2) generators for a run seeded with ``seed``.
+
+    The one seed derivation, also of the stages called without ``rng``: a run
+    in one go, stage by stage, or resumed from a stage-1 checkpoint gives the
+    same models.
+    """
+    return tuple(np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(3))
+
+
 def evaluate_split(classifier, manifest: Manifest, split: str, groups: GroupSplit,
                    posthoc_tau: float | None = None) -> GroupReport:
     """Group report over one split: top-1 accuracy, or per-label AP when multi-label.
 
-    With ``posthoc_tau``, the scores are first shifted by ``-posthoc_tau * log``
-    of the train class priors (``losses.posthoc_adjust``).
+    The one evaluation entry point: the split is scored once, and a multi-label
+    report's ``map`` comes from the AP vector of ``per_class_acc``. With
+    ``posthoc_tau``, the scores are first shifted by ``-posthoc_tau * log`` of
+    the train class priors (``losses.posthoc_adjust``).
     """
     idx = manifest.split_indices(split)
     if idx.size == 0:
@@ -127,17 +139,17 @@ def evaluate_split(classifier, manifest: Manifest, split: str, groups: GroupSpli
     if manifest.task_kind == "single":
         return group_report(np.argmax(scores, axis=1), manifest.labels[idx], groups)
     aps = average_precision_per_label(scores, manifest.labels[idx])
-    return group_report_from_values(100.0 * aps, groups)
+    # the group report raises first if no label has positives, so the mean is over some AP
+    return replace(group_report_from_values(100.0 * aps, groups), map=float(np.nanmean(aps)))
 
 
 def train_stage1(manifest: Manifest, config: TrainConfig,
                  rng: np.random.Generator | None = None,
                  groups: GroupSplit | None = None):
     """First-stage training; returns the model and its per-epoch history."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    rng = rng if rng is not None else stage_rngs(config.seed)[1]
     if groups is None:
-        groups = group_split(manifest.train_distribution(),
-                             default_boundaries(manifest.num_classes))
+        groups = group_split(manifest.train_distribution())
     model = init_model(
         manifest.num_classes, manifest.feature_dim, hidden_dim=config.hidden_dim,
         classifier_kind=config.classifier_kind, temperature=config.temperature, rng=rng,
@@ -250,7 +262,7 @@ def _fit_head(kind: str, model: ModelState, manifest: Manifest, config: TrainCon
               rng: np.random.Generator | None) -> ModelState:
     """Re-fit a head-only model on the train rows, encoded once by the frozen encoder."""
     init, trainable, sampler_kind, reweight = _HEAD_FITS[kind]
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    rng = rng if rng is not None else stage_rngs(config.seed)[2]
     frozen = model.copy()
     head = init(replace(frozen, encoder_w=None, encoder_b=None), config, rng)
     class_weights = None

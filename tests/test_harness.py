@@ -1,12 +1,14 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, jsonio, load_checkpoint,
-                          load_manifest, optim, parse_config, run_experiment, run_sweep,
+from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, decision_scores, init_model,
+                          jsonio, load_checkpoint, load_manifest, mean_average_precision, optim,
+                          parse_config, run_experiment, run_sweep, save_checkpoint,
                           save_manifest, sweep_csv)
 from longtail_lab.harness import sweep_workers
 from longtail_lab.samplers import SAMPLER_KINDS
@@ -49,6 +51,26 @@ def count_optimizer_steps(monkeypatch) -> list:
 
     monkeypatch.setattr(optim.Optimizer, "step", counting_step)
     return steps
+
+
+def count_calls(monkeypatch, func) -> list:
+    """A list that grows by one on every call of ``func`` through any lab module from now on."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "longtail_lab" and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counting)
+    return calls
+
+
+def multilabel_config(manifest_path, **train) -> dict:
+    return {"seed": 1, "dataset": {"manifest": str(manifest_path), "group_boundaries": [1, 2]},
+            "train": {"epochs": 3, "batch_size": 16, "loss": {"kind": "bce_ml"},
+                      "optimizer": {"kind": "sgd", "lr": 0.05}, **train}}
 
 
 POSITIVE = st.floats(0.01, 100.0)
@@ -220,6 +242,19 @@ class TestParseConfig:
         pytest.param(("dataset", "synth", "n0"), 10 ** 30, id="n0-beyond-int64"),
         pytest.param(("train", "batch_size"), 10 ** 23, id="batch_size-beyond-int64"),
         pytest.param(("dataset", "synth", "ratio"), 10 ** 400, id="ratio-beyond-int64"),
+        pytest.param(("train", "stage2"), {"kind": "tau_norm", "tau": float("nan")},
+                     id="stage2-tau-nan"),
+        pytest.param(("train", "stage2"), {"kind": "tau_norm", "tau": float("inf")},
+                     id="stage2-tau-inf"),
+        pytest.param(("train", "optimizer"), {"kind": "sgd", "lr": float("nan")}, id="lr-nan"),
+        pytest.param(("train", "optimizer"), {"kind": "sgd", "momentum": float("nan")},
+                     id="momentum-nan"),
+        pytest.param(("train", "optimizer"), {"kind": "adam", "beta1": float("nan")},
+                     id="beta1-nan"),
+        pytest.param(("train", "optimizer"), {"kind": "sgd", "sam": True, "sam_rho": float("nan")},
+                     id="sam_rho-nan"),
+        pytest.param(("train", "loss"), {"kind": "logit_adjust", "tau": float("nan")},
+                     id="loss-tau-nan"),
     ])
     def test_wrong_typed_value_exits_2_at_parse(self, tmp_path, capsys, path, value):
         raw = small_config()
@@ -315,18 +350,20 @@ class TestRunExperiment:
         dist = result.manifest.train_distribution()
         assert dist.counts.tolist() == [50, 10, 2]
 
-    def test_multilabel_run_reports_map(self, tmp_path):
+    def test_multilabel_run_reports_map(self, tmp_path, monkeypatch):
         manifest = multilabel_manifest(n=60)
         path = tmp_path / "ml.jsonl"
         save_manifest(manifest, path)
-        raw = {
-            "seed": 1,
-            "dataset": {"manifest": str(path), "group_boundaries": [1, 2]},
-            "train": {"epochs": 3, "batch_size": 16, "loss": {"kind": "bce_ml"},
-                      "optimizer": {"kind": "sgd", "lr": 0.05}},
-        }
-        result = run_experiment(parse_config(raw))
-        assert 0.0 <= result.report["final"]["map"] <= 1.0
+        scored = count_calls(monkeypatch, decision_scores)
+        result = run_experiment(parse_config(multilabel_config(path)))
+        # val and test of each evaluated epoch, then of the final classifier: each scored once
+        assert len(scored) == 2 * len(result.history) + 2
+        test_idx = result.manifest.split_indices("test")
+        expected = mean_average_precision(
+            decision_scores(result.final_classifier, result.manifest.features[test_idx]),
+            result.manifest.labels[test_idx])
+        assert result.report["final"]["map"] == expected
+        assert 0.0 <= expected <= 1.0
 
     @pytest.mark.parametrize("task, train", [
         pytest.param("multi", {"loss": {"kind": "bce_ml"}, "stage2": {"kind": "crt"}},
@@ -445,8 +482,48 @@ class TestCli:
 
         assert main(["gaps", "--report", str(report_path),
                      "--out", str(tmp_path / "gaps.json")]) == 0
-        gaps = json.loads((tmp_path / "gaps.json").read_text())
-        assert gaps["gap_best"] >= 0
+        gaps = (tmp_path / "gaps.json").read_text()
+        report_gaps = json.loads(report_path.read_text())["final"]["gaps"]
+        assert gaps == jsonio.dumps(report_gaps) + "\n"
+        assert report_gaps["gap_best"] >= 0
+
+    def test_eval_map_matches_report(self, tmp_path):
+        manifest_path = tmp_path / "ml.jsonl"
+        save_manifest(multilabel_manifest(n=60), manifest_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(multilabel_config(manifest_path)))
+        report_path, ckpt = tmp_path / "r.json", tmp_path / "model.json"
+        assert main(["train", "--config", str(config_path), "--out", str(report_path),
+                     "--checkpoint", str(ckpt)]) == 0
+        assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest_path),
+                     "--boundaries", "1,2", "--out", str(tmp_path / "eval.json")]) == 0
+        final = json.loads(report_path.read_text())["final"]
+        payload = json.loads((tmp_path / "eval.json").read_text())
+        assert payload["map"] == final["map"]
+        assert payload["group_report"] == final["group_report"]
+
+    @pytest.mark.parametrize("command, flags", [
+        ("synth", ["--classes", "1"]),
+        ("synth", ["--dim", "1"]),
+        ("synth", ["--val-per-class", "0"]),
+        ("synth", ["--separation", "nan"]),
+        ("synth", ["--n0", str(10 ** 30)]),
+        ("make-longtail", ["--n0", "10", "--imbalance", "0.5"]),
+        ("make-longtail", ["--n0", "0", "--imbalance", "2"]),
+        ("eval", ["--boundaries", "3,1"]),
+        ("eval", ["--posthoc-tau", "nan"]),
+        ("eval", ["--posthoc-tau", "inf"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_bad_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, command, flags):
+        manifest_path, ckpt = tmp_path / "data.jsonl", tmp_path / "model.json"
+        save_manifest(blob_manifest([40, 20, 6]), manifest_path)
+        save_checkpoint(init_model(3, 4, rng=np.random.default_rng(0)), ckpt)
+        inputs = {"synth": [], "make-longtail": ["--manifest", str(manifest_path)],
+                  "eval": ["--checkpoint", str(ckpt), "--manifest", str(manifest_path)]}
+        out = tmp_path / "out.json"
+        assert main([command, *inputs[command], *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_make_longtail_command(self, tmp_path):
         manifest = blob_manifest([50, 50, 50], val_per_class=5, test_per_class=5)

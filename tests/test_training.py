@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from longtail_lab import (LossContext, LossSpec, MixupSpec, OptimizerSpec, SamplerSpec,
-                          Stage2Spec, TrainConfig, TrainingDivergedError,
+                          Stage2Spec, TrainConfig, TrainingDivergedError, apply_stage2,
                           batch_loss_and_grad, decision_scores, distribution_from_counts,
-                          evaluate_split, group_report, group_split, init_model,
-                          posthoc_adjust, synth_gaussian, train_stage1, weight_norms)
+                          evaluate_split, group_report, group_split, init_model, parse_config,
+                          posthoc_adjust, run_experiment, synth_gaussian, train_stage1,
+                          weight_norms)
 from longtail_lab import model as model_module, training as training_module
 from longtail_lab.model import forward_with_cache, backward
 from longtail_lab.optim import Optimizer
@@ -50,6 +51,26 @@ class TestTrainStage1:
         b, _ = train_stage1(manifest, config, groups=groups)
         assert np.array_equal(a.cls_w, b.cls_w)
         assert np.array_equal(a.cls_b, b.cls_b)
+
+    @pytest.mark.parametrize("stage2", ["crt", "cosine_retrain"])
+    def test_stage_by_stage_equals_run_experiment(self, stage2):
+        config = parse_config({
+            "seed": 6,
+            "dataset": {"synth": {"num_classes": 4, "feature_dim": 4, "n0": 40, "ratio": 10.0,
+                                  "val_per_class": 5, "test_per_class": 5},
+                        "group_boundaries": [1, 3]},
+            "train": {"epochs": 3, "batch_size": 16, "hidden_dim": 5, "optimizer": SGD.to_config(),
+                      "stage2": {"kind": stage2, "epochs": 2}},
+        })
+        result = run_experiment(config)
+        manifest = result.manifest
+        model, _ = train_stage1(manifest, config.train, groups=groups_for(manifest, (1, 3)))
+        final = apply_stage2(model, manifest, config.train)
+        for got, want in ((model, result.stage1_model), (final, result.final_classifier)):
+            for name, value in vars(want).items():
+                other = getattr(got, name)
+                assert (np.asarray(other).tobytes() == np.asarray(value).tobytes()
+                        if isinstance(value, np.ndarray) else other == value), name
 
     def test_history_serialization_deterministic(self):
         from longtail_lab import jsonio
