@@ -6,9 +6,9 @@ from .distribution import (ClassDistribution, GroupSplit, compute_distribution,
 from .harness import (ConfigError, DatasetConfig, ExperimentConfig, ExperimentError,
                       ParetoSpec, SynthSpec, build_dataset, parse_config,
                       run_experiment, run_sweep, sweep_csv)
-from .losses import (LOSS_KINDS, LossContext, LossSpec, batch_loss_and_grad, cb_weights,
-                     draw_noise, gcl_amplitudes, label_smoothing_eps, ldam_margins,
-                     loss_grad, loss_value, loss_value_and_grad, posthoc_adjust)
+from .losses import (LOSS_KINDS, LossContext, LossPlan, LossSpec, batch_loss_and_grad,
+                     cb_weights, draw_noise, gcl_amplitudes, label_smoothing_eps, ldam_margins,
+                     loss_grad, loss_plan, loss_value, loss_value_and_grad, posthoc_adjust)
 from .manifest import (Manifest, ManifestFormatError, label_cardinality, load_manifest,
                        save_manifest, subsample_longtail, synth_gaussian)
 from .metrics import (EpochRecord, GapStats, GroupReport, RunHistory, checkpoint_gaps,

@@ -204,7 +204,9 @@ def _cmd_eval(args) -> int:
         if manifest.task_kind != "single":
             raise ConfigError("post-hoc adjustment applies to single-label tasks")
         payload["posthoc_tau"] = args.posthoc_tau
-    report = evaluate_split(classifier, manifest, args.split, groups, posthoc_tau=args.posthoc_tau)
+    with config_values():  # e.g. a --posthoc-tau whose logit shift overflows
+        report = evaluate_split(classifier, manifest, args.split, groups,
+                                posthoc_tau=args.posthoc_tau)
     payload["group_report"] = report.to_dict()
     if report.map is not None:
         payload["map"] = report.map

@@ -179,7 +179,7 @@ class ExperimentResult:
 def _stage(name: str):
     try:
         yield
-    except ExperimentError:
+    except (ExperimentError, ConfigError):
         raise
     except Exception as exc:
         raise ExperimentError(name, exc) from exc
@@ -189,14 +189,16 @@ def build_dataset(dataset: DatasetConfig, seed) -> Manifest:
     """Materialize a dataset section: a synth draw, or a loaded manifest and optional Pareto cut.
 
     The one dataset entry point of ``run_experiment`` and the CLI. ``seed``, an
-    int or a ``np.random.Generator``, drives the synth draw or the Pareto cut.
+    int or a ``np.random.Generator``, drives the synth draw or the Pareto cut. A
+    Pareto cut the manifest cannot give raises ``ConfigError``.
     """
     if dataset.synth is not None:
         return synth_gaussian(**vars(dataset.synth), seed=seed)
     manifest = load_manifest(dataset.manifest_path)
     if dataset.pareto is not None:
         targets = pareto_targets(dataset.pareto.n0, manifest.num_classes, dataset.pareto.ratio)
-        manifest = subsample_longtail(manifest, targets, seed)
+        with config_values():  # a multi-label manifest, or n0 beyond a class's train records
+            manifest = subsample_longtail(manifest, targets, seed)
     return manifest
 
 
@@ -209,21 +211,27 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
     data_rng, train_rng, stage2_rng = stage_rngs(config.seed)
     with _stage("dataset"):
         manifest = build_dataset(config.dataset, data_rng)
-        groups = group_split(manifest.train_distribution(), config.dataset.group_boundaries)
+        dist = manifest.train_distribution()
+        with config_values():  # group boundaries that do not fit the manifest's K
+            groups = group_split(dist, config.dataset.group_boundaries)
     check_task(config.train, manifest.task_kind)
     with _stage("train"):
         model, history = train_stage1(manifest, config.train, rng=train_rng, groups=groups)
     with _stage("stage2"):
         final = apply_stage2(model, manifest, config.train, rng=stage2_rng)
     with _stage("evaluate"):
-        final_test = evaluate_split(final, manifest, "test", groups)
-        final_val = evaluate_split(final, manifest, "val", groups)
+        if final is model:  # stage 2 changed nothing: the last epoch, always evaluated, is final
+            last = history.records[-1]
+            final_test, final_val, norms = last.test, last.val, last.weight_norms
+        else:
+            final_test = evaluate_split(final, manifest, "test", groups)
+            final_val = evaluate_split(final, manifest, "val", groups)
+            norms = weight_norms(final) if isinstance(final, ModelState) else None
         history_dicts = history.to_dict()
         final_block = {
             "group_report": final_test.to_dict(),
             "val_group_report": final_val.to_dict(),
-            "weight_norms": ([float(v) for v in weight_norms(final)]
-                             if isinstance(final, ModelState) else None),
+            "weight_norms": None if norms is None else [float(v) for v in norms],
             "gaps": checkpoint_gaps(history_dicts).to_dict(),
         }
         if manifest.task_kind == "multi":

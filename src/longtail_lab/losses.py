@@ -1,29 +1,37 @@
 """Re-sampling/re-weighting loss catalog with analytic gradients w.r.t. logits.
 
-Single-label kinds (softmax family):
+Single-label kinds (softmax family), with the ``LossPlan`` fields each sets:
 
   ce                -log softmax(z)_y
   focal             -alpha * (1 - p_y)^gamma * log p_y
-  cb_ce, cb_focal   ce/focal scaled by w_y, w_c ~ (1-beta)/(1-beta^{n_c}), sum w = K
+  cb_ce, cb_focal   ce/focal scaled by w_y, w_c ~ (1-beta)/(1-beta^{n_c}), sum w = K [weight]
   ldam              ce over s * (z - delta (.) onehot(y)), delta_c = C / n_c^{1/4},
-                    C = m_max * (min_c n_c)^{1/4}
-  prior_ce          ce over z + log pi  (same adjustment as balanced_softmax)
-  balanced_softmax  ce over z + log pi
-  weighted_softmax  (-log pi_y + 1) * ce
-  logit_adjust      ce over z + tau * log pi
+                    C = m_max * (min_c n_c)^{1/4}                       [margin, mult s]
+  prior_ce          ce over z + log pi  (balanced_softmax's plan)                [add]
+  balanced_softmax  ce over z + log pi                                           [add]
+  weighted_softmax  (-log pi_y + 1) * ce                                      [weight]
+  logit_adjust      ce over z + tau * log pi                                     [add]
   vs                ce over delta (.) z + iota, delta_c = (n_c/n_max)^{gamma_vs},
-                    iota_c = tau_vs * log pi_c
+                    iota_c = tau_vs * log pi_c                             [mult, add]
   seql              ce with rare negative classes (pi_c < t) dropped from the
-                    softmax denominator with probability q, mask redrawn per sample
+                    softmax denominator with probability q, redrawn per sample [frequent]
   gcl               ce over z - a * A (.) |eps|, eps ~ N(0,1), A_c in [0,1] largest
-                    for tail classes (training mode only)
+                    for tail classes (training mode only)           [noise_scale a * A]
   label_smooth_lt   ce against a smoothed target whose smoothing strength grows
-                    with the true class's count (head classes smoothed most)
+                    with the true class's count (head classes smoothed most) [smoothing]
 
 Multi-label kinds (per-class sigmoid, summed over classes):
 
   bce_ml            binary cross-entropy
   focal_bce_ml      -(1 - p_t)^gamma * log p_t per class
+
+``loss_plan`` computes the per-class constants once per distribution. Every
+kind but focal, cb_focal, label_smooth_lt and the multi-label kinds (kernels of
+their own) is one cross-entropy over z adjusted, in this order: margin off the
+target logit, ``* mult``, ``+ add``, then in training only ``- noise_scale *
+noise`` and the seql mask; its gradient is multiplied by ``mult``. Last, every
+single-label row's value and gradient are scaled by ``weight[y]``, which stage-2
+DisAlign sets to inverse class frequency.
 
 Stochastic kinds (seql, gcl) consume ctx.rng; pre-draw their noise with
 draw_noise when one draw must serve several evaluations (value + grad, or a
@@ -31,7 +39,7 @@ sharpness-aware second pass).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,7 +193,11 @@ def posthoc_adjust(logits, dist: ClassDistribution, tau: float) -> np.ndarray:
     if tau == 0:
         return z.copy()
     _require_positive_counts(dist, "posthoc adjustment")
-    return z - tau * np.log(dist.frequencies)
+    with np.errstate(over="ignore"):
+        shift = tau * np.log(dist.frequencies)
+    if not np.isfinite(shift).all():
+        raise ValueError(f"posthoc tau {tau!r} gives a logit shift tau * log pi that is not finite")
+    return z - shift
 
 
 def draw_noise(spec: LossSpec, rng: np.random.Generator, batch_size: int,
@@ -222,31 +234,72 @@ def _single(spec, logits, target, ctx):
         noise = draw_noise(spec, ctx.rng, 1, z.shape[0])
     targets = np.asarray([target]) if not spec.multi_label else np.asarray(target)[None, :]
     values, grads = batch_loss_and_grad(
-        spec, z[None, :], targets, ctx.distribution,
+        loss_plan(spec, ctx.distribution), z[None, :], targets,
         noise=noise, training=ctx.training_mode,
     )
     return float(values[0]), grads[0]
 
 
-def batch_loss_and_grad(spec: LossSpec, logits, targets, dist: ClassDistribution,
-                        *, noise: np.ndarray | None = None, training: bool = True):
+@dataclass(frozen=True)
+class LossPlan:
+    """Per-class constants of a loss kind on one distribution; a None field is not used."""
+
+    spec: LossSpec
+    num_classes: int
+    margin: np.ndarray | None = None
+    mult: np.ndarray | float | None = None
+    add: np.ndarray | None = None
+    noise_scale: np.ndarray | None = None
+    frequent: np.ndarray | None = None
+    weight: np.ndarray | None = None
+    smoothing: np.ndarray | None = None
+
+
+# kind -> the LossPlan fields it sets from (spec, dist); a kind not listed sets none
+_PLAN_FIELDS = {
+    "cb_ce": lambda spec, dist: {"weight": cb_weights(dist, spec.beta)},
+    "cb_focal": lambda spec, dist: {"weight": cb_weights(dist, spec.beta)},
+    "ldam": lambda spec, dist: {"margin": ldam_margins(dist, spec.m_max), "mult": spec.scale},
+    "balanced_softmax": lambda spec, dist: {"add": np.log(dist.frequencies)},
+    "logit_adjust": lambda spec, dist: {"add": spec.tau * np.log(dist.frequencies)},
+    "weighted_softmax": lambda spec, dist: {"weight": 1.0 - np.log(dist.frequencies)},
+    "vs": lambda spec, dist: {
+        "mult": (dist.counts.astype(np.float64) / dist.counts.max()) ** spec.gamma_vs,
+        "add": spec.tau_vs * np.log(dist.frequencies)},
+    "seql": lambda spec, dist: {"frequent": dist.frequencies >= spec.seql_threshold},
+    "gcl": lambda spec, dist: {"noise_scale": spec.gcl_amplitude * gcl_amplitudes(dist)},
+    "label_smooth_lt": lambda spec, dist: {
+        "smoothing": label_smoothing_eps(dist, spec.eps_head, spec.eps_tail)},
+}
+_PLAN_FIELDS["prior_ce"] = _PLAN_FIELDS["balanced_softmax"]  # the same loss under its own name
+
+
+def loss_plan(spec: LossSpec, dist: ClassDistribution) -> LossPlan:
+    """The per-class constants of ``spec`` on ``dist``, for every batch of a fit."""
+    if spec.kind in _NEEDS_COUNTS:
+        _require_positive_counts(dist, spec.kind)
+    fields = _PLAN_FIELDS.get(spec.kind)
+    return LossPlan(spec, dist.num_classes, **(fields(spec, dist) if fields else {}))
+
+
+def batch_loss_and_grad(plan: LossPlan, logits, targets, *,
+                        noise: np.ndarray | None = None, training: bool = True):
     """Per-sample loss values (n,) and gradients (n, K) for a batch.
 
     ``noise`` carries the pre-drawn stochastic component for seql/gcl so the
     same draw serves value, gradient, and any repeated pass over the batch.
     """
+    spec = plan.spec
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("logits must be a (batch, classes) array")
     n, k = z.shape
-    if k != dist.num_classes:
-        raise ValueError(f"logits have {k} classes, distribution has {dist.num_classes}")
+    if k != plan.num_classes:
+        raise ValueError(f"logits have {k} classes, distribution has {plan.num_classes}")
     if k < 2:
         raise ValueError("need at least two classes")
     if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
-    if spec.kind in _NEEDS_COUNTS:
-        _require_positive_counts(dist, spec.kind)
 
     if spec.multi_label:
         t = np.asarray(targets, dtype=np.float64)
@@ -262,61 +315,46 @@ def batch_loss_and_grad(spec: LossSpec, logits, targets, dist: ClassDistribution
     if y.min() < 0 or y.max() >= k:
         raise ValueError(f"targets must lie in [0, {k})")
 
-    if spec.kind == "ce":
-        return _softmax_ce(z, y)
     if spec.kind in ("focal", "cb_focal"):
         values, grads = _focal(z, y, spec.alpha, spec.gamma)
-        if spec.kind == "cb_focal":
-            _scale_by(values, grads, cb_weights(dist, spec.beta)[y])
-        return values, grads
-    if spec.kind == "cb_ce":
-        values, grads = _softmax_ce(z, y)
-        _scale_by(values, grads, cb_weights(dist, spec.beta)[y])
-        return values, grads
-    if spec.kind == "ldam":
-        delta = ldam_margins(dist, spec.m_max)
-        shifted = z.copy()
-        shifted[np.arange(n), y] -= delta[y]
-        values, grads = _softmax_ce(spec.scale * shifted, y)
-        return values, spec.scale * grads
-    if spec.kind in ("prior_ce", "balanced_softmax"):
-        return _softmax_ce(z + np.log(dist.frequencies), y)
-    if spec.kind == "logit_adjust":
-        return _softmax_ce(z + spec.tau * np.log(dist.frequencies), y)
-    if spec.kind == "weighted_softmax":
-        values, grads = _softmax_ce(z, y)
-        weights = 1.0 - np.log(dist.frequencies)
-        _scale_by(values, grads, weights[y])
-        return values, grads
-    if spec.kind == "vs":
-        counts = dist.counts.astype(np.float64)
-        mult = (counts / counts.max()) ** spec.gamma_vs
-        add = spec.tau_vs * np.log(dist.frequencies)
-        values, grads = _softmax_ce(z * mult + add, y)
-        return values, grads * mult
-    if spec.kind == "seql":
-        if not training:
-            return _softmax_ce(z, y)
-        if noise is None:
-            raise ValueError("seql needs pre-drawn noise in training mode")
-        keep = (dist.frequencies >= spec.seql_threshold)[None, :] | (noise >= spec.seql_q)
-        keep[np.arange(n), y] = True
-        return _softmax_ce(np.where(keep, z, -np.inf), y)
-    if spec.kind == "gcl":
-        if not training:
-            return _softmax_ce(z, y)
-        if noise is None:
-            raise ValueError("gcl needs pre-drawn noise in training mode")
-        amp = gcl_amplitudes(dist)
-        return _softmax_ce(z - spec.gcl_amplitude * amp * noise, y)
-    if spec.kind == "label_smooth_lt":
-        eps = label_smoothing_eps(dist, spec.eps_head, spec.eps_tail)[y]
+    elif spec.kind == "label_smooth_lt":
+        eps = plan.smoothing[y]
         t = np.repeat((eps / (k - 1))[:, None], k, axis=1)
         t[np.arange(n), y] = 1.0 - eps
         logp = _log_softmax(z)
         values = -np.sum(np.where(t > 0, t * logp, 0.0), axis=1)
-        return values, np.exp(logp) - t
-    raise AssertionError(f"unhandled loss kind {spec.kind!r}")
+        grads = np.exp(logp) - t
+    else:
+        values, grads = _adjusted_ce(plan, z, y, noise, training)
+    if plan.weight is not None:
+        w = plan.weight[y]
+        values *= w
+        grads *= w[:, None]
+    return values, grads
+
+
+def _adjusted_ce(plan, z, y, noise, training):
+    """Cross-entropy over the logits adjusted by the plan's fields, in the documented order."""
+    if plan.margin is not None:
+        z = z.copy()
+        z[np.arange(z.shape[0]), y] -= plan.margin[y]
+    if plan.mult is not None:
+        z = z * plan.mult
+    if plan.add is not None:
+        z = z + plan.add
+    if training and (plan.noise_scale is not None or plan.frequent is not None):
+        if noise is None:
+            raise ValueError(f"{plan.spec.kind} needs pre-drawn noise in training mode")
+        if plan.noise_scale is not None:
+            z = z - plan.noise_scale * noise
+        if plan.frequent is not None:
+            keep = plan.frequent[None, :] | (noise >= plan.spec.seql_q)
+            keep[np.arange(z.shape[0]), y] = True
+            z = np.where(keep, z, -np.inf)
+    values, grads = _softmax_ce(z, y)
+    if plan.mult is not None:
+        grads = grads * plan.mult
+    return values, grads
 
 
 def _require_positive_counts(dist, what):
@@ -324,11 +362,6 @@ def _require_positive_counts(dist, what):
         raise ValueError(
             f"class {dist.zero_classes[0]} has zero samples; {what} divides by class counts"
         )
-
-
-def _scale_by(values, grads, sample_weights):
-    values *= sample_weights
-    grads *= sample_weights[:, None]
 
 
 def _log_softmax(z):

@@ -3,8 +3,8 @@
 Stage 2 keeps the stage-1 encoder frozen. The head-fit schemes (cRT, LWS,
 DisAlign, cosine retrain) are each described in ``_HEAD_FITS`` by four
 fields: the head init, the trainable keys, the sampler (``class_balanced``,
-or ``original`` for DisAlign) and the class weights (inverse frequency for
-DisAlign, none otherwise). ``_fit_head`` serves all four: it encodes the
+or ``original`` for DisAlign) and whether the CE plan's per-sample ``weight``
+is inverse frequency (DisAlign). ``_fit_head`` serves all four: it encodes the
 train rows once, trains a head-only model on them and puts the encoder back.
 """
 from __future__ import annotations
@@ -15,9 +15,9 @@ from typing import Annotated
 
 import numpy as np
 
-from . import jsonio
+from . import jsonio, losses
 from .distribution import GroupSplit, group_split
-from .losses import LossSpec, batch_loss_and_grad, draw_noise, posthoc_adjust
+from .losses import LossSpec, draw_noise, loss_plan, posthoc_adjust
 from .manifest import Manifest
 from .metrics import EpochRecord, GroupReport, RunHistory, average_precision_per_label, group_report, group_report_from_values
 from .model import (ModelState, NcmClassifier, backward, check_classifier_kind, check_hidden_dim,
@@ -155,7 +155,8 @@ def train_stage1(manifest: Manifest, config: TrainConfig,
         classifier_kind=config.classifier_kind, temperature=config.temperature, rng=rng,
     )
     trainable = _head_keys(model) + (() if model.encoder_w is None else ("encoder_w", "encoder_b"))
-    return _fit(model, manifest, config, rng, trainable, config.sampler, config.loss,
+    plan = loss_plan(config.loss, manifest.train_distribution())
+    return _fit(model, manifest, config, rng, trainable, config.sampler, plan,
                 config.mixup, config.epochs, groups=groups)
 
 
@@ -249,7 +250,7 @@ def _cosine_head(head: ModelState, config: TrainConfig, rng: np.random.Generator
                    logit_scale=None, logit_offset=None)
 
 
-# kind: (head init, trainable keys of the head, sampler kind, inverse-frequency class weights)
+# kind: (head init, trainable keys of the head, sampler kind, inverse-frequency loss weights)
 _HEAD_FITS = {
     "crt": (_redraw_head, _head_keys, "class_balanced", False),
     "lws": (_scaled_head, lambda head: ("logit_scale",), "class_balanced", False),
@@ -265,15 +266,15 @@ def _fit_head(kind: str, model: ModelState, manifest: Manifest, config: TrainCon
     rng = rng if rng is not None else stage_rngs(config.seed)[2]
     frozen = model.copy()
     head = init(replace(frozen, encoder_w=None, encoder_b=None), config, rng)
-    class_weights = None
+    dist = manifest.train_distribution()
+    plan = loss_plan(LossSpec("ce"), dist)
     if reweight:
-        inv = 1.0 / manifest.train_distribution().counts.astype(np.float64)
-        class_weights = inv * (inv.size / inv.sum())
+        inv = 1.0 / dist.counts.astype(np.float64)
+        plan = replace(plan, weight=inv * (inv.size / inv.sum()))
     epochs = config.stage2.epochs if config.stage2.epochs is not None else config.epochs
     fitted, _ = _fit(head, manifest, config, rng, trainable(head),
                      SamplerSpec(sampler_kind, epoch_length=config.sampler.epoch_length),
-                     LossSpec("ce"), MixupSpec(), epochs, encoder=frozen,
-                     class_weights=class_weights)
+                     plan, MixupSpec(), epochs, encoder=frozen)
     return replace(fitted, encoder_w=frozen.encoder_w, encoder_b=frozen.encoder_b)
 
 
@@ -284,10 +285,12 @@ def _owned(model: ModelState, trainable) -> ModelState:
 
 
 def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.random.Generator,
-         trainable, sampler_spec: SamplerSpec, loss_spec: LossSpec, mixup: MixupSpec,
-         epochs: int, *, encoder: ModelState | None = None,
-         class_weights: np.ndarray | None = None, groups: GroupSplit | None = None):
+         trainable, sampler_spec: SamplerSpec, plan: losses.LossPlan, mixup: MixupSpec,
+         epochs: int, *, encoder: ModelState | None = None, groups: GroupSplit | None = None):
     """Train the ``trainable`` parameters; the optimizer and batch size come from ``config``.
+
+    Every batch's loss comes from ``plan`` (``losses.loss_plan``): its per-class
+    constants, per-sample weights included, are computed once for the fit.
 
     The trainable parameters live in one flat float64 buffer for the whole
     fit. One ``ModelState`` is bound to views of it, once, so each optimizer
@@ -300,9 +303,8 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     and ``model`` is a head that reads them. With ``groups``, each evaluated
     epoch is recorded in the history and feeds the difficulty sampler.
     """
-    if loss_spec.multi_label != (manifest.task_kind == "multi"):
-        raise ValueError(f"loss kind {loss_spec.kind!r} does not match task {manifest.task_kind!r}")
-    dist = manifest.train_distribution()
+    if plan.spec.multi_label != (manifest.task_kind == "multi"):
+        raise ValueError(f"loss kind {plan.spec.kind!r} does not match task {manifest.task_kind!r}")
     sampler = BatchSampler(sampler_spec, manifest)
     if encoder is not None:
         sampler.features = encode(encoder, sampler.features)
@@ -324,24 +326,18 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
                 mixed = mixup_batch((features, targets), (features[perm], targets[perm]),
                                     mixup, rng)
                 features = mixed.features
-            noise = draw_noise(loss_spec, rng, len(features), manifest.num_classes)
+            noise = draw_noise(plan.spec, rng, len(features), manifest.num_classes)
 
             def grad_fn(p):
                 candidate = bound if p is params else replace(model, **unflatten(p, layout))
                 logits, cache = forward_with_cache(candidate, features)
                 if mixed is not None:
-                    va, ga = batch_loss_and_grad(loss_spec, logits, mixed.labels_a, dist,
-                                                 noise=noise)
-                    vb, gb = batch_loss_and_grad(loss_spec, logits, mixed.labels_b, dist,
-                                                 noise=noise)
+                    va, ga = losses.batch_loss_and_grad(plan, logits, mixed.labels_a, noise=noise)
+                    vb, gb = losses.batch_loss_and_grad(plan, logits, mixed.labels_b, noise=noise)
                     values = mixed.lam * va + (1.0 - mixed.lam) * vb
                     grads = mixed.lam * ga + (1.0 - mixed.lam) * gb
                 else:
-                    values, grads = batch_loss_and_grad(loss_spec, logits, targets, dist,
-                                                        noise=noise)
-                if class_weights is not None:
-                    values = values * class_weights[targets]
-                    grads = grads * class_weights[targets][:, None]
+                    values, grads = losses.batch_loss_and_grad(plan, logits, targets, noise=noise)
                 param_grads = backward(candidate, cache, grads / len(features))
                 return float(values.mean()), {k: param_grads[k] for k in trainable}
 

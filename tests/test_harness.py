@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, decision_scores, init_model,
-                          jsonio, load_checkpoint, load_manifest, mean_average_precision, optim,
-                          parse_config, run_experiment, run_sweep, save_checkpoint,
-                          save_manifest, sweep_csv)
+from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, decision_scores, evaluate_split,
+                          group_split, init_model, jsonio, load_checkpoint, load_manifest,
+                          mean_average_precision, optim, parse_config, run_experiment, run_sweep,
+                          save_checkpoint, save_manifest, sweep_csv)
 from longtail_lab.harness import sweep_workers
 from longtail_lab.samplers import SAMPLER_KINDS
 from longtail_lab.training import STAGE2_KINDS
@@ -356,14 +356,72 @@ class TestRunExperiment:
         save_manifest(manifest, path)
         scored = count_calls(monkeypatch, decision_scores)
         result = run_experiment(parse_config(multilabel_config(path)))
-        # val and test of each evaluated epoch, then of the final classifier: each scored once
-        assert len(scored) == 2 * len(result.history) + 2
+        # val and test of each evaluated epoch, each scored once; with stage 2 'none' the
+        # final classifier is the last epoch's model, whose reports are reused
+        assert len(scored) == 2 * len(result.history)
         test_idx = result.manifest.split_indices("test")
         expected = mean_average_precision(
             decision_scores(result.final_classifier, result.manifest.features[test_idx]),
             result.manifest.labels[test_idx])
         assert result.report["final"]["map"] == expected
         assert 0.0 <= expected <= 1.0
+
+    @pytest.mark.parametrize("stage2, final_scorings", [
+        ({"kind": "none"}, 0), ({"kind": "crt", "epochs": 2}, 2)], ids=["none", "crt"])
+    def test_final_scored_only_when_stage2_changes_the_model(self, monkeypatch, stage2,
+                                                             final_scorings):
+        raw = small_config()
+        raw["train"]["stage2"] = stage2
+        scored = count_calls(monkeypatch, evaluate_split)
+        result = run_experiment(parse_config(raw))
+        # val and test of each evaluated epoch, plus the final classifier's when it is new
+        assert len(scored) == 2 * len(result.history) + final_scorings
+        groups = group_split(result.manifest.train_distribution(), (1, 3))
+        final = result.report["final"]
+        for split, key in (("test", "group_report"), ("val", "val_group_report")):
+            expected = evaluate_split(result.final_classifier, result.manifest, split, groups)
+            assert final[key] == expected.to_dict()
+
+    @pytest.mark.parametrize("command", ["train", "make-longtail"])
+    @pytest.mark.parametrize("fault, expected", [
+        ("multi-label", "Pareto subsetting defined for single-label only"),
+        ("n0-beyond-train", "class 0 has 60 train records, 100000 requested"),
+    ], ids=["multi-label", "n0-beyond-train"])
+    def test_unbuildable_pareto_cut_exits_2(self, tmp_path, monkeypatch, capsys, command,
+                                            fault, expected):
+        multi = fault == "multi-label"
+        manifest_path, out = tmp_path / "m.jsonl", tmp_path / "out.json"
+        save_manifest(multilabel_manifest(n=60) if multi else blob_manifest([60, 30, 10]),
+                      manifest_path)
+        n0 = 10 if multi else 100000
+        steps = count_optimizer_steps(monkeypatch)
+        if command == "train":
+            raw = multilabel_config(manifest_path) if multi else small_config()
+            raw["dataset"] = {"manifest": str(manifest_path), "pareto": {"n0": n0, "ratio": 2.0},
+                              "group_boundaries": [1, 2]}
+            with pytest.raises(ConfigError, match=expected):
+                run_experiment(parse_config(raw))
+            config_path = tmp_path / "c.json"
+            config_path.write_text(json.dumps(raw))
+            argv = ["train", "--config", str(config_path)]
+        else:
+            argv = ["make-longtail", "--manifest", str(manifest_path), "--n0", str(n0),
+                    "--imbalance", "2"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+        assert steps == [] and not out.exists()
+
+    def test_group_boundaries_beyond_k_exit_2(self, tmp_path, monkeypatch, capsys):
+        raw = small_config()
+        raw["dataset"]["group_boundaries"] = [4, 9]
+        steps = count_optimizer_steps(monkeypatch)
+        with pytest.raises(ConfigError, match="boundaries must satisfy"):
+            run_experiment(parse_config(raw))
+        config_path, out = tmp_path / "c.json", tmp_path / "r.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "boundaries must satisfy" in capsys.readouterr().err
+        assert steps == [] and not out.exists()
 
     @pytest.mark.parametrize("task, train", [
         pytest.param("multi", {"loss": {"kind": "bce_ml"}, "stage2": {"kind": "crt"}},
@@ -618,6 +676,16 @@ class TestCli:
                      "--out", str(tmp_path / "adj.json")]) == 0
         payload = json.loads((tmp_path / "adj.json").read_text())
         assert payload["posthoc_tau"] == 1.0
+
+    def test_overflowing_posthoc_tau_exits_2(self, tmp_path, capsys):
+        manifest_path, ckpt = tmp_path / "data.jsonl", tmp_path / "model.json"
+        save_manifest(blob_manifest([40, 20, 6]), manifest_path)
+        save_checkpoint(init_model(3, 4, rng=np.random.default_rng(0)), ckpt)
+        out = tmp_path / "adj.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest_path),
+                     "--posthoc-tau", "1e308", "--out", str(out)]) == 2
+        assert "posthoc tau 1e+308" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_loss_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from longtail_lab import (LOSS_KINDS, LossContext, LossSpec, batch_loss_and_grad,
-                          cb_weights, distribution_from_counts, gcl_amplitudes,
-                          label_smoothing_eps, ldam_margins, loss_grad, loss_value,
+                          cb_weights, distribution_from_counts, draw_noise, gcl_amplitudes,
+                          label_smoothing_eps, ldam_margins, loss_grad, loss_plan, loss_value,
                           loss_value_and_grad, posthoc_adjust)
 from longtail_lab.losses import MULTI_LABEL_KINDS, SINGLE_LABEL_KINDS, STOCHASTIC_KINDS
 
@@ -106,6 +108,11 @@ class TestPosthocAdjust:
         adjusted = posthoc_adjust(np.array([0.1, 0.0]), dist, 1.0)
         np.testing.assert_allclose(adjusted, [0.1 - math.log(0.99), -math.log(0.01)], rtol=1e-12)
         assert np.argmax(adjusted) == 1
+
+    @pytest.mark.parametrize("tau", [1e308, -1e308, float("nan")])
+    def test_shift_that_is_not_finite_rejected(self, tau):
+        with pytest.raises(ValueError, match="not finite"):
+            posthoc_adjust(np.array([0.1, 0.0]), distribution_from_counts([99, 1]), tau)
 
 
 def _random_instance(kind, rng):
@@ -312,3 +319,102 @@ class TestBceValues:
             b = loss_value_and_grad(LossSpec("bce_ml"), z, t, ctx_for([1] * 4))
             assert abs(a[0] - b[0]) < 1e-12
             assert np.abs(a[1] - b[1]).max() < 1e-12
+
+
+# the single-label kinds that are one cross-entropy over logits adjusted by a LossPlan
+CE_FAMILY = ("ce", "cb_ce", "ldam", "prior_ce", "balanced_softmax", "logit_adjust",
+             "weighted_softmax", "vs", "seql", "gcl")
+
+
+def reference_softmax_ce(z, y):
+    shifted = z - np.max(z, axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    rows = np.arange(z.shape[0])
+    grads = np.exp(logp)
+    grads[rows, y] -= 1.0
+    return -logp[rows, y], grads
+
+
+def reference_ce_family(spec, z, y, dist, noise, training):
+    """Each CE-family kind's own formula, as batch_loss_and_grad wrote it per kind."""
+    rows, kind, ce = np.arange(z.shape[0]), spec.kind, reference_softmax_ce
+    if kind == "ce" or (kind in ("seql", "gcl") and not training):
+        return ce(z, y)
+    if kind in ("cb_ce", "weighted_softmax"):
+        values, grads = ce(z, y)
+        w = (cb_weights(dist, spec.beta) if kind == "cb_ce" else 1.0 - np.log(dist.frequencies))[y]
+        return values * w, grads * w[:, None]
+    if kind == "ldam":
+        shifted = z.copy()
+        shifted[rows, y] -= ldam_margins(dist, spec.m_max)[y]
+        values, grads = ce(spec.scale * shifted, y)
+        return values, spec.scale * grads
+    if kind in ("prior_ce", "balanced_softmax"):
+        return ce(z + np.log(dist.frequencies), y)
+    if kind == "logit_adjust":
+        return ce(z + spec.tau * np.log(dist.frequencies), y)
+    if kind == "vs":
+        counts = dist.counts.astype(np.float64)
+        mult = (counts / counts.max()) ** spec.gamma_vs
+        values, grads = ce(z * mult + spec.tau_vs * np.log(dist.frequencies), y)
+        return values, grads * mult
+    if kind == "seql":
+        keep = (dist.frequencies >= spec.seql_threshold)[None, :] | (noise >= spec.seql_q)
+        keep[rows, y] = True
+        return ce(np.where(keep, z, -np.inf), y)
+    return ce(z - spec.gcl_amplitude * gcl_amplitudes(dist) * noise, y)  # gcl
+
+
+@st.composite
+def ce_family_cases(draw):
+    """A (spec, logits, targets, distribution, rng) draw with every hyperparameter random."""
+    k, n = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(1, 2000), min_size=k, max_size=k))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    spec = LossSpec("ce", beta=draw(unit), m_max=draw(st.floats(0.01, 2.0)),
+                    scale=draw(st.floats(0.5, 64.0)), tau=draw(st.floats(-2.0, 3.0)),
+                    gamma_vs=draw(st.floats(0.0, 1.0)), tau_vs=draw(st.floats(-2.0, 3.0)),
+                    seql_threshold=draw(unit), seql_q=draw(unit),
+                    gcl_amplitude=draw(st.floats(0.0, 3.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = draw(st.floats(0.1, 10.0)) * rng.standard_normal((n, k))
+    return spec, z, rng.integers(0, k, size=n), distribution_from_counts(counts), rng
+
+
+class TestLossPlan:
+    @pytest.mark.parametrize("kind", CE_FAMILY)
+    @settings(max_examples=100, deadline=None)
+    @given(case=ce_family_cases())
+    def test_plan_kernel_bitwise_equals_per_kind_formula(self, kind, case):
+        spec, z, y, dist, rng = case
+        spec = replace(spec, kind=kind)
+        plan = loss_plan(spec, dist)
+        noise = draw_noise(spec, rng, *z.shape)
+        for training in (True, False):
+            got = batch_loss_and_grad(plan, z, y, noise=noise, training=training)
+            expected = reference_ce_family(spec, z, y, dist, noise, training)
+            assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=ce_family_cases())
+    def test_plan_weight_bitwise_equals_per_sample_weighting(self, case):
+        # DisAlign's inverse-frequency weights, as the training loop applied them itself
+        _, z, y, dist, _ = case
+        inv = 1.0 / dist.counts.astype(np.float64)
+        weights = inv * (inv.size / inv.sum())
+        plan = replace(loss_plan(LossSpec("ce"), dist), weight=weights)
+        values, grads = reference_softmax_ce(z, y)
+        got = batch_loss_and_grad(plan, z, y)
+        assert np.array_equal(got[0], values * weights[y])
+        assert np.array_equal(got[1], grads * weights[y][:, None])
+
+    def test_zero_count_class_rejected_when_planned(self):
+        with pytest.raises(ValueError, match="class 1 has zero samples; ldam"):
+            loss_plan(LossSpec("ldam"), distribution_from_counts([5, 0, 3]))
+        assert loss_plan(LossSpec("ce"), distribution_from_counts([5, 0, 3])).num_classes == 3
+
+    def test_stochastic_kind_needs_noise_in_training_mode(self):
+        plan = loss_plan(LossSpec("gcl"), distribution_from_counts([9, 1]))
+        with pytest.raises(ValueError, match="pre-drawn noise"):
+            batch_loss_and_grad(plan, np.zeros((1, 2)), [0])

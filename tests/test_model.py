@@ -3,7 +3,7 @@ import pytest
 
 from longtail_lab import (LossSpec, ModelState, NcmClassifier, batch_loss_and_grad,
                           decision_scores, distribution_from_counts, forward,
-                          init_model, load_checkpoint, save_checkpoint, tau_normalize,
+                          init_model, load_checkpoint, loss_plan, save_checkpoint, tau_normalize,
                           weight_norms)
 from longtail_lab import model as model_module
 from longtail_lab.model import backward, forward_with_cache
@@ -179,7 +179,7 @@ def numeric_param_grad(model, key, features, targets, dist, spec, h=1e-6):
         else:
             setattr(candidate, key, value)
         logits, _ = forward_with_cache(candidate, features)
-        values, _ = batch_loss_and_grad(spec, logits, targets, dist)
+        values, _ = batch_loss_and_grad(loss_plan(spec, dist), logits, targets)
         return values.mean()
 
     flat = original.reshape(-1)
@@ -210,7 +210,7 @@ class TestBackward:
         spec = LossSpec("ce")
 
         logits, cache = forward_with_cache(model, features)
-        values, grads = batch_loss_and_grad(spec, logits, targets, dist)
+        values, grads = batch_loss_and_grad(loss_plan(spec, dist), logits, targets)
         param_grads = backward(model, cache, grads / len(features))
 
         keys = ["cls_w"]

@@ -143,21 +143,21 @@ class TestMixup:
 
     def test_interpolated_loss_contract(self):
         # training loss on a mixed batch must equal the explicit lambda blend
-        from longtail_lab import batch_loss_and_grad
+        from longtail_lab import batch_loss_and_grad, loss_plan
 
         rng = np.random.default_rng(4)
         dist = distribution_from_counts([30, 10, 5])
-        spec = LossSpec("balanced_softmax")
+        plan = loss_plan(LossSpec("balanced_softmax"), dist)
         logits = rng.standard_normal((6, 3))
         ya = rng.integers(0, 3, size=6)
         yb = rng.integers(0, 3, size=6)
         lam = 0.37
-        va, ga = batch_loss_and_grad(spec, logits, ya, dist)
-        vb, gb = batch_loss_and_grad(spec, logits, yb, dist)
+        va, ga = batch_loss_and_grad(plan, logits, ya)
+        vb, gb = batch_loss_and_grad(plan, logits, yb)
         blended = lam * va + (1 - lam) * vb
         for i in range(6):
-            direct = (lam * batch_loss_and_grad(spec, logits[i:i + 1], ya[i:i + 1], dist)[0]
-                      + (1 - lam) * batch_loss_and_grad(spec, logits[i:i + 1], yb[i:i + 1], dist)[0])
+            direct = (lam * batch_loss_and_grad(plan, logits[i:i + 1], ya[i:i + 1])[0]
+                      + (1 - lam) * batch_loss_and_grad(plan, logits[i:i + 1], yb[i:i + 1])[0])
             assert abs(blended[i] - direct[0]) < 1e-12
 
     def test_invalid_alpha(self):

@@ -4,7 +4,8 @@ import pytest
 from longtail_lab import (LossContext, LossSpec, MixupSpec, OptimizerSpec, SamplerSpec,
                           Stage2Spec, TrainConfig, TrainingDivergedError, apply_stage2,
                           batch_loss_and_grad, decision_scores, distribution_from_counts,
-                          evaluate_split, group_report, group_split, init_model, parse_config,
+                          evaluate_split, group_report, group_split, init_model, loss_plan,
+                          parse_config,
                           posthoc_adjust, run_experiment, synth_gaussian, train_stage1,
                           weight_norms)
 from longtail_lab import model as model_module, training as training_module
@@ -104,11 +105,11 @@ class TestTrainStage1:
 
             def batch_loss(m):
                 logits, _ = forward_with_cache(m, features)
-                return batch_loss_and_grad(spec, logits, targets, dist)[0].mean()
+                return batch_loss_and_grad(loss_plan(spec, dist), logits, targets)[0].mean()
 
             before = batch_loss(model)
             logits, cache = forward_with_cache(model, features)
-            _, grads = batch_loss_and_grad(spec, logits, targets, dist)
+            _, grads = batch_loss_and_grad(loss_plan(spec, dist), logits, targets)
             param_grads = backward(model, cache, grads / 16)
             opt = Optimizer(OptimizerSpec("sgd", lr=0.01, momentum=0.0))
             new = opt.step({"cls_w": model.cls_w, "cls_b": model.cls_b}, param_grads)
