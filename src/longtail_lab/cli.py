@@ -6,9 +6,11 @@ stage2: ``training.apply_stage2``, seeded by ``training.stage_rngs``; eval:
 ``training.evaluate_split``; sweep: ``harness.run_sweep``; norms:
 ``model.weight_norms``; gaps: ``metrics.checkpoint_gaps``.
 
-Exit codes: 0 ok, 1 run failure, 2 invalid config, arguments or manifest. A flag
-value is checked as the same value in a config is, and exits 2 where it would,
-before anything is scored or written.
+Exit codes: 0 ok, 1 run failure (a missing input file among them), 2 invalid
+config or arguments, or an input file that is malformed: a manifest, a
+checkpoint (also one whose class or feature count is not the manifest's) or a
+run report. A flag value is checked as the same value in a config is, and
+exits 2 where it would, before anything is scored or written.
 """
 from __future__ import annotations
 
@@ -169,10 +171,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_stage2(args) -> int:
     config = _load_config(args.config, args.seed)
-    model = load_checkpoint(args.checkpoint)
+    with config_values():
+        model = load_checkpoint(args.checkpoint)
     if not isinstance(model, ModelState):
         raise ConfigError("stage2 needs a stage-1 model checkpoint")
     manifest = load_manifest(args.manifest)
+    _check_fits(model, manifest)
     if config.train.stage2.kind == "none":
         raise ConfigError("config has stage2.kind 'none'; nothing to do")
     check_task(config.train, manifest.task_kind)
@@ -180,6 +184,14 @@ def _cmd_stage2(args) -> int:
     save_checkpoint(final, args.out)
     print(f"wrote stage-2 checkpoint to {args.out}")
     return 0
+
+
+def _check_fits(classifier, manifest) -> None:
+    """Refuse a checkpoint whose class or feature count is not the manifest's."""
+    k, d = classifier.num_classes, classifier.feature_dim
+    if (k, d) != (manifest.num_classes, manifest.feature_dim):
+        raise ConfigError(f"checkpoint has {k} classes over {d} features; the manifest has "
+                          f"{manifest.num_classes} over {manifest.feature_dim}")
 
 
 def _cmd_eval(args) -> int:
@@ -192,8 +204,10 @@ def _cmd_eval(args) -> int:
         boundaries = (h, m)
     if args.posthoc_tau is not None and not math.isfinite(args.posthoc_tau):
         raise ConfigError(f"--posthoc-tau must be a finite number, got {args.posthoc_tau!r}")
-    classifier = load_checkpoint(args.checkpoint)
+    with config_values():
+        classifier = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
+    _check_fits(classifier, manifest)
     with config_values():
         groups = group_split(manifest.train_distribution(), boundaries)
 
@@ -234,7 +248,8 @@ def _stem(path: str) -> str:
 
 
 def _cmd_norms(args) -> int:
-    classifier = load_checkpoint(args.checkpoint)
+    with config_values():
+        classifier = load_checkpoint(args.checkpoint)
     if not isinstance(classifier, ModelState):
         raise ConfigError("norms needs a weight-based model checkpoint")
     norms = weight_norms(classifier)
@@ -245,7 +260,9 @@ def _cmd_norms(args) -> int:
 def _cmd_gaps(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    with config_values():  # an empty history is a bad report
+    if not isinstance(report, dict):
+        raise ConfigError("report must be a JSON object")
+    with config_values():  # an empty or malformed history is a bad report
         stats = checkpoint_gaps(report.get("history") or [])
     _emit(stats.to_dict(), args.out)
     return 0

@@ -139,11 +139,13 @@ def parse_fields(cls, raw, section: str):
 
     ``raw`` must be a JSON object whose keys are config fields of ``cls``, each
     value of the type its annotation names: ``int`` an int, ``float`` an int or
-    a float, ``bool`` and ``str`` only themselves, ``X | None`` also null, and a
+    a float, ``bool`` and ``str`` only themselves, ``np.ndarray`` a rectangular
+    nested list of numbers (read as float64), ``X | None`` also null, and a
     nested spec an object read by the spec's ``from_config``. An integer must
     lie within the int64 range, so that no later numpy call overflows on it, and
-    a float must be finite (``json.load`` reads ``NaN`` and ``Infinity``). An
-    annotation ``Annotated[X, "..."]`` says in its text what a value must be.
+    a float, also in an array, must be finite (``json.load`` reads ``NaN`` and
+    ``Infinity``). An annotation ``Annotated[X, "..."]`` says in its text what a
+    value must be.
     The constructor of ``cls`` then checks ranges. Faults raise ``ValueError``.
     """
     if not isinstance(raw, dict):
@@ -161,7 +163,8 @@ def parse_fields(cls, raw, section: str):
 
 
 def _field_value(hint, value, name: str):
-    """``value`` if it has the type ``hint`` names; a nested spec is read by its ``from_config``."""
+    """``value`` if it has the type ``hint`` names; a nested spec is read by its ``from_config``,
+    an array as float64."""
     describes = None
     if typing.get_origin(hint) is typing.Annotated:
         hint, describes = typing.get_args(hint)
@@ -171,6 +174,8 @@ def _field_value(hint, value, name: str):
     kind = options[0]
     if dataclasses.is_dataclass(kind):
         return kind.from_config(value)
+    if kind is np.ndarray:
+        return _array_value(value, name)
     if isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTS[kind]):
         if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
             raise ValueError(f"{name} must lie within the int64 range, got {value!r}")
@@ -178,6 +183,26 @@ def _field_value(hint, value, name: str):
             raise ValueError(f"{name} must be {describes or 'a finite number'}, got {value!r}")
         return value
     raise ValueError(f"{name} must be {describes or _DESCRIBES[kind]}, got {value!r}")
+
+
+def _array_value(value, name: str) -> np.ndarray:
+    """``value``, a nested list of finite ints or floats with rows of equal length, as float64."""
+    if isinstance(value, list) and all(type(v) in (int, float) for v in _leaves(value)):
+        try:
+            array = np.array(value, dtype=np.float64)
+        except (ValueError, OverflowError):  # ragged rows; an int beyond float64
+            array = None
+        if array is not None and np.isfinite(array).all():
+            return array
+    raise ValueError(f"{name} must be a rectangular nested list of finite numbers")
+
+
+def _leaves(items: list):
+    for item in items:
+        if isinstance(item, list):
+            yield from _leaves(item)
+        else:
+            yield item
 
 
 def fields_to_config(spec) -> dict:

@@ -227,9 +227,15 @@ def checkpoint_gaps(history) -> GapStats:
 
     ``history`` is a ``RunHistory`` or its dict form, a run report's ``history``.
     """
-    records = history.to_dict() if isinstance(history, RunHistory) else list(history)
+    records = history.to_dict() if isinstance(history, RunHistory) else history
+    if not isinstance(records, list):
+        raise ValueError("run history must be a list of epoch records")
     if not records:
         raise ValueError("empty run history")
+    for i, r in enumerate(records):
+        if not (isinstance(r, dict) and "epoch" in r
+                and all(isinstance(r.get(s), dict) and "average" in r[s] for s in ("val", "test"))):
+            raise ValueError(f"history record {i} has no epoch, val.average or test.average")
     return gaps_from_series(
         [r["val"]["average"] for r in records],
         [r["test"]["average"] for r in records],

@@ -1,6 +1,20 @@
-"""Small differentiable classifier: optional ReLU hidden layer, linear or cosine head."""
+"""Small differentiable classifier: optional ReLU hidden layer, linear or cosine head.
+
+Checkpoint format (one JSON object on one line, UTF-8, then ``"\n"``)::
+
+    {"format_version": 1, "kind": "ncm", "shape": {"num_classes": 2, "feature_dim": 2},
+     "means": [[0.5, -1.0], [2.0, 1.0]], "encoder_w": null, "encoder_b": null}
+
+The header keys come first: ``format_version``, ``kind`` (``"model"`` for a
+``ModelState``, ``"ncm"`` for an ``NcmClassifier``) and ``shape``
+(``num_classes``, ``feature_dim``, and for a model ``hidden_dim``). The
+classifier's dataclass fields follow, in field order, written and read by the
+config codec (``jsonio.fields_to_config``, ``jsonio.parse_fields``): arrays as
+nested lists of floats with 17 significant digits, an absent array as ``null``.
+"""
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,7 +26,7 @@ CHECKPOINT_VERSION = 1
 NCM_CHUNK_ELEMENTS = 1 << 20  # difference-tensor elements per NCM scoring chunk (8 MB)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ModelState:
     """Classifier parameters.
 
@@ -20,12 +34,13 @@ class ModelState:
     multiplies by a learnable temperature; it carries no bias. ``logit_scale``
     and ``logit_offset`` are the per-class affine calibration used by the
     weight-scaling and logit-alignment stage-2 schemes (z' = scale * z + offset).
+    The field order is the key order of a checkpoint file.
     """
 
-    cls_w: np.ndarray
-    cls_b: np.ndarray | None
     classifier_kind: str = "linear"
     temperature: float | None = None
+    cls_w: np.ndarray
+    cls_b: np.ndarray | None
     encoder_w: np.ndarray | None = None
     encoder_b: np.ndarray | None = None
     logit_scale: np.ndarray | None = None
@@ -38,16 +53,11 @@ class ModelState:
                 raise ValueError("cosine classifier needs a temperature")
             if self.cls_b is not None:
                 raise ValueError("cosine classifier carries no bias")
-        if (self.encoder_w is None) != (self.encoder_b is None):
-            raise ValueError("encoder weight and bias must be given together")
+        _check_shapes(self, "cls_w", ("cls_b", "logit_scale", "logit_offset"))
 
     @property
     def num_classes(self) -> int:
         return int(self.cls_w.shape[0])
-
-    @property
-    def classifier_input_dim(self) -> int:
-        return int(self.cls_w.shape[1])
 
     @property
     def hidden_dim(self) -> int | None:
@@ -55,17 +65,31 @@ class ModelState:
 
     @property
     def feature_dim(self) -> int:
-        return self.classifier_input_dim if self.encoder_w is None else int(self.encoder_w.shape[1])
+        return int((self.cls_w if self.encoder_w is None else self.encoder_w).shape[1])
 
     def copy(self) -> "ModelState":
-        def cp(a):
-            return None if a is None else a.copy()
-        return ModelState(
-            cls_w=self.cls_w.copy(), cls_b=cp(self.cls_b),
-            classifier_kind=self.classifier_kind, temperature=self.temperature,
-            encoder_w=cp(self.encoder_w), encoder_b=cp(self.encoder_b),
-            logit_scale=cp(self.logit_scale), logit_offset=cp(self.logit_offset),
-        )
+        return replace(self, **{k: v.copy() for k, v in vars(self).items()
+                                if isinstance(v, np.ndarray)})
+
+
+def _check_shapes(classifier, weights: str, per_class: tuple[str, ...] = ()) -> None:
+    """Refuse arrays that do not fit together: 2-D ``weights`` of shape (K, f), each
+    ``per_class`` vector of shape (K,), and an (f, d) encoder with an (f,) bias."""
+    w = getattr(classifier, weights)
+    if np.ndim(w) != 2:
+        raise ValueError(f"{weights} must be 2-D, got shape {np.shape(w)}")
+    k, f = np.shape(w)
+    for name in per_class:
+        value = getattr(classifier, name)
+        if value is not None and np.shape(value) != (k,):
+            raise ValueError(f"{name} must have shape ({k},), got {np.shape(value)}")
+    enc_w, enc_b = classifier.encoder_w, classifier.encoder_b
+    if (enc_w is None) != (enc_b is None):
+        raise ValueError("encoder weight and bias must be given together")
+    if enc_w is not None and (np.ndim(enc_w) != 2 or np.shape(enc_w)[0] != f
+                              or np.shape(enc_b) != (f,)):
+        raise ValueError(f"encoder must have shape ({f}, d) with a ({f},) bias, "
+                         f"got {np.shape(enc_w)} and {np.shape(enc_b)}")
 
 
 def check_classifier_kind(classifier_kind: str) -> None:
@@ -219,6 +243,9 @@ class NcmClassifier:
     encoder_w: np.ndarray | None = None
     encoder_b: np.ndarray | None = None
 
+    def __post_init__(self):
+        _check_shapes(self, "means")
+
     @property
     def num_classes(self) -> int:
         return int(self.means.shape[0])
@@ -251,78 +278,39 @@ def decision_scores(classifier, features) -> np.ndarray:
     return scores[0] if single else scores
 
 
-def save_checkpoint(classifier, path) -> None:
-    """Versioned JSON dump of a ModelState or NcmClassifier with a shape header."""
-    def arr(a):
-        return None if a is None else a
+CHECKPOINT_KINDS = {"model": ModelState, "ncm": NcmClassifier}
+
+
+def _shape(classifier) -> dict:
+    shape = {"num_classes": classifier.num_classes, "feature_dim": classifier.feature_dim}
     if isinstance(classifier, ModelState):
-        payload = {
-            "format_version": CHECKPOINT_VERSION,
-            "kind": "model",
-            "shape": {
-                "num_classes": classifier.num_classes,
-                "feature_dim": classifier.feature_dim,
-                "hidden_dim": classifier.hidden_dim,
-            },
-            "classifier_kind": classifier.classifier_kind,
-            "temperature": classifier.temperature,
-            "cls_w": classifier.cls_w,
-            "cls_b": arr(classifier.cls_b),
-            "encoder_w": arr(classifier.encoder_w),
-            "encoder_b": arr(classifier.encoder_b),
-            "logit_scale": arr(classifier.logit_scale),
-            "logit_offset": arr(classifier.logit_offset),
-        }
-    elif isinstance(classifier, NcmClassifier):
-        payload = {
-            "format_version": CHECKPOINT_VERSION,
-            "kind": "ncm",
-            "shape": {
-                "num_classes": classifier.num_classes,
-                "feature_dim": classifier.feature_dim,
-            },
-            "means": classifier.means,
-            "encoder_w": arr(classifier.encoder_w),
-            "encoder_b": arr(classifier.encoder_b),
-        }
-    else:
+        shape["hidden_dim"] = classifier.hidden_dim
+    return shape
+
+
+def save_checkpoint(classifier, path) -> None:
+    """Write a ModelState or NcmClassifier in the checkpoint format of the module docstring."""
+    kind = next((k for k, cls in CHECKPOINT_KINDS.items() if type(classifier) is cls), None)
+    if kind is None:
         raise TypeError(f"cannot checkpoint {type(classifier).__name__}")
+    payload = {"format_version": CHECKPOINT_VERSION, "kind": kind, "shape": _shape(classifier),
+               **jsonio.fields_to_config(classifier)}
     jsonio.write_atomic(path, jsonio.dumps(payload) + "\n")
 
 
 def load_checkpoint(path):
-    import json
-
+    """The classifier a checkpoint file holds; a malformed checkpoint raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    version = payload.get("format_version")
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
+    version, kind, shape = (payload.pop(key, None) for key in ("format_version", "kind", "shape"))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-
-    def arr(key):
-        value = payload.get(key)
-        return None if value is None else np.asarray(value, dtype=np.float64)
-
-    kind = payload.get("kind")
-    shape = payload.get("shape", {})
-    if kind == "model":
-        model = ModelState(
-            cls_w=arr("cls_w"), cls_b=arr("cls_b"),
-            classifier_kind=payload["classifier_kind"],
-            temperature=payload.get("temperature"),
-            encoder_w=arr("encoder_w"), encoder_b=arr("encoder_b"),
-            logit_scale=arr("logit_scale"), logit_offset=arr("logit_offset"),
-        )
-        if (model.num_classes != shape.get("num_classes")
-                or model.feature_dim != shape.get("feature_dim")
-                or model.hidden_dim != shape.get("hidden_dim")):
-            raise ValueError("checkpoint arrays do not match the shape header")
-        return model
-    if kind == "ncm":
-        ncm = NcmClassifier(means=arr("means"), encoder_w=arr("encoder_w"),
-                            encoder_b=arr("encoder_b"))
-        if (ncm.num_classes != shape.get("num_classes")
-                or ncm.feature_dim != shape.get("feature_dim")):
-            raise ValueError("checkpoint arrays do not match the shape header")
-        return ncm
-    raise ValueError(f"unknown checkpoint kind {kind!r}")
+    cls = CHECKPOINT_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown checkpoint kind {kind!r}")
+    classifier = jsonio.parse_fields(cls, payload, "checkpoint")
+    if _shape(classifier) != shape:
+        raise ValueError("checkpoint arrays do not match the shape header")
+    return classifier

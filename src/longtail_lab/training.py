@@ -269,6 +269,9 @@ def _fit_head(kind: str, model: ModelState, manifest: Manifest, config: TrainCon
     dist = manifest.train_distribution()
     plan = loss_plan(LossSpec("ce"), dist)
     if reweight:
+        empty = np.flatnonzero(dist.counts == 0)
+        if empty.size:
+            raise ValueError(f"class {int(empty[0])} has no training samples")
         inv = 1.0 / dist.counts.astype(np.float64)
         plan = replace(plan, weight=inv * (inv.size / inv.sum()))
     epochs = config.stage2.epochs if config.stage2.epochs is not None else config.epochs

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import re
 import sys
 
@@ -6,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, decision_scores, evaluate_split,
-                          group_split, init_model, jsonio, load_checkpoint, load_manifest,
-                          mean_average_precision, optim, parse_config, run_experiment, run_sweep,
-                          save_checkpoint, save_manifest, sweep_csv)
+from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, NcmClassifier, decision_scores,
+                          evaluate_split, group_split, init_model, jsonio, load_checkpoint,
+                          load_manifest, mean_average_precision, optim, parse_config,
+                          run_experiment, run_sweep, save_checkpoint, save_manifest, sweep_csv)
 from longtail_lab.harness import sweep_workers
 from longtail_lab.samplers import SAMPLER_KINDS
 from longtail_lab.training import STAGE2_KINDS
@@ -38,6 +40,7 @@ def small_config(**overrides):
 
 
 TASK_MISMATCH = "does not match task|requires single-label data"
+REMOVED = object()  # a checkpoint fault that deletes the entry
 
 
 def count_optimizer_steps(monkeypatch) -> list:
@@ -581,6 +584,86 @@ class TestCli:
         out = tmp_path / "out.json"
         assert main([command, *inputs[command], *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path, value", [
+        (("cls_w", 0, 0), float("nan")),
+        (("logit_scale",), [1.0]),
+        (("format_version",), 2),
+        (("classifier_kind",), "rbf"),
+        (("kind",), "svm"),
+        (("cls_w",), 1.0),
+        (("cls_w",), "weights"),
+        (("cls_w", 0, 0), True),
+        (("cls_w", 0), [0.0]),
+        (("shape", "num_classes"), 4),
+        (("cls_w",), REMOVED),
+        (("extra",), 1),
+        ((), ["not an object"]),
+    ], ids=["nan weight", "short logit_scale", "version", "classifier kind", "checkpoint kind",
+            "scalar cls_w", "string cls_w", "bool weight", "ragged cls_w", "shape header",
+            "missing cls_w", "unknown key", "non-object"])
+    @pytest.mark.parametrize("command", ["eval", "stage2", "norms"])
+    def test_malformed_checkpoint_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                                              path, value):
+        manifest_path, ckpt = tmp_path / "data.jsonl", tmp_path / "model.json"
+        save_manifest(blob_manifest([40, 20, 6]), manifest_path)
+        save_checkpoint(init_model(3, 4, rng=np.random.default_rng(0)), ckpt)
+        payload = json.loads(ckpt.read_text())
+        if path:  # the entry at ``path`` becomes ``value``
+            *parents, last = path
+            entry = functools.reduce(operator.getitem, parents, payload)
+            if value is REMOVED:
+                del entry[last]
+            else:
+                entry[last] = value
+        else:
+            payload = value
+        ckpt.write_text(json.dumps(payload))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 0, "dataset": {"manifest": str(manifest_path)},
+                                           "train": {"stage2": {"kind": "crt"}}}))
+        inputs = {"eval": ["--manifest", str(manifest_path)], "norms": [],
+                  "stage2": ["--manifest", str(manifest_path), "--config", str(config_path)]}
+        out = tmp_path / "out.json"
+        assert main([command, "--checkpoint", str(ckpt), *inputs[command], "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, classifier", [
+        ("eval", init_model(4, 4)), ("eval", init_model(3, 5)),
+        ("eval", NcmClassifier(means=np.zeros((2, 4)))),
+        ("stage2", init_model(4, 4)), ("stage2", init_model(3, 5)),
+    ], ids=["eval 4 classes", "eval 5 features", "eval ncm of 2 classes", "stage2 4 classes",
+            "stage2 5 features"])
+    def test_checkpoint_that_does_not_fit_the_manifest_exits_2(self, tmp_path, capsys, command,
+                                                                classifier):
+        manifest_path, ckpt = tmp_path / "data.jsonl", tmp_path / "model.json"
+        save_manifest(blob_manifest([40, 20, 6]), manifest_path)
+        save_checkpoint(classifier, ckpt)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 0, "dataset": {"manifest": str(manifest_path)},
+                                           "train": {"stage2": {"kind": "crt"}}}))
+        extra = ["--config", str(config_path)] if command == "stage2" else []
+        out = tmp_path / "out.json"
+        assert main([command, "--checkpoint", str(ckpt), "--manifest", str(manifest_path),
+                     *extra, "--out", str(out)]) == 2
+        assert "the manifest has 3 over 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("report, message", [
+        ([], "report must be a JSON object"),
+        ({"history": "x"}, "run history must be a list"),
+        ({"history": [{"epoch": 0}]}, "history record 0 has no epoch"),
+        ({"history": [{"epoch": 0, "val": {"average": 50.0}, "test": {"average": 40.0}},
+                      {"epoch": 1, "val": {"average": 60.0}, "test": []}]},
+         "history record 1 has no epoch"),
+    ], ids=["non-object", "history not a list", "record without val", "test not an object"])
+    def test_malformed_report_gaps_exits_2(self, tmp_path, capsys, report, message):
+        report_path, out = tmp_path / "report.json", tmp_path / "gaps.json"
+        report_path.write_text(json.dumps(report))
+        assert main(["gaps", "--report", str(report_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_make_longtail_command(self, tmp_path):

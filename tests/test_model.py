@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from longtail_lab import (LossSpec, ModelState, NcmClassifier, batch_loss_and_grad,
                           decision_scores, distribution_from_counts, forward,
@@ -149,6 +153,67 @@ class TestCheckpoints:
         assert isinstance(loaded, NcmClassifier)
         np.testing.assert_array_equal(loaded.means, ncm.means)
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_bitwise_and_resave_byte_identical(self, tmp_path_factory, data):
+        k, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        hidden = data.draw(st.none() | st.integers(1, 3))
+        f = d if hidden is None else hidden
+
+        def arr(*shape):
+            return data.draw(hnp.arrays(np.float64, shape, elements=st.floats(width=64,
+                                        allow_nan=False, allow_infinity=False)))
+
+        encoder = {} if hidden is None else {"encoder_w": arr(hidden, d), "encoder_b": arr(hidden)}
+        kind = data.draw(st.sampled_from(["linear", "cosine", "ncm"]))
+        if kind == "ncm":
+            classifier = NcmClassifier(means=arr(k, f), **encoder)
+        else:
+            cosine = kind == "cosine"
+            classifier = ModelState(
+                classifier_kind=kind, cls_w=arr(k, f), cls_b=None if cosine else arr(k),
+                temperature=data.draw(st.floats(0.1, 100.0)) if cosine else None,
+                logit_scale=arr(k) if data.draw(st.booleans()) else None,
+                logit_offset=arr(k) if data.draw(st.booleans()) else None, **encoder)
+        path = tmp_path_factory.mktemp("ckpt") / "c.json"
+        save_checkpoint(classifier, path)
+        loaded = load_checkpoint(path)
+        assert type(loaded) is type(classifier)
+        for name, value in vars(classifier).items():
+            got = getattr(loaded, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and got.shape == value.shape, name
+                assert got.tobytes() == value.tobytes(), name
+            else:
+                assert got == value, name
+        text = path.read_bytes()
+        save_checkpoint(loaded, path)
+        assert path.read_bytes() == text
+
+    def test_checkpoint_text_of_the_first_format_loads(self, tmp_path):
+        # a checkpoint saved before its fields were written from the dataclass: files already
+        # on disk keep loading, and saving them again gives the same bytes
+        path = tmp_path / "ckpt.json"
+        path.write_text(
+            '{"format_version": 1, "kind": "model", "shape": {"num_classes": 3, '
+            '"feature_dim": 2, "hidden_dim": 2}, "classifier_kind": "linear", '
+            '"temperature": null, "cls_w": [[0.5, -1.25], [2.0, 0.0], '
+            '[-0.10000000000000001, 3.0]], "cls_b": [0.25, -0.5, 1.0], "encoder_w": '
+            '[[1.0, 0.5], [-2.0, 0.125]], "encoder_b": [0.0, 0.75], "logit_scale": '
+            '[1.5, 1.0, 0.5], "logit_offset": [-0.25, 0.0, 0.10000000000000001]}\n')
+        expected = ModelState(
+            cls_w=np.array([[0.5, -1.25], [2.0, 0.0], [-0.1, 3.0]]),
+            cls_b=np.array([0.25, -0.5, 1.0]),
+            encoder_w=np.array([[1.0, 0.5], [-2.0, 0.125]]), encoder_b=np.array([0.0, 0.75]),
+            logit_scale=np.array([1.5, 1.0, 0.5]), logit_offset=np.array([-0.25, 0.0, 0.1]))
+        loaded = load_checkpoint(path)
+        assert loaded.classifier_kind == "linear" and loaded.temperature is None
+        for name in ("cls_w", "cls_b", "encoder_w", "encoder_b", "logit_scale", "logit_offset"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(expected, name))
+        text = path.read_bytes()
+        save_checkpoint(loaded, path)
+        assert path.read_bytes() == text
+
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format_version": 999, "kind": "model"}')
@@ -166,6 +231,29 @@ class TestCheckpoints:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="shape header"):
             load_checkpoint(path)
+
+
+class TestShapeInvariants:
+    @pytest.mark.parametrize("change, message", [
+        ({"cls_w": np.zeros(3)}, "cls_w must be 2-D"),
+        ({"cls_b": np.zeros(2)}, r"cls_b must have shape \(3,\)"),
+        ({"logit_scale": np.ones(1)}, r"logit_scale must have shape \(3,\)"),
+        ({"logit_offset": np.zeros((3, 1))}, r"logit_offset must have shape \(3,\)"),
+        ({"encoder_w": np.zeros((4, 2))}, r"encoder must have shape \(5, d\)"),
+        ({"encoder_b": np.zeros(4)}, r"encoder must have shape \(5, d\)"),
+        ({"encoder_w": None}, "given together"),
+    ])
+    def test_model_refuses_arrays_that_do_not_fit(self, change, message):
+        model = init_model(3, 4, hidden_dim=5)
+        with pytest.raises(ValueError, match=message):
+            replace(model, **change)
+
+    def test_ncm_refuses_arrays_that_do_not_fit(self):
+        with pytest.raises(ValueError, match="means must be 2-D"):
+            NcmClassifier(means=np.zeros(3))
+        with pytest.raises(ValueError, match=r"encoder must have shape \(2, d\)"):
+            NcmClassifier(means=np.zeros((3, 2)), encoder_w=np.zeros((3, 4)),
+                          encoder_b=np.zeros(3))
 
 
 def numeric_param_grad(model, key, features, targets, dist, spec, h=1e-6):

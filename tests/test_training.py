@@ -342,6 +342,15 @@ class TestStage2Ncm:
 
 
 class TestStage2Disalign:
+    @pytest.mark.parametrize("fit", [stage2_disalign, stage2_crt])
+    def test_empty_train_class_rejected(self, fit):
+        # DisAlign's inverse-frequency weights would be 1/0; it refuses as cRT's sampler does
+        manifest = blob_manifest([20, 10, 0])
+        config = TrainConfig(epochs=2, batch_size=16, seed=0, optimizer=SGD,
+                             stage2=Stage2Spec(fit.__name__.removeprefix("stage2_")))
+        with pytest.raises(ValueError, match="class 2 has no training samples"):
+            fit(init_model(3, 4), manifest, config, np.random.default_rng(0))
+
     def test_zero_epochs_identity_calibration(self):
         manifest = blob_manifest([40, 20, 6], val_per_class=10, test_per_class=10)
         model, config, _ = trained_stage1(manifest)
