@@ -8,7 +8,6 @@ read by hand, since its ``manifest`` key names ``manifest_path`` and its
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -278,6 +277,8 @@ def run_sweep(entries, parallelism: int = 1) -> list[dict]:
     workers = sweep_workers(parallelism, len(entries), os.cpu_count())
     if workers <= 1:
         return [_sweep_worker(name, raw) for name, raw in entries]
+    from concurrent.futures import ProcessPoolExecutor  # imported only for a parallel sweep
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_sweep_worker, name, raw) for name, raw in entries]
         return [f.result() for f in futures]

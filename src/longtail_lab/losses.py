@@ -365,16 +365,17 @@ def _require_positive_counts(dist, what):
 
 
 def _log_softmax(z):
-    shifted = z - np.max(z, axis=1, keepdims=True)
+    shifted = z - z.max(axis=1, keepdims=True)
     with np.errstate(divide="ignore"):  # exp(-inf) = 0 for seql-masked entries
-        return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    return shifted
 
 
 def _softmax_ce(z, y):
     logp = _log_softmax(z)
     rows = np.arange(z.shape[0])
     values = -logp[rows, y]
-    grads = np.exp(logp)
+    grads = np.exp(logp, out=logp)
     grads[rows, y] -= 1.0
     return values, grads
 

@@ -58,7 +58,8 @@ class Manifest:
             dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
             raise ValueError(f"duplicate id {dup!r}")
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.splits = np.asarray(self.splits, dtype="U8")
+        self.splits = np.array(self.splits, dtype="U8")
+        self.splits.flags.writeable = False
         if self.features.shape != (n, self.feature_dim):
             raise ValueError(f"features must have shape ({n}, {self.feature_dim})")
         if not np.isfinite(self.features).all():
@@ -82,9 +83,21 @@ class Manifest:
         return len(self.ids)
 
     def split_indices(self, split: str) -> np.ndarray:
+        """Record indices of ``split``: read-only, computed once per ``splits`` array.
+
+        The cache is keyed on the ``splits`` object, so replacing ``splits``
+        recomputes it; the array set by the constructor is read-only.
+        """
         if split not in SPLITS:
             raise ValueError(f"unknown split {split!r}")
-        return np.flatnonzero(self.splits == split)
+        cached = self.__dict__.get("_split_cache")
+        if cached is None or cached[0] is not self.splits:
+            cached = self._split_cache = (self.splits, {})
+        idx = cached[1].get(split)
+        if idx is None:
+            idx = cached[1][split] = np.flatnonzero(self.splits == split)
+            idx.flags.writeable = False
+        return idx
 
     def subset(self, indices) -> "Manifest":
         idx = np.asarray(indices, dtype=np.int64)
@@ -92,7 +105,7 @@ class Manifest:
             ids=tuple(self.ids[i] for i in idx),
             features=self.features[idx].copy(),
             labels=self.labels[idx].copy(),
-            splits=self.splits[idx].copy(),
+            splits=self.splits[idx],
             num_classes=self.num_classes,
             feature_dim=self.feature_dim,
             task_kind=self.task_kind,

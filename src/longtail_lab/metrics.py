@@ -225,7 +225,9 @@ def gaps_from_series(val_averages, test_averages, epochs=None) -> GapStats:
 def checkpoint_gaps(history) -> GapStats:
     """Gap statistics over a run history (selection by the 'average' field).
 
-    ``history`` is a ``RunHistory`` or its dict form, a run report's ``history``.
+    ``history`` is a ``RunHistory`` or its dict form, a run report's ``history``:
+    each record's ``epoch`` an int, its ``val.average`` and ``test.average`` each
+    a number or null (never a bool); any other record raises ``ValueError``.
     """
     records = history.to_dict() if isinstance(history, RunHistory) else history
     if not isinstance(records, list):
@@ -236,6 +238,14 @@ def checkpoint_gaps(history) -> GapStats:
         if not (isinstance(r, dict) and "epoch" in r
                 and all(isinstance(r.get(s), dict) and "average" in r[s] for s in ("val", "test"))):
             raise ValueError(f"history record {i} has no epoch, val.average or test.average")
+        if isinstance(r["epoch"], bool) or not isinstance(r["epoch"], int):
+            raise ValueError(f"history record {i}: epoch must be an integer, got {r['epoch']!r}")
+        for s in ("val", "test"):
+            average = r[s]["average"]
+            if average is not None and (isinstance(average, bool)
+                                        or not isinstance(average, (int, float))):
+                raise ValueError(f"history record {i}: {s}.average must be a number or null, "
+                                 f"got {average!r}")
     return gaps_from_series(
         [r["val"]["average"] for r in records],
         [r["test"]["average"] for r in records],

@@ -15,6 +15,7 @@ nested lists of floats with 17 significant digits, an absent array as ``null``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +52,9 @@ class ModelState:
         if self.classifier_kind == "cosine":
             if self.temperature is None:
                 raise ValueError("cosine classifier needs a temperature")
+            if not 0.0 < self.temperature < math.inf:
+                raise ValueError(f"cosine temperature must be a finite number > 0, "
+                                 f"got {float(self.temperature)!r}")
             if self.cls_b is not None:
                 raise ValueError("cosine classifier carries no bias")
         _check_shapes(self, "cls_w", ("cls_b", "logit_scale", "logit_offset"))
@@ -140,7 +144,9 @@ def encode(classifier, x: np.ndarray) -> np.ndarray:
     """Classifier-input features: ReLU(x W^T + b) through the encoder, or ``x`` without one."""
     if classifier.encoder_w is None:
         return x
-    return np.maximum(x @ classifier.encoder_w.T + classifier.encoder_b, 0.0)
+    pre = x @ classifier.encoder_w.T
+    pre += classifier.encoder_b
+    return np.maximum(pre, 0.0, out=pre)
 
 
 def forward_with_cache(model: ModelState, x: np.ndarray):
@@ -153,7 +159,7 @@ def forward_with_cache(model: ModelState, x: np.ndarray):
     if model.classifier_kind == "linear":
         base = feats @ model.cls_w.T
         if model.cls_b is not None:
-            base = base + model.cls_b
+            base += model.cls_b
     else:
         w_norm = np.linalg.norm(model.cls_w, axis=1)
         x_norm = np.linalg.norm(feats, axis=1)
@@ -175,32 +181,49 @@ def forward_with_cache(model: ModelState, x: np.ndarray):
     return logits, cache
 
 
-def backward(model: ModelState, cache: dict, grad_logits: np.ndarray) -> dict:
-    """Parameter gradients (summed over the batch) from d(loss)/d(logits)."""
+# every parameter backward() can differentiate; the ones below the logit calibration
+_PARAM_KEYS = frozenset(("logit_offset", "logit_scale", "cls_w", "cls_b", "temperature",
+                         "encoder_w", "encoder_b"))
+_BELOW_CALIBRATION = _PARAM_KEYS - {"logit_offset", "logit_scale"}
+
+
+def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, keys=None) -> dict:
+    """Parameter gradients (summed over the batch) from d(loss)/d(logits).
+
+    Only the gradients named in ``keys`` are computed, and they are returned in
+    that order; ``keys=None`` returns every parameter's gradient.
+    """
+    want = _PARAM_KEYS if keys is None else frozenset(keys)
     g = grad_logits
     grads: dict = {}
-    if model.logit_offset is not None:
+    if model.logit_offset is not None and "logit_offset" in want:
         grads["logit_offset"] = g.sum(axis=0)
-    if model.logit_scale is not None:
+    if model.logit_scale is not None and "logit_scale" in want:
         grads["logit_scale"] = (g * cache["base"]).sum(axis=0)
+    if want.isdisjoint(_BELOW_CALIBRATION):
+        return _in_order(grads, keys)
+    if model.logit_scale is not None:
         g = g * model.logit_scale
 
     feats = cache["feats"]
     if model.classifier_kind == "linear":
-        grads["cls_w"] = g.T @ feats
-        if model.cls_b is not None:
+        if "cls_w" in want:
+            grads["cls_w"] = g.T @ feats
+        if model.cls_b is not None and "cls_b" in want:
             grads["cls_b"] = g.sum(axis=0)
     else:
         temp = model.temperature
         cos = cache["cos"]
         g_cos = g * cos
-        grads["temperature"] = np.asarray(g_cos.sum())
-        # d cos_ic / d w_c = (x_hat_i - cos_ic * w_hat_c) / ||w_c||
-        per_class = g.T @ cache["x_hat"] - g_cos.sum(axis=0)[:, None] * cache["w_hat"]
-        grads["cls_w"] = temp * per_class / cache["w_safe"][:, None]
-        grads["cls_w"][cache["w_norm"] == 0] = 0.0
+        if "temperature" in want:
+            grads["temperature"] = np.asarray(g_cos.sum())
+        if "cls_w" in want:
+            # d cos_ic / d w_c = (x_hat_i - cos_ic * w_hat_c) / ||w_c||
+            per_class = g.T @ cache["x_hat"] - g_cos.sum(axis=0)[:, None] * cache["w_hat"]
+            grads["cls_w"] = temp * per_class / cache["w_safe"][:, None]
+            grads["cls_w"][cache["w_norm"] == 0] = 0.0
 
-    if model.encoder_w is not None:
+    if model.encoder_w is not None and not want.isdisjoint(("encoder_w", "encoder_b")):
         if model.classifier_kind == "linear":
             g_feats = g @ model.cls_w
         else:
@@ -208,10 +231,16 @@ def backward(model: ModelState, cache: dict, grad_logits: np.ndarray) -> dict:
             g_feats = temp * (g @ cache["w_hat"] - g_cos.sum(axis=1, keepdims=True)
                               * cache["x_hat"]) / cache["x_safe"][:, None]
             g_feats[cache["x_norm"] == 0] = 0.0
-        g_pre = g_feats * (feats > 0)  # ReLU mask: feats > 0 exactly where pre > 0
-        grads["encoder_w"] = g_pre.T @ cache["x"]
-        grads["encoder_b"] = g_pre.sum(axis=0)
-    return grads
+        g_feats *= feats > 0  # ReLU mask: feats > 0 exactly where pre > 0
+        if "encoder_w" in want:
+            grads["encoder_w"] = g_feats.T @ cache["x"]
+        if "encoder_b" in want:
+            grads["encoder_b"] = g_feats.sum(axis=0)
+    return _in_order(grads, keys)
+
+
+def _in_order(grads: dict, keys) -> dict:
+    return grads if keys is None else {k: grads[k] for k in keys}
 
 
 def weight_norms(model: ModelState) -> np.ndarray:
@@ -265,14 +294,22 @@ def decision_scores(classifier, features) -> np.ndarray:
         scores = forward(classifier, x)
     elif isinstance(classifier, NcmClassifier):
         x = encode(classifier, x)
-        # (rows, K, d) differences a chunk of rows at a time: memory O(n*K), not O(n*K*d);
-        # each score reduces over d alone, so chunking leaves every bit unchanged
+        # (rows, K, d) differences a chunk of rows at a time, in one reused buffer:
+        # memory O(n*K), not O(n*K*d); each score reduces over d alone, so chunking
+        # leaves every bit unchanged
         means = classifier.means
         rows = max(1, NCM_CHUNK_ELEMENTS // max(1, means.size))
         scores = np.empty((x.shape[0], means.shape[0]))
+        buffer = np.empty((min(rows, x.shape[0]),) + means.shape)
         for start in range(0, x.shape[0], rows):
-            diffs = x[start:start + rows, None, :] - means[None, :, :]
-            scores[start:start + rows] = -np.sqrt((diffs ** 2).sum(axis=2))
+            chunk = x[start:start + rows]
+            diffs = buffer[:len(chunk)]
+            np.subtract(chunk[:, None, :], means[None, :, :], out=diffs)
+            np.square(diffs, out=diffs)
+            out = scores[start:start + rows]
+            np.add.reduce(diffs, axis=2, out=out)
+            np.sqrt(out, out=out)
+            np.negative(out, out=out)
     else:
         raise TypeError(f"unsupported classifier type {type(classifier).__name__}")
     return scores[0] if single else scores

@@ -4,7 +4,8 @@ A fit keeps its trainable parameters in one buffer (``flatten``) and reads them
 through views shaped like each parameter (``unflatten``). ``Optimizer.step``
 packs the gradient dict with one concatenation and updates the buffer in place
 with elementwise ufuncs, so each element gets the bits that an update of its own
-array would give; the state is one buffer per moment. Given a dict of arrays,
+array would give; the state is one buffer per moment, and every ufunc writes into
+one of two scratch buffers allocated with the moments. Given a dict of arrays,
 ``step`` packs it, applies the same update and returns a dict of fresh arrays.
 """
 from __future__ import annotations
@@ -76,6 +77,7 @@ class Optimizer:
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
         self._moments: tuple[np.ndarray, ...] = ()  # (buf,) for SGD, (m, v) for Adam
+        self._scratch: tuple[np.ndarray, ...] = ()
         self._t = 0
 
     def step(self, params, grads: dict):
@@ -95,23 +97,26 @@ class Optimizer:
         spec = self.spec
         if not self._moments:
             self._moments = tuple(np.zeros_like(g) for _ in range(1 if spec.kind == "sgd" else 2))
+            self._scratch = (np.empty_like(g), np.empty_like(g))
+        update, denom = self._scratch
         if spec.kind == "sgd":
             (buf,) = self._moments
             buf *= spec.momentum
             buf += g
-            flat -= spec.lr * buf
+            flat -= np.multiply(spec.lr, buf, out=update)
         else:
             m, v = self._moments
             self._t += 1
             correct1 = 1.0 - spec.beta1 ** self._t
             correct2 = 1.0 - spec.beta2 ** self._t
             m *= spec.beta1
-            m += (1.0 - spec.beta1) * g
+            m += np.multiply(1.0 - spec.beta1, g, out=update)
             v *= spec.beta2
-            v += (1.0 - spec.beta2) * g * g
-            update = m / correct1
+            np.multiply(1.0 - spec.beta2, g, out=update)
+            v += np.multiply(update, g, out=update)
+            np.divide(m, correct1, out=update)
             update *= spec.lr
-            denom = v / correct2
+            np.divide(v, correct2, out=denom)
             np.sqrt(denom, out=denom)
             denom += spec.eps
             update /= denom

@@ -70,6 +70,8 @@ class BatchSampler:
     Single-writer: the training loop owns it. All randomness comes from the
     generator passed to next_batch. ``features`` holds the train rows batches
     are cut from; stage 2 replaces them with their frozen-encoder features.
+    The class CDF of the class-conditional kinds is computed on construction
+    and again on each ``update_difficulty``.
     """
 
     def __init__(self, spec: SamplerSpec, manifest):
@@ -95,6 +97,7 @@ class BatchSampler:
             self._pool_sizes = counts
             self._pool_offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         self._accuracy = np.ones(self._num_classes)
+        self._cdf = None if spec.kind == "original" else np.cumsum(self.class_probabilities())
 
     def update_difficulty(self, per_class_val_accuracy) -> None:
         """Replace the stored per-class accuracies used by the difficulty kind."""
@@ -104,6 +107,8 @@ class BatchSampler:
         if np.isnan(acc).any() or acc.min() < 0 or acc.max() > 1:
             raise ValueError("accuracies must lie in [0, 1]")
         self._accuracy = acc.copy()
+        if self.spec.kind != "original":
+            self._cdf = np.cumsum(self.class_probabilities())
 
     def class_probabilities(self) -> np.ndarray:
         """Class draw distribution for the class-conditional kinds."""
@@ -121,8 +126,7 @@ class BatchSampler:
         if self.spec.kind == "original":
             idx = rng.integers(0, len(self._labels), size=batch_size)
         else:
-            probs = self.class_probabilities()
-            classes = np.searchsorted(np.cumsum(probs), rng.random(batch_size), side="right")
+            classes = np.searchsorted(self._cdf, rng.random(batch_size), side="right")
             classes = np.minimum(classes, self._num_classes - 1)
             offsets = (rng.random(batch_size) * self._pool_sizes[classes]).astype(np.int64)
             idx = self._pool[self._pool_offsets[classes] + offsets]

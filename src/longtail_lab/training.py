@@ -27,6 +27,7 @@ from .optim import Optimizer, OptimizerSpec, flatten, sam_step, unflatten
 from .samplers import BatchSampler, MixupSpec, SamplerSpec, mixup_batch
 
 STAGE2_KINDS = ("none", "crt", "tau_norm", "lws", "ncm", "disalign", "cosine_retrain")
+MAX_BATCH_SIZE = 1 << 16  # rows per training batch; a larger batch is a config error
 # a cosine temperature; a config value that is not a number is refused in the words of
 # _check_temperature
 Temperature = Annotated[float, "a finite number > 0"]
@@ -88,8 +89,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
+            raise ValueError(f"batch_size must lie in [1, {MAX_BATCH_SIZE}]")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         check_classifier_kind(self.classifier_kind)
@@ -105,7 +106,7 @@ class TrainConfig:
 
 
 def _check_temperature(value, name: str) -> None:
-    """A configured cosine temperature (the trained one may move; ModelState is not checked)."""
+    """A configured cosine temperature; ``ModelState`` checks a model's, trained or loaded."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value) or value <= 0):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
@@ -302,6 +303,14 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     arrays, with a float temperature, is built only for evaluation and for
     the result; with ``epochs == 0`` the result is ``model`` itself.
 
+    Besides the plan and the buffer, a fit sets up once: the sampler's train
+    rows and class CDF (recomputed on each difficulty update), the optimizer's
+    moments and its two scratch buffers (on the first step), and the
+    trainable keys, the only gradients ``backward`` computes. A step then
+    draws a batch, runs forward, the loss and backward, and updates the
+    buffer; its loss is the mean of the per-sample values. A trained cosine
+    temperature that leaves (0, inf) stops the fit with ``TrainingDivergedError``.
+
     With ``encoder``, the sampled train rows are its features, computed once,
     and ``model`` is a head that reads them. With ``groups``, each evaluated
     epoch is recorded in the history and feeds the difficulty sampler.
@@ -316,6 +325,7 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     params = flatten(layout)
     bound = replace(model, **unflatten(params, layout))
     steps = max(1, math.ceil(sampler.epoch_length / config.batch_size))
+    trains_temperature = "temperature" in layout
     history = RunHistory()
     result = model
 
@@ -341,8 +351,9 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
                     grads = mixed.lam * ga + (1.0 - mixed.lam) * gb
                 else:
                     values, grads = losses.batch_loss_and_grad(plan, logits, targets, noise=noise)
-                param_grads = backward(candidate, cache, grads / len(features))
-                return float(values.mean()), {k: param_grads[k] for k in trainable}
+                grads /= len(features)
+                param_grads = backward(candidate, cache, grads, trainable)
+                return float(values.sum() / len(values)), param_grads  # the bits of values.mean()
 
             try:
                 value, _ = sam_step(optimizer, params, grad_fn)  # moves params, so bound
@@ -350,6 +361,9 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
                 raise TrainingDivergedError(epoch, step, str(exc)) from exc
             if not math.isfinite(value):
                 raise TrainingDivergedError(epoch, step, f"loss value {value}")
+            if trains_temperature and not 0.0 < bound.temperature < math.inf:
+                detail = f"temperature {float(bound.temperature)} is not a finite number > 0"
+                raise TrainingDivergedError(epoch, step, detail)
             epoch_loss += value
 
         last = epoch == epochs - 1

@@ -14,7 +14,7 @@ from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, NcmClassifier, deci
                           run_experiment, run_sweep, save_checkpoint, save_manifest, sweep_csv)
 from longtail_lab.harness import sweep_workers
 from longtail_lab.samplers import SAMPLER_KINDS
-from longtail_lab.training import STAGE2_KINDS
+from longtail_lab.training import MAX_BATCH_SIZE, STAGE2_KINDS
 from longtail_lab.cli import main
 
 from conftest import blob_manifest, multilabel_manifest
@@ -210,11 +210,20 @@ class TestParseConfig:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
         assert "temperature" in capsys.readouterr().err
 
+    def test_batch_size_cap(self):
+        raw = small_config()
+        raw["train"]["batch_size"] = MAX_BATCH_SIZE
+        assert parse_config(raw).train.batch_size == MAX_BATCH_SIZE
+        raw["train"]["batch_size"] = MAX_BATCH_SIZE + 1
+        message = re.escape(f"batch_size must lie in [1, {MAX_BATCH_SIZE}]")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw)
+
     @pytest.mark.parametrize("section, key, value", [
         ("synth", "num_classes", 1), ("synth", "feature_dim", 1), ("synth", "n0", 0),
         ("synth", "ratio", 0.5), ("train", "classifier_kind", "foo"), ("train", "hidden_dim", 0),
         ("synth", "num_classes", "3"), ("train", "hidden_dim", "3"), ("train", "epochs", 2.5),
-        ("train", "batch_size", True),
+        ("train", "batch_size", True), ("train", "batch_size", MAX_BATCH_SIZE + 1),
     ])
     def test_unbuildable_config_exits_2_before_compute(self, tmp_path, capsys, section, key, value):
         raw = small_config()
@@ -658,12 +667,54 @@ class TestCli:
         ({"history": [{"epoch": 0, "val": {"average": 50.0}, "test": {"average": 40.0}},
                       {"epoch": 1, "val": {"average": 60.0}, "test": []}]},
          "history record 1 has no epoch"),
-    ], ids=["non-object", "history not a list", "record without val", "test not an object"])
+        *[({"history": [{"epoch": 0, "val": {"average": 50.0}, "test": {"average": 40.0}},
+                        {"epoch": 1, "val": {"average": 60.0}, "test": {"average": 45.0}, **bad}]},
+           f"history record 1: {field} must be")
+          for field, bad in [
+              ("val.average", {"val": {"average": {}}}), ("val.average", {"val": {"average": "7"}}),
+              ("val.average", {"val": {"average": True}}),
+              ("test.average", {"test": {"average": [40.0]}}),
+              ("test.average", {"test": {"average": False}}), ("epoch", {"epoch": "1"}),
+              ("epoch", {"epoch": True}), ("epoch", {"epoch": 1.0}), ("epoch", {"epoch": None})]],
+    ], ids=["non-object", "history not a list", "record without val", "test not an object",
+            "val.average object", "val.average string", "val.average bool", "test.average list",
+            "test.average bool", "epoch string", "epoch bool", "epoch float", "epoch null"])
     def test_malformed_report_gaps_exits_2(self, tmp_path, capsys, report, message):
         report_path, out = tmp_path / "report.json", tmp_path / "gaps.json"
         report_path.write_text(json.dumps(report))
         assert main(["gaps", "--report", str(report_path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("val, test", [(None, 40.0), (50, None), (50, 40)],
+                             ids=["null val", "null test", "int averages"])
+    def test_gaps_accepts_null_and_int_averages(self, tmp_path, val, test):
+        records = [{"epoch": 0, "val": {"average": 30.0}, "test": {"average": 20.0}},
+                   {"epoch": 1, "val": {"average": val}, "test": {"average": test}}]
+        report_path, out = tmp_path / "report.json", tmp_path / "gaps.json"
+        report_path.write_text(json.dumps({"history": records}))
+        assert main(["gaps", "--report", str(report_path), "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("temperature", [0.0, -2.5, float("inf")])
+    @pytest.mark.parametrize("command", ["eval", "stage2", "norms"])
+    def test_cosine_temperature_not_above_zero_exits_2(self, tmp_path, capsys, command,
+                                                        temperature):
+        manifest_path, ckpt = tmp_path / "data.jsonl", tmp_path / "model.json"
+        save_manifest(blob_manifest([40, 20, 6]), manifest_path)
+        save_checkpoint(init_model(3, 4, classifier_kind="cosine",
+                                   rng=np.random.default_rng(0)), ckpt)
+        payload = json.loads(ckpt.read_text())
+        payload["temperature"] = temperature
+        ckpt.write_text(json.dumps(payload))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 0, "dataset": {"manifest": str(manifest_path)},
+                                           "train": {"stage2": {"kind": "crt"}}}))
+        inputs = {"eval": ["--manifest", str(manifest_path)], "norms": [],
+                  "stage2": ["--manifest", str(manifest_path), "--config", str(config_path)]}
+        out = tmp_path / "out.json"
+        assert main([command, "--checkpoint", str(ckpt), *inputs[command], "--out", str(out)]) == 2
+        assert "temperature must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_make_longtail_command(self, tmp_path):

@@ -10,6 +10,7 @@ from longtail_lab import (LOSS_KINDS, LossContext, LossSpec, batch_loss_and_grad
                           cb_weights, distribution_from_counts, draw_noise, gcl_amplitudes,
                           label_smoothing_eps, ldam_margins, loss_grad, loss_plan, loss_value,
                           loss_value_and_grad, posthoc_adjust)
+from longtail_lab import losses
 from longtail_lab.losses import MULTI_LABEL_KINDS, SINGLE_LABEL_KINDS, STOCHASTIC_KINDS
 
 
@@ -326,10 +327,15 @@ CE_FAMILY = ("ce", "cb_ce", "ldam", "prior_ce", "balanced_softmax", "logit_adjus
              "weighted_softmax", "vs", "seql", "gcl")
 
 
-def reference_softmax_ce(z, y):
+def reference_log_softmax(z):
+    """The out-of-place log-softmax expression, before the kernel subtracted in place."""
     shifted = z - np.max(z, axis=1, keepdims=True)
     with np.errstate(divide="ignore"):
-        logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+
+
+def reference_softmax_ce(z, y):
+    logp = reference_log_softmax(z)
     rows = np.arange(z.shape[0])
     grads = np.exp(logp)
     grads[rows, y] -= 1.0
@@ -418,3 +424,38 @@ class TestLossPlan:
         plan = loss_plan(LossSpec("gcl"), distribution_from_counts([9, 1]))
         with pytest.raises(ValueError, match="pre-drawn noise"):
             batch_loss_and_grad(plan, np.zeros((1, 2)), [0])
+
+
+def u64(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestInPlaceKernel:
+    @pytest.mark.parametrize("kind", SINGLE_LABEL_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=ce_family_cases(), gamma=st.floats(0.0, 4.0), eps=st.floats(0.0, 0.9))
+    def test_bitwise_equal_to_out_of_place_softmax(self, kind, case, gamma, eps):
+        # every single-label kind, seql's -inf masks included, against the kernels with
+        # the out-of-place log-softmax and softmax expressions they replaced
+        spec, z, y, dist, rng = case
+        spec = replace(spec, kind=kind, gamma=gamma, eps_head=eps)
+        plan = loss_plan(spec, dist)
+        noise = draw_noise(spec, rng, *z.shape)
+        for training in (True, False):
+            got = batch_loss_and_grad(plan, z, y, noise=noise, training=training)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(losses, "_log_softmax", reference_log_softmax)
+                mp.setattr(losses, "_softmax_ce", reference_softmax_ce)
+                expected = batch_loss_and_grad(plan, z, y, noise=noise, training=training)
+            assert np.array_equal(u64(got[0]), u64(expected[0]))
+            assert np.array_equal(u64(got[1]), u64(expected[1]))
+
+    def test_logits_left_unchanged(self):
+        z = np.array([[0.5, -1.0, 2.0], [3.0, 3.0, -4.0]])
+        before = z.copy()
+        for kind in SINGLE_LABEL_KINDS:
+            spec = LossSpec(kind)
+            plan = loss_plan(spec, distribution_from_counts([50, 9, 2]))
+            noise = draw_noise(spec, np.random.default_rng(0), *z.shape)
+            batch_loss_and_grad(plan, z, [0, 2], noise=noise)
+            assert np.array_equal(u64(z), u64(before)), kind

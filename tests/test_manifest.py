@@ -418,3 +418,24 @@ class TestLoaderMatchesReference:
             load_manifest(path)
         path.write_text(path.read_text().replace("true", "3.0"))
         assert load_manifest(path).labels.tolist() == [[1, 0], [0, 1]]
+
+
+class TestSplitIndices:
+    @settings(max_examples=60, deadline=None)
+    @given(assignments=st.lists(st.lists(st.sampled_from(["train", "val", "test"]),
+                                         min_size=12, max_size=12), min_size=1, max_size=3))
+    def test_cached_indices_follow_a_replaced_splits_array(self, assignments):
+        manifest = blob_manifest([2, 2], val_per_class=2, test_per_class=2)
+        for splits in [manifest.splits] + [np.asarray(a) for a in assignments]:
+            manifest.splits = splits
+            for split in ("train", "val", "test"):
+                idx = manifest.split_indices(split)
+                assert np.array_equal(idx, np.flatnonzero(np.asarray(splits) == split))
+                assert manifest.split_indices(split) is idx  # computed once per splits array
+                assert not idx.flags.writeable
+
+    def test_indices_and_constructor_splits_are_read_only(self, tiny_manifest):
+        with pytest.raises(ValueError, match="read-only"):
+            tiny_manifest.split_indices("train")[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            tiny_manifest.splits[0] = "test"

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from longtail_lab import (LossSpec, ModelState, NcmClassifier, batch_loss_and_grad,
@@ -117,6 +117,28 @@ class TestNcm:
         # 10 rows per chunk: 103 rows leave a short last chunk
         monkeypatch.setattr(model_module, "NCM_CHUNK_ELEMENTS", 10 * ncm.means.size)
         assert decision_scores(ncm, x).tobytes() == full.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), k=st.integers(1, 6), d=st.integers(1, 5),
+           rows=st.integers(1, 9), hidden=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, k=3, d=2, rows=4, hidden=True, seed=1)
+    @example(n=23, k=5, d=4, rows=5, hidden=False, seed=2)
+    def test_reused_chunk_buffer_bitwise_equal_out_of_place(self, n, k, d, rows, hidden, seed):
+        rng = np.random.default_rng(seed)
+        x = 10.0 ** rng.integers(-3, 4) * rng.standard_normal((n, d))
+        ncm = NcmClassifier(means=rng.standard_normal((k, d + 2 if hidden else d)))
+        if hidden:
+            ncm.encoder_w = rng.standard_normal((d + 2, d))
+            ncm.encoder_b = rng.standard_normal(d + 2)
+        feats = x if not hidden else np.maximum(x @ ncm.encoder_w.T + ncm.encoder_b, 0.0)
+        # the out-of-place expression, one (rows, K, d) difference tensor per chunk
+        expected = np.concatenate([
+            -np.sqrt(((feats[i:i + rows, None, :] - ncm.means[None, :, :]) ** 2).sum(axis=2))
+            for i in range(0, n, rows)])
+        with pytest.MonkeyPatch.context() as mp:  # chunks of ``rows`` rows, which need not divide n
+            mp.setattr(model_module, "NCM_CHUNK_ELEMENTS", rows * ncm.means.size)
+            got = decision_scores(ncm, x)
+        assert got.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
 
 
 class TestCheckpoints:
@@ -310,3 +332,66 @@ class TestBackward:
             analytic = param_grads[key]
             scale = max(np.abs(numeric).max(), 1e-8)
             assert np.abs(np.asarray(analytic) - numeric).max() / scale < 1e-5, key
+
+
+def head_for(kind, rng, k=4, d=3, hidden=5):
+    """A model of one trainable head type, with its trainable keys in fit order."""
+    if kind in ("linear", "cosine", "encoder", "cosine_encoder"):
+        cosine = kind.startswith("cosine")
+        model = init_model(k, d, hidden_dim=hidden if "encoder" in kind else None,
+                           classifier_kind="cosine" if cosine else "linear", temperature=8.0,
+                           rng=rng)
+        if not cosine:
+            model = replace(model, cls_w=rng.standard_normal((k, model.cls_w.shape[1])),
+                            cls_b=rng.standard_normal(k))
+        keys = ("cls_w", "temperature") if cosine else ("cls_w", "cls_b")
+        return model, keys + (("encoder_w", "encoder_b") if "encoder" in kind else ())
+    model = ModelState(cls_w=rng.standard_normal((k, d)), cls_b=rng.standard_normal(k),
+                       logit_scale=1.0 + 0.1 * rng.standard_normal(k))
+    if kind == "lws":
+        return model, ("logit_scale",)
+    model = replace(model, logit_offset=0.1 * rng.standard_normal(k))
+    return model, ("logit_scale", "logit_offset")
+
+
+def u64(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestKeptGradients:
+    @pytest.mark.parametrize("kind", ["linear", "cosine", "encoder", "cosine_encoder", "lws",
+                                      "disalign"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), subset=st.integers(1, 2 ** 4))
+    def test_kept_keys_bitwise_equal_full_backward(self, kind, seed, n, subset):
+        rng = np.random.default_rng(seed)
+        model, trainable = head_for(kind, rng)
+        x = rng.standard_normal((n, model.feature_dim))
+        logits, cache = forward_with_cache(model, x)
+        g = rng.standard_normal(logits.shape)
+        full = backward(model, cache, g)
+        assert set(trainable) <= set(full)
+        # the fit's trainable keys, and any non-empty subset of them, in any order
+        picked = tuple(k for i, k in enumerate(trainable) if subset >> i & 1) or trainable
+        for keys in (trainable, picked, picked[::-1]):
+            kept = backward(model, cache, g, keys)
+            assert tuple(kept) == keys
+            for key in keys:
+                assert np.array_equal(u64(kept[key]), u64(full[key])), key
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9))
+    def test_in_place_encoder_and_head_bitwise_equal_out_of_place(self, seed, n):
+        rng = np.random.default_rng(seed)
+        model, _ = head_for("encoder", rng)
+        x = rng.standard_normal((n, model.feature_dim))
+        logits, cache = forward_with_cache(model, x)
+        g = rng.standard_normal(logits.shape)
+        grads = backward(model, cache, g)
+        # the out-of-place expressions of the encoder, the linear head and the ReLU mask
+        feats = np.maximum(x @ model.encoder_w.T + model.encoder_b, 0.0)
+        g_pre = (g @ model.cls_w) * (feats > 0)
+        assert np.array_equal(u64(cache["feats"]), u64(feats))
+        assert np.array_equal(u64(logits), u64(feats @ model.cls_w.T + model.cls_b))
+        assert np.array_equal(u64(grads["encoder_w"]), u64(g_pre.T @ x))
+        assert np.array_equal(u64(grads["encoder_b"]), u64(g_pre.sum(axis=0)))

@@ -221,6 +221,37 @@ class TestFlatUpdate:
         assert global_grad_norm(grads_at(params)) == global_grad_norm(
             grads_at(unflatten(flatten(params), params)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from(SPECS), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_scratch_buffers_bitwise_equal_temporaries(self, size, spec, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        flat = 10.0 ** rng.integers(-6, 4) * rng.standard_normal(size)
+        expected, moments, t = flat.copy(), [np.zeros(size), np.zeros(size)], 0
+        opt = Optimizer(spec)
+        for _ in range(n_steps):
+            g = 10.0 ** rng.integers(-8, 4) * rng.standard_normal(size)
+            # the flat update as written with a temporary per ufunc
+            if spec.kind == "sgd":
+                moments[0] = spec.momentum * moments[0] + g
+                expected -= spec.lr * moments[0]
+            else:
+                t += 1
+                m, v = moments
+                m *= spec.beta1
+                m += (1.0 - spec.beta1) * g
+                v *= spec.beta2
+                v += (1.0 - spec.beta2) * g * g
+                update = m / (1.0 - spec.beta1 ** t)
+                update *= spec.lr
+                denom = np.sqrt(v / (1.0 - spec.beta2 ** t)) + spec.eps
+                expected -= update / denom
+            opt.step(flat, {"p": g})
+            assert flat.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+        scratch = [id(a) for a in opt._scratch]
+        opt.step(flat, {"p": g})
+        assert [id(a) for a in opt._scratch] == scratch  # allocated once, with the moments
+
     def test_non_finite_gradient_names_its_block(self):
         params = as_params(a=np.zeros(3), b=np.zeros((2, 2)), temperature=1.0)
         grads = {k: np.zeros_like(v) for k, v in params.items()}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from longtail_lab import (BatchSampler, LossContext, LossSpec, MixupSpec, SamplerSpec,
                           distribution_from_counts, loss_value, mixup_batch)
@@ -163,3 +164,31 @@ class TestMixup:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             MixupSpec(alpha=0.0)
+
+
+def reference_class_draw(sampler, batch_size, rng):
+    """Record indices as next_batch drew them with the CDF summed again on every draw."""
+    probs = sampler.class_probabilities()
+    classes = np.searchsorted(np.cumsum(probs), rng.random(batch_size), side="right")
+    classes = np.minimum(classes, len(probs) - 1)
+    offsets = (rng.random(batch_size) * sampler._pool_sizes[classes]).astype(np.int64)
+    return sampler._pool[sampler._pool_offsets[classes] + offsets]
+
+
+class TestClassCdf:
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(1, 30), min_size=2, max_size=6),
+           updates=st.lists(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6), max_size=3),
+           kind=st.sampled_from(["class_balanced", "difficulty"]),
+           floor=st.floats(1e-4, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_draws_equal_a_cdf_summed_per_draw(self, counts, updates, kind, floor, seed):
+        manifest = blob_manifest(counts, feature_dim=6, val_per_class=1, test_per_class=1)
+        sampler = BatchSampler(SamplerSpec(kind, difficulty_floor=floor), manifest)
+        train = manifest.split_indices("train")
+        for step, acc in enumerate([None] + updates):
+            if acc is not None:
+                sampler.update_difficulty(acc[:len(counts)])
+            features, labels = sampler.next_batch(64, np.random.default_rng([seed, step]))
+            idx = reference_class_draw(sampler, 64, np.random.default_rng([seed, step]))
+            assert np.array_equal(labels, manifest.labels[train][idx])
+            assert features.tobytes() == manifest.features[train][idx].tobytes()

@@ -93,6 +93,26 @@ class TestTrainStage1:
         assert exc_info.value.epoch == 0
         assert exc_info.value.step >= 0
 
+    @pytest.mark.parametrize("optimizer, temperature", [
+        (OptimizerSpec("sgd", lr=10.0), 1.0),
+        (OptimizerSpec("sgd", lr=0.01, sam=True, sam_rho=50.0), 0.1),
+    ], ids=["step", "sam-shifted-point"])
+    def test_temperature_crossing_zero_is_a_divergence(self, optimizer, temperature):
+        manifest = blob_manifest([20, 10, 5])
+        config = TrainConfig(epochs=2, batch_size=8, seed=0, classifier_kind="cosine",
+                             temperature=temperature, optimizer=optimizer)
+        with pytest.raises(TrainingDivergedError, match="temperature -[0-9.]+ is not a finite "
+                                                        "number > 0|got -[0-9.]+$") as exc_info:
+            train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+        assert exc_info.value.epoch == 0
+        if not optimizer.sam:
+            assert exc_info.value.step == 0
+
+    def test_cosine_temperature_refused_by_the_model(self):
+        for temperature in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cosine temperature must be a finite number > 0"):
+                init_model(3, 4, classifier_kind="cosine", temperature=temperature)
+
     def test_single_step_decreases_convex_batch_loss(self):
         rng = np.random.default_rng(4)
         dist = distribution_from_counts([10, 10, 10])
