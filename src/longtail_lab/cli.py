@@ -138,7 +138,7 @@ def _cmd_make_longtail(args) -> int:
 def _write_dataset(section: dict, args) -> int:
     """Read the dataset ``section`` that the flags spell as a config's, then build and save it."""
     with config_values():
-        dataset = DatasetConfig.from_config(section)
+        dataset = jsonio.parse_fields(DatasetConfig, section, "dataset")
     manifest = build_dataset(dataset, args.seed)
     save_manifest(manifest, args.out)
     print(f"wrote {len(manifest)} records to {args.out}")

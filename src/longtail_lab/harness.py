@@ -1,15 +1,17 @@
 """Config-driven experiment runner: dataset -> stage-1 -> stage-2 -> report.
 
 A config section's keys are the fields of its dataclass, and each value's type
-is the field's annotation (``jsonio.parse_fields``). Only the dataset section is
-read by hand, since its ``manifest`` key names ``manifest_path`` and its
-``group_boundaries`` is a pair.
+is the field's annotation; every section, the dataset's too, is read by
+``jsonio.parse_fields`` and written by ``jsonio.fields_to_config``. A field's
+metadata says which specs take it (a loss hyperparameter its kinds, ``sam_rho``
+a SAM optimizer), and a config key that the run would ignore is refused.
 """
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -46,9 +48,6 @@ class SynthSpec:
     def __post_init__(self):
         synth_targets(**vars(self))  # the fields are synth_targets' and synth_gaussian's arguments
 
-    def to_config(self) -> dict:
-        return jsonio.fields_to_config(self)
-
 
 @dataclass(frozen=True)
 class ParetoSpec:
@@ -61,54 +60,27 @@ class ParetoSpec:
         if not self.ratio >= 1:
             raise ValueError(f"pareto ratio must be >= 1, got {self.ratio!r}")
 
-    def to_config(self) -> dict:
-        return jsonio.fields_to_config(self)
-
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    synth: SynthSpec | None = None
-    manifest_path: str | None = None
-    pareto: ParetoSpec | None = None
-    group_boundaries: tuple[int, int] | None = None
+    """A synth draw, or a manifest file with an optional Pareto cut; and the group boundaries.
+
+    A section that is unset is absent from the config: ``synth``, ``pareto`` and
+    ``group_boundaries`` may not be null.
+    """
+
+    synth: SynthSpec = field(default=None, metadata=jsonio.OMIT_UNSET)
+    manifest: Annotated[str | None, "a string path"] = field(
+        default=None, metadata=jsonio.OMIT_UNSET)
+    pareto: ParetoSpec = field(default=None, metadata=jsonio.OMIT_UNSET)
+    group_boundaries: Annotated[tuple[int, int], "a [h, m] pair of integers"] = field(
+        default=None, metadata=jsonio.OMIT_UNSET)
 
     def __post_init__(self):
-        if (self.synth is None) == (self.manifest_path is None):
+        if (self.synth is None) == (self.manifest is None):
             raise ConfigError("dataset needs exactly one of 'synth' or 'manifest'")
         if self.synth is not None and self.pareto is not None:
             raise ConfigError("'pareto' applies to loaded manifests; synth is already long-tailed")
-
-    def to_config(self) -> dict:
-        cfg: dict = {}
-        if self.synth is not None:
-            cfg["synth"] = self.synth.to_config()
-        if self.manifest_path is not None:
-            cfg["manifest"] = self.manifest_path
-        if self.pareto is not None:
-            cfg["pareto"] = self.pareto.to_config()
-        if self.group_boundaries is not None:
-            cfg["group_boundaries"] = list(self.group_boundaries)
-        return cfg
-
-    @classmethod
-    def from_config(cls, raw: dict) -> "DatasetConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"dataset must be a JSON object, got {raw!r}")
-        unknown = set(raw) - {"synth", "manifest", "pareto", "group_boundaries"}
-        if unknown:
-            raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
-        path = raw.get("manifest")
-        if path is not None and not isinstance(path, str):
-            raise ConfigError(f"dataset manifest must be a string path, got {path!r}")
-        boundaries = raw.get("group_boundaries")
-        if "group_boundaries" in raw and (
-                not isinstance(boundaries, (list, tuple)) or len(boundaries) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in boundaries)):
-            raise ConfigError("group_boundaries must be a [h, m] pair of integers")
-        synth = jsonio.parse_fields(SynthSpec, raw["synth"], "synth") if "synth" in raw else None
-        pareto = jsonio.parse_fields(ParetoSpec, raw["pareto"], "pareto") if "pareto" in raw else None
-        return cls(synth=synth, manifest_path=path, pareto=pareto,
-                   group_boundaries=None if boundaries is None else tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -193,7 +165,7 @@ def build_dataset(dataset: DatasetConfig, seed) -> Manifest:
     """
     if dataset.synth is not None:
         return synth_gaussian(**vars(dataset.synth), seed=seed)
-    manifest = load_manifest(dataset.manifest_path)
+    manifest = load_manifest(dataset.manifest)
     if dataset.pareto is not None:
         targets = pareto_targets(dataset.pareto.n0, manifest.num_classes, dataset.pareto.ratio)
         with config_values():  # a multi-label manifest, or n0 beyond a class's train records

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import types
 import typing
 from typing import Any
 
@@ -123,15 +124,26 @@ def write_atomic(path, text: str) -> None:
 _ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
 _DESCRIBES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 _INT64 = np.iinfo(np.int64)
+OMIT_UNSET = {"omit_unset": True}  # field metadata: not written while the field is at its default
+
+
+def takes(predicate) -> dict:
+    """Field metadata: a config takes the field only from a spec for which ``predicate(spec)``."""
+    return {"takes": predicate}
 
 
 @functools.cache  # get_type_hints evaluates every string annotation on each call
-def _config_types(cls) -> dict:
-    """The annotation of each field of dataclass ``cls`` that a config sets: all fields but
-    those marked ``config: False``."""
+def _config_fields(cls) -> tuple:
+    """(field, annotation) of each field of dataclass ``cls`` that a config sets: all fields
+    but those marked ``config: False``."""
     hints = typing.get_type_hints(cls, include_extras=True)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)
-            if f.metadata.get("config", True)}
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls)
+                 if f.metadata.get("config", True))
+
+
+def _taken(spec, f) -> bool:
+    predicate = f.metadata.get("takes")
+    return predicate is None or predicate(spec)
 
 
 def parse_fields(cls, raw, section: str):
@@ -140,42 +152,59 @@ def parse_fields(cls, raw, section: str):
     ``raw`` must be a JSON object whose keys are config fields of ``cls``, each
     value of the type its annotation names: ``int`` an int, ``float`` an int or
     a float, ``bool`` and ``str`` only themselves, ``np.ndarray`` a rectangular
-    nested list of numbers (read as float64), ``X | None`` also null, and a
-    nested spec an object read by the spec's ``from_config``. An integer must
-    lie within the int64 range, so that no later numpy call overflows on it, and
-    a float, also in an array, must be finite (``json.load`` reads ``NaN`` and
-    ``Infinity``). An annotation ``Annotated[X, "..."]`` says in its text what a
-    value must be.
-    The constructor of ``cls`` then checks ranges. Faults raise ``ValueError``.
+    nested list of numbers (read as float64), ``tuple[int, int]`` a list of two
+    ints, ``X | None`` also null, and a nested spec an object read as the
+    section named by its key. An integer must lie within the int64 range, so
+    that no later numpy call overflows on it, and a float, also in an array,
+    must be finite (``json.load`` reads ``NaN`` and ``Infinity``). An annotation
+    ``Annotated[X, "..."]`` says in its text what a value must be.
+    The constructor of ``cls`` then checks ranges, and a key the built spec does
+    not take (its field's ``takes`` predicate is false) is refused, since the
+    run would ignore it. Faults raise ``ValueError``.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{section} must be a JSON object, got {raw!r}")
-    types = _config_types(cls)
-    unknown = set(raw) - set(types)
+    fields = {f.name: (f, hint) for f, hint in _config_fields(cls)}
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
-    missing = [f.name for f in dataclasses.fields(cls) if f.name in types and f.name not in raw
+    missing = [name for name, (f, _) in fields.items() if name not in raw
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
         raise ValueError(f"{section} needs the keys {missing}")
-    return cls(**{key: _field_value(types[key], value, f"{section} {key}")
+    spec = cls(**{key: _field_value(fields[key][1], value, section, key)
                   for key, value in raw.items()})
+    ignored = sorted(key for key in raw if not _taken(spec, fields[key][0]))
+    if ignored:
+        raise ValueError(f"{section} does not take {ignored} as set; the run would ignore them")
+    return spec
 
 
-def _field_value(hint, value, name: str):
-    """``value`` if it has the type ``hint`` names; a nested spec is read by its ``from_config``,
-    an array as float64."""
+def _field_value(hint, value, section: str, key: str):
+    """``value`` if it has the type ``hint`` names; a nested spec is read as the section ``key``,
+    an array as float64, a tuple from a list."""
+    name = f"{section} {key}"
     describes = None
     if typing.get_origin(hint) is typing.Annotated:
         hint, describes = typing.get_args(hint)
-    options = typing.get_args(hint) or (hint,)  # ``X | None`` gives (X, NoneType)
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    options = typing.get_args(hint) if union else (hint,)  # ``X | None`` gives (X, NoneType)
     if value is None and type(None) in options:
         return None
     kind = options[0]
     if dataclasses.is_dataclass(kind):
-        return kind.from_config(value)
+        return parse_fields(kind, value, key)
     if kind is np.ndarray:
         return _array_value(value, name)
+    if typing.get_origin(kind) is tuple:
+        items = typing.get_args(kind)
+        if isinstance(value, list) and len(value) == len(items):
+            try:
+                return tuple(_field_value(item, v, section, key) for item, v in zip(items, value))
+            except ValueError:
+                pass
+        raise ValueError(f"{name} must be {describes or f'a list of {len(items)} values'}, "
+                         f"got {value!r}")
     if isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTS[kind]):
         if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
             raise ValueError(f"{name} must lie within the int64 range, got {value!r}")
@@ -206,9 +235,15 @@ def _leaves(items: list):
 
 
 def fields_to_config(spec) -> dict:
-    """The config fields of dataclass instance ``spec``; a nested spec gives its ``to_config``."""
+    """The config of dataclass instance ``spec``: each config field it takes, in field order,
+    but one marked ``OMIT_UNSET`` while at its default; a nested spec as its config, a tuple as
+    a list."""
     config = {}
-    for name in _config_types(type(spec)):
-        value = getattr(spec, name)
-        config[name] = value.to_config() if dataclasses.is_dataclass(value) else value
+    for f, _ in _config_fields(type(spec)):
+        value = getattr(spec, f.name)
+        if not _taken(spec, f) or (f.metadata.get("omit_unset") and value == f.default):
+            continue
+        if dataclasses.is_dataclass(value):
+            value = fields_to_config(value)
+        config[f.name] = list(value) if isinstance(value, tuple) else value
     return config

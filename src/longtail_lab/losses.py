@@ -39,7 +39,7 @@ sharpness-aware second pass).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,43 +60,30 @@ _NEEDS_COUNTS = frozenset({
     "balanced_softmax", "logit_adjust", "vs", "gcl", "label_smooth_lt",
 })
 
-_KIND_HYPERS = {
-    "ce": (),
-    "focal": ("alpha", "gamma"),
-    "cb_ce": ("beta",),
-    "cb_focal": ("beta", "alpha", "gamma"),
-    "ldam": ("m_max", "scale"),
-    "prior_ce": (),
-    "weighted_softmax": (),
-    "balanced_softmax": (),
-    "logit_adjust": ("tau",),
-    "vs": ("gamma_vs", "tau_vs"),
-    "seql": ("seql_threshold", "seql_q"),
-    "gcl": ("gcl_amplitude",),
-    "label_smooth_lt": ("eps_head", "eps_tail"),
-    "bce_ml": (),
-    "focal_bce_ml": ("gamma",),
-}
+
+def _for(*kinds) -> dict:
+    """Field metadata: a hyperparameter that the loss ``kinds`` take."""
+    return jsonio.takes(lambda spec: spec.kind in kinds)
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    """One loss kind plus its hyperparameters (irrelevant fields are ignored)."""
+    """One loss kind plus its hyperparameters; a config sets only the kind's own."""
 
     kind: str
-    alpha: float = 1.0
-    gamma: float = 2.0
-    beta: float = 0.9999
-    m_max: float = 0.5
-    scale: float = 30.0
-    tau: float = 1.0
-    gamma_vs: float = 0.3
-    tau_vs: float = 1.0
-    seql_threshold: float = 0.05
-    seql_q: float = 0.9
-    gcl_amplitude: float = 1.0
-    eps_head: float = 0.1
-    eps_tail: float = 0.0
+    alpha: float = field(default=1.0, metadata=_for("focal", "cb_focal"))
+    gamma: float = field(default=2.0, metadata=_for("focal", "cb_focal", "focal_bce_ml"))
+    beta: float = field(default=0.9999, metadata=_for("cb_ce", "cb_focal"))
+    m_max: float = field(default=0.5, metadata=_for("ldam"))
+    scale: float = field(default=30.0, metadata=_for("ldam"))
+    tau: float = field(default=1.0, metadata=_for("logit_adjust"))
+    gamma_vs: float = field(default=0.3, metadata=_for("vs"))
+    tau_vs: float = field(default=1.0, metadata=_for("vs"))
+    seql_threshold: float = field(default=0.05, metadata=_for("seql"))
+    seql_q: float = field(default=0.9, metadata=_for("seql"))
+    gcl_amplitude: float = field(default=1.0, metadata=_for("gcl"))
+    eps_head: float = field(default=0.1, metadata=_for("label_smooth_lt"))
+    eps_tail: float = field(default=0.0, metadata=_for("label_smooth_lt"))
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -117,20 +104,6 @@ class LossSpec:
     @property
     def multi_label(self) -> bool:
         return self.kind in MULTI_LABEL_KINDS
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        for name in _KIND_HYPERS[self.kind]:
-            cfg[name] = getattr(self, name)
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "LossSpec":
-        spec = jsonio.parse_fields(cls, cfg, "loss")
-        unknown = set(cfg) - {"kind"} - set(_KIND_HYPERS[spec.kind])
-        if unknown:
-            raise ValueError(f"loss kind {spec.kind!r} does not take: {sorted(unknown)}")
-        return spec
 
 
 @dataclass

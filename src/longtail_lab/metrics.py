@@ -205,18 +205,25 @@ def gaps_from_series(val_averages, test_averages, epochs=None) -> GapStats:
 
     gap_best = best test - test at the (earliest) best-val epoch; gap_final =
     test at that epoch - final-epoch test (negative only if the final epoch
-    beats the selected one).
+    beats the selected one). An unscored average (null, read as NaN) is
+    skipped: the best-val epoch is chosen among the epochs with both averages,
+    the best-test and final epochs among those with a test average. A series
+    with no epoch of both raises ``ValueError``.
     """
     val = np.asarray(val_averages, dtype=np.float64)
     test = np.asarray(test_averages, dtype=np.float64)
     if val.size == 0 or val.shape != test.shape or val.ndim != 1:
         raise ValueError("need equal-length non-empty val/test series")
     epochs = np.arange(val.size) if epochs is None else np.asarray(epochs, dtype=np.int64)
-    best_val = int(np.argmax(val))
-    best_test = int(np.argmax(test))
+    tested = np.flatnonzero(~np.isnan(test))
+    scored = tested[~np.isnan(val[tested])]
+    if scored.size == 0:
+        raise ValueError("no epoch has both a val and a test average")
+    best_val = int(scored[np.argmax(val[scored])])
+    best_test = int(tested[np.argmax(test[tested])])
     return GapStats(
-        gap_best=float(test.max() - test[best_val]),
-        gap_final=float(test[best_val] - test[-1]),
+        gap_best=float(test[best_test] - test[best_val]),
+        gap_final=float(test[best_val] - test[tested[-1]]),
         epoch_best_val=int(epochs[best_val]),
         epoch_best_test=int(epochs[best_test]),
     )

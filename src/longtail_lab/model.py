@@ -9,8 +9,10 @@ The header keys come first: ``format_version``, ``kind`` (``"model"`` for a
 ``ModelState``, ``"ncm"`` for an ``NcmClassifier``) and ``shape``
 (``num_classes``, ``feature_dim``, and for a model ``hidden_dim``). The
 classifier's dataclass fields follow, in field order, written and read by the
-config codec (``jsonio.fields_to_config``, ``jsonio.parse_fields``): arrays as
-nested lists of floats with 17 significant digits, an absent array as ``null``.
+codec of the config sections (``jsonio.fields_to_config``, ``jsonio.parse_fields``).
+No classifier field carries ``takes`` or ``OMIT_UNSET`` metadata, so every field
+is written: arrays as nested lists of floats with 17 significant digits, an
+absent array as ``null``.
 """
 from __future__ import annotations
 

@@ -5,12 +5,11 @@ through views shaped like each parameter (``unflatten``). ``Optimizer.step``
 packs the gradient dict with one concatenation and updates the buffer in place
 with elementwise ufuncs, so each element gets the bits that an update of its own
 array would give; the state is one buffer per moment, and every ufunc writes into
-one of two scratch buffers allocated with the moments. Given a dict of arrays,
-``step`` packs it, applies the same update and returns a dict of fresh arrays.
+one of two scratch buffers allocated with the moments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,18 +17,20 @@ from . import jsonio
 
 OPTIMIZER_KINDS = ("sgd", "adam")
 _DEFAULT_LR = {"sgd": 0.01, "adam": 3e-4}
+_SGD = jsonio.takes(lambda spec: spec.kind == "sgd")  # field metadata: an SGD setting
+_ADAM = jsonio.takes(lambda spec: spec.kind == "adam")
 
 
 @dataclass(frozen=True)
 class OptimizerSpec:
     kind: str = "adam"
     lr: float | None = None  # None: the kind's default, set on construction
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    sam: bool = False
-    sam_rho: float = 0.05
+    momentum: float = field(default=0.9, metadata=_SGD)
+    beta1: float = field(default=0.9, metadata=_ADAM)
+    beta2: float = field(default=0.999, metadata=_ADAM)
+    eps: float = field(default=1e-8, metadata=_ADAM)
+    sam: bool = field(default=False, metadata=jsonio.OMIT_UNSET)
+    sam_rho: float = field(default=0.05, metadata=jsonio.takes(lambda spec: spec.sam))
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -40,20 +41,6 @@ class OptimizerSpec:
             raise ValueError("learning rate must be positive")
         if self.sam_rho < 0:
             raise ValueError("sam_rho must be non-negative")
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind, "lr": self.lr}
-        if self.kind == "sgd":
-            cfg["momentum"] = self.momentum
-        else:
-            cfg.update(beta1=self.beta1, beta2=self.beta2, eps=self.eps)
-        if self.sam:
-            cfg.update(sam=True, sam_rho=self.sam_rho)
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "OptimizerSpec":
-        return jsonio.parse_fields(cls, cfg, "optimizer")
 
 
 def flatten(arrays: dict) -> np.ndarray:
@@ -80,16 +67,9 @@ class Optimizer:
         self._scratch: tuple[np.ndarray, ...] = ()
         self._t = 0
 
-    def step(self, params, grads: dict):
-        """Apply ``grads``, a dict of gradients in the order of the parameters.
-
-        ``params`` is the flat buffer, updated in place and returned, or a
-        dict of arrays, for which a dict of fresh arrays is returned.
-        """
-        as_dict = isinstance(params, dict)
-        if as_dict:
-            grads = {name: grads[name] for name in params}
-        flat = flatten(params) if as_dict else params
+    def step(self, flat: np.ndarray, grads: dict) -> np.ndarray:
+        """Apply ``grads``, a dict of gradients in the order of the parameters, to the flat
+        parameter buffer ``flat`` in place; returns ``flat``."""
         g = flatten(grads)
         if not np.isfinite(g).all():
             name = next(name for name, v in grads.items() if not np.isfinite(v).all())
@@ -121,17 +101,18 @@ class Optimizer:
             denom += spec.eps
             update /= denom
             flat -= update
-        return unflatten(flat, params) if as_dict else flat
+        return flat
 
 
 def global_grad_norm(grads: dict) -> float:
+    """The L2 norm of all gradients, summed parameter by parameter."""
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
 
 
-def sam_step(optimizer: Optimizer, params, grad_fn):
-    """One training step, sharpness-aware when the spec asks for it.
+def sam_step(optimizer: Optimizer, params: np.ndarray, grad_fn):
+    """One training step on the flat parameter buffer ``params``, sharpness-aware when the
+    spec asks for it.
 
-    ``params`` is a flat buffer or a dict of arrays, as for ``Optimizer.step``;
     grad_fn(params) -> (loss_value, grads), grads a dict in parameter order.
     With sam enabled the gradient is recomputed at a new params + rho * g / ||g||
     (same batch, same stochastic draws) and the inner optimizer applies that
@@ -142,9 +123,5 @@ def sam_step(optimizer: Optimizer, params, grad_fn):
     value, grads = grad_fn(params)
     if spec.sam and spec.sam_rho > 0:
         scale = spec.sam_rho / (global_grad_norm(grads) + 1e-12)
-        if isinstance(params, dict):
-            shifted = {name: p + scale * grads[name] for name, p in params.items()}
-        else:
-            shifted = params + scale * flatten(grads)
-        _, grads = grad_fn(shifted)
+        _, grads = grad_fn(params + scale * flatten(grads))
     return value, optimizer.step(params, grads)

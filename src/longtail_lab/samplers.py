@@ -1,7 +1,7 @@
 """Batch construction over the train split: original, class-balanced, difficulty, MixUp."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,8 +21,9 @@ class SamplerSpec:
     """
 
     kind: str = "original"
-    difficulty_floor: float = 0.01
-    epoch_length: int | None = None
+    difficulty_floor: float = field(
+        default=0.01, metadata=jsonio.takes(lambda spec: spec.kind == "difficulty"))
+    epoch_length: int | None = field(default=None, metadata=jsonio.OMIT_UNSET)
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
@@ -31,18 +32,6 @@ class SamplerSpec:
             raise ValueError("difficulty_floor must be positive")
         if self.epoch_length is not None and self.epoch_length < 1:
             raise ValueError("epoch_length must be >= 1")
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        if self.kind == "difficulty":
-            cfg["difficulty_floor"] = self.difficulty_floor
-        if self.epoch_length is not None:
-            cfg["epoch_length"] = self.epoch_length
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "SamplerSpec":
-        return jsonio.parse_fields(cls, cfg, "sampler")
 
 
 @dataclass(frozen=True)
@@ -55,13 +44,6 @@ class MixupSpec:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("mixup alpha must be positive")
-
-    def to_config(self) -> dict:
-        return jsonio.fields_to_config(self)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "MixupSpec":
-        return jsonio.parse_fields(cls, cfg, "mixup")
 
 
 class BatchSampler:

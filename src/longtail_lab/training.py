@@ -45,9 +45,12 @@ class TrainingDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class Stage2Spec:
     kind: str = "none"
-    tau: float = 1.0
-    epochs: int | None = None
-    temperature: Temperature = 16.0
+    tau: float = field(default=1.0, metadata=jsonio.takes(lambda spec: spec.kind == "tau_norm"))
+    epochs: int | None = field(  # None: the train section's epochs
+        default=None,
+        metadata=jsonio.takes(lambda spec: spec.kind in _HEAD_FITS) | jsonio.OMIT_UNSET)
+    temperature: Temperature = field(
+        default=16.0, metadata=jsonio.takes(lambda spec: spec.kind == "cosine_retrain"))
 
     def __post_init__(self):
         if self.kind not in STAGE2_KINDS:
@@ -55,20 +58,6 @@ class Stage2Spec:
         if self.epochs is not None and self.epochs < 0:
             raise ValueError("stage-2 epochs must be >= 0")
         _check_temperature(self.temperature, "stage-2 temperature")
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        if self.kind == "tau_norm":
-            cfg["tau"] = self.tau
-        if self.kind in ("crt", "lws", "disalign", "cosine_retrain") and self.epochs is not None:
-            cfg["epochs"] = self.epochs
-        if self.kind == "cosine_retrain":
-            cfg["temperature"] = self.temperature
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Stage2Spec":
-        return jsonio.parse_fields(cls, cfg, "stage2")
 
 
 @dataclass(frozen=True)
@@ -96,13 +85,6 @@ class TrainConfig:
         check_classifier_kind(self.classifier_kind)
         check_hidden_dim(self.hidden_dim)
         _check_temperature(self.temperature, "temperature")
-
-    def to_config(self) -> dict:
-        return jsonio.fields_to_config(self)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "TrainConfig":
-        return jsonio.parse_fields(cls, cfg, "train")
 
 
 def _check_temperature(value, name: str) -> None:

@@ -3,11 +3,15 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import longtail_lab
 from longtail_lab import (BatchSampler, LossContext, LossSpec, OptimizerSpec,
                           SamplerSpec, TrainConfig, average_precision_per_label,
                           compute_distribution, distribution_from_counts,
@@ -330,6 +334,26 @@ def test_criterion_11_determinism(tmp_path):
     parallel = sweep_csv(run_sweep(entries, parallelism=3))
     _criterion(11, "reports byte-identical across reruns and sweep parallelism",
                reports_identical and serial == parallel)
+
+
+def test_criterion_11_determinism_across_hash_seeds(tmp_path):
+    """`train` on a SAM + cRT config writes the same report bytes under two string-hash seeds."""
+    raw = _determinism_config(seed=3, sam_rho=0.05)
+    raw["train"].update(epochs=4, stage2={"kind": "crt", "epochs": 2})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    src = os.path.dirname(os.path.dirname(longtail_lab.__file__))
+    reports = []
+    for hash_seed in ("0", "1"):
+        report = tmp_path / f"report-{hash_seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", "import sys; from longtail_lab.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", "train", "--config", str(config_path),
+                        "--out", str(report)], env=env, check=True, capture_output=True)
+        reports.append(report.read_bytes())
+    _criterion(11, "reports byte-identical across interpreter hash seeds",
+               reports[0] == reports[1])
 
 
 def test_criterion_12_sam_collapse():

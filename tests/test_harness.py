@@ -83,7 +83,7 @@ HYPER = st.floats(0.01, 0.9)  # valid for every loss hyperparameter
 
 @st.composite
 def written_configs(draw):
-    """Valid raw configs holding, in each section, the fields its ``to_config`` writes."""
+    """Valid raw configs holding, in each section, the fields ``to_config`` writes."""
     if draw(st.booleans()):
         dataset = {"synth": {
             "num_classes": draw(st.integers(2, 12)), "feature_dim": draw(st.integers(2, 32)),
@@ -99,8 +99,8 @@ def written_configs(draw):
         h = draw(st.integers(1, 5))
         dataset["group_boundaries"] = [h, h + draw(st.integers(1, 5))]
     loss_kind = draw(st.sampled_from(LOSS_KINDS))
-    loss = {"kind": loss_kind, **{name: draw(HYPER) for name in LossSpec(loss_kind).to_config()
-                                  if name != "kind"}}
+    hypers = jsonio.fields_to_config(LossSpec(loss_kind))
+    loss = {"kind": loss_kind, **{name: draw(HYPER) for name in hypers if name != "kind"}}
     sampler = {"kind": draw(st.sampled_from(SAMPLER_KINDS))}
     if sampler["kind"] == "difficulty":
         sampler["difficulty_floor"] = draw(POSITIVE)
@@ -676,9 +676,14 @@ class TestCli:
               ("test.average", {"test": {"average": [40.0]}}),
               ("test.average", {"test": {"average": False}}), ("epoch", {"epoch": "1"}),
               ("epoch", {"epoch": True}), ("epoch", {"epoch": 1.0}), ("epoch", {"epoch": None})]],
+        *[({"history": [{"epoch": 0, "val": {"average": v0}, "test": {"average": t0}},
+                        {"epoch": 1, "val": {"average": v1}, "test": {"average": None}}]},
+           "no epoch has both a val and a test average")
+          for v0, t0, v1 in [(None, None, None), (None, 50.0, 60.0)]],
     ], ids=["non-object", "history not a list", "record without val", "test not an object",
             "val.average object", "val.average string", "val.average bool", "test.average list",
-            "test.average bool", "epoch string", "epoch bool", "epoch float", "epoch null"])
+            "test.average bool", "epoch string", "epoch bool", "epoch float", "epoch null",
+            "no scored epoch", "no epoch scored twice"])
     def test_malformed_report_gaps_exits_2(self, tmp_path, capsys, report, message):
         report_path, out = tmp_path / "report.json", tmp_path / "gaps.json"
         report_path.write_text(json.dumps(report))
@@ -686,15 +691,22 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("val, test", [(None, 40.0), (50, None), (50, 40)],
-                             ids=["null val", "null test", "int averages"])
-    def test_gaps_accepts_null_and_int_averages(self, tmp_path, val, test):
-        records = [{"epoch": 0, "val": {"average": 30.0}, "test": {"average": 20.0}},
-                   {"epoch": 1, "val": {"average": val}, "test": {"average": test}}]
+    @pytest.mark.parametrize("val, test, expected", [
+        ([30.0, None], [20.0, 40.0], (20.0, -20.0, 0, 1)),
+        ([30.0, 50], [20.0, None], (0.0, 0.0, 0, 0)),
+        ([30.0, 50], [20.0, 40], (0.0, 0.0, 1, 1)),
+        ([None, 60.0], [50.0, 45.0], (5.0, 0.0, 1, 0)),
+        ([30.0, 60.0, 40.0], [20.0, 50.0, None], (0.0, 0.0, 1, 1)),
+    ], ids=["null val", "null test", "int averages", "null first val", "null final test"])
+    def test_gaps_accepts_null_and_int_averages(self, tmp_path, val, test, expected):
+        records = [{"epoch": i, "val": {"average": v}, "test": {"average": t}}
+                   for i, (v, t) in enumerate(zip(val, test))]
         report_path, out = tmp_path / "report.json", tmp_path / "gaps.json"
         report_path.write_text(json.dumps({"history": records}))
         assert main(["gaps", "--report", str(report_path), "--out", str(out)]) == 0
-        assert out.exists()
+        gaps = json.loads(out.read_text())
+        assert (gaps["gap_best"], gaps["gap_final"], gaps["epoch_best_val"],
+                gaps["epoch_best_test"]) == expected
 
     @pytest.mark.parametrize("temperature", [0.0, -2.5, float("inf")])
     @pytest.mark.parametrize("command", ["eval", "stage2", "norms"])

@@ -75,12 +75,12 @@ GOLDEN_MULTI = (
 class Inner:
     flag: bool = False
 
-    @classmethod
-    def from_config(cls, cfg):
-        return jsonio.parse_fields(cls, cfg, "inner")
 
-    def to_config(self):
-        return jsonio.fields_to_config(self)
+@dataclass(frozen=True)
+class Switch:
+    on: bool = False
+    level: int = field(default=1, metadata=jsonio.takes(lambda switch: switch.on))
+    pair: tuple[int, int] = field(default=None, metadata=jsonio.OMIT_UNSET)
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,25 @@ class TestConfigFields:
     def test_rejected(self, raw, message):
         with pytest.raises(ValueError, match=message):
             jsonio.parse_fields(Spec, raw, "spec")
+
+    def test_taken_and_unset_fields(self):
+        raw = {"on": True, "level": 3, "pair": [2, 5]}
+        switch = jsonio.parse_fields(Switch, raw, "switch")
+        assert switch == Switch(True, 3, (2, 5))
+        assert jsonio.fields_to_config(switch) == raw
+        assert jsonio.fields_to_config(Switch(level=3)) == {"on": False}  # level not taken
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"level": 2}, r"switch does not take \['level'\]"),
+        ({"on": False, "level": 1}, r"switch does not take \['level'\]"),
+        ({"pair": None}, r"switch pair must be a list of 2 values, got None"),
+        ({"pair": [1]}, r"switch pair must be a list of 2 values, got \[1\]"),
+        ({"pair": [1, 2.0]}, r"switch pair must be a list of 2 values, got \[1, 2.0\]"),
+        ({"pair": (1, 2)}, r"switch pair must be a list of 2 values, got \(1, 2\)"),
+    ])
+    def test_switch_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            jsonio.parse_fields(Switch, raw, "switch")
 
 
 class TestManifestGoldenBytes:

@@ -10,7 +10,7 @@ from longtail_lab import (LOSS_KINDS, LossContext, LossSpec, batch_loss_and_grad
                           cb_weights, distribution_from_counts, draw_noise, gcl_amplitudes,
                           label_smoothing_eps, ldam_margins, loss_grad, loss_plan, loss_value,
                           loss_value_and_grad, posthoc_adjust)
-from longtail_lab import losses
+from longtail_lab import jsonio, losses
 from longtail_lab.losses import MULTI_LABEL_KINDS, SINGLE_LABEL_KINDS, STOCHASTIC_KINDS
 
 
@@ -286,22 +286,22 @@ class TestSerialization:
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_round_trip(self, kind):
         spec = LossSpec(kind)
-        again = LossSpec.from_config(spec.to_config())
+        again = jsonio.parse_fields(LossSpec, jsonio.fields_to_config(spec), "loss")
         assert again == spec or again.kind == spec.kind
 
     def test_round_trip_preserves_hypers(self):
         spec = LossSpec("vs", gamma_vs=0.7, tau_vs=2.0)
-        cfg = spec.to_config()
+        cfg = jsonio.fields_to_config(spec)
         assert cfg == {"kind": "vs", "gamma_vs": 0.7, "tau_vs": 2.0}
-        assert LossSpec.from_config(cfg) == spec
+        assert jsonio.parse_fields(LossSpec, cfg, "loss") == spec
 
     def test_unknown_hyper_rejected(self):
         with pytest.raises(ValueError, match="does not take"):
-            LossSpec.from_config({"kind": "ce", "gamma": 2.0})
+            jsonio.parse_fields(LossSpec, {"kind": "ce", "gamma": 2.0}, "loss")
 
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            LossSpec.from_config({"alpha": 1.0})
+            jsonio.parse_fields(LossSpec, {"alpha": 1.0}, "loss")
 
 
 class TestBceValues:

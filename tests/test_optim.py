@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longtail_lab import Optimizer, OptimizerSpec, global_grad_norm, sam_step
+from longtail_lab import Optimizer, OptimizerSpec, global_grad_norm, jsonio, sam_step
 from longtail_lab.optim import flatten, unflatten
 
 
@@ -11,19 +11,24 @@ def as_params(**kwargs):
     return {k: np.asarray(v, dtype=np.float64) for k, v in kwargs.items()}
 
 
+def as_flat(**kwargs) -> np.ndarray:
+    """The named parameters as one flat buffer, in order."""
+    return flatten(as_params(**kwargs))
+
+
 class TestSgd:
     def test_plain_step(self):
         opt = Optimizer(OptimizerSpec("sgd", lr=0.1, momentum=0.0))
-        out = opt.step(as_params(w=1.0), as_params(w=2.0))
-        assert float(out["w"]) == pytest.approx(0.8)
+        out = opt.step(as_flat(w=1.0), as_params(w=2.0))
+        assert float(out[0]) == pytest.approx(0.8)
 
     def test_momentum_accumulates(self):
         opt = Optimizer(OptimizerSpec("sgd", lr=0.1, momentum=0.9))
-        params = as_params(w=0.0)
+        params = as_flat(w=0.0)
         params = opt.step(params, as_params(w=1.0))   # buf = 1 -> w = -0.1
-        assert float(params["w"]) == pytest.approx(-0.1)
+        assert float(params[0]) == pytest.approx(-0.1)
         params = opt.step(params, as_params(w=1.0))   # buf = 1.9 -> w = -0.29
-        assert float(params["w"]) == pytest.approx(-0.29)
+        assert float(params[0]) == pytest.approx(-0.29)
 
     def test_default_lr(self):
         assert OptimizerSpec("sgd").lr == 0.01
@@ -34,25 +39,25 @@ class TestAdam:
     def test_first_step_has_unit_direction(self):
         # bias correction makes the first update lr * g/(|g| + eps) ~ lr * sign(g)
         opt = Optimizer(OptimizerSpec("adam", lr=0.001))
-        out = opt.step(as_params(w=np.array([1.0, -1.0])),
+        out = opt.step(as_flat(w=np.array([1.0, -1.0])),
                        as_params(w=np.array([10.0, -0.1])))
-        np.testing.assert_allclose(out["w"], [1.0 - 0.001, -1.0 + 0.001], rtol=1e-6)
+        np.testing.assert_allclose(out, [1.0 - 0.001, -1.0 + 0.001], rtol=1e-6)
 
     def test_hand_computed_second_step(self):
         spec = OptimizerSpec("adam", lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         opt = Optimizer(spec)
-        params = as_params(w=0.0)
+        params = as_flat(w=0.0)
         g1, g2 = 1.0, 2.0
         params = opt.step(params, as_params(w=g1))
         m = 0.1 * g1
         v = 0.001 * g1 ** 2
         w = -0.01 * (m / (1 - 0.9)) / (np.sqrt(v / (1 - 0.999)) + 1e-8)
-        assert float(params["w"]) == pytest.approx(w, rel=1e-12)
+        assert float(params[0]) == pytest.approx(w, rel=1e-12)
         params = opt.step(params, as_params(w=g2))
         m = 0.9 * m + 0.1 * g2
         v = 0.999 * v + 0.001 * g2 ** 2
         w = w - 0.01 * (m / (1 - 0.9 ** 2)) / (np.sqrt(v / (1 - 0.999 ** 2)) + 1e-8)
-        assert float(params["w"]) == pytest.approx(w, rel=1e-12)
+        assert float(params[0]) == pytest.approx(w, rel=1e-12)
 
 
 class TestSam:
@@ -62,36 +67,36 @@ class TestSam:
         opt = Optimizer(spec)
 
         def grad_fn(params):
-            t = params["t"]
+            t = params[0]
             return float(t ** 2), {"t": 2.0 * t}
 
-        value, out = sam_step(opt, as_params(t=1.0), grad_fn)
+        value, out = sam_step(opt, as_flat(t=1.0), grad_fn)
         assert value == pytest.approx(1.0)
-        assert float(out["t"]) == pytest.approx(0.78)
+        assert float(out[0]) == pytest.approx(0.78)
 
     def test_rho_zero_collapses_to_inner(self):
         calls = []
 
         def grad_fn(params):
             calls.append(1)
-            return 0.0, {"t": np.asarray(2.0 * params["t"])}
+            return 0.0, {"t": np.asarray(2.0 * params[0])}
 
         inner_only = Optimizer(OptimizerSpec("sgd", lr=0.1, momentum=0.0))
-        _, expected = sam_step(inner_only, as_params(t=1.0), grad_fn)
+        _, expected = sam_step(inner_only, as_flat(t=1.0), grad_fn)
         sam_zero = Optimizer(OptimizerSpec("sgd", lr=0.1, momentum=0.0, sam=True, sam_rho=0.0))
-        _, got = sam_step(sam_zero, as_params(t=1.0), grad_fn)
-        assert np.array_equal(expected["t"], got["t"])
+        _, got = sam_step(sam_zero, as_flat(t=1.0), grad_fn)
+        assert np.array_equal(expected, got)
         assert len(calls) == 2  # one gradient evaluation per step
 
     def test_rho_positive_recomputes_gradient(self):
         calls = []
 
         def grad_fn(params):
-            calls.append(float(params["t"]))
-            return 0.0, {"t": np.asarray(2.0 * params["t"])}
+            calls.append(float(params[0]))
+            return 0.0, {"t": np.asarray(2.0 * params[0])}
 
         opt = Optimizer(OptimizerSpec("sgd", lr=0.1, momentum=0.0, sam=True, sam_rho=0.1))
-        sam_step(opt, as_params(t=1.0), grad_fn)
+        sam_step(opt, as_flat(t=1.0), grad_fn)
         assert calls == [1.0, pytest.approx(1.1)]
 
 
@@ -99,7 +104,7 @@ class TestValidation:
     def test_non_finite_gradient_rejected(self):
         opt = Optimizer(OptimizerSpec("sgd", lr=0.1))
         with pytest.raises(ValueError, match="non-finite gradient"):
-            opt.step(as_params(w=1.0), as_params(w=np.nan))
+            opt.step(as_flat(w=1.0), as_params(w=np.nan))
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
@@ -115,11 +120,11 @@ class TestValidation:
 
     def test_config_round_trip(self):
         spec = OptimizerSpec("sgd", lr=0.05, sam=True, sam_rho=0.02)
-        again = OptimizerSpec.from_config(spec.to_config())
+        again = jsonio.parse_fields(OptimizerSpec, jsonio.fields_to_config(spec), "optimizer")
         assert again.kind == "sgd" and again.lr == 0.05
         assert again.sam and again.sam_rho == 0.02
         with pytest.raises(ValueError, match="unknown optimizer"):
-            OptimizerSpec.from_config({"kind": "sgd", "nesterov": True})
+            jsonio.parse_fields(OptimizerSpec, {"kind": "sgd", "nesterov": True}, "optimizer")
 
 
 def reference_steps(spec, params, grad_steps):
@@ -182,16 +187,11 @@ class TestFlatUpdate:
             assert opt.step(flat, grads) is flat  # the buffer moves in place
         assert bits(unflatten(flat, params)) == expected
 
-        opt, out = Optimizer(spec), params
-        for grads in grad_steps:
-            out = opt.step(out, grads)
-        assert bits(out) == expected
-        assert all(np.shape(out[k]) == np.shape(v) for k, v in params.items())
-
     @settings(max_examples=100, deadline=None)
     @given(shapes, st.sampled_from(SPECS), st.sampled_from([0.05, 2.0]),
            st.integers(0, 2 ** 32 - 1))
     def test_sam_flat_matches_dict(self, shape_list, spec, rho, seed):
+        """SAM on the flat buffer gives the bits of SAM computed array by array."""
         rng = np.random.default_rng(seed)
         params = random_layout(shape_list, rng)
         spec = OptimizerSpec(spec.kind, lr=spec.lr, momentum=spec.momentum, sam=True,
@@ -200,23 +200,22 @@ class TestFlatUpdate:
         def grads_at(arrays):
             return {k: np.sin(v) + 0.5 * v for k, v in arrays.items()}
 
-        dict_points, flat_points = [], []
-
-        def dict_grad_fn(p):
-            dict_points.append(p)
-            return 0.0, grads_at(p)
+        grads = grads_at(params)
+        scale = rho / (global_grad_norm(grads) + 1e-12)
+        shifted = {k: p + scale * grads[k] for k, p in params.items()}
+        expected = reference_steps(spec, params, [grads_at(shifted)])
+        flat_points = []
 
         def flat_grad_fn(p):
             flat_points.append(p)
             return 0.0, grads_at(unflatten(p, params))
 
-        _, expected = sam_step(Optimizer(spec), params, dict_grad_fn)
         flat = flatten(params)
         _, got = sam_step(Optimizer(spec), flat, flat_grad_fn)
         assert got is flat
         # the flat shifted point is a new buffer, equal bit for bit to the per-array one
         assert flat_points[1] is not flat
-        assert flatten(dict_points[1]).tobytes() == flat_points[1].tobytes()
+        assert flatten(shifted).tobytes() == flat_points[1].tobytes()
         assert bits(unflatten(flat, params)) == bits(expected)
         assert global_grad_norm(grads_at(params)) == global_grad_norm(
             grads_at(unflatten(flatten(params), params)))

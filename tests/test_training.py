@@ -5,12 +5,12 @@ from longtail_lab import (LossContext, LossSpec, MixupSpec, OptimizerSpec, Sampl
                           Stage2Spec, TrainConfig, TrainingDivergedError, apply_stage2,
                           batch_loss_and_grad, decision_scores, distribution_from_counts,
                           evaluate_split, group_report, group_split, init_model, loss_plan,
-                          parse_config,
+                          jsonio, parse_config,
                           posthoc_adjust, run_experiment, synth_gaussian, train_stage1,
                           weight_norms)
 from longtail_lab import model as model_module, training as training_module
 from longtail_lab.model import forward_with_cache, backward
-from longtail_lab.optim import Optimizer
+from longtail_lab.optim import Optimizer, flatten, unflatten
 from longtail_lab.training import (stage2_cosine_retrain, stage2_crt, stage2_disalign,
                                    stage2_lws, stage2_ncm)
 
@@ -60,7 +60,8 @@ class TestTrainStage1:
             "dataset": {"synth": {"num_classes": 4, "feature_dim": 4, "n0": 40, "ratio": 10.0,
                                   "val_per_class": 5, "test_per_class": 5},
                         "group_boundaries": [1, 3]},
-            "train": {"epochs": 3, "batch_size": 16, "hidden_dim": 5, "optimizer": SGD.to_config(),
+            "train": {"epochs": 3, "batch_size": 16, "hidden_dim": 5,
+                      "optimizer": jsonio.fields_to_config(SGD),
                       "stage2": {"kind": stage2, "epochs": 2}},
         })
         result = run_experiment(config)
@@ -130,9 +131,10 @@ class TestTrainStage1:
             before = batch_loss(model)
             logits, cache = forward_with_cache(model, features)
             _, grads = batch_loss_and_grad(loss_plan(spec, dist), logits, targets)
-            param_grads = backward(model, cache, grads / 16)
+            params = {"cls_w": model.cls_w, "cls_b": model.cls_b}
+            param_grads = backward(model, cache, grads / 16, keys=tuple(params))
             opt = Optimizer(OptimizerSpec("sgd", lr=0.01, momentum=0.0))
-            new = opt.step({"cls_w": model.cls_w, "cls_b": model.cls_b}, param_grads)
+            new = unflatten(opt.step(flatten(params), param_grads), params)
             model.cls_w, model.cls_b = new["cls_w"], new["cls_b"]
             assert batch_loss(model) < before
 
