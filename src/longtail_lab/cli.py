@@ -7,10 +7,11 @@ stage2: ``training.apply_stage2``, seeded by ``training.stage_rngs``; eval:
 ``model.weight_norms``; gaps: ``metrics.checkpoint_gaps``.
 
 Exit codes: 0 ok, 1 run failure (a missing input file among them), 2 invalid
-config or arguments, or an input file that is malformed: a manifest, a
-checkpoint (also one whose class or feature count is not the manifest's) or a
-run report. A flag value is checked as the same value in a config is, and
-exits 2 where it would, before anything is scored or written.
+config or arguments, or an input file that is malformed: a manifest (also one
+that is not valid UTF-8), a checkpoint (also one whose class or feature count
+is not the manifest's) or a run report. A flag value is checked as the same
+value in a config is, and exits 2 where it would, before anything is scored or
+written.
 """
 from __future__ import annotations
 

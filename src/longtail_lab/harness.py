@@ -240,6 +240,8 @@ def run_sweep(entries, parallelism: int = 1) -> list[dict]:
 
     Each run executes in its own process with isolated state; failures are
     recorded per-row and do not stop the sweep. Row order follows input order.
+    ``load_manifest`` keeps its last parse, so rows that read one manifest file
+    parse it once per worker process (once in all when ``parallelism`` is 1).
     """
     entries = list(entries)
     if not entries:

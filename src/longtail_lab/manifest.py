@@ -11,9 +11,16 @@ The header line comes first; each record line has its keys in the order
 ``": "``. Floats are written with 17 significant digits (``%.17g``, so they
 round-trip exactly), with ``.0`` appended when that prints neither a point
 nor an exponent; labels are plain integers.
+
+``load_manifest`` parses a given file content once per process: one module
+slot keeps the last manifest it parsed, keyed on the sha256 of the file's
+bytes (not on the path, size or mtime), and a load of the same bytes gets a
+new, independent ``Manifest`` built from it. A failed parse is never kept,
+and ``save_manifest`` does not fill the slot.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -246,10 +253,46 @@ def save_manifest(manifest: Manifest, path) -> None:
     jsonio.write_atomic(path, "\n".join(lines))
 
 
+# (sha256 of a file's bytes, a private Manifest parsed from them): the last successful parse
+_last_parse: tuple[bytes, Manifest] | None = None
+
+
 def load_manifest(path) -> Manifest:
-    """Read a JSONL manifest, rejecting records that violate the header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a JSONL manifest, rejecting records that violate the header.
+
+    The file's bytes are parsed only when their sha256 differs from that of
+    the last successful parse in this process; otherwise the kept manifest is
+    copied. Either way the caller gets a ``Manifest`` of its own: changing its
+    arrays does not change what a later load returns.
+    """
+    global _last_parse
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    kept = _last_parse  # read once: another thread may replace the slot meanwhile
+    if kept is not None and kept[0] == digest:
+        return _copy(kept[1])
+    manifest = _parse(data)
+    _last_parse = (digest, _copy(manifest))
+    return manifest
+
+
+def _copy(manifest: Manifest) -> Manifest:
+    """A ``Manifest`` equal to ``manifest`` that shares no writable array with it."""
+    return Manifest(ids=manifest.ids, features=manifest.features.copy(),
+                    labels=manifest.labels.copy(), splits=manifest.splits,
+                    num_classes=manifest.num_classes, feature_dim=manifest.feature_dim,
+                    task_kind=manifest.task_kind)
+
+
+def _parse(data: bytes) -> Manifest:
+    """Decode and check a manifest file's bytes, naming the first line at fault."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the fault decode; a sentinel makes a trailing line break count
+        lineno = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        raise ManifestFormatError(f"line {lineno}: not valid UTF-8") from exc
     # JSON booleans are the literal tokens true/false: without them no value is a bool
     may_hold_bools = "true" in text or "false" in text
     lines = text.splitlines()
@@ -260,7 +303,7 @@ def load_manifest(path) -> Manifest:
     if set(header) != {"num_classes", "feature_dim", "task"}:
         raise ManifestFormatError("header must carry exactly num_classes, feature_dim, task")
     k, d, task = header["num_classes"], header["feature_dim"], header["task"]
-    if not isinstance(k, int) or not isinstance(d, int) or task not in TASK_KINDS:
+    if not _is_int(k) or not _is_int(d) or k < 2 or d < 1 or task not in TASK_KINDS:
         raise ManifestFormatError("malformed header values")
 
     records, linenos = [], []
@@ -365,7 +408,7 @@ def _check_records(records: list[dict], linenos: list[int], k: int, d: int, task
             raise ManifestFormatError(f"line {lineno}: features must be {d} numbers")
         if task == "single":
             label = record["label"]
-            if not isinstance(label, int) or isinstance(label, bool) or not 0 <= label < k:
+            if not _is_int(label) or not 0 <= label < k:
                 raise ManifestFormatError(f"line {lineno}: label must be an int in [0, {k})")
         else:
             lab = record["labels"]
@@ -373,6 +416,10 @@ def _check_records(records: list[dict], linenos: list[int], k: int, d: int, task
                 raise ManifestFormatError(f"line {lineno}: labels must be {k} binary values")
         if record["split"] not in SPLITS:
             raise ManifestFormatError(f"line {lineno}: split must be one of {SPLITS}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_line(line: str, lineno: int) -> dict:

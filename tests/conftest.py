@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from longtail_lab import Manifest
+from longtail_lab import Manifest, manifest as manifest_module
+
+
+@pytest.fixture(autouse=True)
+def cold_manifest_cache():
+    """Start every test with no kept manifest parse, so parse counts do not depend on order."""
+    manifest_module._last_parse = None
 
 
 def blob_manifest(train_counts, feature_dim=4, val_per_class=5, test_per_class=5,

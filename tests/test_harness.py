@@ -423,6 +423,35 @@ class TestRunExperiment:
         assert expected in capsys.readouterr().err
         assert steps == [] and not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "make-longtail"])
+    @pytest.mark.parametrize("fault, expected", [
+        ("non-utf8", "line 3: not valid UTF-8"),
+        ("bool-num-classes", "malformed header values"),
+    ], ids=["non-utf8", "bool-num-classes"])
+    def test_unreadable_manifest_exits_2(self, tmp_path, monkeypatch, capsys, command,
+                                         fault, expected):
+        manifest_path, out = tmp_path / "m.jsonl", tmp_path / "out.json"
+        save_manifest(blob_manifest([60, 30, 10]), manifest_path)
+        lines = manifest_path.read_bytes().split(b"\n")
+        if fault == "non-utf8":
+            lines[2] = lines[2].replace(b'"', b'"\xff', 1)
+        else:
+            lines[0] = lines[0].replace(b'"num_classes": 3', b'"num_classes": true')
+        manifest_path.write_bytes(b"\n".join(lines))
+        steps = count_optimizer_steps(monkeypatch)
+        if command == "train":
+            raw = small_config()
+            raw["dataset"] = {"manifest": str(manifest_path), "group_boundaries": [1, 2]}
+            config_path = tmp_path / "c.json"
+            config_path.write_text(json.dumps(raw))
+            argv = ["train", "--config", str(config_path)]
+        else:
+            argv = ["make-longtail", "--manifest", str(manifest_path), "--n0", "10",
+                    "--imbalance", "2"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+        assert steps == [] and not out.exists()
+
     def test_group_boundaries_beyond_k_exit_2(self, tmp_path, monkeypatch, capsys):
         raw = small_config()
         raw["dataset"]["group_boundaries"] = [4, 9]

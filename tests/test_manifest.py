@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longtail_lab import (Manifest, ManifestFormatError, compute_distribution,
-                          label_cardinality, load_manifest, pareto_targets,
+                          label_cardinality, load_manifest, pareto_targets, run_sweep,
                           save_manifest, subsample_longtail, synth_gaussian)
+from longtail_lab import manifest as manifest_module
 
 from conftest import blob_manifest, multilabel_manifest
 
@@ -182,6 +185,24 @@ class TestManifestIO:
         with pytest.raises(ManifestFormatError, match="line 2"):
             load_manifest(path)
 
+    def test_crlf_line_ends_load_bitwise_equal(self, tiny_manifest, tmp_path):
+        path, crlf = tmp_path / "m.jsonl", tmp_path / "crlf.jsonl"
+        save_manifest(tiny_manifest, path)
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert _outcome(load_manifest, crlf) == _outcome(load_manifest, path)
+
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bad_line", [1, 3])
+    def test_rejects_non_utf8_naming_line(self, tmp_path, line_end, bad_line):
+        lines = [b'{"num_classes": 2, "feature_dim": 2, "task": "single"}',
+                 b'{"id": "a", "features": [1.0, 2.0], "label": 0, "split": "train"}',
+                 b'{"id": "b", "features": [1.0, 2.0], "label": 1, "split": "train"}']
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b'"', b'"\xff', 1)
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(line_end.join(lines) + line_end)
+        with pytest.raises(ManifestFormatError, match=f"^line {bad_line}: not valid UTF-8$"):
+            load_manifest(path)
+
     def test_splits_partition_records(self, tiny_manifest):
         n = len(tiny_manifest)
         total = sum(tiny_manifest.split_indices(s).size for s in ("train", "val", "test"))
@@ -272,7 +293,9 @@ def _reference_load(path):
     if set(header) != {"num_classes", "feature_dim", "task"}:
         raise ManifestFormatError("header must carry exactly num_classes, feature_dim, task")
     k, d, task = header["num_classes"], header["feature_dim"], header["task"]
-    if not isinstance(k, int) or not isinstance(d, int) or task not in ("single", "multi"):
+    if (not isinstance(k, int) or isinstance(k, bool) or k < 2
+            or not isinstance(d, int) or isinstance(d, bool) or d < 1
+            or task not in ("single", "multi")):
         raise ManifestFormatError("malformed header values")
     label_key = "label" if task == "single" else "labels"
     splits_ok = ("train", "val", "test")
@@ -354,11 +377,20 @@ def record_line(draw, task):
     return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
 
 
+# Header values: the first of each is the K=3, d=2 the records are drawn for, the rest
+# are refused (or, for num_classes 2, shift which labels are in range).
+NUM_CLASSES = ("3", "2", "1", "0", "-3", "true", "3.0")
+FEATURE_DIMS = ("2", "1", "0", "false", "2.0")
+
+
 @st.composite
 def manifest_text(draw):
     task = draw(st.sampled_from(("single", "multi")))
     lines = draw(st.lists(record_line(task), min_size=0, max_size=5))
-    header = f'{{"num_classes": 3, "feature_dim": 2, "task": "{task}"}}'
+    k, d = NUM_CLASSES[0], FEATURE_DIMS[0]
+    if draw(st.integers(0, 7)) == 0:
+        k, d = draw(st.sampled_from(NUM_CLASSES)), draw(st.sampled_from(FEATURE_DIMS))
+    header = f'{{"num_classes": {k}, "feature_dim": {d}, "task": "{task}"}}'
     return "\n".join([header] + [line.replace("{i}", str(i)) for i, line in enumerate(lines)]) + "\n"
 
 
@@ -405,7 +437,32 @@ class TestLoaderMatchesReference:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.jsonl"
             path.write_text(text, encoding="utf-8")
-            assert _outcome(load_manifest, path) == _outcome(_reference_load, path)
+            expected = _outcome(_reference_load, path)
+            assert _outcome(load_manifest, path) == expected
+            assert _outcome(load_manifest, path) == expected  # a kept parse, or a failed one again
+
+    @pytest.mark.parametrize("num_classes, feature_dim", [
+        ("true", "2"), ("false", "2"), ("0", "2"), ("1", "2"), ("-1", "2"), ("3", "0"),
+        ("3", "true"), ("3", "-2"), ("3.0", "2"), ("3", '"2"'),
+    ])
+    def test_degenerate_header_rejected(self, tmp_path, num_classes, feature_dim):
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([
+            f'{{"num_classes": {num_classes}, "feature_dim": {feature_dim}, "task": "single"}}',
+            '{"id": "a", "features": [1.0, 2.0], "label": 0, "split": "train"}',
+        ]) + "\n")
+        with pytest.raises(ManifestFormatError, match="^malformed header values$"):
+            load_manifest(path)
+        assert _outcome(_reference_load, path) == _outcome(load_manifest, path)
+
+    def test_smallest_header_accepted(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([
+            '{"num_classes": 2, "feature_dim": 1, "task": "single"}',
+            '{"id": "a", "features": [1.0], "label": 1, "split": "train"}',
+        ]) + "\n")
+        assert load_manifest(path).features.shape == (1, 1)
+        assert _outcome(_reference_load, path) == _outcome(load_manifest, path)
 
     def test_bool_feature_rejected_and_float_label_accepted(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -439,3 +496,86 @@ class TestSplitIndices:
             tiny_manifest.split_indices("train")[0] = 1
         with pytest.raises(ValueError, match="read-only"):
             tiny_manifest.splits[0] = "test"
+
+
+def count_parses(monkeypatch) -> list:
+    """A list that grows by one on every parse of a manifest file's bytes from now on."""
+    calls = []
+    parse = manifest_module._parse
+
+    def counting(data):
+        calls.append(1)
+        return parse(data)
+
+    monkeypatch.setattr(manifest_module, "_parse", counting)
+    return calls
+
+
+class TestLoadCache:
+    def test_same_bytes_parsed_once(self, tiny_manifest, tmp_path, monkeypatch):
+        parses = count_parses(monkeypatch)
+        path, copy = tmp_path / "m.jsonl", tmp_path / "copy.jsonl"
+        save_manifest(tiny_manifest, path)
+        copy.write_bytes(path.read_bytes())
+        first = _outcome(load_manifest, path)
+        assert _outcome(load_manifest, path) == first
+        assert _outcome(load_manifest, copy) == first  # the key is the content, not the path
+        assert parses == [1]
+
+    def test_returned_arrays_are_independent(self, tmp_path):
+        path = tmp_path / "ml.jsonl"
+        save_manifest(multilabel_manifest(), path)
+        expected = _outcome(_reference_load, path)
+        for _ in range(2):  # the parsed manifest, then a copy of the kept one
+            loaded = load_manifest(path)
+            loaded.features[0, 0] += 1.0
+            loaded.labels[0] = 1 - loaded.labels[0]
+            assert _outcome(load_manifest, path) == expected
+
+    def test_rewritten_bytes_parsed_again(self, tiny_manifest, tmp_path, monkeypatch):
+        parses = count_parses(monkeypatch)
+        path = tmp_path / "m.jsonl"
+        save_manifest(tiny_manifest, path)
+        before = load_manifest(path)
+        stat = os.stat(path)
+        data = path.read_bytes()
+        at = data.index(b'"label": 1') + len(b'"label": ')
+        path.write_bytes(data[:at] + b"2" + data[at + 1:])  # one digit: same size
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(path).st_size == stat.st_size
+        assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
+        after = load_manifest(path)
+        assert parses == [1, 1]
+        changed = np.flatnonzero(before.labels != after.labels)
+        assert changed.size == 1 and before.labels[changed[0]] == 1 and after.labels[changed[0]] == 2
+
+    def test_failed_parse_is_not_kept(self, tiny_manifest, tmp_path, monkeypatch):
+        parses = count_parses(monkeypatch)
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"num_classes": 1, "feature_dim": 2, "task": "single"}\n')
+        for _ in range(2):
+            with pytest.raises(ManifestFormatError):
+                load_manifest(path)
+        assert parses == [1, 1]
+        save_manifest(tiny_manifest, path)  # a save does not fill the kept parse
+        load_manifest(path)
+        assert parses == [1, 1, 1]
+
+    def test_sweep_parses_its_manifest_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        save_manifest(blob_manifest([40, 20, 8]), path)
+        entries = [(loss, {"seed": seed, "dataset": {"manifest": str(path),
+                                                     "group_boundaries": [1, 2]},
+                           "train": {"epochs": 2, "batch_size": 16, "loss": {"kind": loss},
+                                     "optimizer": {"kind": "sgd", "lr": 0.05}}})
+                   for seed, loss in enumerate(("ce", "focal", "balanced_softmax"))]
+        cold = []
+        for entry in entries:
+            manifest_module._last_parse = None
+            cold += run_sweep([entry])
+        parses = count_parses(monkeypatch)
+        manifest_module._last_parse = None
+        rows = run_sweep(entries)
+        assert parses == [1]
+        assert all(row["error"] is None for row in rows)
+        assert json.dumps(rows).encode() == json.dumps(cold).encode()
