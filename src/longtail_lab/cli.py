@@ -146,12 +146,17 @@ def _write_dataset(section: dict, args) -> int:
     return 0
 
 
-def _load_config(path, seed_override):
+def _read_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    return raw
+
+
+def _load_config(path, seed_override):
+    raw = _read_config(path)
     if seed_override is not None:
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
         raw["seed"] = seed_override
     return parse_config(raw)
 
@@ -232,8 +237,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     entries = []
     for path in args.configs:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _read_config(path)
         name = raw.get("name") or _stem(path)
         entries.append((name, raw))
     rows = run_sweep(entries, parallelism=args.parallelism)

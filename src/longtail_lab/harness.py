@@ -243,6 +243,8 @@ def run_sweep(entries, parallelism: int = 1) -> list[dict]:
     ``load_manifest`` keeps its last parse, so rows that read one manifest file
     parse it once per worker process (once in all when ``parallelism`` is 1).
     """
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     entries = list(entries)
     if not entries:
         raise ConfigError("sweep needs at least one config")

@@ -26,7 +26,6 @@ from . import jsonio
 
 CLASSIFIER_KINDS = ("linear", "cosine")
 CHECKPOINT_VERSION = 1
-NCM_CHUNK_ELEMENTS = 1 << 20  # difference-tensor elements per NCM scoring chunk (8 MB)
 
 
 @dataclass(kw_only=True)
@@ -287,31 +286,25 @@ class NcmClassifier:
 
 
 def decision_scores(classifier, features) -> np.ndarray:
-    """Per-class decision scores: logits for a ModelState, -distances for NCM."""
+    """Per-class decision scores: logits for a ModelState, -distances for NCM.
+
+    NCM scores -||z - m_c||, z = encode(classifier, x), from one GEMM in O(n*K) memory:
+    ||z - m_c||^2 = ||z||^2 - 2 z.m_c + ||m_c||^2, clipped at 0. Its absolute error grows
+    like eps * ||z||^2 for a point near a mean far from the origin.
+    """
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
     if isinstance(classifier, ModelState):
-        scores = forward(classifier, x)
+        scores = forward_with_cache(classifier, x)[0]
     elif isinstance(classifier, NcmClassifier):
-        x = encode(classifier, x)
-        # (rows, K, d) differences a chunk of rows at a time, in one reused buffer:
-        # memory O(n*K), not O(n*K*d); each score reduces over d alone, so chunking
-        # leaves every bit unchanged
-        means = classifier.means
-        rows = max(1, NCM_CHUNK_ELEMENTS // max(1, means.size))
-        scores = np.empty((x.shape[0], means.shape[0]))
-        buffer = np.empty((min(rows, x.shape[0]),) + means.shape)
-        for start in range(0, x.shape[0], rows):
-            chunk = x[start:start + rows]
-            diffs = buffer[:len(chunk)]
-            np.subtract(chunk[:, None, :], means[None, :, :], out=diffs)
-            np.square(diffs, out=diffs)
-            out = scores[start:start + rows]
-            np.add.reduce(diffs, axis=2, out=out)
-            np.sqrt(out, out=out)
-            np.negative(out, out=out)
+        z, means = encode(classifier, x), classifier.means
+        sq = z @ means.T
+        sq *= -2.0
+        sq += np.einsum("ij,ij->i", z, z)[:, None]
+        sq += np.einsum("ij,ij->i", means, means)
+        scores = -np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
     else:
         raise TypeError(f"unsupported classifier type {type(classifier).__name__}")
     return scores[0] if single else scores

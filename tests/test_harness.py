@@ -541,6 +541,13 @@ class TestSweep:
     def test_workers_clamped_to_entries_and_cpus(self, parallelism, entries, cpus, expected):
         assert sweep_workers(parallelism, entries, cpus) == expected
 
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_below_one_rejected_before_compute(self, monkeypatch, parallelism):
+        runs = count_calls(monkeypatch, run_experiment)
+        with pytest.raises(ConfigError, match="parallelism must be >= 1"):
+            run_sweep(self.entries(), parallelism=parallelism)
+        assert not runs
+
     def test_invalid_config_rejected_before_compute(self):
         bad = small_config()
         bad["train"]["loss"] = {"kind": "nope"}
@@ -899,6 +906,21 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("method,head,medium,tail,avg")
+
+    def test_sweep_non_object_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["sweep", "--configs", str(path)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_sweep_parallelism_below_one_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config()))
+        out = tmp_path / "summary.csv"
+        argv = ["sweep", "--configs", str(path), "--parallelism", "-3", "--out", str(out)]
+        assert main(argv) == 2
+        assert "parallelism must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_changes_digest(self, tmp_path):
         config_path = tmp_path / "c.json"

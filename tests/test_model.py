@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ from longtail_lab import (LossSpec, ModelState, NcmClassifier, batch_loss_and_gr
                           decision_scores, distribution_from_counts, forward,
                           init_model, load_checkpoint, loss_plan, save_checkpoint, tau_normalize,
                           weight_norms)
-from longtail_lab import model as model_module
 from longtail_lab.model import backward, forward_with_cache
 
 
@@ -104,41 +104,50 @@ class TestNcm:
         scores = decision_scores(ncm, np.array([0.0, 0.0]))
         np.testing.assert_allclose(scores, [0.0, -5.0])
 
-
-    @pytest.mark.parametrize("hidden", [None, 5])
-    def test_chunked_scores_bitwise_equal_full_tensor(self, monkeypatch, hidden):
-        rng = np.random.default_rng(4)
-        ncm = NcmClassifier(means=rng.standard_normal((7, 5 if hidden else 3)))
-        if hidden:
-            ncm.encoder_w, ncm.encoder_b = rng.standard_normal((5, 3)), rng.standard_normal(5)
-        x = rng.standard_normal((103, 3))
-        feats = x if hidden is None else np.maximum(x @ ncm.encoder_w.T + ncm.encoder_b, 0.0)
-        full = -np.sqrt(((feats[:, None, :] - ncm.means[None, :, :]) ** 2).sum(axis=2))
-        # 10 rows per chunk: 103 rows leave a short last chunk
-        monkeypatch.setattr(model_module, "NCM_CHUNK_ELEMENTS", 10 * ncm.means.size)
-        assert decision_scores(ncm, x).tobytes() == full.tobytes()
-
-    @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(1, 40), k=st.integers(1, 6), d=st.integers(1, 5),
-           rows=st.integers(1, 9), hidden=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    @example(n=1, k=3, d=2, rows=4, hidden=True, seed=1)
-    @example(n=23, k=5, d=4, rows=5, hidden=False, seed=2)
-    def test_reused_chunk_buffer_bitwise_equal_out_of_place(self, n, k, d, rows, hidden, seed):
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), k=st.integers(1, 8), d=st.integers(1, 6), hidden=st.booleans(),
+           x_scale=st.integers(-3, 3), m_scale=st.integers(-3, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=5, k=4, d=3, hidden=False, x_scale=3, m_scale=3, seed=0)
+    @example(n=9, k=6, d=2, hidden=True, x_scale=-3, m_scale=3, seed=1)
+    def test_gemm_scores_within_bound_of_difference_form(self, n, k, d, hidden, x_scale,
+                                                          m_scale, seed):
         rng = np.random.default_rng(seed)
-        x = 10.0 ** rng.integers(-3, 4) * rng.standard_normal((n, d))
-        ncm = NcmClassifier(means=rng.standard_normal((k, d + 2 if hidden else d)))
+        f = d + 2 if hidden else d
+        ncm = NcmClassifier(means=10.0 ** m_scale * rng.standard_normal((k, f)))
         if hidden:
-            ncm.encoder_w = rng.standard_normal((d + 2, d))
-            ncm.encoder_b = rng.standard_normal(d + 2)
-        feats = x if not hidden else np.maximum(x @ ncm.encoder_w.T + ncm.encoder_b, 0.0)
-        # the out-of-place expression, one (rows, K, d) difference tensor per chunk
-        expected = np.concatenate([
-            -np.sqrt(((feats[i:i + rows, None, :] - ncm.means[None, :, :]) ** 2).sum(axis=2))
-            for i in range(0, n, rows)])
-        with pytest.MonkeyPatch.context() as mp:  # chunks of ``rows`` rows, which need not divide n
-            mp.setattr(model_module, "NCM_CHUNK_ELEMENTS", rows * ncm.means.size)
-            got = decision_scores(ncm, x)
-        assert got.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+            ncm.encoder_w, ncm.encoder_b = rng.standard_normal((f, d)), rng.standard_normal(f)
+        x = 10.0 ** x_scale * rng.standard_normal((n, d))
+        z = x if not hidden else np.maximum(x @ ncm.encoder_w.T + ncm.encoder_b, 0.0)
+        # the reference: squared distances from the out-of-place (n, K, d) difference form
+        ref = ((z[:, None, :] - ncm.means[None, :, :]) ** 2).sum(axis=2)
+        got = decision_scores(ncm, x)
+        assert got.shape == (n, k) and np.all(got <= 0.0)
+        # ||z||^2, z.m_c and ||m_c||^2 each round within f*eps of their magnitude, the
+        # reference within f*eps of ||z - m_c||^2, and squaring the score back adds 2*eps:
+        # all of it within 8*f*eps*(||z|| + ||m_c||)^2
+        eps = np.finfo(np.float64).eps
+        bound = 8 * f * eps * (np.linalg.norm(z, axis=1)[:, None]
+                               + np.linalg.norm(ncm.means, axis=1)[None, :]) ** 2
+        assert np.all(np.abs(got ** 2 - ref) <= bound)
+        if k > 1:  # the nearest mean is the same wherever the reference's margin beats the error
+            top2 = np.sort(ref, axis=1)[:, :2]
+            clear = top2[:, 1] - top2[:, 0] > 2 * bound.max(axis=1)
+            assert np.array_equal(got.argmax(axis=1)[clear], ref.argmin(axis=1)[clear])
+
+    def test_scoring_memory_is_o_n_k(self):
+        n, k, d = 200, 500, 128
+        rng = np.random.default_rng(6)
+        ncm, x = NcmClassifier(means=rng.standard_normal((k, d))), rng.standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            scores = decision_scores(ncm, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (n, k)
+        # a few (n, K) arrays and at most one (n, d) copy; a (rows, K, d) tensor is far above it
+        assert peak < 3 * n * k * 8 + n * d * 8
 
 
 class TestCheckpoints:
