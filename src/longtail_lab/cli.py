@@ -23,8 +23,8 @@ import sys
 
 from . import jsonio
 from .distribution import group_split
-from .harness import (ConfigError, DatasetConfig, build_dataset, check_task, config_values,
-                      parse_config, run_experiment, run_sweep, sweep_csv)
+from .harness import (ConfigError, DatasetConfig, build_dataset, check_seed, check_task,
+                      config_values, parse_config, run_experiment, run_sweep, sweep_csv)
 from .manifest import ManifestFormatError, load_manifest, save_manifest
 from .metrics import checkpoint_gaps
 from .model import ModelState, load_checkpoint, save_checkpoint, weight_norms
@@ -138,6 +138,7 @@ def _cmd_make_longtail(args) -> int:
 
 def _write_dataset(section: dict, args) -> int:
     """Read the dataset ``section`` that the flags spell as a config's, then build and save it."""
+    check_seed(args.seed)
     with config_values():
         dataset = jsonio.parse_fields(DatasetConfig, section, "dataset")
     manifest = build_dataset(dataset, args.seed)

@@ -91,6 +91,9 @@ class ExperimentConfig:
     name: str | None = None
     report_path: str | None = None
 
+    def __post_init__(self):
+        check_seed(self.seed)
+
     def to_config(self) -> dict:
         return jsonio.fields_to_config(self)
 
@@ -101,6 +104,12 @@ class ExperimentConfig:
         cfg.pop("name")
         cfg.pop("report_path")
         return jsonio.digest(cfg)
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed, which ``np.random.SeedSequence`` cannot take."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 @contextmanager

@@ -10,6 +10,7 @@ import math
 import os
 import types
 import typing
+from collections.abc import Iterable
 from typing import Any
 
 import numpy as np
@@ -54,6 +55,8 @@ def _encode(obj: Any, parts: list[str], sort_keys: bool) -> None:
             parts.append(": ")
             _encode(obj[key], parts, sort_keys)
         parts.append("}")
+    elif isinstance(obj, (list, tuple)) and obj and all(type(item) is float for item in obj):
+        parts.append(_array_text(np.array(obj)))  # one %.17g pass, as for a float64 array
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(obj):
@@ -84,6 +87,27 @@ def _array_text(a: np.ndarray) -> str:
     return str(tokens.tolist()).replace("'", "") % tuple(x[~nan].tolist())
 
 
+def row_texts(a: np.ndarray) -> list[str]:
+    """The JSON text of each row of 2-D numeric array ``a``, each equal to ``dumps(row)``.
+
+    Floats take one ``%.17g`` pass over the whole array; integers from 0 to 9,
+    such as 0/1 labels, come from one byte table, a digit every third byte.
+    """
+    if not a.size:
+        return [_array_text(row) for row in a]
+    if a.dtype.kind in "iu" and a.min() >= 0 and a.max() <= 9:
+        n, d = a.shape
+        table = np.full((n, 3 * d), ord(" "), dtype=np.uint8)  # "[0, 1, 0]": 3 bytes a value
+        table[:, 0] = ord("[")
+        table[:, 1::3] = a + ord("0")
+        table[:, 2::3] = ord(",")
+        table[:, -1] = ord("]")
+        text = table.tobytes().decode("ascii")
+        return [text[i:i + 3 * d] for i in range(0, len(text), 3 * d)]
+    # "[[1.5, 2.0], [3.0, 4.5]]": no number's text holds a bracket or a line break
+    return _array_text(a)[1:-1].replace("], [", "]\n[").split("\n")
+
+
 def _template(token: str, shape: tuple[int, ...]) -> str:
     """``token`` nested in JSON brackets to ``shape``: the %-format of a whole array."""
     for size in reversed(shape):
@@ -102,18 +126,22 @@ def digest(obj: Any) -> str:
     return hashlib.sha256(dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def write_atomic(path, text: str) -> None:
+def write_atomic(path, text: str | Iterable[str]) -> None:
     """Write ``text`` so that ``path`` holds either its old content or all of ``text``.
 
-    The text goes to a uniquely named file beside ``path``, which then replaces
-    it; concurrent writers never share a temporary file, and a failed write
-    removes its own.
+    ``text`` is a string or an iterable of string chunks, written in turn. The
+    text goes to a uniquely named file beside ``path``, which then replaces it;
+    concurrent writers never share a temporary file, and a failed write, also
+    one whose chunks raise, removes its own.
     """
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")  # exclusive: never another writer's file
     try:
         with fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

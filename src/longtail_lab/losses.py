@@ -374,11 +374,6 @@ def _focal(z, y, alpha, gamma):
     return values, grads
 
 
-def _sigmoid_logp(z):
-    # log sigma(z) = -softplus(-z), computed stably
-    return -(np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z))))
-
-
 def _bce(z, t):
     values = np.sum(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z))), axis=1)
     grads = 1.0 / (1.0 + np.exp(-z)) - t
@@ -386,7 +381,9 @@ def _bce(z, t):
 
 
 def _focal_bce(z, t, gamma):
-    logpt = np.where(t > 0, _sigmoid_logp(z), _sigmoid_logp(-z))
+    # log pt = log sigma(s), s = z where t > 0 and -z elsewhere, computed stably as
+    # -(max(-s, 0) + log1p(exp(-|s|))); |s| = |z|, so the softplus tail is computed once
+    logpt = -(np.maximum(np.where(t > 0, -z, z), 0.0) + np.log1p(np.exp(-np.abs(z))))
     pt = np.exp(logpt)
     one_minus = 1.0 - pt
     mod = one_minus ** gamma

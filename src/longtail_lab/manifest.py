@@ -10,7 +10,15 @@ The header line comes first; each record line has its keys in the order
 ``num_classes``, for ``task: "multi"``). Separators are ``", "`` and
 ``": "``. Floats are written with 17 significant digits (``%.17g``, so they
 round-trip exactly), with ``.0`` appended when that prints neither a point
-nor an exponent; labels are plain integers.
+nor an exponent; labels are plain integers. Ids are written as
+``json.dumps(id, ensure_ascii=False)`` writes them, so U+0085, U+2028 and
+U+2029 stand raw in them: a line ends only at ``"\n"`` (or ``"\r\n"``, ``"\r"``).
+
+``save_manifest`` renders and writes the records a block of rows at a time
+(``SAVE_BLOCK_VALUES`` feature values): one ``%.17g`` pass over the block's
+features, 0/1 label rows from one byte table, and one record template for
+the block. The bytes equal those of encoding each record with
+``jsonio.dumps``, and memory does not grow with the number of records.
 
 ``load_manifest`` parses a given file content once per process: one module
 slot keeps the last manifest it parsed, keyed on the sha256 of the file's
@@ -23,8 +31,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +43,9 @@ from .distribution import ClassDistribution, compute_distribution, distribution_
 
 SPLITS = ("train", "val", "test")
 TASK_KINDS = ("single", "multi")
+_HARD_BREAK = re.compile("\r\n|\r|\n")
+# the other line breaks of str.splitlines(); JSON holds \x85, U+2028 and U+2029 raw in a string
+_SOFT_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class ManifestFormatError(ValueError):
@@ -208,25 +221,21 @@ def synth_gaussian(
     means[:, 0] = class_separation * np.cos(angles)
     means[:, 1] = class_separation * np.sin(angles)
 
+    # records run split by split, class by class within a split
+    counts = np.concatenate([targets, np.full(num_classes, val_per_class),
+                             np.full(num_classes, test_per_class)])
+    classes = np.tile(np.arange(num_classes), len(SPLITS))
+    split_of = np.repeat(SPLITS, num_classes)  # the split of each (split, class) run
+    labels = np.repeat(classes, counts)
     rng = np.random.default_rng(seed)
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    splits: list[str] = []
-    per_split = (("train", targets), ("val", [val_per_class] * num_classes),
-                 ("test", [test_per_class] * num_classes))
-    for split, counts in per_split:
-        for c in range(num_classes):
-            n = int(counts[c])
-            rows.append(means[c] + rng.standard_normal((n, feature_dim)))
-            labels.extend([c] * n)
-            splits.extend([split] * n)
-            ids.extend(f"{split}-{c}-{i}" for i in range(n))
+    features = rng.standard_normal((labels.size, feature_dim))
+    features += means[labels]
     return Manifest(
-        ids=tuple(ids),
-        features=np.concatenate(rows, axis=0),
-        labels=np.asarray(labels, dtype=np.int64),
-        splits=np.asarray(splits),
+        ids=tuple(f"{split}-{c}-{i}" for split, c, n
+                  in zip(split_of.tolist(), classes.tolist(), counts.tolist()) for i in range(n)),
+        features=features,
+        labels=labels,
+        splits=np.repeat(split_of, counts),
         num_classes=num_classes,
         feature_dim=feature_dim,
         task_kind="single",
@@ -234,23 +243,41 @@ def synth_gaussian(
 
 
 _LABEL_KEY = {"single": "label", "multi": "labels"}
+# feature values save_manifest renders and writes at a time: with 64 features and 200
+# labels a block's text is about 0.25 MB; blocks of 2**14 values or more raised the
+# peak RSS of the multi-label bench process
+SAVE_BLOCK_VALUES = 2 ** 13
+_json_string = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(s, ensure_ascii=False)
 
 
 def save_manifest(manifest: Manifest, path) -> None:
-    """Write JSON Lines, a header line and then one record per line, atomically."""
+    """Write JSON Lines, a header line and then one record per line, atomically.
+
+    Records are rendered and written a block of rows (``SAVE_BLOCK_VALUES``
+    feature values) at a time, so memory does not grow with the manifest.
+    """
+    jsonio.write_atomic(path, _manifest_blocks(manifest))
+
+
+def _manifest_blocks(manifest: Manifest):
+    """The text of a manifest file: its header line, then one chunk of record lines a block."""
     header = {
         "num_classes": manifest.num_classes,
         "feature_dim": manifest.feature_dim,
         "task": manifest.task_kind,
     }
-    label_key = _LABEL_KEY[manifest.task_kind]
-    lines = [jsonio.dumps(header)]
-    for rid, feats, label, split in zip(manifest.ids, manifest.features, manifest.labels,
-                                        manifest.splits.tolist()):
-        lines.append(jsonio.dumps({"id": rid, "features": feats, label_key: label,
-                                   "split": split}))
-    lines.append("")  # every line, the last too, ends in "\n"
-    jsonio.write_atomic(path, "\n".join(lines))
+    yield jsonio.dumps(header) + "\n"
+    record = ('{"id": %s, "features": %s, "' + _LABEL_KEY[manifest.task_kind]
+              + '": %s, "split": "%s"}\n')
+    rows = max(1, SAVE_BLOCK_VALUES // max(1, manifest.feature_dim))
+    for start in range(0, len(manifest), rows):
+        block = slice(start, start + rows)
+        ids = [_json_string(rid) for rid in manifest.ids[block]]
+        labels = manifest.labels[block]
+        labels = labels.tolist() if labels.ndim == 1 else jsonio.row_texts(labels)
+        fields = zip(ids, jsonio.row_texts(manifest.features[block]), labels,
+                     manifest.splits[block].tolist())
+        yield (record * len(ids)) % tuple(chain.from_iterable(fields))
 
 
 # (sha256 of a file's bytes, a private Manifest parsed from them): the last successful parse
@@ -291,11 +318,11 @@ def _parse(data: bytes) -> Manifest:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the fault decode; a sentinel makes a trailing line break count
-        lineno = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        lineno = len(_lines(data[:exc.start].decode("utf-8") + "_"))
         raise ManifestFormatError(f"line {lineno}: not valid UTF-8") from exc
     # JSON booleans are the literal tokens true/false: without them no value is a bool
     may_hold_bools = "true" in text or "false" in text
-    lines = text.splitlines()
+    lines = _lines(text)
     del text
     if not lines:
         raise ManifestFormatError("manifest file is empty")
@@ -338,6 +365,42 @@ def _parse(data: bytes) -> Manifest:
         )
     except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise ManifestFormatError(_line_at_fault(ids, features, linenos) or str(exc)) from exc
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` as ``text.splitlines()`` gives them, but not broken inside JSON.
+
+    ``splitlines`` also breaks lines at U+0085, U+2028 and U+2029, and
+    ``json.dumps(..., ensure_ascii=False)`` writes these raw inside a string
+    (an id may hold them). Only ``\\n``, ``\\r\\n`` and ``\\r`` cannot stand raw
+    in JSON, so a line between two of those that parses as JSON is kept whole.
+    Any other line is broken as ``splitlines`` breaks it: every file whose lines
+    parsed that way still does.
+    """
+    if not _has_soft_break(text):
+        return text.splitlines()
+    lines = []
+    for line in _HARD_BREAK.split(text):
+        if not _has_soft_break(line) or _is_json(line):
+            lines.append(line)
+        else:
+            lines.extend((line + "\n").splitlines())  # the "\n" keeps a trailing empty line
+    if lines[-1] == "":  # the text ends in a line break, which starts no line
+        lines.pop()
+    return lines
+
+
+def _has_soft_break(text: str) -> bool:
+    # one str search a character: about 20x faster than a regex class on a 6 MB text
+    return any(ch in text for ch in _SOFT_BREAKS)
+
+
+def _is_json(line: str) -> bool:
+    try:
+        json.loads(line)
+    except json.JSONDecodeError:
+        return False
+    return True
 
 
 def _line_at_fault(ids, features, linenos: list[int]) -> str | None:

@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+import os
 import re
 import sys
 
@@ -152,6 +153,13 @@ class TestParseConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config(small_config(gpu=True))
+
+    @pytest.mark.parametrize("seed", [-1, -2 ** 63])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match=f"^seed must be >= 0, got {seed}$"):
+            parse_config(small_config(seed=seed))
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            run_sweep([("ok", small_config()), ("negative", small_config(seed=seed))])
 
     def test_train_seed_rejected(self):
         raw = small_config()
@@ -921,6 +929,29 @@ class TestCli:
         assert main(argv) == 2
         assert "parallelism must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "train --seed", "stage2", "sweep", "synth",
+                                         "make-longtail"])
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        manifest_path, ckpt = tmp_path / "data.jsonl", tmp_path / "model.json"
+        save_manifest(blob_manifest([40, 20, 6]), manifest_path)
+        save_checkpoint(init_model(3, 4, rng=np.random.default_rng(0)), ckpt)
+        config_path, out = tmp_path / "c.json", tmp_path / "out.json"
+        raw = small_config(seed=0 if command == "train --seed" else -1)
+        raw["train"]["stage2"] = {"kind": "crt", "epochs": 1}
+        config_path.write_text(json.dumps(raw))
+        argv = {"train": ["train", "--config", str(config_path)],
+                "train --seed": ["train", "--config", str(config_path), "--seed", "-1"],
+                "stage2": ["stage2", "--checkpoint", str(ckpt), "--manifest", str(manifest_path),
+                           "--config", str(config_path)],
+                "sweep": ["sweep", "--configs", str(config_path)],
+                "synth": ["synth", "--seed", "-1"],
+                "make-longtail": ["make-longtail", "--manifest", str(manifest_path), "--n0", "10",
+                                  "--imbalance", "2", "--seed", "-5"]}[command]
+        before = sorted(os.listdir(tmp_path))
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_seed_override_changes_digest(self, tmp_path):
         config_path = tmp_path / "c.json"

@@ -1,5 +1,7 @@
 import os
+import tracemalloc
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays, from_dtype
 
 from longtail_lab import Manifest, jsonio, save_manifest
+from longtail_lab import manifest as manifest_module
 
 # -0.0, integral values either side of 1e16 and 1e17 (where %.17g switches to an
 # exponent), the smallest subnormal, and NaN (written as null)
@@ -55,6 +58,30 @@ class TestArrayEncoding:
         a = np.array([[1e16, 1e17 - 16, 1e17], [-0.0, np.nan, 0.5]])
         assert jsonio.dumps(a) == ("[[10000000000000000.0, 99999999999999984.0, 1e+17], "
                                    "[-0.0, null, 0.5]]")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(allow_infinity=False),
+                              st.integers(-10 ** 20, 10 ** 20)), max_size=8))
+    def test_float_list_matches_element_wise_encoding(self, items):
+        # a list of floats only takes one %.17g pass; a mixed or empty list goes item by item
+        element_wise = "[" + ", ".join(jsonio.dumps(item) for item in items) + "]"
+        assert jsonio.dumps(items) == element_wise
+        assert jsonio.dumps(tuple(items)) == element_wise
+        assert jsonio.dumps({"k": items}) == '{"k": ' + element_wise + "}"
+
+    @pytest.mark.parametrize("items", [[1.0, float("inf")], [float("-inf")]])
+    def test_float_list_infinity_raises(self, items):
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.dumps(items)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(DTYPES), array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+           st.data())
+    def test_row_texts_equal_row_encodings(self, dtype, shape, data):
+        elements = (st.integers(0, 9) if dtype is np.int64 and data.draw(st.booleans())
+                    else _elements(dtype))  # the digit table, or the %.17g/str pass
+        a = data.draw(arrays(dtype, shape, elements=elements))
+        assert jsonio.row_texts(a) == [jsonio.dumps(row) for row in a]
 
 
 # The on-disk manifest format, byte for byte (see the manifest module docstring).
@@ -170,6 +197,24 @@ class TestWriteAtomic:
         assert path.read_text() == "new\n"
         assert os.listdir(tmp_path) == ["out.json"]
 
+    def test_writes_chunks_in_turn(self, tmp_path):
+        path = tmp_path / "out.json"
+        jsonio.write_atomic(path, (chunk for chunk in ("a", "", "b\n", "c\n")))
+        assert path.read_text() == "ab\nc\n"
+
+    def test_failed_chunk_leaves_old_content(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("render failed")
+
+        with pytest.raises(RuntimeError, match="render failed"):
+            jsonio.write_atomic(path, chunks())
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
     def test_failed_write_leaves_nothing(self, tmp_path):
         path = tmp_path / "out.json"
         with pytest.raises(UnicodeEncodeError):
@@ -184,6 +229,17 @@ class TestWriteAtomic:
         assert path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.json"]
 
+    def test_failed_manifest_save_beyond_first_block_leaves_no_file(self, tmp_path):
+        rows = manifest_module.SAVE_BLOCK_VALUES // 8
+        n = 2 * rows + 1
+        m = Manifest(ids=tuple(f"r{i}" for i in range(n - 1)) + ("bad\ud800",),
+                     features=np.zeros((n, 8)), labels=np.zeros(n, dtype=np.int64),
+                     splits=np.full(n, "train"), num_classes=2, feature_dim=8,
+                     task_kind="single")
+        with pytest.raises(UnicodeEncodeError):
+            save_manifest(m, tmp_path / "m.jsonl")
+        assert os.listdir(tmp_path) == []
+
     def test_failed_manifest_save_leaves_no_file(self, tmp_path):
         m = Manifest(ids=("ok", "bad\ud800"), features=np.zeros((2, 1)), labels=np.array([0, 1]),
                      splits=np.array(["train", "test"]), num_classes=2, feature_dim=1,
@@ -191,3 +247,97 @@ class TestWriteAtomic:
         with pytest.raises(UnicodeEncodeError):
             save_manifest(m, tmp_path / "m.jsonl")
         assert os.listdir(tmp_path) == []
+
+
+def reference_save(manifest: Manifest) -> bytes:
+    """The record-by-record writer: one ``jsonio.dumps`` call per line."""
+    header = {"num_classes": manifest.num_classes, "feature_dim": manifest.feature_dim,
+              "task": manifest.task_kind}
+    label_key = "label" if manifest.task_kind == "single" else "labels"
+    lines = [jsonio.dumps(header)]
+    for rid, feats, label, split in zip(manifest.ids, manifest.features, manifest.labels,
+                                        manifest.splits.tolist()):
+        lines.append(jsonio.dumps({"id": rid, "features": feats, label_key: label,
+                                   "split": split}))
+    lines.append("")
+    return "\n".join(lines).encode("utf-8")
+
+
+# whole values, -0.0, either side of 1e17 (where %.17g switches to an exponent), the
+# smallest subnormal
+FEATURE_VALUES = st.one_of(st.sampled_from((-0.0, 0.0, 3.0, -7.0, 1e16, 2.5e17, 5e-324)),
+                           st.floats(allow_nan=False, allow_infinity=False))
+# ids that need escapes: quotes, backslashes, control characters, U+2028 and non-ASCII
+ID_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x7f\x85\u2028\u2029é😀'),
+                            st.characters(exclude_categories=("Cs",))), max_size=6)
+
+
+@st.composite
+def block_manifests(draw):
+    """(manifest, feature values a block): n at one block of rows -1, +0, +1, or two blocks +1."""
+    d = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 4))
+    block_values = rows * d + draw(st.integers(0, d - 1))  # a block holds whole rows only
+    n = draw(st.sampled_from((rows - 1, rows, rows + 1, 2 * rows + 1)).filter(lambda v: v > 0))
+    k = draw(st.integers(2, 5))
+    task = draw(st.sampled_from(("single", "multi")))
+    if task == "single":
+        labels = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    else:
+        labels = draw(arrays(np.int64, (n, k), elements=st.integers(0, 1)))
+    manifest = Manifest(
+        ids=tuple(draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique=True))),
+        features=draw(arrays(np.float64, (n, d), elements=FEATURE_VALUES)),
+        labels=labels, splits=np.array(draw(st.lists(st.sampled_from(("train", "val", "test")),
+                                                     min_size=n, max_size=n))),
+        num_classes=k, feature_dim=d, task_kind=task)
+    return manifest, block_values
+
+
+class TestBlockWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(block_manifests())
+    def test_bytes_equal_record_by_record_writer(self, tmp_path_factory, drawn):
+        manifest, block_values = drawn
+        path = tmp_path_factory.mktemp("save") / "m.jsonl"
+        with mock.patch.object(manifest_module, "SAVE_BLOCK_VALUES", block_values):
+            save_manifest(manifest, path)
+        assert path.read_bytes() == reference_save(manifest)
+
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1, "2x+1"])
+    def test_bytes_equal_at_the_block_size(self, tmp_path, extra_rows):
+        d, k = 64, 30
+        rows = manifest_module.SAVE_BLOCK_VALUES // d
+        n = 2 * rows + 1 if extra_rows == "2x+1" else rows + extra_rows
+        rng = np.random.default_rng(n)
+        for task, labels in (("single", rng.integers(0, k, n)),
+                             ("multi", (rng.random((n, k)) < 0.2).astype(np.int64))):
+            manifest = Manifest(ids=tuple(f"r{i}" for i in range(n)),
+                                features=np.round(rng.standard_normal((n, d)), rng.integers(0, 3)),
+                                labels=labels, splits=np.array(["train", "val", "test"] * n)[:n],
+                                num_classes=k, feature_dim=d, task_kind=task)
+            save_manifest(manifest, tmp_path / "m.jsonl")
+            assert (tmp_path / "m.jsonl").read_bytes() == reference_save(manifest)
+
+    def test_peak_memory_does_not_grow_with_n(self, tmp_path):
+        d, k = 64, 200
+        rows = manifest_module.SAVE_BLOCK_VALUES // d
+        peaks = []
+        for n in (2 * rows, 32 * rows):
+            rng = np.random.default_rng(0)
+            manifest = Manifest(ids=tuple(f"r{i}" for i in range(n)),
+                                features=rng.standard_normal((n, d)),
+                                labels=(rng.random((n, k)) < 0.02).astype(np.int64),
+                                splits=np.full(n, "train"), num_classes=k, feature_dim=d,
+                                task_kind="multi")
+            tracemalloc.start()
+            try:
+                save_manifest(manifest, tmp_path / "m.jsonl")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        file_bytes = (tmp_path / "m.jsonl").stat().st_size
+        # a writer that holds the whole text peaks above the file size, which grows 16x here;
+        # a block of 128 rows of 64 features and 200 labels renders in about 0.9 MB
+        assert peaks[1] < 1.25 * peaks[0]
+        assert peaks[1] < file_bytes / 4

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from longtail_lab import (LOSS_KINDS, LossContext, LossSpec, batch_loss_and_grad,
                           cb_weights, distribution_from_counts, draw_noise, gcl_amplitudes,
@@ -320,6 +321,37 @@ class TestBceValues:
             b = loss_value_and_grad(LossSpec("bce_ml"), z, t, ctx_for([1] * 4))
             assert abs(a[0] - b[0]) < 1e-12
             assert np.abs(a[1] - b[1]).max() < 1e-12
+
+
+def reference_focal_bce(z, t, gamma):
+    """Focal BCE with log sigma(z) and log sigma(-z) each computed on its own."""
+    def sigmoid_logp(v):
+        return -(np.maximum(-v, 0.0) + np.log1p(np.exp(-np.abs(v))))
+
+    logpt = np.where(t > 0, sigmoid_logp(z), sigmoid_logp(-z))
+    pt = np.exp(logpt)
+    one_minus = 1.0 - pt
+    mod = one_minus ** gamma
+    values = np.sum(-mod * logpt, axis=1)
+    inner = -one_minus
+    if gamma > 0:
+        inner = inner + gamma * logpt * pt
+    return values, (2.0 * t - 1.0) * mod * inner
+
+
+class TestFocalBce:
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 8)), gamma=st.floats(0.0, 4.0),
+           soft=st.booleans(), data=st.data())
+    def test_bitwise_equal_to_two_sided_log_sigmoid(self, shape, gamma, soft, data):
+        z = data.draw(arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from((0.0, -0.0, 40.0, -40.0, 800.0, -800.0)),
+            st.floats(-60.0, 60.0))))
+        t = data.draw(arrays(np.float64, shape, elements=(
+            st.floats(0.0, 1.0) if soft else st.sampled_from((0.0, 1.0)))))
+        got, expected = losses._focal_bce(z, t, gamma), reference_focal_bce(z, t, gamma)
+        assert np.array_equal(u64(got[0]), u64(expected[0]))
+        assert np.array_equal(u64(got[1]), u64(expected[1]))
 
 
 # the single-label kinds that are one cross-entropy over logits adjusted by a LossPlan

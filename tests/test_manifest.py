@@ -106,6 +106,42 @@ class TestSynthGaussian:
         with pytest.raises(ValueError):
             synth_gaussian(3, 1, 100, 10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(num_classes=st.integers(2, 12), feature_dim=st.integers(2, 9), n0=st.integers(1, 300),
+           ratio=st.floats(1.0, 200.0), separation=st.floats(0.0, 30.0),
+           seed=st.integers(0, 2 ** 64), val=st.integers(1, 20), test=st.integers(1, 20))
+    def test_one_draw_equals_class_by_class_draws(self, num_classes, feature_dim, n0, ratio,
+                                                  separation, seed, val, test):
+        args = (num_classes, feature_dim, n0, ratio, separation, seed, val, test)
+        got, expected = synth_gaussian(*args), reference_synth(*args)
+        assert got.ids == expected.ids
+        assert got.features.tobytes() == expected.features.tobytes()
+        assert got.labels.tobytes() == expected.labels.tobytes()
+        assert got.splits.tolist() == expected.splits.tolist()
+
+
+def reference_synth(num_classes, feature_dim, n0, ratio, class_separation, seed,
+                    val_per_class, test_per_class):
+    """``synth_gaussian`` drawn class by class: one normal draw per (split, class)."""
+    targets = pareto_targets(n0, num_classes, ratio)
+    means = np.zeros((num_classes, feature_dim))
+    angles = 2.0 * math.pi * np.arange(num_classes) / num_classes
+    means[:, 0] = class_separation * np.cos(angles)
+    means[:, 1] = class_separation * np.sin(angles)
+    rng = np.random.default_rng(seed)
+    ids, rows, labels, splits = [], [], [], []
+    for split, counts in (("train", targets), ("val", [val_per_class] * num_classes),
+                          ("test", [test_per_class] * num_classes)):
+        for c in range(num_classes):
+            n = int(counts[c])
+            rows.append(means[c] + rng.standard_normal((n, feature_dim)))
+            labels.extend([c] * n)
+            splits.extend([split] * n)
+            ids.extend(f"{split}-{c}-{i}" for i in range(n))
+    return Manifest(ids=tuple(ids), features=np.concatenate(rows, axis=0),
+                    labels=np.asarray(labels, dtype=np.int64), splits=np.asarray(splits),
+                    num_classes=num_classes, feature_dim=feature_dim, task_kind="single")
+
 
 class TestManifestIO:
     def test_round_trip_single(self, tiny_manifest, tmp_path):
@@ -475,6 +511,52 @@ class TestLoaderMatchesReference:
             load_manifest(path)
         path.write_text(path.read_text().replace("true", "3.0"))
         assert load_manifest(path).labels.tolist() == [[1, 0], [0, 1]]
+
+
+# the line breaks of str.splitlines() besides "\n", "\r\n" and "\r"; JSON holds the last
+# three raw inside a string
+SOFT_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+HARD_BREAKS = ("\n", "\r\n", "\r")
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+    def test_round_trip_of_ids_holding_a_raw_break(self, tmp_path, char):
+        m = Manifest(ids=(f"a{char}b", char, f"{char}\n{char}{char}", "plain"),
+                     features=np.arange(8.0).reshape(4, 2), labels=np.array([0, 1, 1, 0]),
+                     splits=np.array(["train", "train", "val", "test"]), num_classes=2,
+                     feature_dim=2, task_kind="single")
+        path = tmp_path / "m.jsonl"
+        save_manifest(m, path)
+        assert char.encode("utf-8") in path.read_bytes()  # written raw, not escaped
+        assert _outcome(load_manifest, path) == _outcome(lambda _: m, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(manifest_text(), st.data())
+    def test_breaks_outside_strings_split_lines_as_before(self, text, data):
+        # every break of str.splitlines() between lines: each line is split where it was
+        import tempfile
+        from pathlib import Path
+
+        lines = text.split("\n")
+        breaks = data.draw(st.lists(st.sampled_from(SOFT_BREAKS + HARD_BREAKS),
+                                    min_size=len(lines) - 1, max_size=len(lines) - 1))
+        text = lines[0] + "".join(b + line for b, line in zip(breaks, lines[1:]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.jsonl"
+            path.write_bytes(text.encode("utf-8"))
+            assert _outcome(load_manifest, path) == _outcome(_reference_load, path)
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+    def test_non_utf8_line_named_after_an_id_holding_a_raw_break(self, tmp_path, char):
+        lines = [b'{"num_classes": 2, "feature_dim": 2, "task": "single"}',
+                 f'{{"id": "a{char}", "features": [1.0, 2.0], "label": 0, "split": "train"}}'
+                 .encode("utf-8"),
+                 b'{"id": "\xff", "features": [1.0, 2.0], "label": 1, "split": "train"}']
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ManifestFormatError, match="^line 3: not valid UTF-8$"):
+            load_manifest(path)
 
 
 class TestSplitIndices:
