@@ -107,9 +107,11 @@ class ExperimentConfig:
 
 
 def check_seed(seed: int) -> None:
-    """Refuse a negative seed, which ``np.random.SeedSequence`` cannot take."""
+    """Refuse a seed below 0 (``np.random.SeedSequence`` cannot take it) or beyond int64."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if seed > np.iinfo(np.int64).max:  # the bound a config's seed has
+        raise ConfigError(f"seed must lie within the int64 range, got {seed}")
 
 
 @contextmanager
@@ -281,11 +283,13 @@ def sweep_csv(rows) -> str:
             return ""
         return f"{float(value):.2f}"
 
+    def text(value):  # one cell on one line: "," would start a cell, "\r" or "\n" a row
+        return value.replace(",", ";").replace("\r", " ").replace("\n", " ")
+
     lines = ["method,head,medium,tail,avg,error"]
     for row in rows:
-        error = (row.get("error") or "").replace(",", ";").replace("\n", " ")
         lines.append(",".join([
-            str(row["method"]), fmt(row["head"]), fmt(row["medium"]),
-            fmt(row["tail"]), fmt(row["avg"]), error,
+            text(str(row["method"])), fmt(row["head"]), fmt(row["medium"]),
+            fmt(row["tail"]), fmt(row["avg"]), text(row.get("error") or ""),
         ]))
     return "\n".join(lines) + "\n"

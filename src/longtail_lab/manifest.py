@@ -20,11 +20,12 @@ features, 0/1 label rows from one byte table, and one record template for
 the block. The bytes equal those of encoding each record with
 ``jsonio.dumps``, and memory does not grow with the number of records.
 
-``load_manifest`` parses a given file content once per process: one module
-slot keeps the last manifest it parsed, keyed on the sha256 of the file's
-bytes (not on the path, size or mtime), and a load of the same bytes gets a
-new, independent ``Manifest`` built from it. A failed parse is never kept,
-and ``save_manifest`` does not fill the slot.
+``load_manifest`` checks the records in one loop, in file order, and names
+the first line at fault. It parses a given file content once per process: one
+module slot keeps the last manifest it parsed, keyed on the sha256 of the
+file's bytes (not on the path, size or mtime), and a load of the same bytes
+gets a new, independent ``Manifest`` built from it. A failed parse is never
+kept, and ``save_manifest`` does not fill the slot.
 """
 from __future__ import annotations
 
@@ -313,15 +314,19 @@ def _copy(manifest: Manifest) -> Manifest:
 
 
 def _parse(data: bytes) -> Manifest:
-    """Decode and check a manifest file's bytes, naming the first line at fault."""
+    """Decode and check a manifest file's bytes, naming the first line at fault.
+
+    One loop parses each line and checks its keys, id, features, label and
+    split before it appends them to the columns. A repeated id or a
+    non-finite feature shows only once ``Manifest`` is built from them, and
+    ``_line_at_fault`` then names its line.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the fault decode; a sentinel makes a trailing line break count
         lineno = len(_lines(data[:exc.start].decode("utf-8") + "_"))
         raise ManifestFormatError(f"line {lineno}: not valid UTF-8") from exc
-    # JSON booleans are the literal tokens true/false: without them no value is a bool
-    may_hold_bools = "true" in text or "false" in text
     lines = _lines(text)
     del text
     if not lines:
@@ -333,26 +338,42 @@ def _parse(data: bytes) -> Manifest:
     if not _is_int(k) or not _is_int(d) or k < 2 or d < 1 or task not in TASK_KINDS:
         raise ManifestFormatError("malformed header values")
 
-    records, linenos = [], []
+    label_key = _LABEL_KEY[task]
+    keys = {"id", "features", label_key, "split"}
+    numbers, bits = frozenset((int, float)), frozenset((0, 1))  # a JSON true loads as a bool
+    ids, features, labels, splits, linenos = [], [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        try:
-            records.append(_parse_line(line, lineno))
-        except ManifestFormatError:
-            _check_records(records, linenos, k, d, task)  # an earlier bad line is named first
-            raise
+        record = _parse_line(line, lineno)
+        if record.keys() != keys:
+            raise ManifestFormatError(f"line {lineno}: record keys must be {sorted(keys)}")
+        rid, feats, label = record["id"], record["features"], record[label_key]
+        if not isinstance(rid, str):
+            raise ManifestFormatError(f"line {lineno}: id must be a string")
+        if (not isinstance(feats, list) or len(feats) != d
+                or not numbers.issuperset(map(type, feats))):
+            raise ManifestFormatError(f"line {lineno}: features must be {d} numbers")
+        if task == "single":
+            if not _is_int(label) or not 0 <= label < k:
+                raise ManifestFormatError(f"line {lineno}: label must be an int in [0, {k})")
+        else:
+            try:  # 0 or 1 as `v in (0, 1)` tells: 1.0, -0.0 and true are; a list or object is not
+                binary = isinstance(label, list) and len(label) == k and bits.issuperset(label)
+            except TypeError:
+                binary = False
+            if not binary:
+                raise ManifestFormatError(f"line {lineno}: labels must be {k} binary values")
+        if record["split"] not in SPLITS:
+            raise ManifestFormatError(f"line {lineno}: split must be one of {SPLITS}")
+        ids.append(rid)
+        features.append(feats)
+        labels.append(label)
+        splits.append(record["split"])
         linenos.append(lineno)
     del lines
-    if not records:
+    if not ids:
         raise ManifestFormatError("manifest has no records")
-    columns = None if may_hold_bools else _columns(records, k, d, task)
-    if columns is None:
-        _check_records(records, linenos, k, d, task)
-        columns = ([r["id"] for r in records], [r["features"] for r in records],
-                   [r[_LABEL_KEY[task]] for r in records], [r["split"] for r in records])
-    ids, features, labels, splits = columns
-    del records
     try:
         return Manifest(
             ids=tuple(ids),
@@ -406,7 +427,7 @@ def _is_json(line: str) -> bool:
 def _line_at_fault(ids, features, linenos: list[int]) -> str | None:
     """Name the first line at fault when ``Manifest`` rejects checked columns.
 
-    Records that pass ``_check_records`` can still hold a repeated id or a
+    Records that pass the checks of ``_parse`` can still hold a repeated id or a
     non-finite feature (``NaN``, ``Infinity`` and ``1e400`` all parse, and an
     integer beyond float range does not convert); the faults are looked for
     in the order ``Manifest`` checks them.
@@ -424,61 +445,6 @@ def _line_at_fault(ids, features, linenos: list[int]) -> str | None:
         if not finite:
             return f"line {lineno}: features must be finite"
     return None
-
-
-def _columns(records: list[dict], k: int, d: int, task: str):
-    """(ids, features, labels, splits) when whole-column checks pass, else None.
-
-    Passing implies every record passes ``_check_records``, so a manifest is
-    accepted or rejected exactly as line by line; records hold no booleans.
-    """
-    label_key = _LABEL_KEY[task]
-    keys = {"id", "features", label_key, "split"}
-    if not all(r.keys() == keys for r in records):
-        return None
-    ids = [r["id"] for r in records]
-    splits = [r["split"] for r in records]
-    if not all(isinstance(rid, str) for rid in ids) or not all(s in SPLITS for s in splits):
-        return None
-    n = len(records)
-    try:
-        features = np.array([r["features"] for r in records])
-        labels = np.array([r[label_key] for r in records])
-    except ValueError:  # ragged rows
-        return None
-    if features.shape != (n, d) or features.dtype.kind not in "iuf":
-        return None
-    if task == "single":
-        ok = (labels.shape == (n,) and labels.dtype.kind in "iu"
-              and labels.min() >= 0 and labels.max() < k)
-    else:
-        ok = (labels.shape == (n, k) and labels.dtype.kind in "iuf"
-              and bool(((labels == 0) | (labels == 1)).all()))
-    return (ids, features, labels, splits) if ok else None
-
-
-def _check_records(records: list[dict], linenos: list[int], k: int, d: int, task: str) -> None:
-    """Raise ManifestFormatError naming the first record that violates the header."""
-    expected_keys = {"id", "features", _LABEL_KEY[task], "split"}
-    for lineno, record in zip(linenos, records):
-        if set(record) != expected_keys:
-            raise ManifestFormatError(f"line {lineno}: record keys must be {sorted(expected_keys)}")
-        if not isinstance(record["id"], str):
-            raise ManifestFormatError(f"line {lineno}: id must be a string")
-        feats = record["features"]
-        if (not isinstance(feats, list) or len(feats) != d
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats)):
-            raise ManifestFormatError(f"line {lineno}: features must be {d} numbers")
-        if task == "single":
-            label = record["label"]
-            if not _is_int(label) or not 0 <= label < k:
-                raise ManifestFormatError(f"line {lineno}: label must be an int in [0, {k})")
-        else:
-            lab = record["labels"]
-            if not isinstance(lab, list) or len(lab) != k or any(v not in (0, 1) for v in lab):
-                raise ManifestFormatError(f"line {lineno}: labels must be {k} binary values")
-        if record["split"] not in SPLITS:
-            raise ManifestFormatError(f"line {lineno}: split must be one of {SPLITS}")
 
 
 def _is_int(value) -> bool:

@@ -7,10 +7,11 @@ import typing
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from longtail_lab import ConfigError, ExperimentConfig, jsonio, parse_config
 from longtail_lab.cli import main
+from longtail_lab.harness import DatasetConfig
 from longtail_lab.losses import LOSS_KINDS
 from longtail_lab.model import CLASSIFIER_KINDS
 from longtail_lab.optim import OPTIMIZER_KINDS
@@ -153,13 +154,15 @@ type_hints = functools.cache(functools.partial(typing.get_type_hints, include_ex
 
 
 @functools.cache  # one strategy object per field: hypothesis validates each on first use
-def value_pairs(hint, name: str, section: str):
-    """(config value, spec value) pairs for the field ``name`` annotated ``hint``."""
+def value_pairs(hint, name: str, section: str, nullable: bool = True):
+    """(config value, spec value) pairs for the field ``name`` annotated ``hint``; a null
+    value only where the field is ``nullable``."""
     if typing.get_origin(hint) is typing.Annotated:
         hint = typing.get_args(hint)[0]
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         (inner,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
-        return st.just((None, None)) | value_pairs(inner, name, section)
+        pairs = value_pairs(inner, name, section)
+        return st.just((None, None)) | pairs if nullable else pairs
     if is_dataclass(hint):
         return spec_sections(hint, name)
     if typing.get_origin(hint) is tuple:
@@ -169,21 +172,29 @@ def value_pairs(hint, name: str, section: str):
     return VALUES.get(name, BY_TYPE.get(hint)).map(lambda v: (v, v))
 
 
+# a section's one source, drawn first so that every draw keeps the rules across its
+# fields: each source and the fields it leaves out
+SOURCES = {DatasetConfig: {"synth": ("manifest", "pareto"), "manifest": ("synth",)}}
+
+
 @st.composite
 def spec_sections(draw, cls, section: str):
     """(raw section, spec): each config field of ``cls`` drawn from its annotation, or left
-    out where it has a default; then only the fields the spec built from them takes."""
+    out where it has a default; then only the fields the spec built from them takes. A
+    section with ``SOURCES`` sets one source, and leaves out the fields it rules out."""
     hints = type_hints(cls)
+    source = draw(st.sampled_from(sorted(SOURCES[cls]))) if cls in SOURCES else None
+    ruled_out = SOURCES[cls][source] if cls in SOURCES else ()
     raw, values = {}, {}
     for f in fields(cls):
-        optional = f.default is not MISSING or f.default_factory is not MISSING
-        if not f.metadata.get("config", True) or (optional and draw(st.booleans())):
+        optional = f.name != source and (f.default is not MISSING
+                                         or f.default_factory is not MISSING)
+        if (not f.metadata.get("config", True) or f.name in ruled_out
+                or (optional and draw(st.booleans()))):
             continue
-        raw[f.name], values[f.name] = draw(value_pairs(hints[f.name], f.name, section))
-    try:
-        spec = cls(**values)
-    except ValueError:  # a rule across fields, such as the dataset's one source
-        reject()
+        raw[f.name], values[f.name] = draw(value_pairs(hints[f.name], f.name, section,
+                                                       f.name != source))
+    spec = cls(**values)
     raw = {key: value for key, value in raw.items() if takes(spec, key)}
     return raw, cls(**{key: values[key] for key in raw})
 

@@ -542,6 +542,20 @@ class TestSweep:
         assert rows[1]["error"] and rows[1]["head"] is None
         assert all(r["error"] is None for i, r in enumerate(rows) if i != 1)
 
+    def test_text_cells_keep_every_row_at_six_cells(self):
+        import csv
+
+        score = {"head": 50.0, "medium": 25.0, "tail": 12.5, "avg": 30.0, "error": None}
+        rows = [{**score, "method": "ce, seed 2"}, {**score, "method": 'a"b\nc'},
+                {**score, "method": "cr\rlf\r\n", "error": "bad,\r\nline"},
+                {**score, "method": "plain", "error": "x"}]
+        text = sweep_csv(rows)
+        cells = list(csv.reader(text.splitlines()))
+        assert [len(row) for row in cells] == [6] * 5
+        assert [row[0] for row in cells[1:]] == ["ce; seed 2", 'a"b c', "cr lf  ", "plain"]
+        assert cells[3][5] == "bad;  line" and cells[4][5] == "x"
+        assert text.splitlines()[4] == "plain,50.00,25.00,12.50,30.00,x"
+
     @pytest.mark.parametrize("parallelism, entries, cpus, expected", [
         (4, 10, 2, 2), (4, 3, 8, 3), (2, 10, 8, 2), (1, 10, 8, 1), (0, 10, 8, 0),
         (10 ** 9, 5, None, 1), (10 ** 9, 2, 64, 2),
@@ -952,6 +966,20 @@ class TestCli:
         assert main([*argv, "--out", str(out)]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("seed", [2 ** 63, 10 ** 23])  # a config refuses these seeds too
+    @pytest.mark.parametrize("command", ["synth", "make-longtail"])
+    def test_seed_beyond_int64_exits_2_and_writes_nothing(self, tmp_path, capsys, command, seed):
+        manifest_path, out = tmp_path / "data.jsonl", tmp_path / "out.jsonl"
+        save_manifest(blob_manifest([40, 20, 6]), manifest_path)
+        argv = {"synth": ["synth"],
+                "make-longtail": ["make-longtail", "--manifest", str(manifest_path), "--n0", "10",
+                                  "--imbalance", "2"]}[command]
+        before = sorted(os.listdir(tmp_path))
+        assert main([*argv, "--seed", str(seed), "--out", str(out)]) == 2
+        assert "seed must lie within the int64 range" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert main([*argv, "--seed", str(2 ** 63 - 1), "--out", str(out)]) == 0  # the largest
 
     def test_seed_override_changes_digest(self, tmp_path):
         config_path = tmp_path / "c.json"
