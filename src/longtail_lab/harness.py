@@ -110,7 +110,7 @@ def check_seed(seed: int) -> None:
     """Refuse a seed below 0 (``np.random.SeedSequence`` cannot take it) or beyond int64."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if seed > np.iinfo(np.int64).max:  # the bound a config's seed has
+    if seed > jsonio.INT64.max:
         raise ConfigError(f"seed must lie within the int64 range, got {seed}")
 
 

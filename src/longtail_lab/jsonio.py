@@ -151,7 +151,7 @@ def write_atomic(path, text: str | Iterable[str]) -> None:
 # what a config value of each annotated type may be; a bool is only ever a bool
 _ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
 _DESCRIBES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-_INT64 = np.iinfo(np.int64)
+INT64 = np.iinfo(np.int64)  # the range an integer in a config, or a seed flag, must lie in
 OMIT_UNSET = {"omit_unset": True}  # field metadata: not written while the field is at its default
 
 
@@ -234,7 +234,7 @@ def _field_value(hint, value, section: str, key: str):
         raise ValueError(f"{name} must be {describes or f'a list of {len(items)} values'}, "
                          f"got {value!r}")
     if isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTS[kind]):
-        if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
+        if isinstance(value, int) and not INT64.min <= value <= INT64.max:
             raise ValueError(f"{name} must lie within the int64 range, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be {describes or 'a finite number'}, got {value!r}")

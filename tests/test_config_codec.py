@@ -172,6 +172,13 @@ def value_pairs(hint, name: str, section: str, nullable: bool = True):
     return VALUES.get(name, BY_TYPE.get(hint)).map(lambda v: (v, v))
 
 
+def nullable(hint) -> bool:
+    """Whether a field annotated ``hint`` may be null: ``X | None``, also inside ``Annotated``."""
+    if typing.get_origin(hint) is typing.Annotated:
+        hint = typing.get_args(hint)[0]
+    return type(None) in typing.get_args(hint)
+
+
 # a section's one source, drawn first so that every draw keeps the rules across its
 # fields: each source and the fields it leaves out
 SOURCES = {DatasetConfig: {"synth": ("manifest", "pareto"), "manifest": ("synth",)}}
@@ -181,16 +188,22 @@ SOURCES = {DatasetConfig: {"synth": ("manifest", "pareto"), "manifest": ("synth"
 def spec_sections(draw, cls, section: str):
     """(raw section, spec): each config field of ``cls`` drawn from its annotation, or left
     out where it has a default; then only the fields the spec built from them takes. A
-    section with ``SOURCES`` sets one source, and leaves out the fields it rules out."""
+    section with ``SOURCES`` sets one source, and leaves out the fields it rules out or,
+    where they may be null, sets them null."""
     hints = type_hints(cls)
     source = draw(st.sampled_from(sorted(SOURCES[cls]))) if cls in SOURCES else None
     ruled_out = SOURCES[cls][source] if cls in SOURCES else ()
     raw, values = {}, {}
     for f in fields(cls):
+        if not f.metadata.get("config", True):
+            continue
+        if f.name in ruled_out:  # left out, or null where the field may be null
+            if nullable(hints[f.name]) and draw(st.booleans()):
+                raw[f.name] = values[f.name] = None
+            continue
         optional = f.name != source and (f.default is not MISSING
                                          or f.default_factory is not MISSING)
-        if (not f.metadata.get("config", True) or f.name in ruled_out
-                or (optional and draw(st.booleans()))):
+        if optional and draw(st.booleans()):
             continue
         raw[f.name], values[f.name] = draw(value_pairs(hints[f.name], f.name, section,
                                                        f.name != source))

@@ -390,7 +390,9 @@ FEATURES = ("[0.5, -1.0]", "[1, 2]", "[1e5, 100000000000000000000000]", "[true, 
 # Listed after FEATURES so that the enumerated cases above keep their test ids.
 LATE_FEATURES = ("[1.0, 1" + "0" * 400 + "]",)
 # Enumerated after every case above, for the same reason: an object, which is unhashable,
-# inside a list of values, an int beyond int64 among labels and NaN beside 0 and 1.
+# inside a list of values, an int beyond int64 among labels and NaN beside 0 and 1, and a
+# valid id holding false (as "true-{i}" holds true).
+LATE_IDS = ('"false-{i}"',)
 LATE_OBJECT_FEATURES = ('[{"a": 1}, 1.0]',)
 LATE_MULTI_LABELS = ('[{"a": 1}, 0, 0]', "[1, 0, 100000000000000000000000]", "[NaN, 0, 1]")
 SINGLE_LABELS = ("0", "2", "3", "-1", "1.0", "true", "null", "[1]", "100000000000000000000000")
@@ -412,7 +414,7 @@ def record_line(draw, task):
 
     if task == "multi":
         label_values += LATE_MULTI_LABELS
-    fields = {"id": pick(IDS), "features": pick(FEATURES + LATE_FEATURES + LATE_OBJECT_FEATURES),
+    fields = {"id": pick(IDS + LATE_IDS), "features": pick(FEATURES + LATE_FEATURES + LATE_OBJECT_FEATURES),
               label_key: pick(label_values), "split": pick(SPLITS_JSON)}
     if draw(st.integers(0, 15)) == 0:
         fields["extra"] = "1"
@@ -456,6 +458,7 @@ def _one_fault_cases():
             for value in values[1:]:
                 yield task, {**valid, field: value}
         late += [(task, {**valid, "features": value}) for value in LATE_FEATURES]
+        later += [(task, {**valid, "id": value}) for value in LATE_IDS]
         later += [(task, {**valid, "features": value}) for value in LATE_OBJECT_FEATURES]
         later += [(task, {**valid, label_key: value}) for value in late_labels]
     yield from late
@@ -521,29 +524,6 @@ class TestLoaderMatchesReference:
             load_manifest(path)
         path.write_text(path.read_text().replace("true", "3.0"))
         assert load_manifest(path).labels.tolist() == [[1, 0], [0, 1]]
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(("single", "multi")),
-           st.lists(st.text(max_size=6), min_size=1, max_size=12, unique=True), st.data())
-    def test_round_trip_of_ids_holding_true_or_false(self, task, stems, data):
-        # valid files whose text holds the JSON tokens true or false, in ids only
-        import tempfile
-        from pathlib import Path
-
-        ids = tuple(f"{stem}{data.draw(st.sampled_from(('true', 'false')))}{i}"
-                    for i, stem in enumerate(stems))
-        n, k = len(ids), 3
-        rng = np.random.default_rng(n)
-        labels = (rng.integers(0, k, n) if task == "single"
-                  else (rng.random((n, k)) < 0.5).astype(np.int64))
-        splits = data.draw(st.lists(st.sampled_from(("train", "val", "test")),
-                                    min_size=n, max_size=n))
-        m = Manifest(ids=ids, features=rng.standard_normal((n, 2)), labels=labels,
-                     splits=np.array(splits), num_classes=k, feature_dim=2, task_kind=task)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.jsonl"
-            save_manifest(m, path)
-            assert _outcome(load_manifest, path) == _outcome(lambda _: m, path)
 
 
 # the line breaks of str.splitlines() besides "\n", "\r\n" and "\r"; JSON holds the last
