@@ -283,8 +283,11 @@ def sweep_csv(rows) -> str:
             return ""
         return f"{float(value):.2f}"
 
-    def text(value):  # one cell on one line: "," would start a cell, "\r" or "\n" a row
-        return value.replace(",", ";").replace("\r", " ").replace("\n", " ")
+    def text(value):  # one cell on one line: "," would start a cell, "\r" or "\n" a row;
+        # a cell holding '"' is quoted with its '"' doubled, so a reader cannot open a
+        # quoted cell at a leading '"' and read on past the row
+        value = value.replace(",", ";").replace("\r", " ").replace("\n", " ")
+        return '"' + value.replace('"', '""') + '"' if '"' in value else value
 
     lines = ["method,head,medium,tail,avg,error"]
     for row in rows:

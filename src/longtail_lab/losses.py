@@ -375,22 +375,53 @@ def _focal(z, y, alpha, gamma):
 
 
 def _bce(z, t):
-    values = np.sum(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z))), axis=1)
-    grads = 1.0 / (1.0 + np.exp(-z)) - t
-    return values, grads
+    # the ufuncs of max(z, 0) - z * t + log1p(exp(-|z|)) and 1 / (1 + exp(-z)) - t, each
+    # with the same operands in the same order, written into two buffers
+    terms = np.maximum(z, 0.0)
+    grads = np.multiply(z, t)
+    np.subtract(terms, grads, out=terms)
+    np.abs(z, out=grads)
+    np.negative(grads, out=grads)
+    np.exp(grads, out=grads)
+    np.log1p(grads, out=grads)
+    np.add(terms, grads, out=terms)
+    np.negative(z, out=grads)
+    np.exp(grads, out=grads)
+    np.add(1.0, grads, out=grads)
+    np.divide(1.0, grads, out=grads)
+    np.subtract(grads, t, out=grads)
+    return np.sum(terms, axis=1), grads
 
 
 def _focal_bce(z, t, gamma):
     # log pt = log sigma(s), s = z where t > 0 and -z elsewhere, computed stably as
-    # -(max(-s, 0) + log1p(exp(-|s|))); |s| = |z|, so the softplus tail is computed once
-    logpt = -(np.maximum(np.where(t > 0, -z, z), 0.0) + np.log1p(np.exp(-np.abs(z))))
-    pt = np.exp(logpt)
-    one_minus = 1.0 - pt
+    # -(max(-s, 0) + log1p(exp(-|s|))); |s| = |z|, so the softplus tail is computed once.
+    # Each ufunc of the expression form, with the same operands in the same order, writes
+    # into one of four buffers: log pt (later the gradients), pt (later 1 - pt, then the
+    # inner factor), gamma * log pt * pt (later the per-class values), and (1 - pt)^gamma.
+    logpt = z.copy()
+    np.negative(z, out=logpt, where=t > 0)
+    np.maximum(logpt, 0.0, out=logpt)
+    pt = np.abs(z)
+    np.negative(pt, out=pt)
+    np.exp(pt, out=pt)
+    np.log1p(pt, out=pt)
+    np.add(logpt, pt, out=logpt)
+    np.negative(logpt, out=logpt)
+    np.exp(logpt, out=pt)
+    scaled = np.multiply(gamma, logpt)
+    np.multiply(scaled, pt, out=scaled)
+    one_minus = np.subtract(1.0, pt, out=pt)
     mod = one_minus ** gamma
-    values = np.sum(-mod * logpt, axis=1)
     # d/dz of one class term, using dpt/dz = (2t-1) * pt * (1-pt)
-    inner = -one_minus
+    inner = np.negative(one_minus, out=one_minus)
     if gamma > 0:
-        inner = inner + gamma * logpt * pt
-    grads = (2.0 * t - 1.0) * mod * inner
+        np.add(inner, scaled, out=inner)
+    np.negative(mod, out=scaled)
+    np.multiply(scaled, logpt, out=scaled)
+    values = np.sum(scaled, axis=1)
+    grads = np.multiply(2.0, t, out=logpt)
+    np.subtract(grads, 1.0, out=grads)
+    np.multiply(grads, mod, out=grads)
+    np.multiply(grads, inner, out=grads)
     return values, grads

@@ -101,47 +101,87 @@ def average_precision_per_label(scores, truths) -> np.ndarray:
     (NaN scores rank last, and -0.0 ties with 0.0). Labels are scored in blocks
     of rows of a transposed (labels, samples) layout, at most
     ``AP_CHUNK_ELEMENTS`` elements per block, so memory stays bounded for any
-    size. Each label's ranking is a contiguous row, so its final sum is the
-    same pairwise 1-d sum as when that label is scored alone, and every AP is
-    bitwise equal to a per-label loop. Rows are ordered by one default
-    argsort, which is several times faster than a stable one where numpy has
-    SIMD sorts. A row whose ranked scores are strictly decreasing has only one
-    sorted order, which is therefore the stable one; only the other rows (a
-    tie, -0.0 against 0.0, or a NaN) are re-sorted stably.
+    size. Only the positives are ranked: each row of negated scores is sorted
+    by value, and one binary search over all positives of the block counts the
+    keys below each positive's key. A positive whose key equals another
+    sample's gets the count of equal keys at a lower sample index added, which
+    gives its place in the (score, index) order. Its precision, hits / rank, is
+    put at that rank in a row of zeros, and each row is summed. That row is the
+    one a cumulative sum over the whole ranked row gives, and it is contiguous,
+    so its pairwise sum, and every AP, is bitwise equal to a per-label loop.
     """
     s = np.asarray(scores, dtype=np.float64)
     t = np.asarray(truths)
     if s.ndim != 2 or s.shape != t.shape:
         raise ValueError("scores and truths must be equal-shape (n, K) arrays")
-    if not ((t == 0) | (t == 1)).all():
+    relevant = t == 1
+    if not (relevant | (t == 0)).all():
         raise ValueError("truths must be binary")
     n, k = s.shape
     aps = np.full(k, np.nan)
     positives = t.sum(axis=0)
     scored = np.flatnonzero(positives > 0)
-    flat_truths = t.ravel()
-    ranks = np.arange(1, n + 1)
     block = max(1, AP_CHUNK_ELEMENTS // max(1, n))
     for start in range(0, scored.size, block):
         labels = scored[start:start + block]
         keys = s.T[labels]
         np.negative(keys, out=keys)
-        order = np.argsort(keys, axis=1)
-        ranked = np.take_along_axis(keys, order, axis=1)
-        unsure = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
-        if unsure.any():
-            order[unsure] = np.argsort(keys[unsure], axis=1, kind="stable")
-        order *= k  # flat positions of the ranked samples in t
-        order += labels[:, None]
-        rel = flat_truths.take(order).astype(np.float64)
-        precision = np.cumsum(rel, axis=1)
-        precision /= ranks
-        precision *= rel
+        flat = keys.ravel()
+        at = np.flatnonzero(relevant.T[labels])  # flat positions of the positives, row by row
+        own = flat[at]
+        keys.sort(axis=1)  # NaN last
+        row_start = at - at % n
+        below = _count_below(flat, row_start, own, n, np.less)
+        nan = np.isnan(own)
+        if nan.any():  # a NaN key ranks after every number of its row
+            below[nan] = _count_below(flat, row_start[nan], np.inf, n, np.less_equal)
+        # a tie: the sorted value after the first one equal to the key is equal to it too
+        next_key = flat[np.minimum(below + 1, n - 1) + row_start]
+        tied = np.flatnonzero((below + 1 < n) & ((next_key == own) | nan))
+        if tied.size:
+            below[tied] += _equal_keys_before(s, labels, at[tied], row_start[tied] + below[tied],
+                                              n, block)
+        ranked = np.sort(row_start + below)  # flat positions of the positives' ranks
+        # hits at a rank: 1 + the positives of the same row ranked before it
+        hits = np.arange(1, ranked.size + 1) - np.searchsorted(row_start, row_start)
+        precision = np.zeros_like(keys)
+        precision.ravel()[ranked] = hits / (ranked - row_start + 1)
         aps[labels] = precision.sum(axis=1) / positives[labels]
     empty = [int(c) for c in np.flatnonzero(np.isnan(aps))]
     if empty:
         warnings.warn(f"labels {empty} have no positives; skipped in mAP")
     return aps
+
+
+def _count_below(flat, row_start, keys, n, before):
+    """For each key, how many of the n sorted values of its row, which begins at
+    ``row_start`` in ``flat``, compare ``before`` it: one branchless binary search."""
+    found = row_start.copy()
+    size = n
+    while size > 1:
+        half = size // 2
+        found += half * before(flat[found + half], keys)
+        size -= half
+    found += before(flat[found], keys)
+    return found - row_start
+
+
+def _equal_keys_before(s, labels, at, first, n, block):
+    """For each tied positive at flat block position ``at``, whose run of equal keys
+    begins at the flat sorted position ``first``, how many samples at a lower index
+    have a score equal to its own (NaN equal to NaN): one running count per run,
+    ``block`` runs at a time."""
+    runs, one, run_of = np.unique(first, return_index=True, return_inverse=True)
+    rows, cols = np.divmod(at, n)
+    counts = np.empty(at.size, dtype=np.int64)
+    for start in range(0, runs.size, block):
+        some = one[start:start + block]
+        values = s.T[labels[rows[some]]]
+        own = values[np.arange(some.size), cols[some]][:, None]
+        seen = np.cumsum((values == own) | (np.isnan(values) & np.isnan(own)), axis=1)
+        mine = np.flatnonzero((run_of >= start) & (run_of < start + block))
+        counts[mine] = seen[run_of[mine] - start, cols[mine]] - 1
+    return counts
 
 
 def mean_average_precision(scores, truths) -> float:

@@ -26,6 +26,7 @@ from . import jsonio
 
 CLASSIFIER_KINDS = ("linear", "cosine")
 CHECKPOINT_VERSION = 1
+MAX_HIDDEN_DIM = 1 << 12  # encoder width; a wider one is a config error
 
 
 @dataclass(kw_only=True)
@@ -103,8 +104,8 @@ def check_classifier_kind(classifier_kind: str) -> None:
 
 
 def check_hidden_dim(hidden_dim: int | None) -> None:
-    if hidden_dim is not None and hidden_dim < 1:
-        raise ValueError("hidden_dim must be >= 1")
+    if hidden_dim is not None and not 1 <= hidden_dim <= MAX_HIDDEN_DIM:
+        raise ValueError(f"hidden_dim must lie in [1, {MAX_HIDDEN_DIM}]")
 
 
 def init_model(num_classes: int, feature_dim: int, *, hidden_dim: int | None = None,

@@ -5,7 +5,9 @@ through views shaped like each parameter (``unflatten``). ``Optimizer.step``
 packs the gradient dict with one concatenation and updates the buffer in place
 with elementwise ufuncs, so each element gets the bits that an update of its own
 array would give; the state is one buffer per moment, and every ufunc writes into
-one of two scratch buffers allocated with the moments.
+one of two scratch buffers allocated with the moments. A step whose SGD momentum
+or Adam second moment is not finite (a non-finite gradient, or one whose square
+overflows) raises before the parameters move.
 """
 from __future__ import annotations
 
@@ -41,6 +43,12 @@ class OptimizerSpec:
             raise ValueError("learning rate must be positive")
         if self.sam_rho < 0:
             raise ValueError("sam_rho must be non-negative")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        if not self.momentum >= 0:
+            raise ValueError("momentum must be non-negative")
 
 
 def flatten(arrays: dict) -> np.ndarray:
@@ -71,9 +79,6 @@ class Optimizer:
         """Apply ``grads``, a dict of gradients in the order of the parameters, to the flat
         parameter buffer ``flat`` in place; returns ``flat``."""
         g = flatten(grads)
-        if not np.isfinite(g).all():
-            name = next(name for name, v in grads.items() if not np.isfinite(v).all())
-            raise ValueError(f"non-finite gradient for {name!r}")
         spec = self.spec
         if not self._moments:
             self._moments = tuple(np.zeros_like(g) for _ in range(1 if spec.kind == "sgd" else 2))
@@ -83,6 +88,8 @@ class Optimizer:
             (buf,) = self._moments
             buf *= spec.momentum
             buf += g
+            if not np.isfinite(buf).all():
+                _refuse(buf, "SGD momentum", grads)
             flat -= np.multiply(spec.lr, buf, out=update)
         else:
             m, v = self._moments
@@ -94,6 +101,8 @@ class Optimizer:
             v *= spec.beta2
             np.multiply(1.0 - spec.beta2, g, out=update)
             v += np.multiply(update, g, out=update)
+            if not np.isfinite(v).all():
+                _refuse(v, "Adam second moment", grads)
             np.divide(m, correct1, out=update)
             update *= spec.lr
             np.divide(v, correct2, out=denom)
@@ -102,6 +111,18 @@ class Optimizer:
             update /= denom
             flat -= update
         return flat
+
+
+def _refuse(moment: np.ndarray, what: str, grads: dict) -> None:
+    """Raise ``ValueError`` for a ``moment`` that is not finite, naming the first parameter
+    with a non-finite gradient or, with every gradient finite, the first whose part of
+    ``moment`` overflowed."""
+    for name, value in grads.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"non-finite gradient for {name!r}")
+    for name, part in unflatten(moment, grads).items():
+        if not np.isfinite(part).all():
+            raise ValueError(f"{what} overflows for {name!r}")
 
 
 def global_grad_norm(grads: dict) -> float:

@@ -14,6 +14,7 @@ from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, NcmClassifier, deci
                           load_manifest, mean_average_precision, optim, parse_config,
                           run_experiment, run_sweep, save_checkpoint, save_manifest, sweep_csv)
 from longtail_lab.harness import sweep_workers
+from longtail_lab.model import MAX_HIDDEN_DIM
 from longtail_lab.samplers import SAMPLER_KINDS
 from longtail_lab.training import MAX_BATCH_SIZE, STAGE2_KINDS
 from longtail_lab.cli import main
@@ -227,11 +228,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(raw)
 
+    def test_hidden_dim_cap(self):
+        raw = small_config()  # parsed only: a model at the cap is never built
+        raw["train"]["hidden_dim"] = MAX_HIDDEN_DIM
+        assert parse_config(raw).train.hidden_dim == MAX_HIDDEN_DIM
+        raw["train"]["hidden_dim"] = MAX_HIDDEN_DIM + 1
+        with pytest.raises(ConfigError, match=re.escape(f"hidden_dim must lie in [1, "
+                                                        f"{MAX_HIDDEN_DIM}]")):
+            parse_config(raw)
+
     @pytest.mark.parametrize("section, key, value", [
         ("synth", "num_classes", 1), ("synth", "feature_dim", 1), ("synth", "n0", 0),
         ("synth", "ratio", 0.5), ("train", "classifier_kind", "foo"), ("train", "hidden_dim", 0),
         ("synth", "num_classes", "3"), ("train", "hidden_dim", "3"), ("train", "epochs", 2.5),
         ("train", "batch_size", True), ("train", "batch_size", MAX_BATCH_SIZE + 1),
+        ("train", "hidden_dim", 10 ** 9),
     ])
     def test_unbuildable_config_exits_2_before_compute(self, tmp_path, capsys, section, key, value):
         raw = small_config()
@@ -275,6 +286,11 @@ class TestParseConfig:
                      id="sam_rho-nan"),
         pytest.param(("train", "loss"), {"kind": "logit_adjust", "tau": float("nan")},
                      id="loss-tau-nan"),
+        pytest.param(("train", "optimizer"), {"kind": "adam", "beta1": 2.0}, id="beta1-2"),
+        pytest.param(("train", "optimizer"), {"kind": "adam", "beta2": 1.0}, id="beta2-1"),
+        pytest.param(("train", "optimizer"), {"kind": "adam", "eps": -1.0}, id="eps-negative"),
+        pytest.param(("train", "optimizer"), {"kind": "sgd", "momentum": -3.0},
+                     id="momentum-negative"),
     ])
     def test_wrong_typed_value_exits_2_at_parse(self, tmp_path, capsys, path, value):
         raw = small_config()
@@ -548,13 +564,17 @@ class TestSweep:
         score = {"head": 50.0, "medium": 25.0, "tail": 12.5, "avg": 30.0, "error": None}
         rows = [{**score, "method": "ce, seed 2"}, {**score, "method": 'a"b\nc'},
                 {**score, "method": "cr\rlf\r\n", "error": "bad,\r\nline"},
-                {**score, "method": "plain", "error": "x"}]
+                {**score, "method": "plain", "error": "x"},
+                {**score, "method": '"q'}, {**score, "method": "ok", "error": '"x, "y"'}]
         text = sweep_csv(rows)
         cells = list(csv.reader(text.splitlines()))
-        assert [len(row) for row in cells] == [6] * 5
-        assert [row[0] for row in cells[1:]] == ["ce; seed 2", 'a"b c', "cr lf  ", "plain"]
-        assert cells[3][5] == "bad;  line" and cells[4][5] == "x"
+        assert [len(row) for row in cells] == [6] * 7
+        assert [row[0] for row in cells[1:]] == ["ce; seed 2", 'a"b c', "cr lf  ", "plain", '"q',
+                                                 "ok"]
+        assert cells[3][5] == "bad;  line" and cells[4][5] == "x" and cells[6][5] == '"x; "y"'
         assert text.splitlines()[4] == "plain,50.00,25.00,12.50,30.00,x"
+        assert text.splitlines()[5] == '"""q",50.00,25.00,12.50,30.00,'
+        assert text.splitlines()[2] == '"a""b c",50.00,25.00,12.50,30.00,'
 
     @pytest.mark.parametrize("parallelism, entries, cpus, expected", [
         (4, 10, 2, 2), (4, 3, 8, 3), (2, 10, 8, 2), (1, 10, 8, 1), (0, 10, 8, 0),
@@ -908,6 +928,20 @@ class TestCli:
         assert main(["make-longtail", "--manifest", str(manifest_path), "--n0", "1",
                      "--imbalance", "1", "--out", str(tmp_path / "lt.jsonl")]) == 2
         assert capsys.readouterr().err.count("line 2: features must be finite") == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # g * g overflows before the raise
+    def test_overflowing_second_moment_exits_1_as_a_divergence(self, tmp_path, capsys):
+        # the gradients stay finite, but their squares overflow Adam's second moment, which
+        # would freeze every update at m / inf = 0
+        raw = small_config()
+        raw["dataset"]["synth"]["class_separation"] = 1e200
+        raw["train"]["optimizer"] = {"kind": "adam"}
+        config_path, report = tmp_path / "c.json", tmp_path / "r.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(config_path), "--out", str(report)]) == 1
+        assert ("training diverged at epoch 0, step 0: Adam second moment overflows for "
+                "'cls_w'") in capsys.readouterr().err
+        assert not report.exists()
 
     def test_missing_file_exits_1(self, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "none.json"),

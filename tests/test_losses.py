@@ -354,6 +354,49 @@ class TestFocalBce:
         assert np.array_equal(u64(got[1]), u64(expected[1]))
 
 
+def expression_bce(z, t):
+    """The BCE kernel as one expression per output: ``losses._bce`` must match it bit for bit."""
+    values = np.sum(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z))), axis=1)
+    grads = 1.0 / (1.0 + np.exp(-z)) - t
+    return values, grads
+
+
+def expression_focal_bce(z, t, gamma):
+    """Focal BCE as one expression per step: ``losses._focal_bce`` must match it bit for bit."""
+    logpt = -(np.maximum(np.where(t > 0, -z, z), 0.0) + np.log1p(np.exp(-np.abs(z))))
+    pt = np.exp(logpt)
+    one_minus = 1.0 - pt
+    mod = one_minus ** gamma
+    values = np.sum(-mod * logpt, axis=1)
+    inner = -one_minus
+    if gamma > 0:
+        inner = inner + gamma * logpt * pt
+    grads = (2.0 * t - 1.0) * mod * inner
+    return values, grads
+
+
+class TestBufferedMultiLabelKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 16)),
+           scale=st.sampled_from((1.0, 10.0, 1e3)), gamma=st.sampled_from((0.0, 0.5, 2.0, 3.7)),
+           soft=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_expression_forms(self, shape, scale, gamma, soft, seed):
+        # logits up to +-1e3, a fifth of them a signed zero or past exp's overflow at 709.78
+        rng = np.random.default_rng(seed)
+        z = np.clip(scale * rng.standard_normal(shape), -1e3, 1e3)
+        special = rng.random(shape) < 0.2
+        z[special] = rng.choice([0.0, -0.0, 710.0, -710.0, 1e3, -1e3], size=special.sum())
+        t = rng.random(shape) if soft else (rng.random(shape) < 0.5).astype(np.float64)
+        before = z.copy(), t.copy()
+        with np.errstate(over="ignore"):  # exp(-z) overflows to inf at z < -709 in both forms
+            pairs = [(losses._bce(z, t), expression_bce(z, t)),
+                     (losses._focal_bce(z, t, gamma), expression_focal_bce(z, t, gamma))]
+        for got, expected in pairs:
+            assert np.array_equal(u64(got[0]), u64(expected[0]))
+            assert np.array_equal(u64(got[1]), u64(expected[1]))
+        assert np.array_equal(u64(z), u64(before[0])) and np.array_equal(u64(t), u64(before[1]))
+
+
 # the single-label kinds that are one cross-entropy over logits adjusted by a LossPlan
 CE_FAMILY = ("ce", "cb_ce", "ldam", "prior_ce", "balanced_softmax", "logit_adjust",
              "weighted_softmax", "vs", "seql", "gcl")

@@ -241,16 +241,57 @@ def scored_truths(draw):
     return scores, (rng.random((n, k)) < rates).astype(dtype)
 
 
+def ap_blocked(scores, truths, chunk=None):
+    """``average_precision_per_label`` with ``chunk`` elements per label block (None: the
+    module's own), its no-positive warning silenced."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if chunk is not None:
+            mp.setattr(metrics_module, "AP_CHUNK_ELEMENTS", chunk)
+        return average_precision_per_label(scores, truths)
+
+
+def tie_cases():
+    """(name, scores, truths) where the ranking rests on the tie rules."""
+    nan, rng = np.nan, np.random.default_rng(11)
+    # every label ties positives with each other and with negatives, -0.0 beside 0.0
+    tied = np.array([[0.5, 0.0, 1.0, 2.0], [0.5, -0.0, 1.0, 2.0], [0.5, 0.0, 0.5, 2.0],
+                     [0.7, -0.0, 1.0, 3.0], [0.5, 0.0, 1.0, 2.0], [0.2, 0.0, 1.0, 2.0]])
+    tied_truths = np.array([[0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 0, 0],
+                            [0, 0, 1, 1], [1, 1, 1, 0], [0, 1, 0, 1]])
+    nans = np.array([[nan, 1.0, nan], [nan, nan, 0.0], [0.3, nan, nan],
+                     [nan, 2.0, -nan], [1.0, nan, nan]])
+    nan_truths = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1], [1, 0, 0], [0, 1, 1]])
+    rounded = np.round(rng.standard_normal((40, 9)), 1)
+    rounded[rng.random((40, 9)) < 0.1] = nan
+    return [
+        ("ties", tied, tied_truths),
+        ("nan-positives-beside-nan-negatives", nans, nan_truths),
+        ("all-equal", np.full((7, 5), 0.25), (rng.random((7, 5)) < 0.5).astype(np.int64)),
+        ("all-equal-all-positive", np.zeros((6, 3)), np.ones((6, 3), dtype=np.int64)),
+        ("n=1", np.array([[0.3, nan, -0.0, 0.3]]), np.array([[1, 1, 1, 0]])),
+        ("rounded-with-nan", rounded, (rng.random((40, 9)) < 0.4).astype(np.int64)),
+    ]
+
+
 class TestAveragePrecisionPerLabel:
     @settings(max_examples=300, deadline=None)
-    @given(scored_truths())
-    def test_bitwise_equal_to_per_label_loop(self, case):
+    @given(scored_truths(), st.sampled_from([None, 1, 7, 64]))
+    def test_bitwise_equal_to_per_label_loop(self, case, chunk):
         scores, truths = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = average_precision_per_label(scores, truths)
+        got = ap_blocked(scores, truths, chunk)
         want = ap_per_label_loop(scores, truths)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("name, scores, truths", tie_cases(), ids=[c[0] for c in tie_cases()])
+    def test_ties_bitwise_equal_in_every_block_size(self, name, scores, truths):
+        # 1 to 3 labels per block, and the default, so tied labels fall on both sides of a
+        # block boundary, and the runs of equal keys are counted a few at a time
+        n = scores.shape[0]
+        want = ap_per_label_loop(scores, truths)
+        for chunk in (n, 2 * n, 3 * n + 1, None):
+            got = ap_blocked(scores, truths, chunk)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), chunk
 
     def test_label_blocks_bitwise_equal_one_block(self, monkeypatch):
         rng = np.random.default_rng(5)

@@ -114,6 +114,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             OptimizerSpec("sgd", sam_rho=-0.1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"beta1": 2.0}, "beta1 and beta2"), ({"beta1": -0.1}, "beta1 and beta2"),
+        ({"beta2": 1.0}, "beta1 and beta2"), ({"beta2": float("nan")}, "beta1 and beta2"),
+        ({"eps": -1.0}, "eps"), ({"eps": 0.0}, "eps"),
+        ({"kind": "sgd", "momentum": -3.0}, "momentum"),
+        ({"kind": "sgd", "momentum": float("nan")}, "momentum"),
+    ])
+    def test_setting_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerSpec(**kwargs)
+
+    def test_edge_settings_accepted(self):
+        OptimizerSpec("adam", beta1=0.0, beta2=0.0, eps=1e-300)
+        OptimizerSpec("sgd", momentum=0.0)
+
     def test_global_grad_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
         assert global_grad_norm(grads) == pytest.approx(5.0)
@@ -250,6 +265,28 @@ class TestFlatUpdate:
         scratch = [id(a) for a in opt._scratch]
         opt.step(flat, {"p": g})
         assert [id(a) for a in opt._scratch] == scratch  # allocated once, with the moments
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the step then refuses
+    @pytest.mark.parametrize("spec, first, second, message", [
+        (OptimizerSpec("adam"), 1.0, 1e200, "Adam second moment overflows for 'b'"),
+        (OptimizerSpec("sgd", momentum=0.9), 1e308, 1e308, "SGD momentum overflows for 'b'"),
+        (OptimizerSpec("sgd", momentum=0.9), 1.0, np.nan, "non-finite gradient for 'b'"),
+    ], ids=["adam-square", "sgd-momentum", "sgd-nan"])
+    def test_moment_that_is_not_finite_names_its_block(self, spec, first, second, message):
+        # the first step, with 'b' at ``first``, keeps every moment finite; the second, with
+        # one element of 'b' at ``second``, does not
+        params = as_params(a=np.zeros(3), b=np.zeros((2, 2)), temperature=1.0)
+        grads = {k: np.ones_like(v) for k, v in params.items()}
+        grads["b"][:] = first
+        opt = Optimizer(spec)
+        flat = flatten(params)
+        opt.step(flat, grads)
+        before = flat.copy()
+        grads["b"][:] = 1.0
+        grads["b"][1, 0] = second
+        with pytest.raises(ValueError, match=message):
+            opt.step(flat, grads)
+        assert flat.tobytes() == before.tobytes()  # nothing moved
 
     def test_non_finite_gradient_names_its_block(self):
         params = as_params(a=np.zeros(3), b=np.zeros((2, 2)), temperature=1.0)
