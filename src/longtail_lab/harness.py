@@ -20,7 +20,8 @@ from .distribution import group_split, pareto_targets
 from .manifest import Manifest, load_manifest, subsample_longtail, synth_gaussian, synth_targets
 from .metrics import checkpoint_gaps
 from .model import ModelState, weight_norms
-from .training import TrainConfig, apply_stage2, evaluate_split, stage_rngs, train_stage1
+from .training import (TrainConfig, apply_stage2, check_scorable, evaluate_split, stage_rngs,
+                       train_stage1)
 
 
 class ConfigError(ValueError):
@@ -184,23 +185,37 @@ def build_dataset(dataset: DatasetConfig, seed) -> Manifest:
     return manifest
 
 
+def _run_stages(config: ExperimentConfig, keep_history: bool):
+    """The stages of a run up to its final classifier: dataset, task check, stage 1, stage 2.
+
+    The dataset stage refuses, with ``ConfigError``, group boundaries that do not
+    fit the manifest's K and val or test splits that cannot be scored
+    (``training.check_scorable``). ``keep_history`` is ``train_stage1``'s.
+    Returns the manifest, the groups, the stage-1 model, its history and the
+    final classifier.
+    """
+    data_rng, train_rng, stage2_rng = stage_rngs(config.seed)
+    with _stage("dataset"):
+        manifest = build_dataset(config.dataset, data_rng)
+        with config_values():
+            groups = group_split(manifest.train_distribution(), config.dataset.group_boundaries)
+            check_scorable(manifest, groups)
+    check_task(config.train, manifest.task_kind)
+    with _stage("train"):
+        model, history = train_stage1(manifest, config.train, rng=train_rng, groups=groups,
+                                      keep_history=keep_history)
+    with _stage("stage2"):
+        final = apply_stage2(model, manifest, config.train, rng=stage2_rng)
+    return manifest, groups, model, history, final
+
+
 def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
     """Execute one configured run and (optionally) write its report JSON.
 
     Reports are written atomically after success, so a failed run leaves no
     partial output. Byte-identical reports for identical configs.
     """
-    data_rng, train_rng, stage2_rng = stage_rngs(config.seed)
-    with _stage("dataset"):
-        manifest = build_dataset(config.dataset, data_rng)
-        dist = manifest.train_distribution()
-        with config_values():  # group boundaries that do not fit the manifest's K
-            groups = group_split(dist, config.dataset.group_boundaries)
-    check_task(config.train, manifest.task_kind)
-    with _stage("train"):
-        model, history = train_stage1(manifest, config.train, rng=train_rng, groups=groups)
-    with _stage("stage2"):
-        final = apply_stage2(model, manifest, config.train, rng=stage2_rng)
+    manifest, groups, model, history, final = _run_stages(config, keep_history=True)
     with _stage("evaluate"):
         if final is model:  # stage 2 changed nothing: the last epoch, always evaluated, is final
             last = history.records[-1]
@@ -233,14 +248,14 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
                             final_classifier=final, history=history)
 
 
-def _sweep_worker(name: str, raw_config: dict) -> dict:
+def _sweep_worker(name: str, config: ExperimentConfig) -> dict:
     row = {"method": name, "head": None, "medium": None, "tail": None,
            "avg": None, "error": None}
     try:
-        result = run_experiment(parse_config(raw_config))
-        report = result.report["final"]["group_report"]
-        row.update(head=report["head"], medium=report["medium"],
-                   tail=report["tail"], avg=report["average"])
+        manifest, groups, _, _, final = _run_stages(config, keep_history=False)
+        with _stage("evaluate"):
+            report = evaluate_split(final, manifest, "test", groups)
+        row.update(head=report.head, medium=report.medium, tail=report.tail, avg=report.average)
     except Exception as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -249,6 +264,13 @@ def _sweep_worker(name: str, raw_config: dict) -> dict:
 def run_sweep(entries, parallelism: int = 1) -> list[dict]:
     """Run (name, raw_config) pairs, up to ``parallelism`` at a time.
 
+    Every config is parsed, and a bad one refused, before any row runs. A row
+    runs the stages of ``run_experiment`` without its history, then scores the
+    final classifier once on test: its head/medium/tail/avg are those of the
+    run's ``report["final"]["group_report"]``, and a failed row's error is the
+    run's. No epoch is scored but for the ``difficulty`` sampler, which needs
+    val on each evaluated epoch.
+
     Each run executes in its own process with isolated state; failures are
     recorded per-row and do not stop the sweep. Row order follows input order.
     ``load_manifest`` keeps its last parse, so rows that read one manifest file
@@ -256,18 +278,16 @@ def run_sweep(entries, parallelism: int = 1) -> list[dict]:
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
-    entries = list(entries)
+    entries = [(name, parse_config(raw)) for name, raw in entries]
     if not entries:
         raise ConfigError("sweep needs at least one config")
-    for _, raw in entries:  # reject bad configs before any compute
-        parse_config(raw)
     workers = sweep_workers(parallelism, len(entries), os.cpu_count())
     if workers <= 1:
-        return [_sweep_worker(name, raw) for name, raw in entries]
+        return [_sweep_worker(name, config) for name, config in entries]
     from concurrent.futures import ProcessPoolExecutor  # imported only for a parallel sweep
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_worker, name, raw) for name, raw in entries]
+        futures = [pool.submit(_sweep_worker, name, config) for name, config in entries]
         return [f.result() for f in futures]
 
 

@@ -169,6 +169,18 @@ def _config_fields(cls) -> tuple:
                  if f.metadata.get("config", True))
 
 
+def check_finite(spec) -> None:
+    """Refuse a NaN or infinite value in a ``float`` (or ``float | None``) field of ``spec``.
+
+    A spec's constructor calls it last, for library callers: a config value is
+    already refused by ``parse_fields``.
+    """
+    for f, hint in _config_fields(type(spec)):
+        value = getattr(spec, f.name)
+        if hint in (float, float | None) and value is not None and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+
+
 def _taken(spec, f) -> bool:
     predicate = f.metadata.get("takes")
     return predicate is None or predicate(spec)

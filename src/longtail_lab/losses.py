@@ -100,6 +100,7 @@ class LossSpec:
             raise ValueError("gcl amplitude must be non-negative")
         if not 0.0 <= self.eps_head < 1.0 or not 0.0 <= self.eps_tail < 1.0:
             raise ValueError("label smoothing strengths must lie in [0, 1)")
+        jsonio.check_finite(self)
 
     @property
     def multi_label(self) -> bool:

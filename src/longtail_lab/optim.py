@@ -49,6 +49,7 @@ class OptimizerSpec:
             raise ValueError("eps must be positive")
         if not self.momentum >= 0:
             raise ValueError("momentum must be non-negative")
+        jsonio.check_finite(self)
 
 
 def flatten(arrays: dict) -> np.ndarray:

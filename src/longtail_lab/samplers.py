@@ -32,6 +32,7 @@ class SamplerSpec:
             raise ValueError("difficulty_floor must be positive")
         if self.epoch_length is not None and self.epoch_length < 1:
             raise ValueError("epoch_length must be >= 1")
+        jsonio.check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,7 @@ class MixupSpec:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("mixup alpha must be positive")
+        jsonio.check_finite(self)
 
 
 class BatchSampler:

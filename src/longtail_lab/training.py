@@ -10,6 +10,7 @@ train rows once, trains a head-only model on them and puts the encoder back.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Annotated
 
@@ -58,6 +59,7 @@ class Stage2Spec:
         if self.epochs is not None and self.epochs < 0:
             raise ValueError("stage-2 epochs must be >= 0")
         _check_temperature(self.temperature, "stage-2 temperature")
+        jsonio.check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -113,9 +115,7 @@ def evaluate_split(classifier, manifest: Manifest, split: str, groups: GroupSpli
     ``posthoc_tau``, the scores are first shifted by ``-posthoc_tau * log`` of
     the train class priors (``losses.posthoc_adjust``).
     """
-    idx = manifest.split_indices(split)
-    if idx.size == 0:
-        raise ValueError(f"{split} split is empty")
+    idx = _scored_rows(manifest, split)
     scores = decision_scores(classifier, manifest.features[idx])
     if posthoc_tau is not None:
         scores = posthoc_adjust(scores, manifest.train_distribution(), posthoc_tau)
@@ -126,10 +126,39 @@ def evaluate_split(classifier, manifest: Manifest, split: str, groups: GroupSpli
     return replace(group_report_from_values(100.0 * aps, groups), map=float(np.nanmean(aps)))
 
 
+def _scored_rows(manifest: Manifest, split: str) -> np.ndarray:
+    idx = manifest.split_indices(split)
+    if idx.size == 0:
+        raise ValueError(f"{split} split is empty")
+    return idx
+
+
+def check_scorable(manifest: Manifest, groups: GroupSplit) -> None:
+    """Refuse a val or test split that ``evaluate_split`` could not score, before any training.
+
+    A split is refused if it is empty, or if a group has no class with an
+    evaluation sample in it (single-label) or with a positive (multi-label);
+    the ``ValueError`` is the one ``evaluate_split`` would raise.
+    """
+    for split in ("val", "test"):
+        labels = manifest.labels[_scored_rows(manifest, split)]
+        present = (np.bincount(labels, minlength=manifest.num_classes)
+                   if manifest.task_kind == "single" else labels.sum(axis=0)) > 0
+        with warnings.catch_warnings():  # the scoring itself warns of the classes it skips
+            warnings.simplefilter("ignore")
+            group_report_from_values(np.where(present, 0.0, np.nan), groups)
+
+
 def train_stage1(manifest: Manifest, config: TrainConfig,
                  rng: np.random.Generator | None = None,
-                 groups: GroupSplit | None = None):
-    """First-stage training; returns the model and its per-epoch history."""
+                 groups: GroupSplit | None = None, *, keep_history: bool = True):
+    """First-stage training; returns the model and its per-epoch history.
+
+    With ``keep_history`` (the default), val and test are scored on every
+    ``eval_every``-th epoch and at the last, each such epoch a record of the
+    history. Without it, the history is None and an epoch is scored only on
+    val, only for the ``difficulty`` sampler; the model is the same.
+    """
     rng = rng if rng is not None else stage_rngs(config.seed)[1]
     if groups is None:
         groups = group_split(manifest.train_distribution())
@@ -139,8 +168,10 @@ def train_stage1(manifest: Manifest, config: TrainConfig,
     )
     trainable = _head_keys(model) + (() if model.encoder_w is None else ("encoder_w", "encoder_b"))
     plan = loss_plan(config.loss, manifest.train_distribution())
-    return _fit(model, manifest, config, rng, trainable, config.sampler, plan,
-                config.mixup, config.epochs, groups=groups)
+    history = RunHistory() if keep_history else None
+    model = _fit(model, manifest, config, rng, trainable, config.sampler, plan, config.mixup,
+                 config.epochs, groups=groups, history=history)
+    return model, history
 
 
 def stage2_crt(model: ModelState, manifest: Manifest, config: TrainConfig,
@@ -258,9 +289,9 @@ def _fit_head(kind: str, model: ModelState, manifest: Manifest, config: TrainCon
         inv = 1.0 / dist.counts.astype(np.float64)
         plan = replace(plan, weight=inv * (inv.size / inv.sum()))
     epochs = config.stage2.epochs if config.stage2.epochs is not None else config.epochs
-    fitted, _ = _fit(head, manifest, config, rng, trainable(head),
-                     SamplerSpec(sampler_kind, epoch_length=config.sampler.epoch_length),
-                     plan, MixupSpec(), epochs, encoder=frozen)
+    fitted = _fit(head, manifest, config, rng, trainable(head),
+                  SamplerSpec(sampler_kind, epoch_length=config.sampler.epoch_length),
+                  plan, MixupSpec(), epochs, encoder=frozen)
     return replace(fitted, encoder_w=frozen.encoder_w, encoder_b=frozen.encoder_b)
 
 
@@ -272,7 +303,8 @@ def _owned(model: ModelState, trainable) -> ModelState:
 
 def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.random.Generator,
          trainable, sampler_spec: SamplerSpec, plan: losses.LossPlan, mixup: MixupSpec,
-         epochs: int, *, encoder: ModelState | None = None, groups: GroupSplit | None = None):
+         epochs: int, *, encoder: ModelState | None = None, groups: GroupSplit | None = None,
+         history: RunHistory | None = None) -> ModelState:
     """Train the ``trainable`` parameters; the optimizer and batch size come from ``config``.
 
     Every batch's loss comes from ``plan`` (``losses.loss_plan``): its per-class
@@ -294,8 +326,12 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     temperature that leaves (0, inf) stops the fit with ``TrainingDivergedError``.
 
     With ``encoder``, the sampled train rows are its features, computed once,
-    and ``model`` is a head that reads them. With ``groups``, each evaluated
-    epoch is recorded in the history and feeds the difficulty sampler.
+    and ``model`` is a head that reads them. Every ``eval_every``-th epoch and
+    the last are evaluated epochs, scored by ``groups``. Such an epoch scores
+    val when ``history`` is given or the sampler is ``difficulty``, whose class
+    CDF the per-class val accuracy updates, and scores test and appends an
+    ``EpochRecord`` to ``history`` when it is given; else it scores nothing.
+    Scoring draws nothing from ``rng``, so the trained model is the same either way.
     """
     if plan.spec.multi_label != (manifest.task_kind == "multi"):
         raise ValueError(f"loss kind {plan.spec.kind!r} does not match task {manifest.task_kind!r}")
@@ -308,7 +344,8 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     bound = replace(model, **unflatten(params, layout))
     steps = max(1, math.ceil(sampler.epoch_length / config.batch_size))
     trains_temperature = "temperature" in layout
-    history = RunHistory()
+    difficulty = sampler_spec.kind == "difficulty"
+    scores_val = history is not None or difficulty
     result = model
 
     for epoch in range(epochs):
@@ -349,17 +386,18 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
             epoch_loss += value
 
         last = epoch == epochs - 1
-        evaluate_now = groups is not None and ((epoch + 1) % config.eval_every == 0 or last)
+        evaluate_now = scores_val and ((epoch + 1) % config.eval_every == 0 or last)
         if evaluate_now or last:
             result = _owned(bound, trainable)
         if evaluate_now:
             val_report = evaluate_split(result, manifest, "val", groups)
-            test_report = evaluate_split(result, manifest, "test", groups)
-            history.records.append(EpochRecord(
-                epoch=epoch, train_loss=epoch_loss / steps,
-                val=val_report, test=test_report, weight_norms=weight_norms(result),
-            ))
-            if sampler_spec.kind == "difficulty":
+            if history is not None:
+                test_report = evaluate_split(result, manifest, "test", groups)
+                history.records.append(EpochRecord(
+                    epoch=epoch, train_loss=epoch_loss / steps,
+                    val=val_report, test=test_report, weight_norms=weight_norms(result),
+                ))
+            if difficulty:
                 acc = np.nan_to_num(val_report.per_class_acc / 100.0, nan=1.0)
                 sampler.update_difficulty(acc)
-    return result, history
+    return result

@@ -9,7 +9,8 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from longtail_lab import ConfigError, ExperimentConfig, jsonio, parse_config
+from longtail_lab import (ConfigError, ExperimentConfig, LossSpec, MixupSpec, OptimizerSpec,
+                          SamplerSpec, Stage2Spec, jsonio, parse_config)
 from longtail_lab.cli import main
 from longtail_lab.harness import DatasetConfig
 from longtail_lab.losses import LOSS_KINDS
@@ -272,3 +273,23 @@ def test_ignored_key_exits_2(tmp_path, capsys, name):
     assert main(["train", "--config", str(config_path), "--out", str(report)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {section} does not take")
     assert not report.exists()
+
+
+# (spec, the other arguments, a float field): each float a library caller can set
+SPEC_FLOATS = [
+    (OptimizerSpec, {}, "lr"), (OptimizerSpec, {"kind": "sgd"}, "momentum"),
+    (OptimizerSpec, {}, "eps"), (OptimizerSpec, {"sam": True}, "sam_rho"),
+    *[(LossSpec, {"kind": "focal"}, f.name) for f in fields(LossSpec) if f.name != "kind"],
+    (SamplerSpec, {"kind": "difficulty"}, "difficulty_floor"),
+    (MixupSpec, {"enabled": True}, "alpha"), (Stage2Spec, {"kind": "tau_norm"}, "tau"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("spec, others, name", SPEC_FLOATS,
+                         ids=[f"{spec.__name__}-{name}" for spec, _, name in SPEC_FLOATS])
+def test_spec_refuses_non_finite_float(spec, others, name, value):
+    spec(**others)  # the other arguments alone are valid
+    with pytest.raises(ValueError):
+        spec(**others, **{name: value})
+

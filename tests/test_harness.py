@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, NcmClassifier, decision_scores,
-                          evaluate_split, group_split, init_model, jsonio, load_checkpoint,
+from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, NcmClassifier, build_dataset,
+                          decision_scores, evaluate_split, group_split, init_model, jsonio,
+                          load_checkpoint,
                           load_manifest, mean_average_precision, optim, parse_config,
                           run_experiment, run_sweep, save_checkpoint, save_manifest, sweep_csv)
 from longtail_lab.harness import sweep_workers
@@ -76,6 +77,35 @@ def multilabel_config(manifest_path, **train) -> dict:
     return {"seed": 1, "dataset": {"manifest": str(manifest_path), "group_boundaries": [1, 2]},
             "train": {"epochs": 3, "batch_size": 16, "loss": {"kind": "bce_ml"},
                       "optimizer": {"kind": "sgd", "lr": 0.05}, **train}}
+
+
+def unscorable_manifest(fault: str):
+    """A manifest, grouped by boundaries (1, 2), whose val or test split cannot be scored."""
+    if fault == "multi-no-val-positive":
+        manifest = multilabel_manifest(n=60)
+        manifest.labels[manifest.split_indices("val"), 2] = 0
+        return manifest
+    manifest = blob_manifest([60, 30, 10])
+    if fault == "no-val":
+        drop = manifest.splits == "val"
+    else:  # the tail class has no test record
+        drop = (manifest.splits == "test") & (manifest.labels == 2)
+    return manifest.subset(np.flatnonzero(~drop))
+
+
+UNSCORABLE = {"no-val": "val split is empty",
+              "no-tail-test": "every class in group 'tail' has zero evaluation samples",
+              "multi-no-val-positive": "every class in group 'tail' has zero evaluation samples"}
+
+
+def manifest_config(manifest, path) -> dict:
+    """A config that trains from ``manifest``, saved at ``path``."""
+    save_manifest(manifest, path)
+    if manifest.task_kind == "multi":
+        return multilabel_config(path)
+    raw = small_config()
+    raw["dataset"] = {"manifest": str(path), "group_boundaries": [1, 2]}
+    return raw
 
 
 POSITIVE = st.floats(0.01, 100.0)
@@ -516,6 +546,18 @@ class TestRunExperiment:
         assert re.search(TASK_MISMATCH, capsys.readouterr().err)
         assert steps == []
 
+    @pytest.mark.parametrize("fault", list(UNSCORABLE))
+    def test_unscorable_split_exits_2_before_training(self, tmp_path, monkeypatch, capsys, fault):
+        raw = manifest_config(unscorable_manifest(fault), tmp_path / "m.jsonl")
+        steps = count_optimizer_steps(monkeypatch)
+        with pytest.raises(ConfigError, match=re.escape(UNSCORABLE[fault])):
+            run_experiment(parse_config(raw))
+        config_path, out = tmp_path / "c.json", tmp_path / "r.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+        assert f"error: {UNSCORABLE[fault]}" in capsys.readouterr().err
+        assert steps == [] and not out.exists()
+
     def test_failure_leaves_no_partial_report(self, tmp_path):
         raw = small_config()
         raw["dataset"] = {"manifest": str(tmp_path / "missing.jsonl")}
@@ -585,16 +627,80 @@ class TestSweep:
 
     @pytest.mark.parametrize("parallelism", [0, -3])
     def test_parallelism_below_one_rejected_before_compute(self, monkeypatch, parallelism):
-        runs = count_calls(monkeypatch, run_experiment)
+        built = count_calls(monkeypatch, build_dataset)  # the first stage of every row
         with pytest.raises(ConfigError, match="parallelism must be >= 1"):
             run_sweep(self.entries(), parallelism=parallelism)
-        assert not runs
+        assert not built
+        run_sweep(self.entries()[:1], parallelism=1)
+        assert built == [1]
+
+    def test_row_scores_test_once_and_difficulty_val_per_evaluated_epoch(self, monkeypatch):
+        plain = small_config(name="plain")
+        difficulty = small_config(name="difficulty")
+        difficulty["train"].update(epochs=5, eval_every=2, sampler={"kind": "difficulty"})
+        scored = count_calls(monkeypatch, evaluate_split)
+        for raw, expected in ((plain, 1), (difficulty, 1 + 3)):  # val at epochs 1, 3 and 4
+            scored.clear()
+            (row,) = run_sweep([(raw["name"], raw)], parallelism=1)
+            assert row["error"] is None
+            assert len(scored) == expected
 
     def test_invalid_config_rejected_before_compute(self):
         bad = small_config()
         bad["train"]["loss"] = {"kind": "nope"}
         with pytest.raises(ConfigError):
             run_sweep([("bad", bad)], parallelism=1)
+
+
+# train sections over each sampler, MixUp, SAM, the cosine head and a divergence
+ROW_TRAIN_CASES = {
+    "class_balanced": {"sampler": {"kind": "class_balanced"}},
+    "difficulty-eval_every-2": {"sampler": {"kind": "difficulty"}, "eval_every": 2, "epochs": 5},
+    "mixup": {"mixup": {"enabled": True, "alpha": 0.4}},
+    "sam": {"optimizer": {"kind": "adam", "lr": 0.01, "sam": True, "sam_rho": 0.05}},
+    "cosine-head": {"classifier_kind": "cosine", "hidden_dim": 6},
+    "diverges": {"optimizer": {"kind": "sgd", "lr": 1e200}, "hidden_dim": 8},
+}
+ROW_CASES = [*(f"stage2-{kind}" for kind in STAGE2_KINDS), *ROW_TRAIN_CASES, "multi-label",
+             *UNSCORABLE]
+
+
+def row_case_config(case: str, tmp_path) -> dict:
+    if case == "multi-label":
+        return manifest_config(multilabel_manifest(n=60), tmp_path / "ml.jsonl")
+    if case in UNSCORABLE:
+        return manifest_config(unscorable_manifest(case), tmp_path / "m.jsonl")
+    raw = small_config()
+    if case in ROW_TRAIN_CASES:
+        raw["train"].update(ROW_TRAIN_CASES[case])
+    else:
+        kind = case.removeprefix("stage2-")
+        raw["train"]["stage2"] = {"kind": kind}
+        if kind in ("crt", "lws", "disalign", "cosine_retrain"):
+            raw["train"]["stage2"]["epochs"] = 2
+    return raw
+
+
+class TestSweepRowsMatchRuns:
+    """A sweep row is the final test report of ``run_experiment``, or its error text."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence: inf ripples first
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_row_equals_final_report(self, tmp_path, case, parallelism):
+        raw = row_case_config(case, tmp_path)
+        expected = {"method": case, "head": None, "medium": None, "tail": None, "avg": None,
+                    "error": None}
+        try:
+            final = run_experiment(parse_config(raw)).report["final"]["group_report"]
+            expected.update(head=final["head"], medium=final["medium"], tail=final["tail"],
+                            avg=final["average"])
+        except Exception as exc:
+            expected["error"] = f"{type(exc).__name__}: {exc}"
+        assert (expected["error"] is None) == (case not in ("diverges", *UNSCORABLE))
+        # two entries, so that parallelism 2 runs two worker processes
+        rows = run_sweep([(case, raw)] * 2, parallelism=parallelism)
+        assert rows == [expected, expected]
 
 
 class TestCli:
