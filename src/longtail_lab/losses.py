@@ -164,14 +164,22 @@ def posthoc_adjust(logits, dist: ClassDistribution, tau: float) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.shape[-1] != dist.num_classes:
         raise ValueError(f"logits have {z.shape[-1]} classes, distribution has {dist.num_classes}")
+    return z - posthoc_shift(dist, tau)
+
+
+def posthoc_shift(dist: ClassDistribution, tau: float) -> np.ndarray:
+    """The shift tau * log pi that ``posthoc_adjust`` subtracts; zeros at tau = 0.
+
+    A shift that is not finite is refused with ``ValueError``.
+    """
     if tau == 0:
-        return z.copy()
+        return np.zeros(dist.num_classes)
     _require_positive_counts(dist, "posthoc adjustment")
     with np.errstate(over="ignore"):
         shift = tau * np.log(dist.frequencies)
     if not np.isfinite(shift).all():
         raise ValueError(f"posthoc tau {tau!r} gives a logit shift tau * log pi that is not finite")
-    return z - shift
+    return shift
 
 
 def draw_noise(spec: LossSpec, rng: np.random.Generator, batch_size: int,
@@ -340,8 +348,7 @@ def _require_positive_counts(dist, what):
 
 def _log_softmax(z):
     shifted = z - z.max(axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):  # exp(-inf) = 0 for seql-masked entries
-        shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     return shifted
 
 

@@ -27,6 +27,9 @@ from . import jsonio
 CLASSIFIER_KINDS = ("linear", "cosine")
 CHECKPOINT_VERSION = 1
 MAX_HIDDEN_DIM = 1 << 12  # encoder width; a wider one is a config error
+# rows per block of encode_rows and of single-label evaluation: bounds their (rows, f) and
+# (rows, K) temporaries, whatever the split size
+BLOCK_ROWS = 512
 
 
 @dataclass(kw_only=True)
@@ -149,6 +152,29 @@ def encode(classifier, x: np.ndarray) -> np.ndarray:
     pre = x @ classifier.encoder_w.T
     pre += classifier.encoder_b
     return np.maximum(pre, 0.0, out=pre)
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Cut ``n`` rows into the fewest blocks of at most ``BLOCK_ROWS`` rows, equal in size to
+    within one row, so no tail block is a lone row (which BLAS would run as a gemv)."""
+    count = -(-n // BLOCK_ROWS)
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+def encode_rows(classifier, features: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``encode(classifier, features[idx])``, gathered and encoded a row block at a time.
+
+    Through an encoder, the gathered input rows are held one block at a time,
+    never beside the whole encoded copy. Each block runs the same GEMM rows and
+    per-row ufuncs as encoding all rows at once, which gives the same bits where
+    BLAS gives a row the same result in a GEMM of a different row count.
+    """
+    if classifier.encoder_w is None:
+        return features[idx]
+    out = np.empty((idx.size, classifier.encoder_w.shape[0]))
+    for block in row_blocks(idx.size):
+        out[block] = encode(classifier, features[idx[block]])
+    return out
 
 
 def forward_with_cache(model: ModelState, x: np.ndarray):

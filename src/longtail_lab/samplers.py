@@ -52,18 +52,19 @@ class BatchSampler:
     """Stateful with-replacement batch source over a manifest's train split.
 
     Single-writer: the training loop owns it. All randomness comes from the
-    generator passed to next_batch. ``features`` holds the train rows batches
-    are cut from; stage 2 replaces them with their frozen-encoder features.
-    The class CDF of the class-conditional kinds is computed on construction
-    and again on each ``update_difficulty``.
+    generator passed to next_batch. Batches are cut from ``features``, one
+    row for each train row in manifest order: by default a copy of the
+    manifest's train rows; stage 2 passes their frozen-encoder features, so
+    that no raw copy is made. The class CDF of the class-conditional kinds is
+    computed on construction and again on each ``update_difficulty``.
     """
 
-    def __init__(self, spec: SamplerSpec, manifest):
+    def __init__(self, spec: SamplerSpec, manifest, features: np.ndarray | None = None):
         self.spec = spec
         train_idx = manifest.split_indices("train")
         if train_idx.size == 0:
             raise ValueError("train split is empty")
-        self.features = manifest.features[train_idx]
+        self._features = manifest.features[train_idx] if features is None else features
         self._labels = manifest.labels[train_idx]
         self._num_classes = manifest.num_classes
         self.epoch_length = spec.epoch_length or int(train_idx.size)
@@ -114,7 +115,7 @@ class BatchSampler:
             classes = np.minimum(classes, self._num_classes - 1)
             offsets = (rng.random(batch_size) * self._pool_sizes[classes]).astype(np.int64)
             idx = self._pool[self._pool_offsets[classes] + offsets]
-        return self.features[idx], self._labels[idx]
+        return self._features[idx], self._labels[idx]
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import jsonio, losses
 from .distribution import GroupSplit, group_split
-from .losses import LossSpec, draw_noise, loss_plan, posthoc_adjust
+from .losses import LossSpec, draw_noise, loss_plan, posthoc_shift
 from .manifest import Manifest
 from .metrics import EpochRecord, GroupReport, RunHistory, average_precision_per_label, group_report, group_report_from_values
 from .model import (ModelState, NcmClassifier, backward, check_classifier_kind, check_hidden_dim,
-                    decision_scores, encode, forward_with_cache, init_model, tau_normalize,
-                    weight_norms)
+                    decision_scores, encode_rows, forward_with_cache, init_model, row_blocks,
+                    tau_normalize, weight_norms)
 from .optim import Optimizer, OptimizerSpec, flatten, sam_step, unflatten
 from .samplers import BatchSampler, MixupSpec, SamplerSpec, mixup_batch
 
@@ -110,18 +110,31 @@ def evaluate_split(classifier, manifest: Manifest, split: str, groups: GroupSpli
                    posthoc_tau: float | None = None) -> GroupReport:
     """Group report over one split: top-1 accuracy, or per-label AP when multi-label.
 
-    The one evaluation entry point: the split is scored once, and a multi-label
-    report's ``map`` comes from the AP vector of ``per_class_acc``. With
-    ``posthoc_tau``, the scores are first shifted by ``-posthoc_tau * log`` of
-    the train class priors (``losses.posthoc_adjust``).
+    The one evaluation entry point; each row is scored once. A single-label
+    split is gathered, scored and reduced to its argmax one block of rows
+    (``model.row_blocks``) at a time, so no (rows, K) score matrix or (rows, d)
+    gather of the whole split is held. A multi-label split is scored whole,
+    because AP ranks every row, and its report's ``map`` comes from the AP
+    vector of ``per_class_acc``. With ``posthoc_tau``, the scores are first
+    shifted by ``-posthoc_tau * log`` of the train class priors; the shift
+    (``losses.posthoc_shift``) is computed, or refused, before any row is scored.
     """
     idx = _scored_rows(manifest, split)
-    scores = decision_scores(classifier, manifest.features[idx])
-    if posthoc_tau is not None:
-        scores = posthoc_adjust(scores, manifest.train_distribution(), posthoc_tau)
+    shift = None if posthoc_tau is None else posthoc_shift(manifest.train_distribution(),
+                                                            posthoc_tau)
+
+    def scores_of(rows):
+        scores = decision_scores(classifier, manifest.features[rows])
+        if shift is not None:
+            scores -= shift
+        return scores
+
     if manifest.task_kind == "single":
-        return group_report(np.argmax(scores, axis=1), manifest.labels[idx], groups)
-    aps = average_precision_per_label(scores, manifest.labels[idx])
+        predictions = np.empty(idx.size, dtype=np.int64)
+        for block in row_blocks(idx.size):
+            predictions[block] = np.argmax(scores_of(idx[block]), axis=1)
+        return group_report(predictions, manifest.labels[idx], groups)
+    aps = average_precision_per_label(scores_of(idx), manifest.labels[idx])
     # the group report raises first if no label has positives, so the mean is over some AP
     return replace(group_report_from_values(100.0 * aps, groups), map=float(np.nanmean(aps)))
 
@@ -199,13 +212,17 @@ def stage2_cosine_retrain(model: ModelState, manifest: Manifest, config: TrainCo
 
 
 def stage2_ncm(model: ModelState, manifest: Manifest) -> NcmClassifier:
-    """Nearest-class-mean classifier from train-split means through the frozen encoder."""
+    """Nearest-class-mean classifier from train-split means through the frozen encoder.
+
+    The train rows are encoded a row block at a time (``model.encode_rows``),
+    so the raw rows are never held whole beside their encoded copy.
+    """
     train_idx = manifest.split_indices("train")
     if train_idx.size == 0:
         raise ValueError("train split is empty")
     if manifest.task_kind != "single":
         raise ValueError("nearest class mean requires single-label data")
-    feats = encode(model, manifest.features[train_idx])
+    feats = encode_rows(model, manifest.features, train_idx)
     labels = manifest.labels[train_idx]
     means = np.empty((manifest.num_classes, feats.shape[1]))
     for c in range(manifest.num_classes):
@@ -325,8 +342,10 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     buffer; its loss is the mean of the per-sample values. A trained cosine
     temperature that leaves (0, inf) stops the fit with ``TrainingDivergedError``.
 
-    With ``encoder``, the sampled train rows are its features, computed once,
-    and ``model`` is a head that reads them. Every ``eval_every``-th epoch and
+    With ``encoder``, ``model`` is a head that reads the encoder's features
+    of the train rows. They are computed once, a row block at a time
+    (``model.encode_rows``), and handed to the sampler, which then holds them
+    in place of a copy of the raw train rows. Every ``eval_every``-th epoch and
     the last are evaluated epochs, scored by ``groups``. Such an epoch scores
     val when ``history`` is given or the sampler is ``difficulty``, whose class
     CDF the per-class val accuracy updates, and scores test and appends an
@@ -335,9 +354,9 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     """
     if plan.spec.multi_label != (manifest.task_kind == "multi"):
         raise ValueError(f"loss kind {plan.spec.kind!r} does not match task {manifest.task_kind!r}")
-    sampler = BatchSampler(sampler_spec, manifest)
-    if encoder is not None:
-        sampler.features = encode(encoder, sampler.features)
+    train_rows = (None if encoder is None
+                  else encode_rows(encoder, manifest.features, manifest.split_indices("train")))
+    sampler = BatchSampler(sampler_spec, manifest, train_rows)
     optimizer = Optimizer(config.optimizer)
     layout = {k: getattr(model, k) for k in trainable}
     params = flatten(layout)

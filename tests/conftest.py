@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,21 @@ from longtail_lab import Manifest, manifest as manifest_module
 def cold_manifest_cache():
     """Start every test with no kept manifest parse, so parse counts do not depend on order."""
     manifest_module._last_parse = None
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes tracemalloc saw allocated while it ran.
+
+    Only blocks allocated during the call count, so arrays built before it are not part
+    of the peak, and neither is what the call frees of them.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def blob_manifest(train_counts, feature_dim=4, val_per_class=5, test_per_class=5,

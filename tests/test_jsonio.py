@@ -1,5 +1,4 @@
 import os
-import tracemalloc
 from dataclasses import dataclass, field
 from unittest import mock
 
@@ -11,6 +10,8 @@ from hypothesis.extra.numpy import array_shapes, arrays, from_dtype
 
 from longtail_lab import Manifest, jsonio, save_manifest
 from longtail_lab import manifest as manifest_module
+
+from conftest import traced_peak
 
 # -0.0, integral values either side of 1e16 and 1e17 (where %.17g switches to an
 # exponent), the smallest subnormal, and NaN (written as null)
@@ -330,12 +331,7 @@ class TestBlockWriter:
                                 labels=(rng.random((n, k)) < 0.02).astype(np.int64),
                                 splits=np.full(n, "train"), num_classes=k, feature_dim=d,
                                 task_kind="multi")
-            tracemalloc.start()
-            try:
-                save_manifest(manifest, tmp_path / "m.jsonl")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(save_manifest, manifest, tmp_path / "m.jsonl")[1])
         file_bytes = (tmp_path / "m.jsonl").stat().st_size
         # a writer that holds the whole text peaks above the file size, which grows 16x here;
         # a block of 128 rows of 64 features and 200 labels renders in about 0.9 MB

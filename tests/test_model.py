@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +10,8 @@ from longtail_lab import (LossSpec, ModelState, NcmClassifier, batch_loss_and_gr
                           init_model, load_checkpoint, loss_plan, save_checkpoint, tau_normalize,
                           weight_norms)
 from longtail_lab.model import backward, forward_with_cache
+
+from conftest import traced_peak
 
 
 class TestForward:
@@ -139,12 +140,7 @@ class TestNcm:
         n, k, d = 200, 500, 128
         rng = np.random.default_rng(6)
         ncm, x = NcmClassifier(means=rng.standard_normal((k, d))), rng.standard_normal((n, d))
-        tracemalloc.start()
-        try:
-            scores = decision_scores(ncm, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        scores, peak = traced_peak(decision_scores, ncm, x)
         assert scores.shape == (n, k)
         # a few (n, K) arrays and at most one (n, d) copy; a (rows, K, d) tensor is far above it
         assert peak < 3 * n * k * 8 + n * d * 8

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from longtail_lab import (LossContext, LossSpec, MixupSpec, OptimizerSpec, SamplerSpec,
                           Stage2Spec, TrainConfig, TrainingDivergedError, apply_stage2,
@@ -8,13 +11,13 @@ from longtail_lab import (LossContext, LossSpec, MixupSpec, OptimizerSpec, Sampl
                           jsonio, parse_config,
                           posthoc_adjust, run_experiment, synth_gaussian, train_stage1,
                           weight_norms)
-from longtail_lab import model as model_module, training as training_module
-from longtail_lab.model import forward_with_cache, backward
+from longtail_lab import Manifest, NcmClassifier, model as model_module, training as training_module
+from longtail_lab.model import BLOCK_ROWS, backward, encode, forward_with_cache
 from longtail_lab.optim import Optimizer, flatten, unflatten
 from longtail_lab.training import (stage2_cosine_retrain, stage2_crt, stage2_disalign,
                                    stage2_lws, stage2_ncm)
 
-from conftest import blob_manifest
+from conftest import blob_manifest, traced_peak
 
 
 SGD = OptimizerSpec("sgd", lr=0.05)
@@ -261,6 +264,20 @@ class TestEvaluateSplit:
             got = evaluate_split(model, manifest, "test", groups, posthoc_tau=tau)
             assert got.to_dict() == expected.to_dict()
 
+    def test_non_finite_posthoc_shift_is_refused_before_scoring(self, monkeypatch):
+        manifest = blob_manifest([80, 20, 4], val_per_class=10, test_per_class=10)
+        model, _, groups = trained_stage1(manifest, epochs=1)
+        calls = []
+
+        def counting_scores(classifier, features):
+            calls.append(len(features))
+            return decision_scores(classifier, features)
+
+        monkeypatch.setattr(training_module, "decision_scores", counting_scores)
+        with pytest.raises(ValueError, match="posthoc tau 1e\\+308 gives a logit shift"):
+            evaluate_split(model, manifest, "test", groups, posthoc_tau=1e308)
+        assert calls == []
+
 
 class TestStage2Crt:
     def test_encoder_frozen_bit_identical(self):
@@ -339,10 +356,120 @@ class TestStage2EncodesOnce:
             return encode(classifier, x)
 
         monkeypatch.setattr(model_module, "encode", counting_encode)
-        monkeypatch.setattr(training_module, "encode", counting_encode)
         out = fit(model, manifest, config, np.random.default_rng(0))
         assert encoded_rows == [manifest.split_indices("train").size]
         assert np.array_equal(out.encoder_w, model.encoder_w)
+
+
+def blocked_manifest(n_train, n_test, k, d, seed):
+    """Random rows: ``n_train`` train rows with every class present, ``n_test`` test rows."""
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([np.arange(n_train) % k, rng.integers(0, k, n_test)])
+    return Manifest(ids=tuple(f"r{i}" for i in range(n_train + n_test)),
+                    features=rng.standard_normal((n_train + n_test, d)), labels=labels,
+                    splits=np.array(["train"] * n_train + ["test"] * n_test), num_classes=k,
+                    feature_dim=d, task_kind="single")
+
+
+def random_classifier(kind, k, d, hidden, rng):
+    """A linear, cosine, LWS- or DisAlign-calibrated model, or an NCM head, with random arrays."""
+    cosine = kind == "cosine"
+    model = init_model(k, d, hidden_dim=hidden, classifier_kind="cosine" if cosine else "linear",
+                       rng=rng)
+    model.cls_w = rng.standard_normal(model.cls_w.shape)
+    if not cosine:
+        model.cls_b = rng.standard_normal(k)
+    if kind in ("lws", "disalign"):
+        model.logit_scale = rng.uniform(0.5, 2.0, k)
+    if kind == "disalign":
+        model.logit_offset = rng.standard_normal(k)
+    if kind == "ncm":
+        return NcmClassifier(means=rng.standard_normal(model.cls_w.shape),
+                             encoder_w=model.encoder_w, encoder_b=model.encoder_b)
+    return model
+
+
+def fields(classifier):
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(classifier).items()}
+
+
+def encode_whole(classifier, features, idx):
+    return encode(classifier, features[idx])
+
+
+# split sizes either side of one and two blocks; the equal blocks never leave a lone row
+BLOCK_EDGES = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
+CLASSIFIER_KINDS = ("linear", "cosine", "lws", "disalign", "ncm")
+
+
+class TestBlockedEvaluation:
+    """Single-label evaluation scores row blocks; it predicts what scoring the whole split does.
+
+    K, d and the hidden width are drawn from 2-12, where OpenBLAS gives a GEMM row the same
+    bits whatever the row count. Elsewhere it need not: a product with 1-4 output columns
+    over 32 or more inputs, or with 300, can differ in the last bits.
+    """
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    @settings(max_examples=8, deadline=None)
+    @given(k=st.integers(2, 12), d=st.integers(2, 12),
+           hidden=st.none() | st.integers(2, 12),
+           tau=st.none() | st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_predict_the_whole_split_argmax(self, kind, n, k, d, hidden, tau, seed):
+        manifest = blocked_manifest(2 * k, n, k, d, seed)
+        classifier = random_classifier(kind, k, d, hidden, np.random.default_rng(seed))
+        scores = decision_scores(classifier, manifest.features[manifest.split_indices("test")])
+        if tau is not None:
+            scores = posthoc_adjust(scores, manifest.train_distribution(), tau)
+        with mock.patch.object(training_module, "group_report",
+                               lambda predictions, truths, groups: predictions):
+            got = evaluate_split(classifier, manifest, "test", None, posthoc_tau=tau)
+        assert got.tobytes() == np.argmax(scores, axis=1).tobytes()
+
+    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    def test_peak_memory_does_not_grow_with_split_beyond_a_block(self, kind):
+        k, d, peaks = 64, 32, []
+        sizes = (2 * BLOCK_ROWS, 16 * BLOCK_ROWS)
+        for n in sizes:
+            manifest = blocked_manifest(2 * k, n, k, d, seed=0)
+            classifier = random_classifier(kind, k, d, 32, np.random.default_rng(1))
+            groups = group_split(manifest.train_distribution(), (1, 2))
+            manifest.split_indices("test")  # the split's row index is kept on the manifest
+            peaks.append(traced_peak(evaluate_split, classifier, manifest, "test", groups)[1])
+        # a whole-split score matrix alone takes 8 * K bytes a row; the predictions and the
+        # report's own per-row arrays take a few dozen at most: under an eighth of that
+        assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) * (8 * k) / 8
+        assert peaks[1] < sizes[1] * 8 * k
+
+
+class TestBlockedStage2:
+    """Stage 2 encodes the train rows in blocks: the same arrays as encoding them all at once."""
+
+    @pytest.mark.parametrize("n_train", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("kind", ["crt", "lws", "disalign", "cosine_retrain", "ncm"])
+    def test_same_classifier_as_encoding_all_rows_at_once(self, kind, n_train):
+        manifest = blocked_manifest(n_train, 10, 5, 6, seed=n_train)
+        model = random_classifier("linear", 5, 6, 8, np.random.default_rng(2))
+        config = TrainConfig(epochs=1, batch_size=64, seed=0, hidden_dim=8,
+                             optimizer=OptimizerSpec("adam", lr=0.01),
+                             stage2=Stage2Spec(kind, **({} if kind == "ncm" else {"epochs": 2})))
+        got = apply_stage2(model, manifest, config, np.random.default_rng(3))
+        with mock.patch.object(training_module, "encode_rows", encode_whole):
+            expected = apply_stage2(model, manifest, config, np.random.default_rng(3))
+        assert fields(got) == fields(expected)
+
+    @pytest.mark.parametrize("kind", ["crt", "disalign", "ncm"])
+    def test_peak_memory_below_raw_rows_plus_encoded_copy(self, kind):
+        n_train, k, d, hidden = 8 * BLOCK_ROWS, 8, 32, 32
+        manifest = blocked_manifest(n_train, 10, k, d, seed=0)
+        model = random_classifier("linear", k, d, hidden, np.random.default_rng(1))
+        config = TrainConfig(epochs=1, batch_size=256, seed=0, hidden_dim=hidden,
+                             stage2=Stage2Spec(kind, **({} if kind == "ncm" else {"epochs": 1})))
+        manifest.split_indices("train")
+        _, peak = traced_peak(apply_stage2, model, manifest, config, np.random.default_rng(0))
+        # a gathered copy of the raw train rows held beside the encoded ones reaches this alone
+        assert peak < n_train * (d + hidden) * 8
 
 
 class TestStage2Ncm:
