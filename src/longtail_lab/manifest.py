@@ -26,6 +26,16 @@ module slot keeps the last manifest it parsed, keyed on the sha256 of the
 file's bytes (not on the path, size or mtime), and a load of the same bytes
 gets a new, independent ``Manifest`` built from it. A failed parse is never
 kept, and ``save_manifest`` does not fill the slot.
+
+``synth_gaussian`` costs little beyond its one normal draw. Its ids, record
+``i`` of class ``c`` in a split being ``f"{split}-{c}-{i}"``, depend only on
+the layout (the number of classes and the per-(split, class) counts), not on
+the seed: one module slot keeps the ids tuple of the last layout built. The
+class means are added ``SYNTH_BLOCK_ROWS`` rows at a time, the same
+elementwise adds as one whole-array add, so the bits are the same.
+
+``Manifest`` checks an ids tuple when it is built; the tuples those two slots
+hold were checked then, and pass again unchecked.
 """
 from __future__ import annotations
 
@@ -35,7 +45,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -58,7 +68,10 @@ class Manifest:
     """A split-tagged collection of feature vectors with single- or multi-labels.
 
     Columnar storage: ``labels`` is (n,) int for single-label or (n, K) {0,1}
-    for multi-label. Splits partition the records.
+    for multi-label. Splits partition the records. ``ids`` is a tuple of
+    unique strings (a list is stored as a tuple), checked once per tuple: the
+    tuple kept for the last synth layout or by the kept parse was checked when
+    it was built, cannot change, and passes unchecked.
     """
 
     ids: tuple[str, ...]
@@ -72,21 +85,22 @@ class Manifest:
     def __post_init__(self):
         if self.task_kind not in TASK_KINDS:
             raise ValueError(f"task_kind must be one of {TASK_KINDS}")
+        self.ids = _checked_ids(self.ids)
         n = len(self.ids)
-        if n == 0:
-            raise ValueError("manifest has no records")
-        if len(set(self.ids)) != n:
-            dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
-            raise ValueError(f"duplicate id {dup!r}")
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.splits = np.array(self.splits, dtype="U8")
-        self.splits.flags.writeable = False
+        splits = self.splits
+        if not isinstance(splits, np.ndarray):  # a str array would drop trailing NULs
+            splits = np.array(splits, dtype=object)
         if self.features.shape != (n, self.feature_dim):
             raise ValueError(f"features must have shape ({n}, {self.feature_dim})")
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
-        if not np.isin(self.splits, SPLITS).all():
+        if splits.shape != (n,):
+            raise ValueError(f"splits must have shape ({n},)")
+        if not np.isin(splits, SPLITS).all():
             raise ValueError(f"splits must be one of {SPLITS}")
+        self.splits = splits.astype("U8")
+        self.splits.flags.writeable = False
         if self.task_kind == "single":
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (n,):
@@ -140,6 +154,28 @@ class Manifest:
         if self.task_kind == "single":
             return compute_distribution(self.labels[idx], self.num_classes)
         return distribution_from_counts(self.labels[idx].sum(axis=0))
+
+
+def _checked_ids(ids) -> tuple[str, ...]:
+    """``ids`` as a tuple, refused unless it holds unique strings.
+
+    A tuple and its strings are immutable, so the ids tuple kept by the synth
+    layout slot or by the kept parse, which were checked when they were built,
+    pass without a second check.
+    """
+    ids = tuple(ids)
+    synth, parse = _synth_ids, _last_parse  # read once: another thread may replace a slot
+    if (synth is not None and ids is synth[1]) or (parse is not None and ids is parse[1].ids):
+        return ids
+    if not ids:
+        raise ValueError("manifest has no records")
+    if not all(map(isinstance, ids, repeat(str))):
+        at = next(i for i, rid in enumerate(ids) if not isinstance(rid, str))
+        raise ValueError(f"id at position {at} must be a string, not {ids[at]!r}")
+    if len(set(ids)) != len(ids):
+        dup = next(rid for rid, count in Counter(ids).items() if count > 1)
+        raise ValueError(f"duplicate id {dup!r}")
+    return ids
 
 
 def label_cardinality(manifest: Manifest) -> float:
@@ -198,6 +234,12 @@ def synth_targets(num_classes: int, feature_dim: int, n0: int, ratio: float,
     return pareto_targets(n0, num_classes, ratio)
 
 
+# rows whose class means synth_gaussian adds at a time: bounds the (rows, d) gather of means
+SYNTH_BLOCK_ROWS = 512
+# (num_classes and the per-(split, class) counts, their ids): the last synth_gaussian layout
+_synth_ids: tuple[tuple[int, tuple[int, ...]], tuple[str, ...]] | None = None
+
+
 def synth_gaussian(
     num_classes: int,
     feature_dim: int,
@@ -214,6 +256,14 @@ def synth_gaussian(
     the first two feature coordinates, with unit isotropic noise in all
     dimensions. Train counts follow pareto_targets(n0, K, ratio); val and test
     are balanced at the given per-class counts.
+
+    Records run split by split (train, val, test), class by class within a
+    split; record ``i`` of class ``c`` has the id ``f"{split}-{c}-{i}"``. The
+    features are one ``standard_normal`` draw of all records, and the class
+    means are added to it ``SYNTH_BLOCK_ROWS`` rows at a time, so no (n, d)
+    gather of means is held. The ids tuple depends only on the layout (K and
+    the per-(split, class) counts), so the last layout's tuple is kept and
+    reused by a call of the same layout, whatever its seed.
     """
     targets = synth_targets(num_classes, feature_dim, n0, ratio, class_separation,
                             val_per_class, test_per_class)
@@ -230,10 +280,20 @@ def synth_gaussian(
     labels = np.repeat(classes, counts)
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((labels.size, feature_dim))
-    features += means[labels]
-    return Manifest(
-        ids=tuple(f"{split}-{c}-{i}" for split, c, n
-                  in zip(split_of.tolist(), classes.tolist(), counts.tolist()) for i in range(n)),
+    for start in range(0, labels.size, SYNTH_BLOCK_ROWS):
+        block = slice(start, start + SYNTH_BLOCK_ROWS)
+        features[block] += means[labels[block]]
+
+    global _synth_ids
+    layout = (num_classes, tuple(counts.tolist()))
+    kept = _synth_ids  # read once: another thread may replace the slot meanwhile
+    if kept is not None and kept[0] == layout:
+        ids = kept[1]
+    else:
+        ids = tuple(f"{split}-{c}-{i}" for split, c, n
+                    in zip(split_of.tolist(), classes.tolist(), layout[1]) for i in range(n))
+    manifest = Manifest(
+        ids=ids,
         features=features,
         labels=labels,
         splits=np.repeat(split_of, counts),
@@ -241,6 +301,8 @@ def synth_gaussian(
         feature_dim=feature_dim,
         task_kind="single",
     )
+    _synth_ids = (layout, ids)  # set only once the constructor has accepted the ids
+    return manifest
 
 
 _LABEL_KEY = {"single": "label", "multi": "labels"}
@@ -301,8 +363,8 @@ def load_manifest(path) -> Manifest:
     if kept is not None and kept[0] == digest:
         return _copy(kept[1])
     manifest = _parse(data)
-    _last_parse = (digest, _copy(manifest))
-    return manifest
+    _last_parse = (digest, manifest)
+    return _copy(manifest)
 
 
 def _copy(manifest: Manifest) -> Manifest:

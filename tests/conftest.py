@@ -8,8 +8,10 @@ from longtail_lab import Manifest, manifest as manifest_module
 
 @pytest.fixture(autouse=True)
 def cold_manifest_cache():
-    """Start every test with no kept manifest parse, so parse counts do not depend on order."""
+    """Start every test with no kept manifest parse and no kept synth ids, so parse counts,
+    id checks and peaks do not depend on the order tests run in."""
     manifest_module._last_parse = None
+    manifest_module._synth_ids = None
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -12,7 +12,7 @@ from longtail_lab import (Manifest, ManifestFormatError, compute_distribution,
                           save_manifest, subsample_longtail, synth_gaussian)
 from longtail_lab import manifest as manifest_module
 
-from conftest import blob_manifest, multilabel_manifest
+from conftest import blob_manifest, multilabel_manifest, traced_peak
 
 
 class TestLabelCardinality:
@@ -118,6 +118,29 @@ class TestSynthGaussian:
         assert got.features.tobytes() == expected.features.tobytes()
         assert got.labels.tobytes() == expected.labels.tobytes()
         assert got.splits.tolist() == expected.splits.tolist()
+
+    def test_alternating_layouts_and_seeds_equal_reference(self):
+        layouts = [(5, 3, 40, 10.0, 2.0), (7, 4, 30, 5.0, 3.0)]
+        for seed in (0, 1, 2):
+            for layout in layouts:  # each call replaces the kept layout of the one before
+                args = (*layout, seed, 6, 4)
+                got, expected = synth_gaussian(*args), reference_synth(*args)
+                assert got.ids == expected.ids
+                assert got.features.tobytes() == expected.features.tobytes()
+                assert got.labels.tobytes() == expected.labels.tobytes()
+                assert got.splits.tolist() == expected.splits.tolist()
+
+    def test_ids_are_built_once_per_layout(self):
+        first = synth_gaussian(4, 3, 50, 10.0, seed=0)
+        assert synth_gaussian(4, 3, 50, 10.0, seed=1).ids is first.ids
+        assert synth_gaussian(4, 3, 50, 10.0, seed=0, val_per_class=99).ids is not first.ids
+
+    def test_peak_memory_below_features_plus_1mb(self):
+        spec = dict(num_classes=100, feature_dim=64, n0=250, ratio=100.0,
+                    class_separation=30.0, val_per_class=10, test_per_class=30)
+        synth_gaussian(**spec, seed=1)  # keeps the layout's ids, and does numpy's lazy imports
+        manifest, peak = traced_peak(synth_gaussian, **spec, seed=2)
+        assert peak < manifest.features.nbytes + 2 ** 20
 
 
 def reference_synth(num_classes, feature_dim, n0, ratio, class_separation, seed,
@@ -275,6 +298,50 @@ class TestDuplicateIds:
         with pytest.raises(ManifestFormatError,
                            match=r"^line 5: duplicate id 'b' \(first on line 3\)$"):
             load_manifest(path)
+
+
+def _single(ids, splits=None):
+    n = len(ids)
+    return Manifest(ids=ids, features=np.zeros((n, 2)), labels=np.zeros(n, dtype=np.int64),
+                    splits=["train"] * n if splits is None else splits, num_classes=2,
+                    feature_dim=2, task_kind="single")
+
+
+class TestIdsAndSplits:
+    @pytest.mark.parametrize("ids, at", [((1, 2, 3), 0), (("a", b"b", "c"), 1),
+                                         (("a", "b", None), 2), (["a", ["b"], "c"], 1)])
+    def test_non_string_id_refused_naming_its_position(self, ids, at):
+        with pytest.raises(ValueError, match=f"^id at position {at} must be a string"):
+            _single(ids)
+
+    def test_ids_list_stored_as_tuple(self):
+        assert _single(["a", "b"]).ids == ("a", "b")
+
+    def test_bad_ids_refused_right_after_a_valid_construction(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        save_manifest(blob_manifest([6, 4]), path)
+        for valid in (lambda: _single(("a", "b", "c")), lambda: synth_gaussian(3, 2, 20, 4.0),
+                      lambda: load_manifest(path)):
+            ids = valid().ids
+            with pytest.raises(ValueError, match="duplicate id"):
+                _single(ids[:-1] + ids[:1])
+            with pytest.raises(ValueError, match="must be a string"):
+                _single(ids[:-1] + (7,))
+            assert _single(tuple(ids)).ids is ids  # tuple() of a tuple is the same object
+
+    @pytest.mark.parametrize("split", ["val\x00", "train\x00\x00", "test\x00\x00\x00\x00x"])
+    def test_split_with_nul_refused(self, split):
+        with pytest.raises(ValueError, match="splits must be one of"):
+            _single(("a", "b", "c"), splits=["train", split, "test"])
+
+    def test_split_array_checked_before_its_cut_to_8_characters(self):
+        splits = np.array(["train", "test\x00\x00\x00\x00x", "test"])  # "test" once cut
+        with pytest.raises(ValueError, match="splits must be one of"):
+            _single(("a", "b", "c"), splits=splits)
+
+    def test_splits_of_another_length_refused(self):
+        with pytest.raises(ValueError, match=r"splits must have shape \(3,\)"):
+            _single(("a", "b", "c"), splits=["train"])
 
 
 class TestNonFiniteFeatures:
