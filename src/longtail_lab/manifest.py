@@ -12,7 +12,9 @@ The header line comes first; each record line has its keys in the order
 round-trip exactly), with ``.0`` appended when that prints neither a point
 nor an exponent; labels are plain integers. Ids are written as
 ``json.dumps(id, ensure_ascii=False)`` writes them, so U+0085, U+2028 and
-U+2029 stand raw in them: a line ends only at ``"\n"`` (or ``"\r\n"``, ``"\r"``).
+U+2029 stand raw in them. A line ends only at ``"\n"``, ``"\r\n"`` or
+``"\r"``, which JSON cannot hold raw; every other character, these three
+among them, is an ordinary character of its line.
 
 ``save_manifest`` renders and writes the records a block of rows at a time
 (``SAVE_BLOCK_VALUES`` feature values): one ``%.17g`` pass over the block's
@@ -31,7 +33,7 @@ kept, and ``save_manifest`` does not fill the slot.
 ``i`` of class ``c`` in a split being ``f"{split}-{c}-{i}"``, depend only on
 the layout (the number of classes and the per-(split, class) counts), not on
 the seed: one module slot keeps the ids tuple of the last layout built. The
-class means are added ``SYNTH_BLOCK_ROWS`` rows at a time, the same
+class means are added a row block (``model.row_blocks``) at a time, the same
 elementwise adds as one whole-array add, so the bits are the same.
 
 ``Manifest`` checks an ids tuple when it is built; the tuples those two slots
@@ -42,7 +44,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -51,12 +52,10 @@ import numpy as np
 
 from . import jsonio
 from .distribution import ClassDistribution, compute_distribution, distribution_from_counts, pareto_targets
+from .model import row_blocks
 
 SPLITS = ("train", "val", "test")
 TASK_KINDS = ("single", "multi")
-_HARD_BREAK = re.compile("\r\n|\r|\n")
-# the other line breaks of str.splitlines(); JSON holds \x85, U+2028 and U+2029 raw in a string
-_SOFT_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class ManifestFormatError(ValueError):
@@ -137,7 +136,7 @@ class Manifest:
     def subset(self, indices) -> "Manifest":
         idx = np.asarray(indices, dtype=np.int64)
         return Manifest(
-            ids=tuple(self.ids[i] for i in idx),
+            ids=tuple(map(self.ids.__getitem__, idx.tolist())),
             features=self.features[idx].copy(),
             labels=self.labels[idx].copy(),
             splits=self.splits[idx],
@@ -234,8 +233,6 @@ def synth_targets(num_classes: int, feature_dim: int, n0: int, ratio: float,
     return pareto_targets(n0, num_classes, ratio)
 
 
-# rows whose class means synth_gaussian adds at a time: bounds the (rows, d) gather of means
-SYNTH_BLOCK_ROWS = 512
 # (num_classes and the per-(split, class) counts, their ids): the last synth_gaussian layout
 _synth_ids: tuple[tuple[int, tuple[int, ...]], tuple[str, ...]] | None = None
 
@@ -260,10 +257,10 @@ def synth_gaussian(
     Records run split by split (train, val, test), class by class within a
     split; record ``i`` of class ``c`` has the id ``f"{split}-{c}-{i}"``. The
     features are one ``standard_normal`` draw of all records, and the class
-    means are added to it ``SYNTH_BLOCK_ROWS`` rows at a time, so no (n, d)
-    gather of means is held. The ids tuple depends only on the layout (K and
-    the per-(split, class) counts), so the last layout's tuple is kept and
-    reused by a call of the same layout, whatever its seed.
+    means are added to it a row block (``model.row_blocks``) at a time, so no
+    (n, d) gather of means is held. The ids tuple depends only on the layout
+    (K and the per-(split, class) counts), so the last layout's tuple is kept
+    and reused by a call of the same layout, whatever its seed.
     """
     targets = synth_targets(num_classes, feature_dim, n0, ratio, class_separation,
                             val_per_class, test_per_class)
@@ -280,8 +277,7 @@ def synth_gaussian(
     labels = np.repeat(classes, counts)
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((labels.size, feature_dim))
-    for start in range(0, labels.size, SYNTH_BLOCK_ROWS):
-        block = slice(start, start + SYNTH_BLOCK_ROWS)
+    for block in row_blocks(labels.size):
         features[block] += means[labels[block]]
 
     global _synth_ids
@@ -378,6 +374,10 @@ def _copy(manifest: Manifest) -> Manifest:
 def _parse(data: bytes) -> Manifest:
     """Decode and check a manifest file's bytes, naming the first line at fault.
 
+    A line ends only at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``: U+0085, U+2028 and
+    U+2029, which an id may hold raw, and the other breaks of ``str.splitlines``
+    are ordinary characters of their line. Blank lines are skipped.
+
     One loop parses each line and checks its keys, id, features, label and
     split before it appends them to the columns. A repeated id or a
     non-finite feature shows only once ``Manifest`` is built from them, and
@@ -386,13 +386,13 @@ def _parse(data: bytes) -> Manifest:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the bytes before the fault decode; a sentinel makes a trailing line break count
-        lineno = len(_lines(data[:exc.start].decode("utf-8") + "_"))
+        # the bytes before the fault decode, and the fault lies on the last of their lines
+        lineno = len(_split_lines(data[:exc.start].decode("utf-8")))
         raise ManifestFormatError(f"line {lineno}: not valid UTF-8") from exc
-    lines = _lines(text)
-    del text
-    if not lines:
+    if not text:
         raise ManifestFormatError("manifest file is empty")
+    lines = _split_lines(text)
+    del text
     header = _parse_line(lines[0], 1)
     if set(header) != {"num_classes", "feature_dim", "task"}:
         raise ManifestFormatError("header must carry exactly num_classes, feature_dim, task")
@@ -450,40 +450,16 @@ def _parse(data: bytes) -> Manifest:
         raise ManifestFormatError(_line_at_fault(ids, features, linenos) or str(exc)) from exc
 
 
-def _lines(text: str) -> list[str]:
-    """The lines of ``text`` as ``text.splitlines()`` gives them, but not broken inside JSON.
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``, cut at each ``"\\n"``, ``"\\r\\n"`` and ``"\\r"``.
 
-    ``splitlines`` also breaks lines at U+0085, U+2028 and U+2029, and
-    ``json.dumps(..., ensure_ascii=False)`` writes these raw inside a string
-    (an id may hold them). Only ``\\n``, ``\\r\\n`` and ``\\r`` cannot stand raw
-    in JSON, so a line between two of those that parses as JSON is kept whole.
-    Any other line is broken as ``splitlines`` breaks it: every file whose lines
-    parsed that way still does.
+    The last piece is what follows the last break (``""`` after a trailing
+    one). The text is copied, to fold ``"\\r\\n"`` and ``"\\r"`` into ``"\\n"``,
+    only when it holds a ``"\\r"``, which ``save_manifest`` never writes.
     """
-    if not _has_soft_break(text):
-        return text.splitlines()
-    lines = []
-    for line in _HARD_BREAK.split(text):
-        if not _has_soft_break(line) or _is_json(line):
-            lines.append(line)
-        else:
-            lines.extend((line + "\n").splitlines())  # the "\n" keeps a trailing empty line
-    if lines[-1] == "":  # the text ends in a line break, which starts no line
-        lines.pop()
-    return lines
-
-
-def _has_soft_break(text: str) -> bool:
-    # one str search a character: about 20x faster than a regex class on a 6 MB text
-    return any(ch in text for ch in _SOFT_BREAKS)
-
-
-def _is_json(line: str) -> bool:
-    try:
-        json.loads(line)
-    except json.JSONDecodeError:
-        return False
-    return True
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _line_at_fault(ids, features, linenos: list[int]) -> str | None:

@@ -779,6 +779,16 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_eval_of_an_empty_split_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        manifest_path, ckpt = tmp_path / "data.jsonl", tmp_path / "model.json"
+        save_manifest(unscorable_manifest("no-val"), manifest_path)
+        save_checkpoint(init_model(3, 4, rng=np.random.default_rng(0)), ckpt)
+        out = tmp_path / "out.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest_path),
+                     "--split", "val", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: val split is empty\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("path, value", [
         (("cls_w", 0, 0), float("nan")),
         (("logit_scale",), [1.0]),

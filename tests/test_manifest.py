@@ -339,6 +339,16 @@ class TestIdsAndSplits:
         with pytest.raises(ValueError, match="splits must be one of"):
             _single(("a", "b", "c"), splits=splits)
 
+    @pytest.mark.parametrize("pick", [lambda n: [n - 1], lambda n: np.arange(1, n, 3),
+                                      lambda n: np.arange(n)],
+                             ids=["one row", "strided", "all rows"])
+    def test_subset_ids_equal_a_per_index_build(self, pick):
+        manifest = blob_manifest([6, 4, 2])
+        idx = pick(len(manifest))
+        sub = manifest.subset(idx)
+        assert sub.ids == tuple(manifest.ids[int(i)] for i in idx)
+        assert sub.splits.tolist() == [manifest.splits[int(i)] for i in idx]
+
     def test_splits_of_another_length_refused(self):
         with pytest.raises(ValueError, match=r"splits must have shape \(3,\)"):
             _single(("a", "b", "c"), splits=["train"])
@@ -376,12 +386,18 @@ def _finite(value) -> bool:
 
 
 def _reference_load(path):
-    """The record-by-record loader: every value checked in Python, line by line."""
-    import json
+    """The record-by-record loader: every value checked in Python, line by line.
 
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    A line ends only at "\\r\\n", "\\r" or "\\n"; blank lines, the piece after a
+    trailing break among them, are skipped.
+    """
+    import json
+    import re
+
+    text = path.read_bytes().decode("utf-8")
+    if text == "":
         raise ManifestFormatError("manifest file is empty")
+    lines = re.split("\r\n|\r|\n", text)
 
     def parse(line, lineno):
         try:
@@ -613,8 +629,8 @@ class TestLineBreaks:
 
     @settings(max_examples=300, deadline=None)
     @given(manifest_text(), st.data())
-    def test_breaks_outside_strings_split_lines_as_before(self, text, data):
-        # every break of str.splitlines() between lines: each line is split where it was
+    def test_only_hard_breaks_split_lines(self, text, data):
+        # every break of str.splitlines() between lines: only "\n", "\r\n" and "\r" end one
         import tempfile
         from pathlib import Path
 
@@ -626,6 +642,16 @@ class TestLineBreaks:
             path = Path(tmp) / "m.jsonl"
             path.write_bytes(text.encode("utf-8"))
             assert _outcome(load_manifest, path) == _outcome(_reference_load, path)
+
+    @pytest.mark.parametrize("char", SOFT_BREAKS)
+    def test_records_joined_by_a_soft_break_refused(self, tmp_path, char):
+        records = ['{"id": "a", "features": [1.0, 2.0], "label": 0, "split": "train"}',
+                   '{"id": "b", "features": [3.0, 4.0], "label": 1, "split": "train"}']
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(('{"num_classes": 2, "feature_dim": 2, "task": "single"}\n'
+                          + char.join(records) + "\n").encode("utf-8"))
+        with pytest.raises(ManifestFormatError, match=r"^line 2: invalid JSON \(Extra data\)$"):
+            load_manifest(path)
 
     @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
     def test_non_utf8_line_named_after_an_id_holding_a_raw_break(self, tmp_path, char):
