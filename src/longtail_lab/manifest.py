@@ -22,12 +22,17 @@ features, 0/1 label rows from one byte table, and one record template for
 the block. The bytes equal those of encoding each record with
 ``jsonio.dumps``, and memory does not grow with the number of records.
 
-``load_manifest`` checks the records in one loop, in file order, and names
-the first line at fault. It parses a given file content once per process: one
-module slot keeps the last manifest it parsed, keyed on the sha256 of the
-file's bytes (not on the path, size or mtime), and a load of the same bytes
-gets a new, independent ``Manifest`` built from it. A failed parse is never
-kept, and ``save_manifest`` does not fill the slot.
+``load_manifest`` checks the records in file order and names the first line
+at fault. It holds one whole form of the file at a time: the bytes until they
+are decoded, the text until it is split into lines, and the lines, which are
+parsed, checked, written into preallocated columns and freed a row block
+(``model.row_blocks``) of lines at a time. It parses a given file content
+once per process: one module slot keeps the last manifest it parsed, keyed
+on the sha256 of the file's bytes (not on the path, size or mtime). The kept
+parse's ``features``, ``labels`` and ``splits`` are read-only, and every
+load of the same bytes returns a new ``Manifest`` that shares them, so no
+load copies them. A failed parse is never kept, and ``save_manifest`` does
+not fill the slot.
 
 ``synth_gaussian`` costs little beyond its one normal draw. Its ids, record
 ``i`` of class ``c`` in a split being ``f"{split}-{c}-{i}"``, depend only on
@@ -41,12 +46,13 @@ hold were checked then, and pass again unchecked.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -70,7 +76,14 @@ class Manifest:
     for multi-label. Splits partition the records. ``ids`` is a tuple of
     unique strings (a list is stored as a tuple), checked once per tuple: the
     tuple kept for the last synth layout or by the kept parse was checked when
-    it was built, cannot change, and passes unchecked.
+    it was built, cannot change, and passes unchecked. Features are checked
+    for finiteness a row block (``model.row_blocks``) at a time, and
+    multi-label entries by their minimum and maximum, so the checks hold no
+    whole-array temporary.
+
+    ``splits`` is always read-only. A manifest returned by ``load_manifest``
+    shares read-only ``features`` and ``labels`` with the kept parse: writing
+    into them raises ``ValueError``; ``subset`` returns writable copies.
     """
 
     ids: tuple[str, ...]
@@ -92,7 +105,7 @@ class Manifest:
             splits = np.array(splits, dtype=object)
         if self.features.shape != (n, self.feature_dim):
             raise ValueError(f"features must have shape ({n}, {self.feature_dim})")
-        if not np.isfinite(self.features).all():
+        if not all(np.isfinite(self.features[block]).all() for block in row_blocks(n)):
             raise ValueError("features must be finite")
         if splits.shape != (n,):
             raise ValueError(f"splits must have shape ({n},)")
@@ -110,7 +123,7 @@ class Manifest:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (n, self.num_classes):
                 raise ValueError(f"multi-label manifest needs (n, {self.num_classes}) label matrix")
-            if not ((self.labels == 0) | (self.labels == 1)).all():
+            if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 1):
                 raise ValueError("multi-label entries must be 0 or 1")
 
     def __len__(self) -> int:
@@ -137,8 +150,8 @@ class Manifest:
         idx = np.asarray(indices, dtype=np.int64)
         return Manifest(
             ids=tuple(map(self.ids.__getitem__, idx.tolist())),
-            features=self.features[idx].copy(),
-            labels=self.labels[idx].copy(),
+            features=self.features[idx],
+            labels=self.labels[idx],
             splits=self.splits[idx],
             num_classes=self.num_classes,
             feature_dim=self.feature_dim,
@@ -339,7 +352,7 @@ def _manifest_blocks(manifest: Manifest):
         yield (record * len(ids)) % tuple(chain.from_iterable(fields))
 
 
-# (sha256 of a file's bytes, a private Manifest parsed from them): the last successful parse
+# (sha256 of a file's bytes, the Manifest parsed from them): the last successful parse
 _last_parse: tuple[bytes, Manifest] | None = None
 
 
@@ -347,9 +360,12 @@ def load_manifest(path) -> Manifest:
     """Read a JSONL manifest, rejecting records that violate the header.
 
     The file's bytes are parsed only when their sha256 differs from that of
-    the last successful parse in this process; otherwise the kept manifest is
-    copied. Either way the caller gets a ``Manifest`` of its own: changing its
-    arrays does not change what a later load returns.
+    the last successful parse in this process. The bytes are dropped once
+    decoded and the text once split into lines, and ``_parse`` frees its
+    lines a block at a time, so no two whole forms of the file are held
+    while the records are parsed. The kept parse's ``features``, ``labels``
+    and ``splits`` are read-only; every load, the first included, returns a
+    new ``Manifest`` that shares them.
     """
     global _last_parse
     with open(path, "rb") as fh:
@@ -357,97 +373,116 @@ def load_manifest(path) -> Manifest:
     digest = hashlib.sha256(data).digest()
     kept = _last_parse  # read once: another thread may replace the slot meanwhile
     if kept is not None and kept[0] == digest:
-        return _copy(kept[1])
-    manifest = _parse(data)
-    _last_parse = (digest, manifest)
-    return _copy(manifest)
-
-
-def _copy(manifest: Manifest) -> Manifest:
-    """A ``Manifest`` equal to ``manifest`` that shares no writable array with it."""
-    return Manifest(ids=manifest.ids, features=manifest.features.copy(),
-                    labels=manifest.labels.copy(), splits=manifest.splits,
-                    num_classes=manifest.num_classes, feature_dim=manifest.feature_dim,
-                    task_kind=manifest.task_kind)
-
-
-def _parse(data: bytes) -> Manifest:
-    """Decode and check a manifest file's bytes, naming the first line at fault.
-
-    A line ends only at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``: U+0085, U+2028 and
-    U+2029, which an id may hold raw, and the other breaks of ``str.splitlines``
-    are ordinary characters of their line. Blank lines are skipped.
-
-    One loop parses each line and checks its keys, id, features, label and
-    split before it appends them to the columns. A repeated id or a
-    non-finite feature shows only once ``Manifest`` is built from them, and
-    ``_line_at_fault`` then names its line.
-    """
+        return copy.copy(kept[1])
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the fault decode, and the fault lies on the last of their lines
-        lineno = len(_split_lines(data[:exc.start].decode("utf-8")))
+        lineno = len(_split_lines(exc.object[:exc.start].decode("utf-8")))
         raise ManifestFormatError(f"line {lineno}: not valid UTF-8") from exc
+    del data
     if not text:
         raise ManifestFormatError("manifest file is empty")
     lines = _split_lines(text)
     del text
+    manifest = _parse(lines)
+    _last_parse = (digest, manifest)
+    return copy.copy(manifest)
+
+
+def _parse(lines: list[str]) -> Manifest:
+    """Check a manifest file's lines into read-only columns, naming the first line at fault.
+
+    Blank lines are skipped. The record lines are read a row block
+    (``model.row_blocks``) of lines at a time: each line is parsed and its
+    keys, id, features, label and split are checked, and then the block's
+    values are written into preallocated ``features``, ``labels`` and
+    ``splits`` columns. The block's entries of ``lines`` are set to ``None``,
+    so its strings are freed with its parsed lists: only the header line
+    is left in ``lines``.
+
+    A structural fault raises at once, so the first in file order wins. A
+    non-finite feature (``NaN``, ``Infinity`` and ``1e400`` all parse, and an
+    integer beyond float range does not convert) is noted and raised only
+    after every line has passed those checks. A repeated id shows only once
+    every id is read, and is named before a non-finite feature, as
+    ``Manifest`` checks ids first.
+    """
     header = _parse_line(lines[0], 1)
     if set(header) != {"num_classes", "feature_dim", "task"}:
         raise ManifestFormatError("header must carry exactly num_classes, feature_dim, task")
     k, d, task = header["num_classes"], header["feature_dim"], header["task"]
     if not _is_int(k) or not _is_int(d) or k < 2 or d < 1 or task not in TASK_KINDS:
         raise ManifestFormatError("malformed header values")
+    n = sum(1 for line in islice(lines, 1, None) if line.strip())
+    if not n:
+        raise ManifestFormatError("manifest has no records")
 
     label_key = _LABEL_KEY[task]
     keys = {"id", "features", label_key, "split"}
     numbers, bits = frozenset((int, float)), frozenset((0, 1))  # a JSON true loads as a bool
-    ids, features, labels, splits, linenos = [], [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        record = _parse_line(line, lineno)
-        if record.keys() != keys:
-            raise ManifestFormatError(f"line {lineno}: record keys must be {sorted(keys)}")
-        rid, feats, label = record["id"], record["features"], record[label_key]
-        if not isinstance(rid, str):
-            raise ManifestFormatError(f"line {lineno}: id must be a string")
-        if (not isinstance(feats, list) or len(feats) != d
-                or not numbers.issuperset(map(type, feats))):
-            raise ManifestFormatError(f"line {lineno}: features must be {d} numbers")
-        if task == "single":
-            if not _is_int(label) or not 0 <= label < k:
-                raise ManifestFormatError(f"line {lineno}: label must be an int in [0, {k})")
-        else:
-            try:  # 0 or 1 as `v in (0, 1)` tells: 1.0, -0.0 and true are; a list or object is not
-                binary = isinstance(label, list) and len(label) == k and bits.issuperset(label)
-            except TypeError:
-                binary = False
-            if not binary:
-                raise ManifestFormatError(f"line {lineno}: labels must be {k} binary values")
-        if record["split"] not in SPLITS:
-            raise ManifestFormatError(f"line {lineno}: split must be one of {SPLITS}")
-        ids.append(rid)
-        features.append(feats)
-        labels.append(label)
-        splits.append(record["split"])
-        linenos.append(lineno)
-    del lines
-    if not ids:
-        raise ManifestFormatError("manifest has no records")
+    features = np.empty((n, d))
+    labels = np.empty((n, k) if task == "multi" else n, dtype=np.int64)
+    splits = np.empty(n, dtype="U8")
+    ids, linenos, nonfinite, start = [], [], None, 0
+    for block in row_blocks(len(lines) - 1):
+        block = slice(block.start + 1, block.stop + 1)  # lines[0] is the header
+        chunk = lines[block]
+        lines[block] = [None] * len(chunk)
+        block_features, block_labels, block_splits = [], [], []
+        for lineno, line in enumerate(chunk, start=block.start + 1):
+            if not line.strip():
+                continue
+            record = _parse_line(line, lineno)
+            if record.keys() != keys:
+                raise ManifestFormatError(f"line {lineno}: record keys must be {sorted(keys)}")
+            rid, feats, label = record["id"], record["features"], record[label_key]
+            if not isinstance(rid, str):
+                raise ManifestFormatError(f"line {lineno}: id must be a string")
+            if (not isinstance(feats, list) or len(feats) != d
+                    or not numbers.issuperset(map(type, feats))):
+                raise ManifestFormatError(f"line {lineno}: features must be {d} numbers")
+            if task == "single":
+                if not _is_int(label) or not 0 <= label < k:
+                    raise ManifestFormatError(f"line {lineno}: label must be an int in [0, {k})")
+            else:
+                try:  # 0 or 1 as `v in (0, 1)` tells: 1.0, -0.0 and true are; a list or object is not
+                    binary = isinstance(label, list) and len(label) == k and bits.issuperset(label)
+                except TypeError:
+                    binary = False
+                if not binary:
+                    raise ManifestFormatError(f"line {lineno}: labels must be {k} binary values")
+            if record["split"] not in SPLITS:
+                raise ManifestFormatError(f"line {lineno}: split must be one of {SPLITS}")
+            ids.append(rid)
+            block_features.append(feats)
+            block_labels.append(label)
+            block_splits.append(record["split"])
+            linenos.append(lineno)
+        if block_features:
+            rows = slice(start, start + len(block_features))
+            start = rows.stop
+            labels[rows] = block_labels
+            splits[rows] = block_splits
+            if nonfinite is None:  # once a row is at fault the columns are not kept
+                try:
+                    features[rows] = block_features
+                    finite = np.isfinite(features[rows]).all()
+                except OverflowError:  # an int beyond float range
+                    finite = False
+                if not finite:
+                    nonfinite = next(lineno for lineno, row in zip(linenos[rows], block_features)
+                                     if not _finite(row))
+        del chunk, block_features, block_labels, block_splits
+    if nonfinite is not None:
+        raise ManifestFormatError(_duplicate_id(ids, linenos)
+                                  or f"line {nonfinite}: features must be finite")
+    features.flags.writeable = labels.flags.writeable = False
     try:
-        return Manifest(
-            ids=tuple(ids),
-            features=np.asarray(features, dtype=np.float64),
-            labels=np.asarray(labels, dtype=np.int64),
-            splits=np.asarray(splits),
-            num_classes=k,
-            feature_dim=d,
-            task_kind=task,
-        )
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
-        raise ManifestFormatError(_line_at_fault(ids, features, linenos) or str(exc)) from exc
+        return Manifest(ids=tuple(ids), features=features, labels=labels, splits=splits,
+                        num_classes=k, feature_dim=d, task_kind=task)
+    except ValueError as exc:  # a repeated id
+        raise ManifestFormatError(_duplicate_id(ids, linenos) or str(exc)) from exc
 
 
 def _split_lines(text: str) -> list[str]:
@@ -462,27 +497,22 @@ def _split_lines(text: str) -> list[str]:
     return text.split("\n")
 
 
-def _line_at_fault(ids, features, linenos: list[int]) -> str | None:
-    """Name the first line at fault when ``Manifest`` rejects checked columns.
-
-    Records that pass the checks of ``_parse`` can still hold a repeated id or a
-    non-finite feature (``NaN``, ``Infinity`` and ``1e400`` all parse, and an
-    integer beyond float range does not convert); the faults are looked for
-    in the order ``Manifest`` checks them.
-    """
+def _duplicate_id(ids: list[str], linenos: list[int]) -> str | None:
+    """Name the line of the first repeated id and the line it first stood on, if any."""
     first_seen: dict[str, int] = {}
     for rid, lineno in zip(ids, linenos):
         if rid in first_seen:
             return f"line {lineno}: duplicate id {rid!r} (first on line {first_seen[rid]})"
         first_seen[rid] = lineno
-    for row, lineno in zip(features, linenos):
-        try:
-            finite = np.isfinite(np.asarray(row, dtype=np.float64)).all()
-        except OverflowError:
-            finite = False
-        if not finite:
-            return f"line {lineno}: features must be finite"
     return None
+
+
+def _finite(row: list) -> bool:
+    """Whether every number of a parsed features row converts to a finite float."""
+    try:
+        return all(map(math.isfinite, row))
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def _is_int(value) -> bool:

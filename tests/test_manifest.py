@@ -11,6 +11,7 @@ from longtail_lab import (Manifest, ManifestFormatError, compute_distribution,
                           label_cardinality, load_manifest, pareto_targets, run_sweep,
                           save_manifest, subsample_longtail, synth_gaussian)
 from longtail_lab import manifest as manifest_module
+from longtail_lab import model as model_module
 
 from conftest import blob_manifest, multilabel_manifest, traced_peak
 
@@ -349,6 +350,16 @@ class TestIdsAndSplits:
         assert sub.ids == tuple(manifest.ids[int(i)] for i in idx)
         assert sub.splits.tolist() == [manifest.splits[int(i)] for i in idx]
 
+    @pytest.mark.parametrize("make", [lambda: blob_manifest([6, 4, 2]),
+                                      lambda: multilabel_manifest(n=30)], ids=["single", "multi"])
+    def test_subset_arrays_share_no_memory_with_the_source(self, make):
+        manifest = make()
+        sub = manifest.subset(np.arange(1, len(manifest), 2))
+        for name in ("features", "labels", "splits"):
+            assert not np.shares_memory(getattr(sub, name), getattr(manifest, name)), name
+        assert np.array_equal(sub.features, manifest.features[1::2])
+        assert np.array_equal(sub.labels, manifest.labels[1::2])
+
     def test_splits_of_another_length_refused(self):
         with pytest.raises(ValueError, match=r"splits must have shape \(3,\)"):
             _single(("a", "b", "c"), splits=["train"])
@@ -376,6 +387,39 @@ class TestNonFiniteFeatures:
         ]) + "\n")
         with pytest.raises(ManifestFormatError, match="^line 3: duplicate id 'a'"):
             load_manifest(path)
+
+
+class TestValueChecks:
+    """``Manifest`` checks features and multi-label entries over every row block."""
+
+    @pytest.mark.parametrize("row", [0, 511, 512, 1023, 1299])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_in_any_block_refused(self, row, value):
+        features = np.zeros((1300, 3))
+        features[row, 2] = value
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            Manifest(ids=tuple(map(str, range(1300))), features=features,
+                     labels=np.zeros(1300, dtype=np.int64), splits=["train"] * 1300,
+                     num_classes=2, feature_dim=3, task_kind="single")
+
+    @pytest.mark.parametrize("row", [0, 700])
+    @pytest.mark.parametrize("value", [-1, 2, -(2 ** 63), 2 ** 63 - 1])
+    def test_multilabel_entry_other_than_0_or_1_refused(self, row, value):
+        labels = np.ones((800, 4), dtype=np.int64)
+        labels[row, 3] = value
+        with pytest.raises(ValueError, match="^multi-label entries must be 0 or 1$"):
+            Manifest(ids=tuple(map(str, range(800))), features=np.zeros((800, 2)),
+                     labels=labels, splits=["test"] * 800, num_classes=4, feature_dim=2,
+                     task_kind="multi")
+
+    def test_checks_hold_no_whole_array_temporary(self):
+        n, d, k = 4000, 256, 256
+        rng = np.random.default_rng(0)
+        features, labels = rng.standard_normal((n, d)), (rng.random((n, k)) < 0.1).astype(np.int64)
+        ids, splits = tuple(f"r{i}" for i in range(n)), np.array(["train"] * n)
+        _, peak = traced_peak(Manifest, ids=ids, features=features, labels=labels, splits=splits,
+                              num_classes=k, feature_dim=d, task_kind="multi")
+        assert peak < n * d // 2  # one (n, d) or (n, K) bool array is n * d bytes
 
 
 def _finite(value) -> bool:
@@ -548,6 +592,18 @@ def _one_fault_cases():
     yield from later
 
 
+def _loads_as_reference(text):
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.jsonl"
+        path.write_text(text, encoding="utf-8")
+        expected = _outcome(_reference_load, path)
+        assert _outcome(load_manifest, path) == expected
+        assert _outcome(load_manifest, path) == expected  # a kept parse, or a failed one again
+
+
 class TestLoaderMatchesReference:
     @pytest.mark.parametrize("task, fields", list(_one_fault_cases()))
     def test_each_field_value(self, tmp_path, task, fields):
@@ -563,15 +619,7 @@ class TestLoaderMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(manifest_text())
     def test_same_acceptance_and_messages(self, text):
-        import tempfile
-        from pathlib import Path
-
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.jsonl"
-            path.write_text(text, encoding="utf-8")
-            expected = _outcome(_reference_load, path)
-            assert _outcome(load_manifest, path) == expected
-            assert _outcome(load_manifest, path) == expected  # a kept parse, or a failed one again
+        _loads_as_reference(text)
 
     @pytest.mark.parametrize("num_classes, feature_dim", [
         ("true", "2"), ("false", "2"), ("0", "2"), ("1", "2"), ("-1", "2"), ("3", "0"),
@@ -665,6 +713,82 @@ class TestLineBreaks:
             load_manifest(path)
 
 
+@pytest.fixture
+def blocks_of_two(monkeypatch):
+    """Read manifest lines two at a time (``model.BLOCK_ROWS``)."""
+    monkeypatch.setattr(model_module, "BLOCK_ROWS", 2)
+
+
+@pytest.mark.usefixtures("blocks_of_two")
+class TestLoaderMatchesReferenceInBlocksOfTwo(TestLoaderMatchesReference):
+    """Every reference case, with record lines read two at a time: faults and blank lines
+    then fall on either side of a block edge."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(manifest_text())
+    def test_same_acceptance_and_messages(self, text):  # hypothesis runs each test from one class
+        _loads_as_reference(text)
+
+
+def _record(rid, features="[1.0, 2.0]", label="0", split="train"):
+    return f'{{"id": "{rid}", "features": {features}, "label": {label}, "split": "{split}"}}'
+
+
+@pytest.mark.usefixtures("blocks_of_two")
+class TestBlockEdges:
+    """A file of 7 records and a trailing break is read in blocks of lines 2-3, 4-5, 6-7, 8-9."""
+
+    HEADER = '{"num_classes": 2, "feature_dim": 2, "task": "single"}'
+
+    def load(self, tmp_path, records, end="\n"):
+        lines = [self.HEADER] + [_record(f"r{i}") if r is None else r for i, r in enumerate(records)]
+        path = tmp_path / "m.jsonl"
+        path.write_bytes((end.join(lines) + end).encode("utf-8"))
+        expected = _outcome(_reference_load, path)
+        assert _outcome(load_manifest, path) == expected
+        return expected
+
+    def test_structural_fault_in_block_3_wins_over_non_finite_feature_in_block_1(self, tmp_path):
+        records = [None] * 7
+        records[1] = _record("nan", features="[NaN, 1.0]")  # line 3
+        records[5] = _record("bad", split="dev")  # line 7
+        assert self.load(tmp_path, records) == (
+            ManifestFormatError, "line 7: split must be one of ('train', 'val', 'test')")
+
+    def test_duplicate_id_across_blocks_wins_over_an_earlier_non_finite_feature(self, tmp_path):
+        records = [None] * 7
+        records[2] = _record("nan", features="[1.0, Infinity]")  # line 4
+        records[6] = _record("r0")  # line 8 repeats line 2
+        assert self.load(tmp_path, records) == (
+            ManifestFormatError, "line 8: duplicate id 'r0' (first on line 2)")
+
+    def test_integer_beyond_float_range_in_a_later_block(self, tmp_path):
+        records = [None] * 7
+        records[5] = _record("big", features="[1.0, 1" + "0" * 400 + "]")  # line 7
+        records[6] = _record("nan", features="[NaN, 1.0]")  # line 8
+        assert self.load(tmp_path, records) == (ManifestFormatError, "line 7: features must be finite")
+
+    @pytest.mark.parametrize("end", HARD_BREAKS, ids=["lf", "crlf", "cr"])
+    def test_blank_lines_at_block_edges(self, tmp_path, end):
+        records = [None, "", "  ", None, None, "", None]  # blanks end block 1 and open block 2
+        outcome = self.load(tmp_path, records, end)
+        assert outcome[0] == ("r0", "r3", "r4", "r6")
+        assert self.load(tmp_path, [""] * 6 + [None], end)[0] == ("r6",)
+        assert self.load(tmp_path, [None] + [""] * 6, end)[0] == ("r0",)
+
+    def test_parse_frees_every_record_line(self, tmp_path):
+        manifest = blob_manifest([3, 2])
+        save_manifest(manifest, tmp_path / "m.jsonl")
+        lines = manifest_module._split_lines((tmp_path / "m.jsonl").read_text(encoding="utf-8"))
+        parsed = manifest_module._parse(lines)
+        assert lines[1:] == [None] * (len(lines) - 1)  # every line after the header
+        assert parsed.ids == manifest.ids
+        assert parsed.features.tobytes() == manifest.features.tobytes()
+
+    def test_all_blank_records_refused(self, tmp_path):
+        assert self.load(tmp_path, [""] * 7) == (ManifestFormatError, "manifest has no records")
+
+
 class TestSplitIndices:
     @settings(max_examples=60, deadline=None)
     @given(assignments=st.lists(st.lists(st.sampled_from(["train", "val", "test"]),
@@ -687,13 +811,13 @@ class TestSplitIndices:
 
 
 def count_parses(monkeypatch) -> list:
-    """A list that grows by one on every parse of a manifest file's bytes from now on."""
+    """A list that grows by one on every parse of a manifest file's lines from now on."""
     calls = []
     parse = manifest_module._parse
 
-    def counting(data):
+    def counting(lines):
         calls.append(1)
-        return parse(data)
+        return parse(lines)
 
     monkeypatch.setattr(manifest_module, "_parse", counting)
     return calls
@@ -710,15 +834,37 @@ class TestLoadCache:
         assert _outcome(load_manifest, copy) == first  # the key is the content, not the path
         assert parses == [1]
 
-    def test_returned_arrays_are_independent(self, tmp_path):
+    def test_returned_arrays_are_shared_and_read_only(self, tmp_path):
         path = tmp_path / "ml.jsonl"
         save_manifest(multilabel_manifest(), path)
         expected = _outcome(_reference_load, path)
-        for _ in range(2):  # the parsed manifest, then a copy of the kept one
-            loaded = load_manifest(path)
-            loaded.features[0, 0] += 1.0
-            loaded.labels[0] = 1 - loaded.labels[0]
+        first = load_manifest(path)
+        features, labels = first.features, first.labels
+        for loaded in (first, load_manifest(path)):  # the parsed manifest, then a hit
+            assert loaded.features is features and loaded.labels is labels
+            with pytest.raises(ValueError, match="read-only"):
+                loaded.features[0, 0] += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                loaded.labels[0] = 1 - loaded.labels[0]
+            loaded.labels = np.zeros_like(loaded.labels)  # rebinds this manifest's field only
             assert _outcome(load_manifest, path) == expected
+
+    def test_cold_load_peak_below_three_times_the_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n, k, d = 2000, 200, 64
+        labels = (rng.random((n, k)) < 0.02).astype(np.int64)
+        labels[:, 0] = 1
+        path = tmp_path / "ml.jsonl"
+        save_manifest(Manifest(ids=tuple(f"r{i:06d}" for i in range(n)),
+                               features=rng.standard_normal((n, d)), labels=labels,
+                               splits=rng.choice(["train", "val", "test"], size=n),
+                               num_classes=k, feature_dim=d, task_kind="multi"), path)
+        size = os.path.getsize(path)
+        loaded, peak = traced_peak(load_manifest, path)
+        assert peak < 3 * size
+        # a hit reads and hashes the file's bytes, and copies no array
+        _, hit = traced_peak(load_manifest, path)
+        assert hit - size < loaded.features.nbytes
 
     def test_rewritten_bytes_parsed_again(self, tiny_manifest, tmp_path, monkeypatch):
         parses = count_parses(monkeypatch)
