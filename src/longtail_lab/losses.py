@@ -35,7 +35,8 @@ DisAlign sets to inverse class frequency.
 
 Stochastic kinds (seql, gcl) consume ctx.rng; pre-draw their noise with
 draw_noise when one draw must serve several evaluations (value + grad, or a
-sharpness-aware second pass).
+sharpness-aware second pass). ``batch_loss_and_grad`` checks its targets
+(``check_targets``) on each call, unless its caller did: a fit checks them once.
 """
 from __future__ import annotations
 
@@ -193,19 +194,15 @@ def draw_noise(spec: LossSpec, rng: np.random.Generator, batch_size: int,
 
 
 def loss_value(spec: LossSpec, logits, target, ctx: LossContext) -> float:
-    return _single(spec, logits, target, ctx)[0]
+    return loss_value_and_grad(spec, logits, target, ctx)[0]
 
 
 def loss_grad(spec: LossSpec, logits, target, ctx: LossContext) -> np.ndarray:
-    return _single(spec, logits, target, ctx)[1]
+    return loss_value_and_grad(spec, logits, target, ctx)[1]
 
 
 def loss_value_and_grad(spec: LossSpec, logits, target, ctx: LossContext):
     """Value and d(loss)/d(logits) from a single stochastic draw."""
-    return _single(spec, logits, target, ctx)
-
-
-def _single(spec, logits, target, ctx):
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("expected a single logit vector")
@@ -264,15 +261,16 @@ def loss_plan(spec: LossSpec, dist: ClassDistribution) -> LossPlan:
     return LossPlan(spec, dist.num_classes, **(fields(spec, dist) if fields else {}))
 
 
-def batch_loss_and_grad(plan: LossPlan, logits, targets, *,
-                        noise: np.ndarray | None = None, training: bool = True):
+def batch_loss_and_grad(plan: LossPlan, logits, targets, *, noise: np.ndarray | None = None,
+                        training: bool = True, targets_checked: bool = False):
     """Per-sample loss values (n,) and gradients (n, K) for a batch.
 
     ``noise`` carries the pre-drawn stochastic component for seql/gcl so the
     same draw serves value, gradient, and any repeated pass over the batch.
+    ``targets_checked`` skips ``check_targets``: the caller checked them (a fit, once).
     """
     spec = plan.spec
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.ascontiguousarray(logits, dtype=np.float64)  # the kernels index it by flat position
     if z.ndim != 2:
         raise ValueError("logits must be a (batch, classes) array")
     n, k = z.shape
@@ -282,27 +280,20 @@ def batch_loss_and_grad(plan: LossPlan, logits, targets, *,
         raise ValueError("need at least two classes")
     if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
+    if not targets_checked:
+        check_targets(plan, targets, n)
 
     if spec.multi_label:
         t = np.asarray(targets, dtype=np.float64)
-        if t.shape != (n, k) or not ((t == 0) | (t == 1)).all():
-            raise ValueError(f"multi-label targets must be a binary (n, {k}) matrix")
-        if spec.kind == "bce_ml":
-            return _bce(z, t)
-        return _focal_bce(z, t, spec.gamma)
+        return _bce(z, t) if spec.kind == "bce_ml" else _focal_bce(z, t, spec.gamma)
 
     y = np.asarray(targets, dtype=np.int64)
-    if y.shape != (n,):
-        raise ValueError("single-label targets must be one class index per row")
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError(f"targets must lie in [0, {k})")
-
     if spec.kind in ("focal", "cb_focal"):
         values, grads = _focal(z, y, spec.alpha, spec.gamma)
     elif spec.kind == "label_smooth_lt":
         eps = plan.smoothing[y]
         t = np.repeat((eps / (k - 1))[:, None], k, axis=1)
-        t[np.arange(n), y] = 1.0 - eps
+        np.put(t, np.arange(0, n * k, k) + y, 1.0 - eps)
         logp = _log_softmax(z)
         values = -np.sum(np.where(t > 0, t * logp, 0.0), axis=1)
         grads = np.exp(logp) - t
@@ -315,11 +306,23 @@ def batch_loss_and_grad(plan: LossPlan, logits, targets, *,
     return values, grads
 
 
+def check_targets(plan: LossPlan, targets, n: int) -> None:
+    """Refuse targets for ``n`` rows but a class in [0, K) each, or a binary (n, K) matrix."""
+    k, t = plan.num_classes, np.asarray(targets)
+    if plan.spec.multi_label:
+        if t.shape != (n, k) or not ((t == 0) | (t == 1)).all():
+            raise ValueError(f"multi-label targets must be a binary (n, {k}) matrix")
+    elif (y := t.astype(np.int64, copy=False)).shape != (n,):
+        raise ValueError("single-label targets must be one class index per row")
+    elif y.min() < 0 or y.max() >= k:
+        raise ValueError(f"targets must lie in [0, {k})")
+
+
 def _adjusted_ce(plan, z, y, noise, training):
     """Cross-entropy over the logits adjusted by the plan's fields, in the documented order."""
     if plan.margin is not None:
         z = z.copy()
-        z[np.arange(z.shape[0]), y] -= plan.margin[y]
+        z.reshape(-1)[np.arange(0, z.size, z.shape[1]) + y] -= plan.margin[y]
     if plan.mult is not None:
         z = z * plan.mult
     if plan.add is not None:
@@ -331,7 +334,7 @@ def _adjusted_ce(plan, z, y, noise, training):
             z = z - plan.noise_scale * noise
         if plan.frequent is not None:
             keep = plan.frequent[None, :] | (noise >= plan.spec.seql_q)
-            keep[np.arange(z.shape[0]), y] = True
+            np.put(keep, np.arange(0, z.size, z.shape[1]) + y, True)
             z = np.where(keep, z, -np.inf)
     values, grads = _softmax_ce(z, y)
     if plan.mult is not None:
@@ -354,19 +357,19 @@ def _log_softmax(z):
 
 def _softmax_ce(z, y):
     logp = _log_softmax(z)
-    rows = np.arange(z.shape[0])
-    values = -logp[rows, y]
+    at = np.arange(0, z.size, z.shape[1]) + y  # each row's target, by flat position
+    values = -logp.reshape(-1)[at]
     grads = np.exp(logp, out=logp)
-    grads[rows, y] -= 1.0
+    grads.reshape(-1)[at] -= 1.0
     return values, grads
 
 
 def _focal(z, y, alpha, gamma):
     logp = _log_softmax(z)
     p = np.exp(logp)
-    rows = np.arange(z.shape[0])
-    pt = p[rows, y]
-    logpt = logp[rows, y]
+    at = np.arange(0, z.size, z.shape[1]) + y
+    pt = p.reshape(-1)[at]
+    logpt = logp.reshape(-1)[at]
     one_minus = 1.0 - pt
     mod = one_minus ** gamma
     values = -alpha * mod * logpt
@@ -378,7 +381,7 @@ def _focal(z, y, alpha, gamma):
         dmod[pos] = one_minus[pos] ** (gamma - 1.0)
         coeff = coeff + alpha * gamma * dmod * logpt * pt
     grads = -coeff[:, None] * p
-    grads[rows, y] += coeff
+    grads.reshape(-1)[at] += coeff
     return values, grads
 
 

@@ -111,7 +111,8 @@ class Manifest:
             raise ValueError(f"splits must have shape ({n},)")
         if not np.isin(splits, SPLITS).all():
             raise ValueError(f"splits must be one of {SPLITS}")
-        self.splits = splits.astype("U8")
+        shared = splits.dtype == "U8" and not splits.flags.writeable  # a caller's is never frozen
+        self.splits = splits if shared else splits.astype("U8")
         self.splits.flags.writeable = False
         if self.task_kind == "single":
             self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -477,7 +478,7 @@ def _parse(lines: list[str]) -> Manifest:
     if nonfinite is not None:
         raise ManifestFormatError(_duplicate_id(ids, linenos)
                                   or f"line {nonfinite}: features must be finite")
-    features.flags.writeable = labels.flags.writeable = False
+    features.flags.writeable = labels.flags.writeable = splits.flags.writeable = False
     try:
         return Manifest(ids=tuple(ids), features=features, labels=labels, splits=splits,
                         num_classes=k, feature_dim=d, task_kind=task)

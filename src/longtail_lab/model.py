@@ -215,19 +215,19 @@ _PARAM_KEYS = frozenset(("logit_offset", "logit_scale", "cls_w", "cls_b", "tempe
 _BELOW_CALIBRATION = _PARAM_KEYS - {"logit_offset", "logit_scale"}
 
 
-def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, keys=None) -> dict:
+def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, keys=None, out=None) -> dict:
     """Parameter gradients (summed over the batch) from d(loss)/d(logits).
 
-    Only the gradients named in ``keys`` are computed, and they are returned in
-    that order; ``keys=None`` returns every parameter's gradient.
+    With ``out`` (views of a fit's flat buffer), the gradients it names are written into
+    it and ``out`` returned; else those named in ``keys`` (all if None), in that order.
     """
-    want = _PARAM_KEYS if keys is None else frozenset(keys)
+    grads = {} if out is None else out
+    want = frozenset(out if out is not None else _PARAM_KEYS if keys is None else keys)
     g = grad_logits
-    grads: dict = {}
     if model.logit_offset is not None and "logit_offset" in want:
-        grads["logit_offset"] = g.sum(axis=0)
+        grads["logit_offset"] = g.sum(axis=0, out=grads.get("logit_offset"))
     if model.logit_scale is not None and "logit_scale" in want:
-        grads["logit_scale"] = (g * cache["base"]).sum(axis=0)
+        grads["logit_scale"] = (g * cache["base"]).sum(axis=0, out=grads.get("logit_scale"))
     if want.isdisjoint(_BELOW_CALIBRATION):
         return _in_order(grads, keys)
     if model.logit_scale is not None:
@@ -236,19 +236,20 @@ def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, keys=None)
     feats = cache["feats"]
     if model.classifier_kind == "linear":
         if "cls_w" in want:
-            grads["cls_w"] = g.T @ feats
+            grads["cls_w"] = np.matmul(g.T, feats, out=grads.get("cls_w"))
         if model.cls_b is not None and "cls_b" in want:
-            grads["cls_b"] = g.sum(axis=0)
+            grads["cls_b"] = g.sum(axis=0, out=grads.get("cls_b"))
     else:
         temp = model.temperature
         cos = cache["cos"]
         g_cos = g * cos
         if "temperature" in want:
-            grads["temperature"] = np.asarray(g_cos.sum())
+            grads["temperature"] = np.asarray(g_cos.sum(out=grads.get("temperature")))
         if "cls_w" in want:
             # d cos_ic / d w_c = (x_hat_i - cos_ic * w_hat_c) / ||w_c||
             per_class = g.T @ cache["x_hat"] - g_cos.sum(axis=0)[:, None] * cache["w_hat"]
-            grads["cls_w"] = temp * per_class / cache["w_safe"][:, None]
+            per_class *= temp
+            grads["cls_w"] = np.divide(per_class, cache["w_safe"][:, None], out=grads.get("cls_w"))
             grads["cls_w"][cache["w_norm"] == 0] = 0.0
 
     if model.encoder_w is not None and not want.isdisjoint(("encoder_w", "encoder_b")):
@@ -261,9 +262,9 @@ def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, keys=None)
             g_feats[cache["x_norm"] == 0] = 0.0
         g_feats *= feats > 0  # ReLU mask: feats > 0 exactly where pre > 0
         if "encoder_w" in want:
-            grads["encoder_w"] = g_feats.T @ cache["x"]
+            grads["encoder_w"] = np.matmul(g_feats.T, cache["x"], out=grads.get("encoder_w"))
         if "encoder_b" in want:
-            grads["encoder_b"] = g_feats.sum(axis=0)
+            grads["encoder_b"] = g_feats.sum(axis=0, out=grads.get("encoder_b"))
     return _in_order(grads, keys)
 
 

@@ -1,13 +1,12 @@
 """SGD, Adam, and a sharpness-aware wrapper over one flat float64 parameter buffer.
 
-A fit keeps its trainable parameters in one buffer (``flatten``) and reads them
-through views shaped like each parameter (``unflatten``). ``Optimizer.step``
-packs the gradient dict with one concatenation and updates the buffer in place
-with elementwise ufuncs, so each element gets the bits that an update of its own
-array would give; the state is one buffer per moment, and every ufunc writes into
-one of two scratch buffers allocated with the moments. A step whose SGD momentum
-or Adam second moment is not finite (a non-finite gradient, or one whose square
-overflows) raises before the parameters move.
+A fit keeps its trainable parameters in one buffer (``flatten``), read through views
+shaped like each parameter (``unflatten``); ``backward`` writes the gradients into such
+views of the optimizer's gradient buffer, which ``step`` and SAM read as it is. A step
+updates the parameters in place with elementwise ufuncs, so each element gets the bits
+of an update of its own array; the gradient buffer, the moments and two scratch buffers
+are allocated once. A step whose SGD momentum or Adam second moment is not finite (a
+non-finite gradient, or one whose square overflows) raises before the parameters move.
 """
 from __future__ import annotations
 
@@ -72,18 +71,30 @@ class Optimizer:
 
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
-        self._moments: tuple[np.ndarray, ...] = ()  # (buf,) for SGD, (m, v) for Adam
-        self._scratch: tuple[np.ndarray, ...] = ()
+        self._grad = self._views = None  # the flat gradient buffer, and its views handed out
         self._t = 0
+
+    def gradients(self, like: dict) -> dict:
+        """Views, shaped as ``like``, of a new flat gradient buffer that ``step`` reads as is."""
+        self._grad = g = np.empty(sum(np.size(value) for value in like.values()))
+        self._moments = tuple(np.zeros_like(g) for _ in range(1 if self.spec.kind == "sgd" else 2))
+        self._scratch = (np.empty_like(g), np.empty_like(g))
+        self._views = unflatten(self._grad, like)
+        return self._views
+
+    def _flat(self, grads: dict) -> np.ndarray:
+        """The gradient buffer holding ``grads``, copied in unless they are its views."""
+        if grads is not self._views:
+            if self._grad is None:
+                self.gradients(grads)
+            np.concatenate(list(grads.values()), axis=None, out=self._grad)
+        return self._grad
 
     def step(self, flat: np.ndarray, grads: dict) -> np.ndarray:
         """Apply ``grads``, a dict of gradients in the order of the parameters, to the flat
         parameter buffer ``flat`` in place; returns ``flat``."""
-        g = flatten(grads)
+        g = self._flat(grads)
         spec = self.spec
-        if not self._moments:
-            self._moments = tuple(np.zeros_like(g) for _ in range(1 if spec.kind == "sgd" else 2))
-            self._scratch = (np.empty_like(g), np.empty_like(g))
         update, denom = self._scratch
         if spec.kind == "sgd":
             (buf,) = self._moments
@@ -145,5 +156,5 @@ def sam_step(optimizer: Optimizer, params: np.ndarray, grad_fn):
     value, grads = grad_fn(params)
     if spec.sam and spec.sam_rho > 0:
         scale = spec.sam_rho / (global_grad_norm(grads) + 1e-12)
-        _, grads = grad_fn(params + scale * flatten(grads))
+        _, grads = grad_fn(params + scale * optimizer._flat(grads))
     return value, optimizer.step(params, grads)

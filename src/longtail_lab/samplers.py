@@ -65,7 +65,7 @@ class BatchSampler:
         if train_idx.size == 0:
             raise ValueError("train split is empty")
         self._features = manifest.features[train_idx] if features is None else features
-        self._labels = manifest.labels[train_idx]
+        self.labels = manifest.labels[train_idx]
         self._num_classes = manifest.num_classes
         self.epoch_length = spec.epoch_length or int(train_idx.size)
 
@@ -73,9 +73,9 @@ class BatchSampler:
             if manifest.task_kind != "single":
                 raise ValueError(f"{spec.kind} sampling requires single-label data")
             # flat pool grouped by class so a (class, offset) pair indexes a record
-            order = np.argsort(self._labels, kind="stable")
+            order = np.argsort(self.labels, kind="stable")
             self._pool = order
-            counts = np.bincount(self._labels, minlength=self._num_classes)
+            counts = np.bincount(self.labels, minlength=self._num_classes)
             empty = np.flatnonzero(counts == 0)
             if empty.size:
                 raise ValueError(f"class {int(empty[0])} has no training samples")
@@ -109,13 +109,13 @@ class BatchSampler:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.spec.kind == "original":
-            idx = rng.integers(0, len(self._labels), size=batch_size)
+            idx = rng.integers(0, len(self.labels), size=batch_size)
         else:
             classes = np.searchsorted(self._cdf, rng.random(batch_size), side="right")
             classes = np.minimum(classes, self._num_classes - 1)
             offsets = (rng.random(batch_size) * self._pool_sizes[classes]).astype(np.int64)
             idx = self._pool[self._pool_offsets[classes] + offsets]
-        return self._features[idx], self._labels[idx]
+        return self._features[idx], self.labels[idx]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Annotated
 
 import numpy as np
@@ -334,13 +335,13 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     arrays, with a float temperature, is built only for evaluation and for
     the result; with ``epochs == 0`` the result is ``model`` itself.
 
-    Besides the plan and the buffer, a fit sets up once: the sampler's train
-    rows and class CDF (recomputed on each difficulty update), the optimizer's
-    moments and its two scratch buffers (on the first step), and the
-    trainable keys, the only gradients ``backward`` computes. A step then
-    draws a batch, runs forward, the loss and backward, and updates the
-    buffer; its loss is the mean of the per-sample values. A trained cosine
-    temperature that leaves (0, inf) stops the fit with ``TrainingDivergedError``.
+    Besides the plan and the buffer, a fit sets up once: the sampler's train rows,
+    their targets' check and class CDF (recomputed on each difficulty update), and
+    the optimizer's moments and gradient buffer, whose views ``backward`` fills with
+    the trainable keys' gradients only. A step then draws a batch, runs forward, the
+    loss (targets unchecked) and backward, and updates the buffer; its loss is the
+    mean of the per-sample values. A trained cosine temperature that leaves (0, inf)
+    stops the fit with ``TrainingDivergedError``.
 
     With ``encoder``, ``model`` is a head that reads the encoder's features
     of the train rows. They are computed once, a row block at a time
@@ -357,9 +358,12 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     train_rows = (None if encoder is None
                   else encode_rows(encoder, manifest.features, manifest.split_indices("train")))
     sampler = BatchSampler(sampler_spec, manifest, train_rows)
+    losses.check_targets(plan, sampler.labels, len(sampler.labels))  # each batch is cut from them
+    loss_of = partial(losses.batch_loss_and_grad, plan, targets_checked=True)
     optimizer = Optimizer(config.optimizer)
     layout = {k: getattr(model, k) for k in trainable}
     params = flatten(layout)
+    grad_views = optimizer.gradients(layout)
     bound = replace(model, **unflatten(params, layout))
     steps = max(1, math.ceil(sampler.epoch_length / config.batch_size))
     trains_temperature = "temperature" in layout
@@ -383,14 +387,14 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
                 candidate = bound if p is params else replace(model, **unflatten(p, layout))
                 logits, cache = forward_with_cache(candidate, features)
                 if mixed is not None:
-                    va, ga = losses.batch_loss_and_grad(plan, logits, mixed.labels_a, noise=noise)
-                    vb, gb = losses.batch_loss_and_grad(plan, logits, mixed.labels_b, noise=noise)
+                    va, ga = loss_of(logits, mixed.labels_a, noise=noise)
+                    vb, gb = loss_of(logits, mixed.labels_b, noise=noise)
                     values = mixed.lam * va + (1.0 - mixed.lam) * vb
                     grads = mixed.lam * ga + (1.0 - mixed.lam) * gb
                 else:
-                    values, grads = losses.batch_loss_and_grad(plan, logits, targets, noise=noise)
+                    values, grads = loss_of(logits, targets, noise=noise)
                 grads /= len(features)
-                param_grads = backward(candidate, cache, grads, trainable)
+                param_grads = backward(candidate, cache, grads, out=grad_views)
                 return float(values.sum() / len(values)), param_grads  # the bits of values.mean()
 
             try:

@@ -360,6 +360,36 @@ class TestIdsAndSplits:
         assert np.array_equal(sub.features, manifest.features[1::2])
         assert np.array_equal(sub.labels, manifest.labels[1::2])
 
+    def test_read_only_u8_splits_are_shared_and_any_other_array_copied(self):
+        ids = ("a", "b", "c")
+        frozen = np.array(["train", "val", "test"], dtype="U8")
+        frozen.flags.writeable = False
+        assert _single(ids, splits=frozen).splits is frozen  # no copy of a read-only U8 array
+        for splits in (np.array(["train", "val", "test"], dtype="U8"),  # writable
+                       np.array(["train", "val", "test"]),  # U5
+                       np.array(["train", "val", "test"], dtype=object)):
+            kept = _single(ids, splits=splits).splits
+            assert not np.shares_memory(kept, splits) and splits.flags.writeable
+            assert kept.dtype == "U8" and not kept.flags.writeable
+            assert kept.tolist() == ["train", "val", "test"]
+        non_u8 = np.array(["train", "val", "test"])
+        non_u8.flags.writeable = False
+        assert _single(ids, splits=non_u8).splits.dtype == "U8"
+
+    def test_loaded_splits_are_the_parsed_column(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        save_manifest(blob_manifest([6, 4]), path)
+        built = []
+        init = Manifest.__post_init__
+
+        def recording_init(self):
+            built.append(self.splits)  # the array handed to the constructor
+            init(self)
+
+        monkeypatch.setattr(Manifest, "__post_init__", recording_init)
+        loaded = load_manifest(path)
+        assert loaded.splits is built[-1] and not loaded.splits.flags.writeable
+
     def test_splits_of_another_length_refused(self):
         with pytest.raises(ValueError, match=r"splits must have shape \(3,\)"):
             _single(("a", "b", "c"), splits=["train"])

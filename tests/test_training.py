@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,12 +13,13 @@ from longtail_lab import (LossContext, LossSpec, MixupSpec, OptimizerSpec, Sampl
                           posthoc_adjust, run_experiment, synth_gaussian, train_stage1,
                           weight_norms)
 from longtail_lab import Manifest, NcmClassifier, model as model_module, training as training_module
+from longtail_lab import optim as optim_module
 from longtail_lab.model import BLOCK_ROWS, backward, encode, forward_with_cache
-from longtail_lab.optim import Optimizer, flatten, unflatten
+from longtail_lab.optim import Optimizer, flatten, global_grad_norm, sam_step, unflatten
 from longtail_lab.training import (stage2_cosine_retrain, stage2_crt, stage2_disalign,
                                    stage2_lws, stage2_ncm)
 
-from conftest import blob_manifest, traced_peak
+from conftest import blob_manifest, multilabel_manifest, traced_peak
 
 
 SGD = OptimizerSpec("sgd", lr=0.05)
@@ -240,6 +242,211 @@ class TestFlatParameterBuffer:
         assert buffers and all(b is buffers[0] for b in buffers)
         for name in ("logit_scale", "logit_offset"):
             assert not np.shares_memory(getattr(out, name), buffers[0])
+
+
+class TestTargetsCheckedOncePerFit:
+    """A fit checks its sampler's targets once, before its first optimizer step; the loss
+    kernels then read each batch's targets unchecked."""
+
+    @staticmethod
+    def count_steps(monkeypatch) -> list:
+        steps, step = [], Optimizer.step
+
+        def counting_step(self, params, grads):
+            steps.append(1)
+            return step(self, params, grads)
+
+        monkeypatch.setattr(Optimizer, "step", counting_step)
+        return steps
+
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_out_of_range_class_refused_before_the_first_step(self, monkeypatch, label):
+        steps = self.count_steps(monkeypatch)
+        manifest = blob_manifest([20, 10, 5])
+        config = TrainConfig(epochs=2, batch_size=8, seed=0, optimizer=SGD)
+        plan = loss_plan(config.loss, manifest.train_distribution())
+        manifest.labels[manifest.split_indices("train")[7]] = label  # K = 3
+        # train_stage1 counts the train labels first, and refuses them there
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            train_stage1(manifest, config, groups=groups_for(blob_manifest([20, 10, 5]), (1, 2)))
+        # a fit whose plan was made before the change refuses them itself
+        model = init_model(3, manifest.feature_dim)
+        with pytest.raises(ValueError, match=r"^targets must lie in \[0, 3\)$"):
+            training_module._fit(model, manifest, config, np.random.default_rng(0),
+                                 ("cls_w", "cls_b"), SamplerSpec(), plan, MixupSpec(), 2)
+        assert steps == []
+
+    @pytest.mark.parametrize("entry", [2, -1])
+    def test_non_binary_multi_label_entry_refused_before_the_first_step(self, monkeypatch,
+                                                                        entry):
+        steps = self.count_steps(monkeypatch)
+        manifest = multilabel_manifest(n=60)
+        manifest.labels[manifest.split_indices("train")[-1], 1] = entry
+        config = TrainConfig(epochs=2, batch_size=8, seed=0, loss=LossSpec("bce_ml"),
+                             optimizer=SGD)
+        with pytest.raises(ValueError, match=r"^multi-label targets must be a binary \(n, 3\)"):
+            train_stage1(manifest, config, groups=group_split(distribution_from_counts([5, 5, 5]),
+                                                              (1, 2)))
+        assert steps == []
+
+
+def reference_backward(model, cache, g, keys):
+    """Each gradient of ``keys`` as its own out-of-place expression, as backward once wrote
+    it, into new arrays."""
+    grads = {}
+    if model.logit_offset is not None:
+        grads["logit_offset"] = g.sum(axis=0)
+    if model.logit_scale is not None:
+        grads["logit_scale"] = (g * cache["base"]).sum(axis=0)
+        g = g * model.logit_scale
+    feats = cache["feats"]
+    if model.classifier_kind == "linear":
+        grads["cls_w"] = g.T @ feats
+        grads["cls_b"] = g.sum(axis=0)
+        g_feats = g @ model.cls_w
+    else:
+        temp, g_cos = model.temperature, g * cache["cos"]
+        grads["temperature"] = np.asarray(g_cos.sum())
+        per_class = g.T @ cache["x_hat"] - g_cos.sum(axis=0)[:, None] * cache["w_hat"]
+        grads["cls_w"] = temp * per_class / cache["w_safe"][:, None]
+        grads["cls_w"][cache["w_norm"] == 0] = 0.0
+        g_feats = temp * (g @ cache["w_hat"] - g_cos.sum(axis=1, keepdims=True)
+                          * cache["x_hat"]) / cache["x_safe"][:, None]
+        g_feats[cache["x_norm"] == 0] = 0.0
+    if model.encoder_w is not None:
+        g_pre = g_feats * (feats > 0)
+        grads["encoder_w"] = g_pre.T @ cache["x"]
+        grads["encoder_b"] = g_pre.sum(axis=0)
+    return {k: grads[k] for k in keys}
+
+
+def fit_model(kind, hidden, calibration, zero_rows, rng, k=4, d=3):
+    """A model of one head kind, encoder and logit calibration, with random parameters."""
+    model = init_model(k, d, hidden_dim=hidden, classifier_kind=kind, temperature=8.0, rng=rng)
+    f = model.cls_w.shape[1]
+    cls_w = rng.standard_normal((k, f))
+    if zero_rows:
+        cls_w[1] = 0.0  # a zero-norm cosine row
+    model = replace(model, cls_w=cls_w,
+                    cls_b=None if kind == "cosine" else rng.standard_normal(k))
+    if calibration >= 1:
+        model = replace(model, logit_scale=1.0 + 0.1 * rng.standard_normal(k))
+    if calibration == 2:
+        model = replace(model, logit_offset=0.1 * rng.standard_normal(k))
+    return model
+
+
+def fit_key_sets(model) -> list:
+    """The trainable keys of stage 1 and of each head fit that apply to ``model``."""
+    stage1 = training_module._head_keys(model) + (
+        () if model.encoder_w is None else ("encoder_w", "encoder_b"))
+    heads = [trainable(model) for _, trainable, _, _ in training_module._HEAD_FITS.values()]
+    return [stage1] + [keys for keys in heads
+                       if all(getattr(model, key) is not None for key in keys)]
+
+
+model_cases = st.tuples(st.sampled_from(["linear", "cosine"]), st.sampled_from([None, 5]),
+                        st.integers(0, 2), st.booleans(), st.integers(0, 2 ** 32 - 1))
+
+
+class TestFlatGradientBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(case=model_cases, n=st.integers(1, 9))
+    def test_backward_into_the_buffer_bitwise_equals_per_parameter_arrays(self, case, n):
+        kind, hidden, calibration, zero_rows, seed = case
+        rng = np.random.default_rng(seed)
+        model = fit_model(kind, hidden, calibration, zero_rows, rng)
+        x = rng.standard_normal((n, model.feature_dim))
+        if zero_rows:
+            x[0] = 0.0  # a zero-norm cosine input row, or an all-dead ReLU row
+        logits, cache = forward_with_cache(model, x)
+        g = rng.standard_normal(logits.shape)
+        for keys in fit_key_sets(model):
+            views = Optimizer(OptimizerSpec("adam")).gradients(
+                {key: getattr(model, key) for key in keys})
+            buffer = next(iter(views.values())).base
+            assert backward(model, cache, g, out=views) is views
+            assert tuple(views) == keys
+            expected = reference_backward(model, cache, g, keys)
+            for key in keys:
+                assert views[key].base is buffer, key  # one flat buffer, written in place
+                assert views[key].tobytes() == np.asarray(expected[key]).tobytes(), key
+                assert views[key].tobytes() == backward(model, cache, g, keys)[key].tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        OptimizerSpec("sgd", lr=0.05, momentum=0.9), OptimizerSpec("adam", lr=0.01),
+        OptimizerSpec("sgd", lr=0.05, sam=True, sam_rho=0.1),
+        OptimizerSpec("adam", lr=0.01, sam=True, sam_rho=0.05)],
+        ids=["sgd", "adam", "sgd-sam", "adam-sam"])
+    @settings(max_examples=25, deadline=None)
+    @given(case=model_cases, n=st.integers(1, 9))
+    def test_steps_from_the_buffer_bitwise_equal_flattened_dict_steps(self, spec, case, n):
+        kind, hidden, calibration, zero_rows, seed = case
+        rng = np.random.default_rng(seed)
+        model = fit_model(kind, hidden, calibration, zero_rows, rng)
+        x = rng.standard_normal((n, model.feature_dim))
+        y = rng.integers(0, model.num_classes, size=n)
+        plan = loss_plan(LossSpec("ce"), distribution_from_counts([9, 5, 3, 2]))
+
+        def logit_grads(candidate):
+            logits, cache = forward_with_cache(candidate, x)
+            values, g = batch_loss_and_grad(plan, logits, y)
+            return float(values.sum() / n), cache, g / n
+
+        for keys in fit_key_sets(model):
+            layout = {key: getattr(model, key) for key in keys}
+            # the fit's path: backward into the optimizer's buffer, read by the step
+            fit_opt, params = Optimizer(spec), flatten(layout)
+            views = fit_opt.gradients(layout)
+
+            def grad_fn(p):
+                candidate = replace(model, **unflatten(p, layout))
+                value, cache, g = logit_grads(candidate)
+                return value, backward(candidate, cache, g, out=views)
+
+            # the dict path: per-parameter arrays, flattened into a new buffer for the step
+            dict_opt, expected = Optimizer(spec), flatten(layout)
+
+            def grads_at(p):
+                candidate = replace(model, **unflatten(p, layout))
+                _, cache, g = logit_grads(candidate)
+                return reference_backward(candidate, cache, g, keys)
+
+            for _ in range(3):
+                sam_step(fit_opt, params, grad_fn)
+                grads = grads_at(expected)
+                if spec.sam:
+                    scale = spec.sam_rho / (global_grad_norm(grads) + 1e-12)
+                    grads = grads_at(expected + scale * flatten(grads))
+                dict_opt.step(expected, {"all": flatten(grads)})
+                assert params.tobytes() == expected.tobytes(), keys
+
+    def test_fit_steps_read_one_buffer_and_flatten_only_the_parameters(self, monkeypatch):
+        seen, step = [], Optimizer.step
+
+        def recording_step(self, params, grads):
+            seen.append(grads)
+            return step(self, params, grads)
+
+        flattened = []
+
+        def counting_flatten(arrays):
+            flattened.append(tuple(arrays))
+            return flatten(arrays)
+
+        monkeypatch.setattr(Optimizer, "step", recording_step)
+        monkeypatch.setattr(training_module, "flatten", counting_flatten)
+        monkeypatch.setattr(optim_module, "flatten", None)  # no step may flatten
+        manifest = blob_manifest([30, 15, 5])
+        config = TrainConfig(epochs=2, batch_size=16, seed=3, hidden_dim=4,
+                             classifier_kind="cosine",
+                             optimizer=OptimizerSpec("adam", lr=0.01, sam=True, sam_rho=0.05))
+        train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+        assert flattened == [("cls_w", "temperature", "encoder_w", "encoder_b")]  # once a fit
+        assert len(seen) > 1 and all(grads is seen[0] for grads in seen)
+        buffer = seen[0]["cls_w"].base
+        assert buffer.ndim == 1 and buffer.size == sum(np.size(v) for v in seen[0].values())
+        assert all(view.base is buffer for view in seen[0].values())
 
 
 def trained_stage1(manifest, seed=0, epochs=8, hidden=None):
