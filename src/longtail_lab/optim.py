@@ -82,9 +82,8 @@ class Optimizer:
         self._views = unflatten(self._grad, like)
         return self._views
 
-    def _flat(self, grads: dict) -> np.ndarray:
-        """The gradient buffer holding ``grads``, copied in unless they are its views."""
-        if grads is not self._views:
+    def _flat(self, grads: dict) -> np.ndarray:  # the gradient buffer, holding ``grads``
+        if grads is not self._views:  # a dict of the caller's own: copied into the buffer
             if self._grad is None:
                 self.gradients(grads)
             np.concatenate(list(grads.values()), axis=None, out=self._grad)

@@ -282,6 +282,21 @@ class TestErrorHandling:
         with pytest.raises(ValueError):
             loss_value(LossSpec("bce_ml"), [0.0, 0.0], np.array([2, 0]), ctx_for([1, 1]))
 
+    @pytest.mark.parametrize("targets", [[[0, 2]], [[-1, 1]], [[0.5, 1.0]], [[0, 1, 0]], [0, 1]],
+                             ids=["int-2", "int-minus-1", "float-half", "wide", "flat"])
+    def test_multilabel_targets_refused_by_the_check_step(self, targets):
+        plan = loss_plan(LossSpec("bce_ml"), distribution_from_counts([1, 1]))
+        with pytest.raises(ValueError, match=r"^multi-label targets must be a binary \(n, 2\)"):
+            batch_loss_and_grad(plan, np.zeros((1, 2)), targets)
+
+    @pytest.mark.parametrize("targets", [[[0, 1]], [[1.0, -0.0]], [[True, False]]],
+                             ids=["int", "float", "bool"])
+    def test_binary_multilabel_targets_of_any_dtype_pass(self, targets):
+        plan = loss_plan(LossSpec("bce_ml"), distribution_from_counts([1, 1]))
+        expected = batch_loss_and_grad(plan, np.zeros((1, 2)), np.asarray(targets, dtype=float))
+        got = batch_loss_and_grad(plan, np.zeros((1, 2)), targets)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
 
 class TestSerialization:
     @pytest.mark.parametrize("kind", LOSS_KINDS)

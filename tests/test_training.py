@@ -248,20 +248,9 @@ class TestTargetsCheckedOncePerFit:
     """A fit checks its sampler's targets once, before its first optimizer step; the loss
     kernels then read each batch's targets unchecked."""
 
-    @staticmethod
-    def count_steps(monkeypatch) -> list:
-        steps, step = [], Optimizer.step
-
-        def counting_step(self, params, grads):
-            steps.append(1)
-            return step(self, params, grads)
-
-        monkeypatch.setattr(Optimizer, "step", counting_step)
-        return steps
-
     @pytest.mark.parametrize("label", [3, -1])
     def test_out_of_range_class_refused_before_the_first_step(self, monkeypatch, label):
-        steps = self.count_steps(monkeypatch)
+        steps = TestFlatParameterBuffer.record_buffers(monkeypatch)
         manifest = blob_manifest([20, 10, 5])
         config = TrainConfig(epochs=2, batch_size=8, seed=0, optimizer=SGD)
         plan = loss_plan(config.loss, manifest.train_distribution())
@@ -279,7 +268,7 @@ class TestTargetsCheckedOncePerFit:
     @pytest.mark.parametrize("entry", [2, -1])
     def test_non_binary_multi_label_entry_refused_before_the_first_step(self, monkeypatch,
                                                                         entry):
-        steps = self.count_steps(monkeypatch)
+        steps = TestFlatParameterBuffer.record_buffers(monkeypatch)
         manifest = multilabel_manifest(n=60)
         manifest.labels[manifest.split_indices("train")[-1], 1] = entry
         config = TrainConfig(epochs=2, batch_size=8, seed=0, loss=LossSpec("bce_ml"),
@@ -291,8 +280,8 @@ class TestTargetsCheckedOncePerFit:
 
 
 def reference_backward(model, cache, g, keys):
-    """Each gradient of ``keys`` as its own out-of-place expression, as backward once wrote
-    it, into new arrays."""
+    """Each gradient of ``keys`` as its own out-of-place expression into a new array: the
+    reference for ``backward`` into a buffer."""
     grads = {}
     if model.logit_offset is not None:
         grads["logit_offset"] = g.sum(axis=0)
