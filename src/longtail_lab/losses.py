@@ -53,7 +53,12 @@ SINGLE_LABEL_KINDS = (
 )
 MULTI_LABEL_KINDS = ("bce_ml", "focal_bce_ml")
 LOSS_KINDS = SINGLE_LABEL_KINDS + MULTI_LABEL_KINDS
-STOCHASTIC_KINDS = ("seql", "gcl")
+# the kinds that draw per-sample noise in training, and how (draw_noise)
+_NOISE = {
+    "seql": lambda rng, shape: rng.random(shape),
+    "gcl": lambda rng, shape: np.abs(rng.standard_normal(shape)),
+}
+STOCHASTIC_KINDS = tuple(_NOISE)
 
 # kinds that divide by class counts (or take their log): every n_c must be > 0
 _NEEDS_COUNTS = frozenset({
@@ -186,11 +191,8 @@ def posthoc_shift(dist: ClassDistribution, tau: float) -> np.ndarray:
 def draw_noise(spec: LossSpec, rng: np.random.Generator, batch_size: int,
                num_classes: int) -> np.ndarray | None:
     """Pre-draw the per-sample stochastic component (None for deterministic kinds)."""
-    if spec.kind == "seql":
-        return rng.random((batch_size, num_classes))
-    if spec.kind == "gcl":
-        return np.abs(rng.standard_normal((batch_size, num_classes)))
-    return None
+    draw = _NOISE.get(spec.kind)
+    return None if draw is None else draw(rng, (batch_size, num_classes))
 
 
 def loss_value(spec: LossSpec, logits, target, ctx: LossContext) -> float:

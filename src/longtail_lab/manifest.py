@@ -149,11 +149,13 @@ class Manifest:
 
     def subset(self, indices) -> "Manifest":
         idx = np.asarray(indices, dtype=np.int64)
+        splits = self.splits[idx]  # a new U8 array: read-only, the constructor keeps it
+        splits.flags.writeable = False
         return Manifest(
             ids=tuple(map(self.ids.__getitem__, idx.tolist())),
             features=self.features[idx],
             labels=self.labels[idx],
-            splits=self.splits[idx],
+            splits=splits,
             num_classes=self.num_classes,
             feature_dim=self.feature_dim,
             task_kind=self.task_kind,

@@ -57,9 +57,7 @@ class ModelState:
         if self.classifier_kind == "cosine":
             if self.temperature is None:
                 raise ValueError("cosine classifier needs a temperature")
-            if not 0.0 < self.temperature < math.inf:
-                raise ValueError(f"cosine temperature must be a finite number > 0, "
-                                 f"got {float(self.temperature)!r}")
+            check_temperature(self.temperature)
             if self.cls_b is not None:
                 raise ValueError("cosine classifier carries no bias")
         _check_shapes(self, "cls_w", ("cls_b", "logit_scale", "logit_offset"))
@@ -104,6 +102,13 @@ def _check_shapes(classifier, weights: str, per_class: tuple[str, ...] = ()) -> 
 def check_classifier_kind(classifier_kind: str) -> None:
     if classifier_kind not in CLASSIFIER_KINDS:
         raise ValueError(f"unknown classifier kind {classifier_kind!r}")
+
+
+def check_temperature(temperature) -> None:
+    """Refuse a cosine temperature, trained or loaded, outside (0, inf)."""
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"cosine temperature must be a finite number > 0, "
+                         f"got {float(temperature)!r}")
 
 
 def check_hidden_dim(hidden_dim: int | None) -> None:

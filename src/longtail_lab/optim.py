@@ -141,19 +141,22 @@ def global_grad_norm(grads: dict) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
 
 
-def sam_step(optimizer: Optimizer, params: np.ndarray, grad_fn):
+def sam_step(optimizer: Optimizer, params: np.ndarray, grad_fn,
+             shifted: np.ndarray | None = None):
     """One training step on the flat parameter buffer ``params``, sharpness-aware when the
     spec asks for it.
 
     grad_fn(params) -> (loss_value, grads), grads a dict in parameter order.
-    With sam enabled the gradient is recomputed at a new params + rho * g / ||g||
-    (same batch, same stochastic draws) and the inner optimizer applies that
-    gradient from the unperturbed params. rho = 0 reduces exactly to the inner
-    optimizer: the perturbation is the zero vector, so the second pass is skipped.
+    With sam enabled the gradient is recomputed at params + rho * g / ||g||
+    (same batch, same stochastic draws), written into ``shifted`` (a new buffer
+    if None), and the inner optimizer applies that gradient from the
+    unperturbed params. rho = 0 reduces exactly to the inner optimizer: the
+    perturbation is the zero vector, so the second pass is skipped.
     """
     spec = optimizer.spec
     value, grads = grad_fn(params)
     if spec.sam and spec.sam_rho > 0:
         scale = spec.sam_rho / (global_grad_norm(grads) + 1e-12)
-        _, grads = grad_fn(params + scale * optimizer._flat(grads))
+        shifted = np.multiply(scale, optimizer._flat(grads), out=shifted)
+        _, grads = grad_fn(np.add(params, shifted, out=shifted))
     return value, optimizer.step(params, grads)

@@ -23,8 +23,8 @@ from .losses import LossSpec, draw_noise, loss_plan, posthoc_shift
 from .manifest import Manifest
 from .metrics import EpochRecord, GroupReport, RunHistory, average_precision_per_label, group_report, group_report_from_values
 from .model import (ModelState, NcmClassifier, backward, check_classifier_kind, check_hidden_dim,
-                    decision_scores, encode_rows, forward_with_cache, init_model, row_blocks,
-                    tau_normalize, weight_norms)
+                    check_temperature, decision_scores, encode_rows, forward_with_cache,
+                    init_model, row_blocks, tau_normalize, weight_norms)
 from .optim import Optimizer, OptimizerSpec, flatten, sam_step, unflatten
 from .samplers import BatchSampler, MixupSpec, SamplerSpec, mixup_batch
 
@@ -331,23 +331,28 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     The trainable parameters live in one flat float64 buffer for the whole
     fit. One ``ModelState`` is bound to views of it, once, so each optimizer
     step moves that model in place; SAM's shifted point is a second buffer,
-    bound to a model of its own for its gradient pass. A model that owns its
-    arrays, with a float temperature, is built only for evaluation and for
-    the result; with ``epochs == 0`` the result is ``model`` itself.
+    bound once to a model of its own and rewritten in place for each
+    gradient pass. A model that owns its arrays, with a float temperature, is
+    built only for evaluation and for the result; with ``epochs == 0`` the
+    result is ``model`` itself.
 
-    Besides the plan and the buffer, a fit sets up once: the sampler's train rows,
-    their targets' check and class CDF (recomputed on each difficulty update), and
+    Besides the plan and the buffers, a fit sets up once: the sampler, with the
+    train targets' check and class CDF (recomputed on each difficulty update), and
     the optimizer's moments and gradient buffer, whose views ``backward`` fills with
-    the trainable keys' gradients only. A step then draws a batch, runs forward, the
+    the trainable keys' gradients only. A step then takes a batch, runs forward, the
     loss (targets unchecked) and backward, and updates the buffer; its loss is the
-    mean of the per-sample values. A trained cosine temperature that leaves (0, inf)
-    stops the fit with ``TrainingDivergedError``.
+    mean of the per-sample values. When the sampler is the only consumer of ``rng``
+    (no MixUp, and a loss kind that draws no noise), it draws the indices of the
+    epoch's remaining batches together, a bounded chunk at a time: the same
+    numbers, so the same model. A trained cosine temperature that leaves (0, inf),
+    at a step or at SAM's shifted point, stops the fit with ``TrainingDivergedError``.
 
     With ``encoder``, ``model`` is a head that reads the encoder's features
     of the train rows. They are computed once, a row block at a time
-    (``model.encode_rows``), and handed to the sampler, which then holds them
-    in place of a copy of the raw train rows. Every ``eval_every``-th epoch and
-    the last are evaluated epochs, scored by ``groups``. Such an epoch scores
+    (``model.encode_rows``), and handed to the sampler, which gathers the
+    batches from them instead of from the manifest's rows. Every
+    ``eval_every``-th epoch and the last are evaluated epochs, scored by
+    ``groups``. Such an epoch scores
     val when ``history`` is given or the sampler is ``difficulty``, whose class
     CDF the per-class val accuracy updates, and scores test and appends an
     ``EpochRecord`` to ``history`` when it is given; else it scores nothing.
@@ -365,7 +370,11 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     params = flatten(layout)
     grad_views = optimizer.gradients(layout)
     bound = replace(model, **unflatten(params, layout))
+    shifted = params.copy() if config.optimizer.sam else None
+    shifted_model = None if shifted is None else replace(model, **unflatten(shifted, layout))
     steps = max(1, math.ceil(sampler.epoch_length / config.batch_size))
+    # within an epoch only the sampler, MixUp and a noise-drawing loss kind draw from rng
+    draws_ahead = not mixup.enabled and plan.spec.kind not in losses.STOCHASTIC_KINDS
     trains_temperature = "temperature" in layout
     difficulty = sampler_spec.kind == "difficulty"
     scores_val = history is not None or difficulty
@@ -374,7 +383,8 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     for epoch in range(epochs):
         epoch_loss = 0.0
         for step in range(steps):
-            features, targets = sampler.next_batch(config.batch_size, rng)
+            features, targets = sampler.next_batch(config.batch_size, rng,
+                                                   steps - step if draws_ahead else 1)
             mixed = None
             if mixup.enabled:
                 perm = rng.permutation(len(features))
@@ -384,7 +394,9 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
             noise = draw_noise(plan.spec, rng, len(features), manifest.num_classes)
 
             def grad_fn(p):
-                candidate = bound if p is params else replace(model, **unflatten(p, layout))
+                candidate = bound if p is params else shifted_model
+                if candidate is shifted_model and trains_temperature:
+                    check_temperature(shifted_model.temperature)
                 logits, cache = forward_with_cache(candidate, features)
                 if mixed is not None:
                     va, ga = loss_of(logits, mixed.labels_a, noise=noise)
@@ -398,7 +410,8 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
                 return float(values.sum() / len(values)), param_grads  # the bits of values.mean()
 
             try:
-                value, _ = sam_step(optimizer, params, grad_fn)  # moves params, so bound
+                value, _ = sam_step(optimizer, params, grad_fn,  # moves params, so bound
+                                    shifted=shifted)
             except ValueError as exc:
                 raise TrainingDivergedError(epoch, step, str(exc)) from exc
             if not math.isfinite(value):

@@ -57,6 +57,30 @@ class TestSubsampleLongtail:
         assert out.split_indices("val").size == manifest.split_indices("val").size
         assert out.split_indices("test").size == manifest.split_indices("test").size
 
+    def test_subset_keeps_its_new_splits_read_only_without_a_copy(self, monkeypatch,
+                                                                    tiny_manifest):
+        given, post_init = [], Manifest.__post_init__
+
+        def recording_post_init(self):
+            given.append(self.splits)
+            post_init(self)
+
+        monkeypatch.setattr(Manifest, "__post_init__", recording_post_init)
+        idx = [0, 3, 40, 41, 60]
+        out = tiny_manifest.subset(idx)
+        assert out.splits is given[-1] and not out.splits.flags.writeable
+        assert out.splits.tolist() == tiny_manifest.splits[idx].tolist()
+
+    def test_subsample_records_are_the_source_records(self):
+        manifest = blob_manifest([50, 50, 50])
+        out = subsample_longtail(manifest, [50, 5, 1], seed=3)
+        at = {rid: i for i, rid in enumerate(manifest.ids)}
+        idx = [at[rid] for rid in out.ids]
+        assert out.splits.dtype == "U8" and not out.splits.flags.writeable
+        assert out.splits.tolist() == manifest.splits[idx].tolist()
+        assert out.features.tobytes() == manifest.features[idx].tobytes()
+        assert np.array_equal(out.labels, manifest.labels[idx])
+
     def test_deterministic(self, tiny_manifest):
         a = subsample_longtail(tiny_manifest, [10, 5, 2], seed=11)
         b = subsample_longtail(tiny_manifest, [10, 5, 2], seed=11)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -13,8 +14,9 @@ from longtail_lab import (LossContext, LossSpec, MixupSpec, OptimizerSpec, Sampl
                           posthoc_adjust, run_experiment, synth_gaussian, train_stage1,
                           weight_norms)
 from longtail_lab import Manifest, NcmClassifier, model as model_module, training as training_module
-from longtail_lab import optim as optim_module
-from longtail_lab.model import BLOCK_ROWS, backward, encode, forward_with_cache
+from longtail_lab import optim as optim_module, samplers as samplers_module
+from longtail_lab.losses import LOSS_KINDS, MULTI_LABEL_KINDS, STOCHASTIC_KINDS
+from longtail_lab.model import BLOCK_ROWS, ModelState, backward, encode, forward_with_cache
 from longtail_lab.optim import Optimizer, flatten, global_grad_norm, sam_step, unflatten
 from longtail_lab.training import (stage2_cosine_retrain, stage2_crt, stage2_disalign,
                                    stage2_lws, stage2_ncm)
@@ -746,3 +748,178 @@ class TestWeightNormTrend:
         counts = manifest.train_distribution().counts
         corr = np.corrcoef(np.log(counts), norms)[0, 1]
         assert corr > 0.5
+
+
+def model_bytes(classifier) -> dict:
+    return {name: np.asarray(value).tobytes() for name, value in vars(classifier).items()
+            if value is not None and not isinstance(value, str)}
+
+
+class TestMultiBatchDrawInFits:
+    """A fit in which the sampler is the generator's only consumer draws an epoch's batches
+    together; the fitted models are those of one batch per draw, whatever the fit."""
+
+    @staticmethod
+    def record_draws(monkeypatch) -> list:
+        """(count, batch_size) of every sampler draw from now on."""
+        draws, draw = [], samplers_module.BatchSampler._draw
+
+        def recording_draw(self, count, batch_size, rng):
+            draws.append((count, batch_size))
+            return draw(self, count, batch_size, rng)
+
+        monkeypatch.setattr(samplers_module.BatchSampler, "_draw", recording_draw)
+        return draws
+
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    def test_stage1_models_equal_one_batch_per_draw(self, monkeypatch, loss_kind):
+        multi = loss_kind in MULTI_LABEL_KINDS
+        manifest = (multilabel_manifest(n=54) if multi
+                    else blob_manifest([20, 9, 5], val_per_class=4, test_per_class=4))
+        groups = groups_for(manifest, (1, 2))
+        configs = [TrainConfig(epochs=2, batch_size=7, seed=5, hidden_dim=3,
+                               loss=LossSpec(loss_kind), sampler=SamplerSpec(sampler),
+                               mixup=MixupSpec(enabled=mixup),
+                               optimizer=OptimizerSpec("adam", lr=0.01, sam=sam))
+                   for mixup, sam, sampler in product(
+                       (False, True), (False, True),
+                       ("original",) if multi else samplers_module.SAMPLER_KINDS)]
+        draws = self.record_draws(monkeypatch)
+        shipped = []
+        for config in configs:
+            draws.clear()
+            shipped.append(model_bytes(train_stage1(manifest, config, groups=groups)[0]))
+            alone = config.mixup.enabled or loss_kind in STOCHASTIC_KINDS
+            assert all(count == 1 for count, _ in draws) == alone, config
+        monkeypatch.setattr(samplers_module, "MAX_QUEUED_ROWS", 1)  # one batch per draw
+        for config, expected in zip(configs, shipped):
+            assert model_bytes(train_stage1(manifest, config, groups=groups)[0]) == expected
+
+    @pytest.mark.parametrize("sam", [False, True])
+    @pytest.mark.parametrize("kind", sorted(training_module._HEAD_FITS))
+    def test_head_fits_equal_one_batch_per_draw(self, monkeypatch, kind, sam):
+        manifest = blob_manifest([20, 9, 5], val_per_class=4, test_per_class=4)
+        config = TrainConfig(epochs=2, batch_size=7, seed=5, hidden_dim=3,
+                             optimizer=OptimizerSpec("adam", lr=0.01, sam=sam),
+                             stage2=Stage2Spec(kind, epochs=2))
+        model, _ = train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+        draws = self.record_draws(monkeypatch)
+        shipped = model_bytes(apply_stage2(model, manifest, config, np.random.default_rng(2)))
+        assert max(count for count, _ in draws) > 1
+        monkeypatch.setattr(samplers_module, "MAX_QUEUED_ROWS", 1)
+        assert model_bytes(apply_stage2(model, manifest, config,
+                                        np.random.default_rng(2))) == shipped
+
+    def test_a_long_epoch_never_draws_more_than_the_cap(self, monkeypatch):
+        draws = self.record_draws(monkeypatch)
+        cap = samplers_module.MAX_QUEUED_ROWS
+        manifest = blob_manifest([20, 9, 5])
+        config = TrainConfig(epochs=2, batch_size=100, seed=1, optimizer=SGD,
+                             sampler=SamplerSpec("class_balanced", epoch_length=10 * cap))
+        train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)), keep_history=False)
+        steps = -(-10 * cap // 100)
+        assert max(count * size for count, size in draws) <= cap
+        assert sum(count for count, _ in draws) == 2 * steps  # each epoch's batches, no more
+        assert len(draws) >= 2 * (10 * cap // cap)
+
+    def test_stage1_fit_holds_no_copy_of_the_train_rows(self):
+        manifest = blob_manifest([3000] * 4, feature_dim=64, val_per_class=2, test_per_class=2)
+        train_bytes = manifest.split_indices("train").size * 64 * 8  # 6.1 MB
+        config = TrainConfig(epochs=1, batch_size=64, seed=0, optimizer=SGD)
+        _, peak = traced_peak(train_stage1, manifest, config,
+                              groups=groups_for(manifest, (1, 2)), keep_history=False)
+        assert peak < train_bytes / 8
+
+
+def reference_sam_fit(manifest, config) -> dict:
+    """A SAM stage-1 fit that builds a new model and a new params + scale * g for every
+    shifted point, and steps on a flattened gradient dict: the trained parameters."""
+    rng = training_module.stage_rngs(config.seed)[1]
+    model = init_model(manifest.num_classes, manifest.feature_dim, hidden_dim=config.hidden_dim,
+                       classifier_kind=config.classifier_kind, temperature=config.temperature,
+                       rng=rng)
+    keys = training_module._head_keys(model) + ("encoder_w", "encoder_b")
+    layout = {key: getattr(model, key) for key in keys}
+    params, optimizer = flatten(layout), Optimizer(config.optimizer)
+    sampler = samplers_module.BatchSampler(config.sampler, manifest)
+    plan = loss_plan(config.loss, manifest.train_distribution())
+
+    def grads_at(p, x, y):
+        candidate = replace(model, **unflatten(p, layout))
+        logits, cache = forward_with_cache(candidate, x)
+        _, g = batch_loss_and_grad(plan, logits, y)
+        return reference_backward(candidate, cache, g / len(x), keys)
+
+    steps = -(-sampler.epoch_length // config.batch_size)
+    for _ in range(config.epochs * steps):
+        x, y = sampler.next_batch(config.batch_size, rng)
+        grads = grads_at(params, x, y)
+        scale = config.optimizer.sam_rho / (global_grad_norm(grads) + 1e-12)
+        grads = grads_at(params + scale * flatten(grads), x, y)
+        optimizer.step(params, {"all": flatten(grads)})
+    return {key: value.tobytes() for key, value in unflatten(params, layout).items()}
+
+
+class TestSamShiftedPoint:
+    """SAM's shifted point lives in one buffer, bound once to a model of its own."""
+
+    @pytest.mark.parametrize("optimizer", [OptimizerSpec("sgd", lr=0.05, sam=True, sam_rho=0.1),
+                                           OptimizerSpec("adam", lr=0.01, sam=True, sam_rho=0.05)],
+                             ids=["sgd-sam", "adam-sam"])
+    @pytest.mark.parametrize("classifier_kind", ["linear", "cosine"])
+    def test_fit_equals_a_new_shifted_model_per_step(self, optimizer, classifier_kind):
+        manifest = blob_manifest([30, 15, 5], val_per_class=4, test_per_class=4)
+        config = TrainConfig(epochs=3, batch_size=8, seed=4, hidden_dim=4,
+                             classifier_kind=classifier_kind, temperature=5.0,
+                             optimizer=optimizer)
+        model, _ = train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)),
+                                keep_history=False)
+        expected = reference_sam_fit(manifest, config)
+        assert {key: np.asarray(getattr(model, key)).tobytes() for key in expected} == expected
+        if classifier_kind == "cosine":  # the temperature trained
+            assert expected["temperature"] != np.asarray(5.0).tobytes()
+
+    def test_temperature_leaving_zero_at_the_shifted_point_stops_the_fit(self):
+        manifest = blob_manifest([20, 10, 5])
+        config = TrainConfig(epochs=2, batch_size=8, seed=0, classifier_kind="cosine",
+                             temperature=0.1,
+                             optimizer=OptimizerSpec("sgd", lr=0.01, sam=True, sam_rho=50.0))
+        # the message of the shifted point's check, not of the stepped model's
+        with pytest.raises(TrainingDivergedError,
+                           match="cosine temperature must be a finite number > 0, got -"):
+            train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+
+    def test_no_model_is_built_per_step(self, monkeypatch):
+        built, post_init = [], ModelState.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ModelState, "__post_init__", counting_post_init)
+        manifest = blob_manifest([30, 15, 5])
+        counts = []
+        for epochs in (1, 4):
+            config = TrainConfig(epochs=epochs, batch_size=8, seed=4, hidden_dim=4,
+                                 classifier_kind="cosine",
+                                 optimizer=OptimizerSpec("adam", lr=0.01, sam=True))
+            built.clear()
+            train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)),
+                         keep_history=False)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    def test_sam_step_writes_the_shifted_point_into_the_given_buffer(self):
+        rng = np.random.default_rng(3)
+        params, shifted = rng.standard_normal(5), np.empty(5)
+        grad = rng.standard_normal(5)
+        seen = []
+
+        def grad_fn(p):
+            seen.append(p.copy())
+            return 1.0, {"all": grad}
+
+        spec = OptimizerSpec("sgd", lr=0.1, sam=True, sam_rho=0.3)
+        expected = params + spec.sam_rho / (global_grad_norm({"all": grad}) + 1e-12) * grad
+        sam_step(Optimizer(spec), params, grad_fn, shifted=shifted)
+        assert seen[1].tobytes() == expected.tobytes() == shifted.tobytes()
