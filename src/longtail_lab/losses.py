@@ -46,6 +46,7 @@ import numpy as np
 
 from . import jsonio
 from .distribution import ClassDistribution
+from .metrics import is_binary
 
 SINGLE_LABEL_KINDS = (
     "ce", "focal", "cb_ce", "cb_focal", "ldam", "prior_ce", "weighted_softmax",
@@ -311,9 +312,8 @@ def batch_loss_and_grad(plan: LossPlan, logits, targets, *, noise: np.ndarray | 
 def check_targets(plan: LossPlan, targets, n: int) -> None:
     """Refuse targets for ``n`` rows but a class in [0, K) each, or a binary (n, K) matrix."""
     k, t = plan.num_classes, np.asarray(targets)
-    if plan.spec.multi_label:  # integers are binary iff their min and max are: no temporaries
-        binary = t.dtype.kind in "biu" and (not t.size or (t.min() >= 0 and t.max() <= 1))
-        if t.shape != (n, k) or not (binary or ((t == 0) | (t == 1)).all()):
+    if plan.spec.multi_label:
+        if t.shape != (n, k) or not is_binary(t):
             raise ValueError(f"multi-label targets must be a binary (n, {k}) matrix")
     elif (y := t.astype(np.int64, copy=False)).shape != (n,):
         raise ValueError("single-label targets must be one class index per row")

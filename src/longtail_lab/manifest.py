@@ -34,6 +34,9 @@ load of the same bytes returns a new ``Manifest`` that shares them, so no
 load copies them. A failed parse is never kept, and ``save_manifest`` does
 not fill the slot.
 
+In memory a manifest's ``labels`` column is (n,) int64 for single-label (the
+labels index classes) and (n, K) int8 for multi-label, one byte per 0/1 entry.
+
 ``synth_gaussian`` costs little beyond its one normal draw. Its ids, record
 ``i`` of class ``c`` in a split being ``f"{split}-{c}-{i}"``, depend only on
 the layout (the number of classes and the per-(split, class) counts), not on
@@ -72,14 +75,17 @@ class ManifestFormatError(ValueError):
 class Manifest:
     """A split-tagged collection of feature vectors with single- or multi-labels.
 
-    Columnar storage: ``labels`` is (n,) int for single-label or (n, K) {0,1}
-    for multi-label. Splits partition the records. ``ids`` is a tuple of
-    unique strings (a list is stored as a tuple), checked once per tuple: the
-    tuple kept for the last synth layout or by the kept parse was checked when
-    it was built, cannot change, and passes unchecked. Features are checked
-    for finiteness a row block (``model.row_blocks``) at a time, and
-    multi-label entries by their minimum and maximum, so the checks hold no
-    whole-array temporary.
+    Columnar storage: ``labels`` is (n,) int64 class indices for single-label
+    or an (n, K) int8 0/1 matrix for multi-label. Labels are checked on the
+    array as given: floats must be whole numbers and are converted through
+    int64; a multi-label int8 array is kept as it is, and any other is
+    narrowed once after its 0/1 check. Splits partition the records.
+    ``ids`` is a tuple of unique strings (a list is stored as a tuple),
+    checked once per tuple: the tuple kept for the last synth layout or by the
+    kept parse was checked when it was built, cannot change, and passes
+    unchecked. Features are checked for finiteness a row block
+    (``model.row_blocks``) at a time, and integer labels by their minimum and
+    maximum, so the checks hold no whole-array temporary.
 
     ``splits`` is always read-only. A manifest returned by ``load_manifest``
     shares read-only ``features`` and ``labels`` with the kept parse: writing
@@ -114,18 +120,25 @@ class Manifest:
         shared = splits.dtype == "U8" and not splits.flags.writeable  # a caller's is never frozen
         self.splits = splits if shared else splits.astype("U8")
         self.splits.flags.writeable = False
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "biu":  # checked, then converted, before any narrowing
+            labels = labels.astype(np.float64, copy=False)
+            if not (np.trunc(labels) == labels).all():  # NaN too
+                raise ValueError("labels must be whole numbers")
+            with np.errstate(invalid="ignore"):  # inf or beyond int64: out of range, refused below
+                labels = labels.astype(np.int64)
         if self.task_kind == "single":
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = labels.astype(np.int64, copy=False)
             if self.labels.shape != (n,):
                 raise ValueError("single-label manifest needs one class index per record")
             if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
                 raise ValueError(f"labels must lie in [0, {self.num_classes})")
         else:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (n, self.num_classes):
+            if labels.shape != (n, self.num_classes):
                 raise ValueError(f"multi-label manifest needs (n, {self.num_classes}) label matrix")
-            if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 1):
+            if labels.size and (labels.min() < 0 or labels.max() > 1):
                 raise ValueError("multi-label entries must be 0 or 1")
+            self.labels = labels.astype(np.int8, copy=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -425,7 +438,7 @@ def _parse(lines: list[str]) -> Manifest:
     keys = {"id", "features", label_key, "split"}
     numbers, bits = frozenset((int, float)), frozenset((0, 1))  # a JSON true loads as a bool
     features = np.empty((n, d))
-    labels = np.empty((n, k) if task == "multi" else n, dtype=np.int64)
+    labels = np.empty((n, k), dtype=np.int8) if task == "multi" else np.empty(n, dtype=np.int64)
     splits = np.empty(n, dtype="U8")
     ids, linenos, nonfinite, start = [], [], None, 0
     for block in row_blocks(len(lines) - 1):

@@ -114,8 +114,7 @@ def average_precision_per_label(scores, truths) -> np.ndarray:
     t = np.asarray(truths)
     if s.ndim != 2 or s.shape != t.shape:
         raise ValueError("scores and truths must be equal-shape (n, K) arrays")
-    relevant = t == 1
-    if not (relevant | (t == 0)).all():
+    if not is_binary(t):
         raise ValueError("truths must be binary")
     n, k = s.shape
     aps = np.full(k, np.nan)
@@ -127,7 +126,7 @@ def average_precision_per_label(scores, truths) -> np.ndarray:
         keys = s.T[labels]
         np.negative(keys, out=keys)
         flat = keys.ravel()
-        at = np.flatnonzero(relevant.T[labels])  # flat positions of the positives, row by row
+        at = np.flatnonzero(t.T[labels])  # flat positions of the positives, row by row
         own = flat[at]
         keys.sort(axis=1)  # NaN last
         row_start = at - at % n
@@ -151,6 +150,13 @@ def average_precision_per_label(scores, truths) -> np.ndarray:
     if empty:
         warnings.warn(f"labels {empty} have no positives; skipped in mAP")
     return aps
+
+
+def is_binary(t: np.ndarray) -> bool:
+    """Whether every entry of ``t`` is 0 or 1: integers by their min and max, with no temporary."""
+    if t.dtype.kind in "biu":
+        return not t.size or bool(t.min() >= 0 and t.max() <= 1)
+    return bool(((t == 0) | (t == 1)).all())
 
 
 def _count_below(flat, row_start, keys, n, before):

@@ -457,7 +457,8 @@ class TestValueChecks:
                      num_classes=2, feature_dim=3, task_kind="single")
 
     @pytest.mark.parametrize("row", [0, 700])
-    @pytest.mark.parametrize("value", [-1, 2, -(2 ** 63), 2 ** 63 - 1])
+    @pytest.mark.parametrize("value", [-1, 2, -(2 ** 63), 2 ** 63 - 1,
+                                       256, 257, -255])  # these three wrap to 0, 1, 1 in int8
     def test_multilabel_entry_other_than_0_or_1_refused(self, row, value):
         labels = np.ones((800, 4), dtype=np.int64)
         labels[row, 3] = value
@@ -466,14 +467,101 @@ class TestValueChecks:
                      labels=labels, splits=["test"] * 800, num_classes=4, feature_dim=2,
                      task_kind="multi")
 
-    def test_checks_hold_no_whole_array_temporary(self):
+    def _traced_multi_label_build(self, dtype):
         n, d, k = 4000, 256, 256
         rng = np.random.default_rng(0)
-        features, labels = rng.standard_normal((n, d)), (rng.random((n, k)) < 0.1).astype(np.int64)
+        features, labels = rng.standard_normal((n, d)), (rng.random((n, k)) < 0.1).astype(dtype)
         ids, splits = tuple(f"r{i}" for i in range(n)), np.array(["train"] * n)
-        _, peak = traced_peak(Manifest, ids=ids, features=features, labels=labels, splits=splits,
-                              num_classes=k, feature_dim=d, task_kind="multi")
+        manifest, peak = traced_peak(Manifest, ids=ids, features=features, labels=labels,
+                                     splits=splits, num_classes=k, feature_dim=d,
+                                     task_kind="multi")
+        return manifest, peak, labels, (n, d, k)
+
+    def test_checks_hold_no_whole_array_temporary(self):
+        manifest, peak, labels, (n, d, k) = self._traced_multi_label_build(np.int8)
+        assert manifest.labels is labels  # the stored dtype: kept, not copied
         assert peak < n * d // 2  # one (n, d) or (n, K) bool array is n * d bytes
+
+    def test_int64_labels_are_narrowed_into_one_int8_column(self):
+        manifest, peak, labels, (n, d, k) = self._traced_multi_label_build(np.int64)
+        assert manifest.labels.dtype == np.int8 and np.array_equal(manifest.labels, labels)
+        assert peak < n * k + n * d // 2  # the kept int8 column, and no whole-array temporary
+
+    @pytest.mark.parametrize("task, labels", [
+        ("single", [0.5, 1.7]), ("single", [1.0, np.nan]),
+        ("single", np.array([0.5, 1], dtype=object)), ("single", np.array([1, 0.5], np.float32)),
+        ("multi", [[0.9, 1.0], [0.0, 1.0]]), ("multi", [[1.0, 0.0], [np.nan, 1.0]]),
+        ("multi", np.array([[1, 0], [0.9, 1]], dtype=object)),
+    ])
+    def test_labels_that_are_not_whole_numbers_refused(self, task, labels):
+        with pytest.raises(ValueError, match="^labels must be whole numbers$"):
+            Manifest(ids=("a", "b"), features=np.zeros((2, 1)), labels=np.asarray(labels),
+                     splits=["train"] * 2, num_classes=2, feature_dim=1, task_kind=task)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e30, 2.0 ** 63, 2.0])
+    @pytest.mark.parametrize("task", ["single", "multi"])
+    def test_whole_float_labels_converted_through_int64_and_range_checked(self, task, value):
+        labels = np.array([1.0, value] if task == "single" else [[1.0, 0.0], [value, 1.0]])
+        message = "^labels must lie in \\[0, 2\\)$" if task == "single" else "^multi-label entries"
+        with pytest.raises(ValueError, match=message):  # and no cast warning
+            Manifest(ids=("a", "b"), features=np.zeros((2, 1)), labels=labels,
+                     splits=["train"] * 2, num_classes=2, feature_dim=1, task_kind=task)
+        labels[labels == value] = 0.0
+        kept = Manifest(ids=("a", "b"), features=np.zeros((2, 1)), labels=labels,
+                        splits=["train"] * 2, num_classes=2, feature_dim=1, task_kind=task)
+        assert kept.labels.dtype == (np.int64 if task == "single" else np.int8)
+        assert kept.labels.tolist() == labels.astype(int).tolist()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.bool_])
+    @pytest.mark.parametrize("task", ["single", "multi"])
+    def test_integer_labels_skip_the_whole_number_check(self, monkeypatch, task, dtype):
+        monkeypatch.setattr(np, "trunc", None)  # any float label would fail on it
+        labels = np.array([1, 0] if task == "single" else [[1, 0], [0, 1]], dtype=dtype)
+        kept = Manifest(ids=("a", "b"), features=np.zeros((2, 1)), labels=labels,
+                        splits=["train"] * 2, num_classes=2, feature_dim=1, task_kind=task)
+        assert kept.labels.tolist() == labels.astype(int).tolist()
+
+
+class TestMultiLabelStorage:
+    """A multi-label column is stored as one int8 0/1 entry per (record, label)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=8)))
+    def test_every_integer_form_stores_equal_int8_and_saves_equal_bytes(self, rows):
+        import tempfile
+        from pathlib import Path
+
+        n, k = len(rows), len(rows[0])
+        bits = np.array(rows, dtype=np.int64)
+        expected = "".join([json.dumps({"num_classes": k, "feature_dim": 1, "task": "multi"}) + "\n"]
+                           + [json.dumps({"id": f"r{i}", "features": [0.0], "labels": row,
+                                          "split": "train"}) + "\n"
+                              for i, row in enumerate(rows)])
+        for labels in (bits, bits.astype(np.int8), bits.astype(np.bool_), rows):
+            manifest = Manifest(ids=tuple(f"r{i}" for i in range(n)), features=np.zeros((n, 1)),
+                                labels=labels, splits=["train"] * n, num_classes=k,
+                                feature_dim=1, task_kind="multi")
+            assert manifest.labels.dtype == np.int8 and manifest.labels.tolist() == rows
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "m.jsonl"
+                save_manifest(manifest, path)
+                assert path.read_text(encoding="utf-8") == expected
+
+    def test_loaded_column_is_the_parsed_read_only_int8_array(self, tmp_path, monkeypatch):
+        path = tmp_path / "ml.jsonl"
+        save_manifest(multilabel_manifest(), path)
+        built = []
+        init = Manifest.__post_init__
+
+        def recording_init(self):
+            built.append(self.labels)  # the array handed to the constructor
+            init(self)
+
+        monkeypatch.setattr(Manifest, "__post_init__", recording_init)
+        loaded = load_manifest(path)
+        assert loaded.labels is built[-1]
+        assert loaded.labels.dtype == np.int8 and not loaded.labels.flags.writeable
 
 
 def _finite(value) -> bool:
@@ -916,6 +1004,7 @@ class TestLoadCache:
         size = os.path.getsize(path)
         loaded, peak = traced_peak(load_manifest, path)
         assert peak < 3 * size
+        assert loaded.labels.nbytes == n * k  # one byte a 0/1 entry
         # a hit reads and hashes the file's bytes, and copies no array
         _, hit = traced_peak(load_manifest, path)
         assert hit - size < loaded.features.nbytes

@@ -101,6 +101,14 @@ class TestNextBatch:
         with pytest.raises(ValueError, match="single-label"):
             BatchSampler(SamplerSpec("class_balanced"), multilabel_manifest())
 
+    def test_multilabel_labels_are_one_byte_an_entry(self):
+        manifest = multilabel_manifest()
+        sampler = BatchSampler(SamplerSpec(), manifest)
+        n_train = manifest.split_indices("train").size
+        assert sampler.labels.nbytes == n_train * manifest.num_classes
+        _, labels = sampler.next_batch(8, np.random.default_rng(0))
+        assert labels.dtype == np.int8 and labels.shape == (8, manifest.num_classes)
+
     def test_epoch_length_default_and_override(self, tiny_manifest):
         assert BatchSampler(SamplerSpec(), tiny_manifest).epoch_length == 35
         assert BatchSampler(SamplerSpec(epoch_length=12), tiny_manifest).epoch_length == 12

@@ -16,6 +16,7 @@ def test_report_digests_prints_one_stable_line_per_named_report(tmp_path):
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
     names = [line.split("  ")[1] for line in lines]
     assert len(set(names)) == len(names)
+    assert names[0] == "manifest/multilabel.jsonl"  # the saved file the multi-label runs read
     for prefix in ("desk_sweep/", "mid_stage2/", "hidden/", "manifest/bce_ml",
                    "manifest/focal_bce_ml", "cosine", "mixup", "sam/sgd", "sam/adam",
                    "sampler/difficulty", "stage2/ncm", "stage2/cosine_retrain"):

@@ -1,7 +1,10 @@
 """Print one ``sha256  name`` line per ``run_experiment`` report of a fixed, named config set.
 
-A change that must keep every report byte-identical runs this on the parent
-tree and on the changed tree, at the same seed, and compares the outputs:
+The first line is that of the multi-label manifest file the multi-label configs
+train from, ``manifest/multilabel.jsonl``, as ``save_manifest`` wrote it. A
+change that must keep every report and the saved manifest byte-identical runs
+this on the parent tree and on the changed tree, at the same seed, and
+compares the outputs:
 
     python3 tools/report_digests.py --seed 1 > digests.txt
 
@@ -84,6 +87,11 @@ def named_configs(seed: int, tiny: bool) -> list[tuple[str, dict]]:
     return entries + own
 
 
+def _digest_line(path: str, name: str) -> str:
+    with open(path, "rb") as fh:
+        return f"{hashlib.sha256(fh.read()).hexdigest()}  {name}"
+
+
 def report_digests(seed: int, tiny: bool) -> list[str]:
     """The ``sha256  name`` lines; every run's files live and die in a temporary directory."""
     here = os.getcwd()
@@ -92,12 +100,11 @@ def report_digests(seed: int, tiny: bool) -> list[str]:
         try:
             ml = (12, 8, 400) if tiny else (60, 16, 1200)  # labels, feature dim, records
             longtail_lab.save_manifest(workloads.multilabel_manifest(seed, *ml, 2.3), MANIFEST)
-            lines = []
+            lines = [_digest_line(MANIFEST, f"manifest/{MANIFEST}")]
             for i, (name, raw) in enumerate(named_configs(seed, tiny)):
                 out = f"report-{i}.json"
                 longtail_lab.run_experiment(longtail_lab.parse_config(raw), out_path=out)
-                with open(out, "rb") as fh:
-                    lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+                lines.append(_digest_line(out, name))
         finally:
             os.chdir(here)
     return lines
