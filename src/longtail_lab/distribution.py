@@ -75,6 +75,8 @@ def pareto_targets(n0: int, num_classes: int, ratio: float) -> np.ndarray:
     """
     if num_classes < 2:
         raise ValueError("need at least two classes")
+    if not math.isfinite(ratio):
+        raise ValueError(f"ratio must be a finite number, got {ratio!r}")
     if ratio < 1:
         raise ValueError("imbalance ratio must be >= 1")
     if n0 < 1:

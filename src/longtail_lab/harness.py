@@ -60,6 +60,7 @@ class ParetoSpec:
             raise ValueError(f"pareto n0 must be >= 1, got {self.n0!r}")
         if not self.ratio >= 1:
             raise ValueError(f"pareto ratio must be >= 1, got {self.ratio!r}")
+        jsonio.check_finite(self)
 
 
 @dataclass(frozen=True)

@@ -255,6 +255,8 @@ def synth_targets(num_classes: int, feature_dim: int, n0: int, ratio: float,
         raise ValueError("need at least two classes")
     if feature_dim < 2:
         raise ValueError("need at least two feature dimensions")
+    if not math.isfinite(class_separation):
+        raise ValueError(f"class_separation must be a finite number, got {class_separation!r}")
     if class_separation < 0:
         raise ValueError("class_separation must be non-negative")
     if val_per_class < 1 or test_per_class < 1:

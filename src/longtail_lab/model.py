@@ -220,21 +220,21 @@ _PARAM_KEYS = frozenset(("logit_offset", "logit_scale", "cls_w", "cls_b", "tempe
 _BELOW_CALIBRATION = _PARAM_KEYS - {"logit_offset", "logit_scale"}
 
 
-def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, keys=None, out=None) -> dict:
+def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, out=None) -> dict:
     """Parameter gradients (summed over the batch) from d(loss)/d(logits).
 
     With ``out`` (views of a fit's flat buffer), the gradients it names are written into
-    it and ``out`` returned; else those named in ``keys`` (all if None), in that order.
+    it and ``out`` returned; else every gradient of the model is returned.
     """
     grads = {} if out is None else out
-    want = frozenset(out if out is not None else _PARAM_KEYS if keys is None else keys)
+    want = _PARAM_KEYS if out is None else frozenset(out)
     g = grad_logits
     if model.logit_offset is not None and "logit_offset" in want:
         grads["logit_offset"] = g.sum(axis=0, out=grads.get("logit_offset"))
     if model.logit_scale is not None and "logit_scale" in want:
         grads["logit_scale"] = (g * cache["base"]).sum(axis=0, out=grads.get("logit_scale"))
     if want.isdisjoint(_BELOW_CALIBRATION):
-        return _in_order(grads, keys)
+        return grads
     if model.logit_scale is not None:
         g = g * model.logit_scale
 
@@ -270,11 +270,7 @@ def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, keys=None,
             grads["encoder_w"] = np.matmul(g_feats.T, cache["x"], out=grads.get("encoder_w"))
         if "encoder_b" in want:
             grads["encoder_b"] = g_feats.sum(axis=0, out=grads.get("encoder_b"))
-    return _in_order(grads, keys)
-
-
-def _in_order(grads: dict, keys) -> dict:
-    return grads if keys is None else {k: grads[k] for k in keys}
+    return grads
 
 
 def weight_norms(model: ModelState) -> np.ndarray:

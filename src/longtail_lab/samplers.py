@@ -2,9 +2,8 @@
 
 A ``BatchSampler`` gathers each batch from the manifest's features through the
 train index (or from the encoded rows stage 2 hands it), so it copies no train
-rows. It can draw the indices of many batches in one generator call and serve
-them one per ``next_batch``; the batches and the generator's state come out as
-if each had been drawn on its own.
+rows. It keeps no draw state: ``draw`` returns the train indices of any number
+of batches from one generator call, and ``next_batch`` gathers one of them.
 """
 from __future__ import annotations
 
@@ -15,9 +14,6 @@ import numpy as np
 from . import jsonio
 
 SAMPLER_KINDS = ("original", "class_balanced", "difficulty")
-# indices one draw of BatchSampler.next_batch may queue ahead (unless one batch is larger):
-# bounds the queue and its uniforms, whatever the epoch length
-MAX_QUEUED_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -59,25 +55,22 @@ class MixupSpec:
 
 
 class BatchSampler:
-    """Stateful with-replacement batch source over a manifest's train split.
+    """With-replacement batch source over a manifest's train split.
 
-    Single-writer: the training loop owns it. All randomness comes from the
-    generator passed to ``next_batch``. A batch is gathered from the
-    manifest's features through the train index, so no copy of the train rows
-    is held; stage 2 passes its frozen-encoder features instead, one row for
-    each train row in manifest order. The class CDF of the class-conditional
-    kinds is computed on construction and again on each ``update_difficulty``.
+    All randomness comes from the generator passed to ``draw``. A batch is
+    gathered from the manifest's features through the train index, so no copy
+    of the train rows is held; stage 2 passes its frozen-encoder features
+    instead, one row for each train row in manifest order. The class CDF of
+    the class-conditional kinds is computed on construction and again on each
+    ``update_difficulty``, and a draw reads the CDF current at the draw.
 
-    ``next_batch(size, rng, batches)`` may draw the indices of up to
-    ``batches`` batches in one generator call, serving the first and queueing
-    the rest for the next calls; at most ``MAX_QUEUED_ROWS`` indices are drawn
-    at a time (one batch, if it is larger). numpy's ``Generator`` gives the
-    same numbers, and leaves the same state, for one call of shape ``(count,
-    size)`` as for ``count`` calls of ``size``, so the batches and the
-    generator's state after the last of them do not depend on how many were
-    drawn at once. That is a property of numpy's implementation, not of its
-    documented API; ``TestMultiBatchDraw`` in ``tests/test_samplers.py`` pins it
-    for every kind.
+    ``draw(count, size, rng)`` returns the train indices of ``count`` batches
+    from one generator call. numpy's ``Generator`` gives the same numbers, and
+    leaves the same state, for one call of shape ``(count, size)`` as for
+    ``count`` calls of ``size``, so the batches and the generator's state do
+    not depend on how many are drawn at once. That is a property of numpy's
+    implementation, not of its documented API; ``TestMultiBatchDraw`` in
+    ``tests/test_samplers.py`` pins it for every kind.
     """
 
     def __init__(self, spec: SamplerSpec, manifest, features: np.ndarray | None = None):
@@ -91,8 +84,6 @@ class BatchSampler:
         self.labels = manifest.labels[train_idx]
         self._num_classes = manifest.num_classes
         self.epoch_length = spec.epoch_length or int(train_idx.size)
-        self._queue = self._queue_rows = None  # drawn batches (train indices, feature rows)
-        self._queued, self._rng = 0, None  # how many are not yet served; their generator
 
         if spec.kind in ("class_balanced", "difficulty"):
             if manifest.task_kind != "single":
@@ -110,12 +101,7 @@ class BatchSampler:
         self._cdf = None if spec.kind == "original" else np.cumsum(self.class_probabilities())
 
     def update_difficulty(self, per_class_val_accuracy) -> None:
-        """Replace the stored per-class accuracies used by the difficulty kind.
-
-        Refused while drawn batches are queued: they were drawn from the old CDF.
-        """
-        if self._queued:
-            raise ValueError(f"{self._queued} drawn batches are still queued")
+        """Replace the stored per-class accuracies used by the difficulty kind."""
         acc = np.asarray(per_class_val_accuracy, dtype=np.float64)
         if acc.shape != (self._num_classes,):
             raise ValueError(f"expected {self._num_classes} per-class accuracies")
@@ -134,33 +120,10 @@ class BatchSampler:
             return inv / inv.sum()
         raise ValueError("original sampling has no class distribution")
 
-    def next_batch(self, batch_size: int, rng: np.random.Generator, batches: int = 1):
-        """Draw (features, labels) with replacement per the configured strategy.
-
-        ``batches`` promises that this call and the next ``batches - 1`` take
-        ``batch_size`` rows from ``rng``, and that nothing else draws from
-        ``rng`` in between; their indices may then be drawn now, in one call.
-        Queued batches are served first, to a call with their size and generator.
-        """
+    def draw(self, count: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """Train indices of ``count`` batches, shape (count, batch_size), in one generator call."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self._queued:
-            if batch_size != self._queue.shape[1] or rng is not self._rng:
-                raise ValueError(f"{self._queued} batches of {self._queue.shape[1]} rows, drawn "
-                                 "from one generator, are still queued")
-        else:
-            count = max(1, min(batches, MAX_QUEUED_ROWS // batch_size))
-            self._queue = self._draw(count, batch_size, rng)
-            self._queue_rows = self._queue if self._rows is None else self._rows[self._queue]
-            self._queued, self._rng = count, rng
-        at = len(self._queue) - self._queued
-        self._queued -= 1
-        # take: the rows of fancy indexing, gathered in about a third of the time
-        return (self._features.take(self._queue_rows[at], axis=0),
-                self.labels.take(self._queue[at], axis=0))
-
-    def _draw(self, count: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-        """Train indices of ``count`` batches, shape (count, batch_size), in one generator call."""
         if self.spec.kind == "original":
             return rng.integers(0, len(self.labels), size=(count, batch_size))
         uniforms = rng.random((count, 2, batch_size))  # per batch: its classes, then offsets
@@ -168,6 +131,12 @@ class BatchSampler:
         np.minimum(classes, self._num_classes - 1, out=classes)
         offsets = (uniforms[:, 1] * self._pool_sizes[classes]).astype(np.int64)
         return self._pool[self._pool_offsets[classes] + offsets]
+
+    def next_batch(self, indices: np.ndarray):
+        """The (features, labels) of one batch: a row of ``draw``'s train indices."""
+        rows = indices if self._rows is None else self._rows.take(indices)
+        # take: the rows of fancy indexing, gathered in about a third of the time
+        return self._features.take(rows, axis=0), self.labels.take(indices, axis=0)
 
 
 @dataclass(frozen=True)

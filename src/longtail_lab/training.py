@@ -30,6 +30,9 @@ from .samplers import BatchSampler, MixupSpec, SamplerSpec, mixup_batch
 
 STAGE2_KINDS = ("none", "crt", "tau_norm", "lws", "ncm", "disalign", "cosine_retrain")
 MAX_BATCH_SIZE = 1 << 16  # rows per training batch; a larger batch is a config error
+# train indices a fit draws at once (unless one batch is larger): bounds a draw and its
+# uniforms, whatever the epoch length
+MAX_DRAWN_ROWS = 1 << 13
 # a cosine temperature; a config value that is not a number is refused in the words of
 # _check_temperature
 Temperature = Annotated[float, "a finite number > 0"]
@@ -119,7 +122,11 @@ def evaluate_split(classifier, manifest: Manifest, split: str, groups: GroupSpli
     vector of ``per_class_acc``. With ``posthoc_tau``, the scores are first
     shifted by ``-posthoc_tau * log`` of the train class priors; the shift
     (``losses.posthoc_shift``) is computed, or refused, before any row is scored.
+    A multi-label split refuses ``posthoc_tau``: a per-label constant shift
+    leaves every AP as it is.
     """
+    if posthoc_tau is not None and manifest.task_kind != "single":
+        raise ValueError("post-hoc adjustment applies to single-label tasks")
     idx = _scored_rows(manifest, split)
     shift = None if posthoc_tau is None else posthoc_shift(manifest.train_distribution(),
                                                             posthoc_tau)
@@ -339,13 +346,15 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     Besides the plan and the buffers, a fit sets up once: the sampler, with the
     train targets' check and class CDF (recomputed on each difficulty update), and
     the optimizer's moments and gradient buffer, whose views ``backward`` fills with
-    the trainable keys' gradients only. A step then takes a batch, runs forward, the
-    loss (targets unchecked) and backward, and updates the buffer; its loss is the
-    mean of the per-sample values. When the sampler is the only consumer of ``rng``
-    (no MixUp, and a loss kind that draws no noise), it draws the indices of the
-    epoch's remaining batches together, a bounded chunk at a time: the same
-    numbers, so the same model. A trained cosine temperature that leaves (0, inf),
-    at a step or at SAM's shifted point, stops the fit with ``TrainingDivergedError``.
+    the trainable keys' gradients only. A step then gathers a batch, runs forward,
+    the loss (targets unchecked) and backward, and updates the buffer; its loss is
+    the mean of the per-sample values. The batches' indices come from
+    ``BatchSampler.draw``, one batch a draw; when the sampler is the only consumer of
+    ``rng`` (no MixUp, and a loss kind that draws no noise), a draw takes up to
+    ``MAX_DRAWN_ROWS`` indices (one batch, if larger): the same numbers, so the same
+    model. No draw crosses an epoch's end, so each difficulty update reaches the next.
+    A trained cosine temperature that leaves (0, inf), at a step or at SAM's shifted
+    point, stops the fit with ``TrainingDivergedError``.
 
     With ``encoder``, ``model`` is a head that reads the encoder's features
     of the train rows. They are computed once, a row block at a time
@@ -375,6 +384,7 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     steps = max(1, math.ceil(sampler.epoch_length / config.batch_size))
     # within an epoch only the sampler, MixUp and a noise-drawing loss kind draw from rng
     draws_ahead = not mixup.enabled and plan.spec.kind not in losses.STOCHASTIC_KINDS
+    ahead = max(1, MAX_DRAWN_ROWS // config.batch_size) if draws_ahead else 1
     trains_temperature = "temperature" in layout
     difficulty = sampler_spec.kind == "difficulty"
     scores_val = history is not None or difficulty
@@ -383,8 +393,9 @@ def _fit(model: ModelState, manifest: Manifest, config: TrainConfig, rng: np.ran
     for epoch in range(epochs):
         epoch_loss = 0.0
         for step in range(steps):
-            features, targets = sampler.next_batch(config.batch_size, rng,
-                                                   steps - step if draws_ahead else 1)
+            if step % ahead == 0:
+                drawn = sampler.draw(min(ahead, steps - step), config.batch_size, rng)
+            features, targets = sampler.next_batch(drawn[step % ahead])
             mixed = None
             if mixup.enabled:
                 perm = rng.permutation(len(features))

@@ -164,8 +164,8 @@ def test_criterion_5_class_balanced_sampler():
     sampler = BatchSampler(SamplerSpec("class_balanced"), manifest)
     rng = np.random.default_rng(5)
     counts = np.zeros(2)
-    for _ in range(100):
-        _, labels = sampler.next_batch(1000, rng)
+    for indices in sampler.draw(100, 1000, rng):
+        _, labels = sampler.next_batch(indices)
         counts += np.bincount(labels, minlength=2)
     freq = counts / counts.sum()
     deviation = np.abs(freq - 0.5).max()

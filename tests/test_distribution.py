@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from longtail_lab import (compute_distribution, default_boundaries,
+from longtail_lab import (ParetoSpec, compute_distribution, default_boundaries,
                           distribution_from_counts, group_split, pareto_targets)
 
 
@@ -94,6 +94,13 @@ class TestParetoTargets:
             pareto_targets(1000, 3, 0.5)
         with pytest.raises(ValueError):
             pareto_targets(0, 3, 10)
+
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan])
+    def test_non_finite_ratio_refused_by_name(self, ratio):
+        with pytest.raises(ValueError, match=f"^ratio must be a finite number, got {ratio}$"):
+            pareto_targets(1000, 3, ratio)
+        with pytest.raises(ValueError, match="^ratio must be a finite number|^pareto ratio"):
+            ParetoSpec(n0=1000, ratio=ratio)
 
 
 class TestGroupSplit:

@@ -1027,6 +1027,17 @@ class TestCli:
         assert "posthoc tau 1e+308" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_posthoc_tau_on_a_multilabel_task_exits_2(self, tmp_path, capsys):
+        manifest_path, ckpt = tmp_path / "ml.jsonl", tmp_path / "model.json"
+        save_manifest(multilabel_manifest(n=60), manifest_path)
+        save_checkpoint(init_model(3, 4, rng=np.random.default_rng(0)), ckpt)
+        out = tmp_path / "adj.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest_path),
+                     "--boundaries", "1,2", "--posthoc-tau", "1.0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: post-hoc adjustment applies to single-label tasks\n")
+        assert not out.exists()
+
     def test_unknown_loss_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"
         config_path.write_text(json.dumps(small_config() | {"name": "x"}).replace("ce", "zz"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longtail_lab import (Manifest, ManifestFormatError, compute_distribution,
+from longtail_lab import (Manifest, ManifestFormatError, SynthSpec, compute_distribution,
                           label_cardinality, load_manifest, pareto_targets, run_sweep,
                           save_manifest, subsample_longtail, synth_gaussian)
 from longtail_lab import manifest as manifest_module
@@ -105,6 +105,16 @@ class TestSubsampleLongtail:
 
 
 class TestSynthGaussian:
+    @pytest.mark.parametrize("name", ["ratio", "class_separation"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_ratio_or_separation_refused_by_name(self, name, value):
+        message = f"^{name} must be a finite number, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            synth_gaussian(**{"num_classes": 3, "feature_dim": 4, "n0": 20, "ratio": 4.0,
+                              name: value})
+        with pytest.raises(ValueError, match=message):
+            SynthSpec(**{name: value})
+
     def test_balanced_two_blobs(self):
         m = synth_gaussian(2, 4, 50, 1, seed=0, val_per_class=10, test_per_class=10)
         dist = m.train_distribution()

@@ -379,8 +379,9 @@ class TestKeptGradients:
         # the fit's trainable keys, and any non-empty subset of them, in any order
         picked = tuple(k for i, k in enumerate(trainable) if subset >> i & 1) or trainable
         for keys in (trainable, picked, picked[::-1]):
-            kept = backward(model, cache, g, keys)
-            assert tuple(kept) == keys
+            out = {key: np.empty_like(full[key]) for key in keys}
+            kept = backward(model, cache, g, out=out)
+            assert kept is out and tuple(kept) == keys
             for key in keys:
                 assert np.array_equal(u64(kept[key]), u64(full[key])), key
 

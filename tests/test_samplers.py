@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +9,17 @@ from longtail_lab import (BatchSampler, LossContext, LossSpec, MixupSpec, Sample
 from conftest import blob_manifest, multilabel_manifest
 
 
+def one_batch(sampler, batch_size, rng):
+    """(features, labels) of one batch, drawn on its own."""
+    return sampler.next_batch(sampler.draw(1, batch_size, rng)[0])
+
+
 def draw_class_frequencies(sampler, n_draws, seed, num_classes, batch=1000):
     rng = np.random.default_rng(seed)
     counts = np.zeros(num_classes)
     drawn = 0
     while drawn < n_draws:
-        _, labels = sampler.next_batch(min(batch, n_draws - drawn), rng)
+        _, labels = one_batch(sampler, min(batch, n_draws - drawn), rng)
         counts += np.bincount(labels, minlength=num_classes)
         drawn += len(labels)
     return counts / n_draws
@@ -106,7 +109,7 @@ class TestNextBatch:
         sampler = BatchSampler(SamplerSpec(), manifest)
         n_train = manifest.split_indices("train").size
         assert sampler.labels.nbytes == n_train * manifest.num_classes
-        _, labels = sampler.next_batch(8, np.random.default_rng(0))
+        _, labels = one_batch(sampler, 8, np.random.default_rng(0))
         assert labels.dtype == np.int8 and labels.shape == (8, manifest.num_classes)
 
     def test_epoch_length_default_and_override(self, tiny_manifest):
@@ -115,8 +118,10 @@ class TestNextBatch:
 
     def test_batch_shapes(self, tiny_manifest):
         sampler = BatchSampler(SamplerSpec(), tiny_manifest)
-        feats, labels = sampler.next_batch(8, np.random.default_rng(0))
+        feats, labels = one_batch(sampler, 8, np.random.default_rng(0))
         assert feats.shape == (8, 4) and labels.shape == (8,)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            sampler.draw(1, 0, np.random.default_rng(0))
 
 
 class TestMixup:
@@ -178,7 +183,7 @@ class TestMixup:
 
 
 def reference_class_draw(sampler, batch_size, rng):
-    """Record indices as next_batch drew them with the CDF summed again on every draw."""
+    """Record indices as draw drew them with the CDF summed again on every draw."""
     probs = sampler.class_probabilities()
     classes = np.searchsorted(np.cumsum(probs), rng.random(batch_size), side="right")
     classes = np.minimum(classes, len(probs) - 1)
@@ -199,16 +204,10 @@ class TestClassCdf:
         for step, acc in enumerate([None] + updates):
             if acc is not None:
                 sampler.update_difficulty(acc[:len(counts)])
-            features, labels = sampler.next_batch(64, np.random.default_rng([seed, step]))
+            features, labels = one_batch(sampler, 64, np.random.default_rng([seed, step]))
             idx = reference_class_draw(sampler, 64, np.random.default_rng([seed, step]))
             assert np.array_equal(labels, manifest.labels[train][idx])
             assert features.tobytes() == manifest.features[train][idx].tobytes()
-
-
-def serve_epoch(sampler, batch_size, rng, steps, ahead):
-    """One epoch's batches, drawn ``steps`` ahead (as a fit draws them) or one at a time."""
-    return [sampler.next_batch(batch_size, rng, steps - step if ahead else 1)
-            for step in range(steps)]
 
 
 class TestMultiBatchDraw:
@@ -219,67 +218,37 @@ class TestMultiBatchDraw:
     @settings(max_examples=80, deadline=None)
     @given(counts=st.lists(st.integers(1, 40), min_size=2, max_size=5),
            kind=st.sampled_from(samplers.SAMPLER_KINDS), batch_size=st.integers(1, 130),
-           steps=st.lists(st.integers(1, 90), min_size=1, max_size=3),
-           cap=st.sampled_from([1, 7, 200, samplers.MAX_QUEUED_ROWS]),
+           draws=st.lists(st.integers(1, 90), min_size=1, max_size=3),
            encoded=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
            accuracies=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
-    def test_equals_one_batch_per_call(self, counts, kind, batch_size, steps, cap, encoded,
-                                       seed, accuracies):
+    def test_equals_one_batch_per_call(self, counts, kind, batch_size, draws, encoded, seed,
+                                       accuracies):
         manifest = blob_manifest(counts, feature_dim=5, val_per_class=1, test_per_class=1)
         train = manifest.split_indices("train")
         rows = 2.0 * manifest.features[train] if encoded else None
-        many, one = (BatchSampler(SamplerSpec(kind), manifest, rows) for _ in range(2))
+        sampler = BatchSampler(SamplerSpec(kind), manifest, rows)
         rng_many, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
-        with mock.patch.object(samplers, "MAX_QUEUED_ROWS", cap):
-            for epoch, count in enumerate(steps):  # epochs of different lengths
-                if epoch and kind != "original":
-                    acc = np.roll(accuracies[:len(counts)], epoch)
-                    many.update_difficulty(acc)
-                    one.update_difficulty(acc)
-                served = serve_epoch(many, batch_size, rng_many, count, ahead=True)
-                expected = serve_epoch(one, batch_size, rng_one, count, ahead=False)
-                for (features, labels), (want_features, want_labels) in zip(served, expected):
-                    assert features.tobytes() == want_features.tobytes()
-                    assert labels.tobytes() == want_labels.tobytes()
-                assert rng_many.bit_generator.state == rng_one.bit_generator.state
+        for i, count in enumerate(draws):  # draws of different sizes, between CDF updates
+            if i and kind != "original":
+                sampler.update_difficulty(np.roll(accuracies[:len(counts)], i))
+            many = sampler.draw(count, batch_size, rng_many)
+            one = [sampler.draw(1, batch_size, rng_one)[0] for _ in range(count)]
+            assert many.shape == (count, batch_size)
+            assert many.tobytes() == np.array(one).tobytes()
+            for indices, want in zip(many, one):
+                features, labels = sampler.next_batch(indices)
+                want_features, want_labels = sampler.next_batch(want)
+                assert features.tobytes() == want_features.tobytes()
+                assert labels.tobytes() == want_labels.tobytes()
+            assert rng_many.bit_generator.state == rng_one.bit_generator.state
 
     def test_batches_come_from_the_manifest_rows_without_a_copy(self, tiny_manifest):
         sampler = BatchSampler(SamplerSpec(), tiny_manifest)
         train = tiny_manifest.split_indices("train")
-        rng = np.random.default_rng(5)
-        features, labels = sampler.next_batch(9, rng)
+        features, labels = one_batch(sampler, 9, np.random.default_rng(5))
         idx = np.random.default_rng(5).integers(0, train.size, size=9)
         assert features.tobytes() == tiny_manifest.features[train[idx]].tobytes()
         assert np.array_equal(labels, tiny_manifest.labels[train[idx]])
         held = [value for value in vars(sampler).values()
                 if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 2]
         assert held and all(value is tiny_manifest.features for value in held)
-
-    def test_update_difficulty_refused_while_batches_are_queued(self):
-        sampler = BatchSampler(SamplerSpec("difficulty"), blob_manifest([10, 10]))
-        rng = np.random.default_rng(0)
-        sampler.next_batch(4, rng, 3)
-        with pytest.raises(ValueError, match="2 drawn batches are still queued"):
-            sampler.update_difficulty([0.5, 0.5])
-        sampler.next_batch(4, rng)
-        sampler.next_batch(4, rng)
-        sampler.update_difficulty([0.5, 0.5])  # the queue is empty again
-
-    def test_queued_batches_are_served_only_at_their_size_and_generator(self):
-        sampler = BatchSampler(SamplerSpec(), blob_manifest([10, 10]))
-        rng = np.random.default_rng(0)
-        sampler.next_batch(4, rng, 2)
-        with pytest.raises(ValueError, match="still queued"):
-            sampler.next_batch(5, rng)
-        with pytest.raises(ValueError, match="still queued"):
-            sampler.next_batch(4, np.random.default_rng(0))
-        assert sampler.next_batch(4, rng)[0].shape == (4, 4)
-
-    def test_a_draw_queues_at_most_the_cap(self):
-        sampler = BatchSampler(SamplerSpec("class_balanced"), blob_manifest([10, 10]))
-        sampler.next_batch(100, np.random.default_rng(0), 10 ** 6)
-        assert sampler._queue.size == (samplers.MAX_QUEUED_ROWS // 100) * 100
-        big = samplers.MAX_QUEUED_ROWS + 1  # a batch above the cap is drawn alone
-        sampler = BatchSampler(SamplerSpec(), blob_manifest([10, 10]))
-        assert len(sampler.next_batch(big, np.random.default_rng(0), 5)[1]) == big
-        assert sampler._queue.shape == (1, big)

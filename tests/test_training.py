@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from longtail_lab import (LossContext, LossSpec, MixupSpec, OptimizerSpec, SamplerSpec,
                           Stage2Spec, TrainConfig, TrainingDivergedError, apply_stage2,
@@ -139,7 +139,10 @@ class TestTrainStage1:
             logits, cache = forward_with_cache(model, features)
             _, grads = batch_loss_and_grad(loss_plan(spec, dist), logits, targets)
             params = {"cls_w": model.cls_w, "cls_b": model.cls_b}
-            param_grads = backward(model, cache, grads / 16, keys=tuple(params))
+            out = {key: np.empty_like(value) for key, value in params.items()}
+            param_grads = backward(model, cache, grads / 16, out=out)
+            full = backward(model, cache, grads / 16)
+            assert all(param_grads[key].tobytes() == full[key].tobytes() for key in params)
             opt = Optimizer(OptimizerSpec("sgd", lr=0.01, momentum=0.0))
             new = unflatten(opt.step(flatten(params), param_grads), params)
             model.cls_w, model.cls_b = new["cls_w"], new["cls_b"]
@@ -362,7 +365,7 @@ class TestFlatGradientBuffer:
             for key in keys:
                 assert views[key].base is buffer, key  # one flat buffer, written in place
                 assert views[key].tobytes() == np.asarray(expected[key]).tobytes(), key
-                assert views[key].tobytes() == backward(model, cache, g, keys)[key].tobytes()
+                assert views[key].tobytes() == backward(model, cache, g)[key].tobytes()
 
     @pytest.mark.parametrize("spec", [
         OptimizerSpec("sgd", lr=0.05, momentum=0.9), OptimizerSpec("adam", lr=0.01),
@@ -475,6 +478,16 @@ class TestEvaluateSplit:
         with pytest.raises(ValueError, match="posthoc tau 1e\\+308 gives a logit shift"):
             evaluate_split(model, manifest, "test", groups, posthoc_tau=1e308)
         assert calls == []
+
+    def test_posthoc_tau_on_a_multilabel_split_is_refused_before_scoring(self, monkeypatch):
+        # a per-label constant shift would leave every AP as it is: the tau would do nothing
+        manifest = multilabel_manifest()
+        model = init_model(3, 4, rng=np.random.default_rng(0))
+        groups = group_split(distribution_from_counts([5, 5, 5]), (1, 2))
+        monkeypatch.setattr(training_module, "decision_scores", None)  # scoring would raise
+        for tau in (0.0, 1.0):
+            with pytest.raises(ValueError, match="^post-hoc adjustment applies to single-label"):
+                evaluate_split(model, manifest, "test", groups, posthoc_tau=tau)
 
 
 class TestStage2Crt:
@@ -762,13 +775,13 @@ class TestMultiBatchDrawInFits:
     @staticmethod
     def record_draws(monkeypatch) -> list:
         """(count, batch_size) of every sampler draw from now on."""
-        draws, draw = [], samplers_module.BatchSampler._draw
+        draws, draw = [], samplers_module.BatchSampler.draw
 
         def recording_draw(self, count, batch_size, rng):
             draws.append((count, batch_size))
             return draw(self, count, batch_size, rng)
 
-        monkeypatch.setattr(samplers_module.BatchSampler, "_draw", recording_draw)
+        monkeypatch.setattr(samplers_module.BatchSampler, "draw", recording_draw)
         return draws
 
     @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
@@ -791,7 +804,7 @@ class TestMultiBatchDrawInFits:
             shipped.append(model_bytes(train_stage1(manifest, config, groups=groups)[0]))
             alone = config.mixup.enabled or loss_kind in STOCHASTIC_KINDS
             assert all(count == 1 for count, _ in draws) == alone, config
-        monkeypatch.setattr(samplers_module, "MAX_QUEUED_ROWS", 1)  # one batch per draw
+        monkeypatch.setattr(training_module, "MAX_DRAWN_ROWS", 1)  # one batch per draw
         for config, expected in zip(configs, shipped):
             assert model_bytes(train_stage1(manifest, config, groups=groups)[0]) == expected
 
@@ -806,13 +819,13 @@ class TestMultiBatchDrawInFits:
         draws = self.record_draws(monkeypatch)
         shipped = model_bytes(apply_stage2(model, manifest, config, np.random.default_rng(2)))
         assert max(count for count, _ in draws) > 1
-        monkeypatch.setattr(samplers_module, "MAX_QUEUED_ROWS", 1)
+        monkeypatch.setattr(training_module, "MAX_DRAWN_ROWS", 1)
         assert model_bytes(apply_stage2(model, manifest, config,
                                         np.random.default_rng(2))) == shipped
 
     def test_a_long_epoch_never_draws_more_than_the_cap(self, monkeypatch):
         draws = self.record_draws(monkeypatch)
-        cap = samplers_module.MAX_QUEUED_ROWS
+        cap = training_module.MAX_DRAWN_ROWS
         manifest = blob_manifest([20, 9, 5])
         config = TrainConfig(epochs=2, batch_size=100, seed=1, optimizer=SGD,
                              sampler=SamplerSpec("class_balanced", epoch_length=10 * cap))
@@ -821,6 +834,43 @@ class TestMultiBatchDrawInFits:
         assert max(count * size for count, size in draws) <= cap
         assert sum(count for count, _ in draws) == 2 * steps  # each epoch's batches, no more
         assert len(draws) >= 2 * (10 * cap // cap)
+
+    def test_a_batch_above_the_cap_is_drawn_alone(self, monkeypatch):
+        draws = self.record_draws(monkeypatch)
+        big = training_module.MAX_DRAWN_ROWS + 1
+        manifest = blob_manifest([20, 9, 5])
+        config = TrainConfig(epochs=1, batch_size=big, seed=1, optimizer=SGD,
+                             sampler=SamplerSpec(epoch_length=3 * big))
+        train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)), keep_history=False)
+        assert draws == [(1, big)] * 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(epoch_length=st.integers(1, 60), batch_size=st.integers(1, 12),
+           cap=st.integers(1, 40), kind=st.sampled_from(samplers_module.SAMPLER_KINDS),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(epoch_length=20, batch_size=3, cap=9, kind="difficulty", seed=0)  # 7 steps, 3 a draw
+    @example(epoch_length=5, batch_size=1, cap=16, kind="original", seed=0)  # steps < ahead
+    @example(epoch_length=30, batch_size=10, cap=8, kind="class_balanced", seed=0)  # batch > cap
+    def test_each_epoch_draws_its_steps_into_the_models_of_cap_1(self, epoch_length, batch_size,
+                                                                 cap, kind, seed):
+        manifest = blob_manifest([20, 9, 5], val_per_class=4, test_per_class=4)
+        groups = groups_for(manifest, (1, 2))
+        config = TrainConfig(epochs=3, batch_size=batch_size, seed=seed, optimizer=SGD,
+                             sampler=SamplerSpec(kind, epoch_length=epoch_length))
+        models = []
+        for limit in (cap, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                draws = self.record_draws(patch)
+                patch.setattr(training_module, "MAX_DRAWN_ROWS", limit)
+                model, _ = train_stage1(manifest, config, groups=groups, keep_history=False)
+            models.append(model_bytes(model))
+            counts = [count for count, _ in draws]
+            steps = -(-epoch_length // batch_size)
+            # no draw crosses an epoch's end, and none holds more than the cap or one batch
+            assert sum(counts) == 3 * steps
+            assert {steps, 2 * steps} <= set(np.cumsum(counts).tolist())
+            assert all(count == 1 or count * batch_size <= limit for count in counts)
+        assert models[0] == models[1]
 
     def test_stage1_fit_holds_no_copy_of_the_train_rows(self):
         manifest = blob_manifest([3000] * 4, feature_dim=64, val_per_class=2, test_per_class=2)
@@ -852,7 +902,7 @@ def reference_sam_fit(manifest, config) -> dict:
 
     steps = -(-sampler.epoch_length // config.batch_size)
     for _ in range(config.epochs * steps):
-        x, y = sampler.next_batch(config.batch_size, rng)
+        x, y = sampler.next_batch(sampler.draw(1, config.batch_size, rng)[0])
         grads = grads_at(params, x, y)
         scale = config.optimizer.sam_rho / (global_grad_norm(grads) + 1e-12)
         grads = grads_at(params + scale * flatten(grads), x, y)

@@ -11,9 +11,10 @@ compares the outputs:
 The set, at ``--seed``: the bench's ``desk_sweep`` and ``mid_stage2`` configs
 (``bench/workloads.py``); every loss kind with a hidden layer; cosine heads;
 MixUp, SGD+SAM and Adam+SAM; every sampler kind, one epoch of it longer than a
-sampler draws ahead at once; every stage-2 kind; and the multi-label kinds
-trained from a saved manifest. ``--tiny`` shrinks every dataset and epoch
-count, for a smoke test.
+fit draws at once; every stage-2 kind; the multi-label kinds trained from a
+saved manifest; and two edges of a fit's draw schedule, a batch above the draw
+cap and difficulty epochs whose last draw is short. ``--tiny`` shrinks every
+dataset and epoch count, for a smoke test.
 
 Reports and the manifest are written to a temporary directory that is removed
 at the end, so nothing is written into the checkout. The configs name the
@@ -37,7 +38,7 @@ import longtail_lab  # noqa: E402
 import workloads  # noqa: E402  (bench/workloads.py)
 from longtail_lab.losses import MULTI_LABEL_KINDS, SINGLE_LABEL_KINDS  # noqa: E402
 from longtail_lab.samplers import SAMPLER_KINDS  # noqa: E402
-from longtail_lab.training import _HEAD_FITS, STAGE2_KINDS  # noqa: E402
+from longtail_lab.training import _HEAD_FITS, MAX_DRAWN_ROWS, STAGE2_KINDS  # noqa: E402
 
 MANIFEST = "multilabel.jsonl"  # relative to the working directory of the runs
 
@@ -76,7 +77,7 @@ def named_configs(seed: int, tiny: bool) -> list[tuple[str, dict]]:
           sampler={"kind": "class_balanced"})
     for kind in SAMPLER_KINDS:
         entry(f"sampler/{kind}", hidden_dim=8, sampler={"kind": kind})
-    # an epoch of more indices than samplers.MAX_QUEUED_ROWS: its batches are drawn in chunks
+    # an epoch of more indices than training.MAX_DRAWN_ROWS: its batches are drawn in chunks
     entry("sampler/long-epoch", epochs=1, batch_size=64,
           sampler={"kind": "class_balanced", "epoch_length": 20_000})
     for kind in STAGE2_KINDS:
@@ -84,6 +85,14 @@ def named_configs(seed: int, tiny: bool) -> list[tuple[str, dict]]:
         entry(f"stage2/{kind}", hidden_dim=8, stage2=stage2)
     for i, (_, raw) in enumerate(own):
         raw["seed"] = seed * len(own) + i
+    # added after the seeds above, which they leave as they were: a batch above the draw
+    # cap, drawn alone; and epochs of 11 batches drawn 8 at a time, the last draw short
+    entry("sampler/batch-above-cap", epochs=2, batch_size=MAX_DRAWN_ROWS + 1,
+          sampler={"kind": "class_balanced", "epoch_length": 2 * (MAX_DRAWN_ROWS + 1)})
+    entry("sampler/difficulty-short-last-draw", batch_size=MAX_DRAWN_ROWS // 8,
+          sampler={"kind": "difficulty", "epoch_length": 11 * (MAX_DRAWN_ROWS // 8)})
+    for _, raw in own[-2:]:
+        raw["seed"] = seed
     return entries + own
 
 
