@@ -287,7 +287,7 @@ def batch_loss_and_grad(plan: LossPlan, logits, targets, *, noise: np.ndarray | 
         check_targets(plan, targets, n)
 
     if spec.multi_label:
-        t = np.asarray(targets, dtype=np.float64)
+        t = np.asarray(targets)  # the ufuncs read 0/1 of any dtype exactly, with no float copy
         return _bce(z, t) if spec.kind == "bce_ml" else _focal_bce(z, t, spec.gamma)
 
     y = np.asarray(targets, dtype=np.int64)

@@ -23,16 +23,18 @@ the block. The bytes equal those of encoding each record with
 ``jsonio.dumps``, and memory does not grow with the number of records.
 
 ``load_manifest`` checks the records in file order and names the first line
-at fault. It holds one whole form of the file at a time: the bytes until they
-are decoded, the text until it is split into lines, and the lines, which are
-parsed, checked, written into preallocated columns and freed a row block
-(``model.row_blocks``) of lines at a time. It parses a given file content
-once per process: one module slot keeps the last manifest it parsed, keyed
-on the sha256 of the file's bytes (not on the path, size or mtime). The kept
-parse's ``features``, ``labels`` and ``splits`` are read-only, and every
-load of the same bytes returns a new ``Manifest`` that shares them, so no
-load copies them. A failed parse is never kept, and ``save_manifest`` does
-not fill the slot.
+at fault. It holds no whole form of the file: it reads the file in passes
+through one reused buffer of ``READ_BUFFER_BYTES``. The first pass hashes the
+bytes; on a miss, one more decodes them and counts the record lines, to size
+preallocated columns, and a last one parses, checks and writes the lines into
+those columns a row block (``model.BLOCK_ROWS``) of lines at a time. So
+invalid UTF-8 anywhere is named before any record is checked. It parses a
+given file content once per process: one module slot keeps the last manifest
+it parsed, keyed on the sha256 of the file's bytes (not on the path, size or
+mtime); a hit decodes nothing. The kept parse's ``features``, ``labels``
+and ``splits`` are read-only, and every load of the same bytes returns a new
+``Manifest`` that shares them, so no load copies them. A failed parse is
+never kept, and ``save_manifest`` does not fill the slot.
 
 In memory a manifest's ``labels`` column is (n,) int64 for single-label (the
 labels index classes) and (n, K) int8 for multi-label, one byte per 0/1 entry.
@@ -49,17 +51,19 @@ hold were checked then, and pass again unchecked.
 """
 from __future__ import annotations
 
+import codecs
 import copy
 import hashlib
 import json
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
 import numpy as np
 
-from . import jsonio
+from . import jsonio, model
 from .distribution import ClassDistribution, compute_distribution, distribution_from_counts, pareto_targets
 from .model import row_blocks
 
@@ -372,52 +376,99 @@ def _manifest_blocks(manifest: Manifest):
 
 # (sha256 of a file's bytes, the Manifest parsed from them): the last successful parse
 _last_parse: tuple[bytes, Manifest] | None = None
+# bytes a load reads from its file at a time, into one buffer it reuses for every pass
+READ_BUFFER_BYTES = 2 ** 20
 
 
 def load_manifest(path) -> Manifest:
     """Read a JSONL manifest, rejecting records that violate the header.
 
-    The file's bytes are parsed only when their sha256 differs from that of
-    the last successful parse in this process. The bytes are dropped once
-    decoded and the text once split into lines, and ``_parse`` frees its
-    lines a block at a time, so no two whole forms of the file are held
-    while the records are parsed. The kept parse's ``features``, ``labels``
-    and ``splits`` are read-only; every load, the first included, returns a
-    new ``Manifest`` that shares them.
+    The file is read through one open file and one reusable buffer
+    (``READ_BUFFER_BYTES``), in passes. The first hashes its bytes; when their
+    sha256 is that of the last successful parse in this process, that parse is
+    returned and nothing is decoded. Otherwise two more passes decode the
+    file: one checks that it is UTF-8 and counts its record lines, which sizes
+    the columns, and one hands its lines to ``_parse``. So no whole form of the
+    file is ever held, and what is parsed is the bytes that were hashed, even
+    if the path is replaced meanwhile. The kept parse's
+    ``features``, ``labels`` and ``splits`` are read-only; every load, the
+    first included, returns a new ``Manifest`` that shares them.
     """
     global _last_parse
-    with open(path, "rb") as fh:
-        data = fh.read()
-    digest = hashlib.sha256(data).digest()
-    kept = _last_parse  # read once: another thread may replace the slot meanwhile
-    if kept is not None and kept[0] == digest:
-        return copy.copy(kept[1])
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bytes before the fault decode, and the fault lies on the last of their lines
-        lineno = len(_split_lines(exc.object[:exc.start].decode("utf-8")))
-        raise ManifestFormatError(f"line {lineno}: not valid UTF-8") from exc
-    del data
-    if not text:
-        raise ManifestFormatError("manifest file is empty")
-    lines = _split_lines(text)
-    del text
-    manifest = _parse(lines)
+    buf = bytearray(READ_BUFFER_BYTES + 3)  # room for a UTF-8 sequence that a read cut
+    reads = memoryview(buf)[:READ_BUFFER_BYTES]
+    with open(path, "rb", buffering=0) as fh:
+        sha, size = hashlib.sha256(), 0
+        while got := fh.readinto(reads):
+            sha.update(reads[:got])
+            size += got
+        digest = sha.digest()
+        kept = _last_parse  # read once: another thread may replace the slot meanwhile
+        if kept is not None and kept[0] == digest:
+            return copy.copy(kept[1])
+        if not size:
+            raise ManifestFormatError("manifest file is empty")
+        lines = _read_lines(fh, buf)  # every line is decoded before any is parsed
+        next(lines)  # the header line
+        records = sum(1 for line in lines if line.strip())
+        manifest = _parse(_read_lines(fh, buf), records)
     _last_parse = (digest, manifest)
     return copy.copy(manifest)
 
 
-def _parse(lines: list[str]) -> Manifest:
+def _read_lines(fh, buf: bytearray) -> Iterator[str]:
+    """The lines of file ``fh`` from its start, cut at ``"\\n"``, ``"\\r\\n"`` and ``"\\r"``.
+
+    The file is read into ``buf``, ``READ_BUFFER_BYTES`` at a time, after the
+    at most three bytes of a UTF-8 sequence that the last read cut, and each
+    read is decoded and split on its own. A ``"\\r\\n"`` cut by a read is one
+    break. The last line is what follows the last break (``""`` after a
+    trailing one). Bytes that are not UTF-8 raise once the lines before them
+    are yielded, naming the line they stand on.
+    """
+    view = memoryview(buf)
+    fh.seek(0)
+    done, carry, tail, after_cr = 0, 0, "", False
+    while True:
+        got = fh.readinto(view[carry:carry + READ_BUFFER_BYTES])
+        end = carry + got
+        try:
+            text, used = codecs.utf_8_decode(view[:end], "strict", not got)
+            fault = None
+        except UnicodeDecodeError as exc:  # the bytes before the fault decode
+            text, used, fault = str(view[:exc.start], "utf-8"), exc.start, exc
+        if text:
+            cut_crlf = after_cr and text[0] == "\n"  # the second half of a cut "\r\n"
+            after_cr = text[-1] == "\r"
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.split("\n")
+            del text  # not held while the lines are
+            if cut_crlf:
+                del lines[0]
+            lines[0] = tail + lines[0]
+            tail = lines.pop()
+            done += len(lines)
+            yield from lines
+        if fault is not None:
+            raise ManifestFormatError(f"line {done + 1}: not valid UTF-8") from fault
+        if not got:
+            yield tail
+            return
+        carry = end - used
+        buf[:carry] = buf[used:end]
+
+
+def _parse(lines: Iterator[str], n: int) -> Manifest:
     """Check a manifest file's lines into read-only columns, naming the first line at fault.
 
-    Blank lines are skipped. The record lines are read a row block
-    (``model.row_blocks``) of lines at a time: each line is parsed and its
-    keys, id, features, label and split are checked, and then the block's
-    values are written into preallocated ``features``, ``labels`` and
-    ``splits`` columns. The block's entries of ``lines`` are set to ``None``,
-    so its strings are freed with its parsed lists: only the header line
-    is left in ``lines``.
+    ``lines`` yields the file's lines, the header first; ``n``, the number
+    of record lines that are not blank, sizes the preallocated
+    ``features``, ``labels`` and ``splits`` columns. Blank lines are skipped.
+    The record lines are drawn a row block (``model.BLOCK_ROWS``) of lines at
+    a time: each line is parsed and its keys, id, features, label and split
+    are checked, and then the block's values are written into the columns, so
+    one block of lines and their parsed values is held at a time.
 
     A structural fault raises at once, so the first in file order wins. A
     non-finite feature (``NaN``, ``Infinity`` and ``1e400`` all parse, and an
@@ -426,13 +477,12 @@ def _parse(lines: list[str]) -> Manifest:
     every id is read, and is named before a non-finite feature, as
     ``Manifest`` checks ids first.
     """
-    header = _parse_line(lines[0], 1)
+    header = _parse_line(next(lines), 1)
     if set(header) != {"num_classes", "feature_dim", "task"}:
         raise ManifestFormatError("header must carry exactly num_classes, feature_dim, task")
     k, d, task = header["num_classes"], header["feature_dim"], header["task"]
     if not _is_int(k) or not _is_int(d) or k < 2 or d < 1 or task not in TASK_KINDS:
         raise ManifestFormatError("malformed header values")
-    n = sum(1 for line in islice(lines, 1, None) if line.strip())
     if not n:
         raise ManifestFormatError("manifest has no records")
 
@@ -442,13 +492,10 @@ def _parse(lines: list[str]) -> Manifest:
     features = np.empty((n, d))
     labels = np.empty((n, k), dtype=np.int8) if task == "multi" else np.empty(n, dtype=np.int64)
     splits = np.empty(n, dtype="U8")
-    ids, linenos, nonfinite, start = [], [], None, 0
-    for block in row_blocks(len(lines) - 1):
-        block = slice(block.start + 1, block.stop + 1)  # lines[0] is the header
-        chunk = lines[block]
-        lines[block] = [None] * len(chunk)
+    ids, linenos, nonfinite, start, first = [], [], None, 0, 2  # line 1 is the header
+    while chunk := list(islice(lines, model.BLOCK_ROWS)):
         block_features, block_labels, block_splits = [], [], []
-        for lineno, line in enumerate(chunk, start=block.start + 1):
+        for lineno, line in enumerate(chunk, start=first):
             if not line.strip():
                 continue
             record = _parse_line(line, lineno)
@@ -491,6 +538,7 @@ def _parse(lines: list[str]) -> Manifest:
                 if not finite:
                     nonfinite = next(lineno for lineno, row in zip(linenos[rows], block_features)
                                      if not _finite(row))
+        first += len(chunk)
         del chunk, block_features, block_labels, block_splits
     if nonfinite is not None:
         raise ManifestFormatError(_duplicate_id(ids, linenos)
@@ -501,18 +549,6 @@ def _parse(lines: list[str]) -> Manifest:
                         num_classes=k, feature_dim=d, task_kind=task)
     except ValueError as exc:  # a repeated id
         raise ManifestFormatError(_duplicate_id(ids, linenos) or str(exc)) from exc
-
-
-def _split_lines(text: str) -> list[str]:
-    """The lines of ``text``, cut at each ``"\\n"``, ``"\\r\\n"`` and ``"\\r"``.
-
-    The last piece is what follows the last break (``""`` after a trailing
-    one). The text is copied, to fold ``"\\r\\n"`` and ``"\\r"`` into ``"\\n"``,
-    only when it holds a ``"\\r"``, which ``save_manifest`` never writes.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
 
 
 def _duplicate_id(ids: list[str], linenos: list[int]) -> str | None:

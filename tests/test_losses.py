@@ -411,6 +411,21 @@ class TestBufferedMultiLabelKernels:
             assert np.array_equal(u64(got[1]), u64(expected[1]))
         assert np.array_equal(u64(z), u64(before[0])) and np.array_equal(u64(t), u64(before[1]))
 
+    @pytest.mark.parametrize("spec", [LossSpec("bce_ml"), LossSpec("focal_bce_ml", gamma=0.0),
+                                      LossSpec("focal_bce_ml", gamma=2.0)],
+                             ids=["bce", "focal-gamma-0", "focal-gamma-2"])
+    def test_int8_targets_give_the_bits_of_float_targets(self, spec):
+        # a manifest's multi-label column is int8, and the kernels read it as it is
+        rng = np.random.default_rng(11)
+        z = np.clip(3.0 * rng.standard_normal((128, 200)), -1e3, 1e3)
+        z[:, :4] = [0.0, -0.0, 40.0, -40.0]
+        t = (rng.random((128, 200)) < 0.1).astype(np.int8)
+        plan = loss_plan(spec, distribution_from_counts([1] * 200))
+        got = batch_loss_and_grad(plan, z, t)
+        expected = batch_loss_and_grad(plan, z, t.astype(np.float64))
+        assert np.array_equal(u64(got[0]), u64(expected[0]))
+        assert np.array_equal(u64(got[1]), u64(expected[1]))
+
 
 # the single-label kinds that are one cross-entropy over logits adjusted by a LossPlan
 CE_FAMILY = ("ce", "cb_ce", "ldam", "prior_ce", "balanced_softmax", "logit_adjust",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -928,17 +929,101 @@ class TestBlockEdges:
         assert self.load(tmp_path, [""] * 6 + [None], end)[0] == ("r6",)
         assert self.load(tmp_path, [None] + [""] * 6, end)[0] == ("r0",)
 
-    def test_parse_frees_every_record_line(self, tmp_path):
+    def test_parse_draws_one_block_of_lines_at_a_time(self, tmp_path, monkeypatch):
         manifest = blob_manifest([3, 2])
-        save_manifest(manifest, tmp_path / "m.jsonl")
-        lines = manifest_module._split_lines((tmp_path / "m.jsonl").read_text(encoding="utf-8"))
-        parsed = manifest_module._parse(lines)
-        assert lines[1:] == [None] * (len(lines) - 1)  # every line after the header
+        path = tmp_path / "m.jsonl"
+        save_manifest(manifest, path)
+        events = []
+        parse_line = manifest_module._parse_line
+
+        def logged_parse_line(line, lineno):
+            events.append(("parse", lineno))
+            return parse_line(line, lineno)
+
+        def lines():
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+                events.append(("draw", lineno))
+                yield line
+
+        monkeypatch.setattr(manifest_module, "_parse_line", logged_parse_line)
+        parsed = manifest_module._parse(lines(), len(manifest))
+        # the header, then lines 2-3, 4-5, ..., each block drawn whole before it is parsed;
+        # the last line is the blank one after the trailing break
+        last = len(manifest) + 2
+        expected = [("draw", 1), ("parse", 1)]
+        for first in range(2, last + 1, 2):
+            block = range(first, min(first + 2, last + 1))
+            expected += [("draw", i) for i in block] + [("parse", i) for i in block if i < last]
+        assert events == expected
         assert parsed.ids == manifest.ids
         assert parsed.features.tobytes() == manifest.features.tobytes()
 
     def test_all_blank_records_refused(self, tmp_path):
         assert self.load(tmp_path, [""] * 7) == (ManifestFormatError, "manifest has no records")
+
+
+def _reference_outcome(path):
+    """``_reference_load``'s outcome, with bytes that are not UTF-8 named on their line:
+    the number of breaks before the first such byte, plus one."""
+    import re
+
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = re.split("\r\n|\r|\n", data[:exc.start].decode("utf-8"))
+        return ManifestFormatError, f"line {len(lines)}: not valid UTF-8"
+    return _outcome(_reference_load, path)
+
+
+# characters of 2, 3 and 4 bytes in UTF-8, and byte runs that are not UTF-8: a stray
+# continuation byte, a cut 3-byte sequence, a cut 4-byte one and an encoded surrogate
+WIDE_CHARS = ("\u00e9", "\u20ac", "\U0001d11e", "\u2028")
+NOT_UTF8 = (b"\xff", b"\x80", b"\xe2\x82", b"\xf0\x9d\x84", b"\xed\xa0\x80")
+
+
+@st.composite
+def manifest_bytes(draw):
+    """A drawn manifest text with any hard breaks, wide characters in its ids and at times
+    one run of bytes that is not UTF-8, anywhere."""
+    lines = draw(manifest_text()).split("\n")
+    breaks = draw(st.lists(st.sampled_from(HARD_BREAKS), min_size=len(lines) - 1,
+                           max_size=len(lines) - 1))
+    text = lines[0] + "".join(b + line for b, line in zip(breaks, lines[1:]))
+    data = text.replace('"r', '"r' + draw(st.sampled_from(WIDE_CHARS))).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data
+
+
+class TestReadBufferEdges:
+    """Reads of 1-7 bytes: every break, wide character and byte run that is not UTF-8
+    then straddles the edge of some read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(manifest_bytes(), st.integers(1, 7))
+    def test_same_outcome_as_reference(self, data, read_bytes):
+        import tempfile
+        from pathlib import Path
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(manifest_module, "READ_BUFFER_BYTES", read_bytes)
+            patch.setattr(manifest_module, "_last_parse", None)  # a cold load
+            path = Path(tmp) / "m.jsonl"
+            path.write_bytes(data)
+            assert _outcome(load_manifest, path) == _reference_outcome(path)
+
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3])
+    def test_crlf_cut_by_a_read_is_one_break(self, tmp_path, monkeypatch, read_bytes):
+        monkeypatch.setattr(manifest_module, "READ_BUFFER_BYTES", read_bytes)
+        records = [_record("a"), "", _record("b")]
+        path = tmp_path / "m.jsonl"
+        path.write_bytes("\r\n".join([TestBlockEdges.HEADER] + records + ["\xff"]).encode("latin-1"))
+        with pytest.raises(ManifestFormatError, match="^line 5: not valid UTF-8$"):
+            load_manifest(path)
+        path.write_bytes("\r\n".join([TestBlockEdges.HEADER] + records + [""]).encode("utf-8"))
+        assert load_manifest(path).ids == ("a", "b")
 
 
 class TestSplitIndices:
@@ -967,9 +1052,9 @@ def count_parses(monkeypatch) -> list:
     calls = []
     parse = manifest_module._parse
 
-    def counting(lines):
+    def counting(lines, n):
         calls.append(1)
-        return parse(lines)
+        return parse(lines, n)
 
     monkeypatch.setattr(manifest_module, "_parse", counting)
     return calls
@@ -1018,6 +1103,58 @@ class TestLoadCache:
         # a hit reads and hashes the file's bytes, and copies no array
         _, hit = traced_peak(load_manifest, path)
         assert hit - size < loaded.features.nbytes
+
+    def test_cold_load_holds_the_columns_and_a_few_mib(self, tmp_path):
+        # the file is read a buffer at a time, so nothing beyond the kept columns grows with it
+        rng = np.random.default_rng(5)
+        n, k, d = 6000, 200, 64
+        labels = (rng.random((n, k)) < 0.02).astype(np.int64)
+        labels[:, 0] = 1
+        path = tmp_path / "ml.jsonl"
+        save_manifest(Manifest(ids=tuple(f"r{i:06d}" for i in range(n)),
+                               features=rng.standard_normal((n, d)), labels=labels,
+                               splits=rng.choice(["train", "val", "test"], size=n),
+                               num_classes=k, feature_dim=d, task_kind="multi"), path)
+        size = os.path.getsize(path)
+        assert size >= 10 * 2 ** 20
+        loaded, peak = traced_peak(load_manifest, path)
+        columns = loaded.features.nbytes + loaded.labels.nbytes + loaded.splits.nbytes
+        assert peak < columns + size // 2
+        _, hit = traced_peak(load_manifest, path)  # one read buffer, no whole-file bytes
+        assert hit < 2 * 2 ** 20
+
+    def test_hit_decodes_nothing(self, tiny_manifest, tmp_path, monkeypatch):
+        reads = []
+        read_lines = manifest_module._read_lines
+
+        def counting(fh, buf):
+            reads.append(1)
+            return read_lines(fh, buf)
+
+        monkeypatch.setattr(manifest_module, "_read_lines", counting)
+        path = tmp_path / "m.jsonl"
+        save_manifest(tiny_manifest, path)
+        load_manifest(path)
+        assert reads == [1, 1]  # a miss: one pass counts the record lines, one parses them
+        load_manifest(path)
+        assert reads == [1, 1]
+
+    def test_file_replaced_after_hashing_parses_the_hashed_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        first, second = blob_manifest([3, 2]), blob_manifest([4, 1])
+        save_manifest(first, path)
+        hashed = path.read_bytes()
+        read_lines = manifest_module._read_lines
+
+        def replacing(fh, buf):  # save_manifest replaces the path with os.replace
+            if path.read_bytes() == hashed:
+                save_manifest(second, path)
+            return read_lines(fh, buf)
+
+        monkeypatch.setattr(manifest_module, "_read_lines", replacing)
+        assert _outcome(load_manifest, path) == _outcome(lambda _: first, path)
+        assert manifest_module._last_parse[0] == hashlib.sha256(hashed).digest()
+        assert _outcome(load_manifest, path) == _outcome(lambda _: second, path)
 
     def test_rewritten_bytes_parsed_again(self, tiny_manifest, tmp_path, monkeypatch):
         parses = count_parses(monkeypatch)
