@@ -265,18 +265,22 @@ def _sweep_worker(name: str, config: ExperimentConfig) -> dict:
 def run_sweep(entries, parallelism: int = 1) -> list[dict]:
     """Run (name, raw_config) pairs, up to ``parallelism`` at a time.
 
-    Every config is parsed, and a bad one refused, before any row runs. A row
-    runs the stages of ``run_experiment`` without its history, then scores the
-    final classifier once on test: its head/medium/tail/avg are those of the
-    run's ``report["final"]["group_report"]``, and a failed row's error is the
-    run's. No epoch is scored but for the ``difficulty`` sampler, which needs
-    val on each evaluated epoch.
+    A ``parallelism`` that is not an int >= 1 (a bool included) is refused with
+    ``ConfigError`` before any config is parsed. Every config is parsed, and a
+    bad one refused, before any row runs. A row runs the stages of
+    ``run_experiment`` without its history, then scores the final classifier
+    once on test: its head/medium/tail/avg are those of the run's
+    ``report["final"]["group_report"]``, and a failed row's error is the run's.
+    No epoch is scored but for the ``difficulty`` sampler, which needs val on
+    each evaluated epoch.
 
     Each run executes in its own process with isolated state; failures are
     recorded per-row and do not stop the sweep. Row order follows input order.
     ``load_manifest`` keeps its last parse, so rows that read one manifest file
     parse it once per worker process (once in all when ``parallelism`` is 1).
     """
+    if isinstance(parallelism, bool) or not isinstance(parallelism, int):
+        raise ConfigError(f"parallelism must be an integer, got {parallelism!r}")
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     entries = [(name, parse_config(raw)) for name, raw in entries]

@@ -33,10 +33,13 @@ noise`` and the seql mask; its gradient is multiplied by ``mult``. Last, every
 single-label row's value and gradient are scaled by ``weight[y]``, which stage-2
 DisAlign sets to inverse class frequency.
 
-Stochastic kinds (seql, gcl) consume ctx.rng; pre-draw their noise with
-draw_noise when one draw must serve several evaluations (value + grad, or a
-sharpness-aware second pass). ``batch_loss_and_grad`` checks its targets
-(``check_targets``) on each call, unless its caller did: a fit checks them once.
+``loss_plan`` + ``batch_loss_and_grad`` is the one entry point: a batch of
+(n, K) logits in, per-sample values and gradients out; a single logit vector
+is a batch of one row. The stochastic kinds (seql, gcl) take their noise in
+training from ``draw_noise``, drawn once per batch so that one draw serves
+value, gradient and a sharpness-aware second pass. ``batch_loss_and_grad``
+checks its targets (``check_targets``) on each call, unless its caller did: a
+fit checks them once.
 """
 from __future__ import annotations
 
@@ -114,19 +117,6 @@ class LossSpec:
         return self.kind in MULTI_LABEL_KINDS
 
 
-@dataclass
-class LossContext:
-    """Distribution + randomness + mode for a loss evaluation.
-
-    The rng feeds only seql and gcl; both fall back to plain CE when
-    training_mode is off (perturbations disabled at evaluation).
-    """
-
-    distribution: ClassDistribution
-    rng: np.random.Generator | None = None
-    training_mode: bool = True
-
-
 def cb_weights(dist: ClassDistribution, beta: float) -> np.ndarray:
     """Effective-number class weights w_c ~ (1-beta)/(1-beta^{n_c}), sum w = K."""
     if not 0.0 <= beta < 1.0:
@@ -166,16 +156,9 @@ def label_smoothing_eps(dist: ClassDistribution, eps_head: float, eps_tail: floa
     return eps_tail + (eps_head - eps_tail) * factor
 
 
-def posthoc_adjust(logits, dist: ClassDistribution, tau: float) -> np.ndarray:
-    """Inference-time logit shift z - tau * log pi (identity at tau = 0)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.shape[-1] != dist.num_classes:
-        raise ValueError(f"logits have {z.shape[-1]} classes, distribution has {dist.num_classes}")
-    return z - posthoc_shift(dist, tau)
-
-
 def posthoc_shift(dist: ClassDistribution, tau: float) -> np.ndarray:
-    """The shift tau * log pi that ``posthoc_adjust`` subtracts; zeros at tau = 0.
+    """The shift tau * log pi that post-hoc adjustment subtracts from each row of scores
+    (``training.evaluate_split``); zeros at tau = 0.
 
     A shift that is not finite is refused with ``ValueError``.
     """
@@ -194,32 +177,6 @@ def draw_noise(spec: LossSpec, rng: np.random.Generator, batch_size: int,
     """Pre-draw the per-sample stochastic component (None for deterministic kinds)."""
     draw = _NOISE.get(spec.kind)
     return None if draw is None else draw(rng, (batch_size, num_classes))
-
-
-def loss_value(spec: LossSpec, logits, target, ctx: LossContext) -> float:
-    return loss_value_and_grad(spec, logits, target, ctx)[0]
-
-
-def loss_grad(spec: LossSpec, logits, target, ctx: LossContext) -> np.ndarray:
-    return loss_value_and_grad(spec, logits, target, ctx)[1]
-
-
-def loss_value_and_grad(spec: LossSpec, logits, target, ctx: LossContext):
-    """Value and d(loss)/d(logits) from a single stochastic draw."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("expected a single logit vector")
-    noise = None
-    if spec.kind in STOCHASTIC_KINDS and ctx.training_mode:
-        if ctx.rng is None:
-            raise ValueError(f"loss kind {spec.kind!r} needs ctx.rng in training mode")
-        noise = draw_noise(spec, ctx.rng, 1, z.shape[0])
-    targets = np.asarray([target]) if not spec.multi_label else np.asarray(target)[None, :]
-    values, grads = batch_loss_and_grad(
-        loss_plan(spec, ctx.distribution), z[None, :], targets,
-        noise=noise, training=ctx.training_mode,
-    )
-    return float(values[0]), grads[0]
 
 
 @dataclass(frozen=True)

@@ -210,13 +210,6 @@ def _checked_ids(ids) -> tuple[str, ...]:
     return ids
 
 
-def label_cardinality(manifest: Manifest) -> float:
-    """Mean number of positive labels per record (multi-label only)."""
-    if manifest.task_kind != "multi":
-        raise ValueError("label cardinality is defined for multi-label manifests")
-    return float(manifest.labels.sum(axis=1).mean())
-
-
 def subsample_longtail(manifest: Manifest, targets, seed: int) -> Manifest:
     """Cut the train split down to exactly ``targets[c]`` records per class.
 

@@ -190,14 +190,6 @@ def _equal_keys_before(s, labels, at, first, n, block):
     return counts
 
 
-def mean_average_precision(scores, truths) -> float:
-    """Mean over labels (with >= 1 positive) of ranking average precision."""
-    aps = average_precision_per_label(scores, truths)
-    if np.isnan(aps).all():
-        raise ValueError("no positive labels anywhere")
-    return float(np.nanmean(aps))
-
-
 @dataclass
 class EpochRecord:
     epoch: int

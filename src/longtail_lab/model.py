@@ -140,16 +140,6 @@ def init_model(num_classes: int, feature_dim: int, *, hidden_dim: int | None = N
                       temperature=temp, encoder_w=encoder_w, encoder_b=encoder_b)
 
 
-def forward(model: ModelState, features) -> np.ndarray:
-    """Logits for a single feature vector or a (n, d) batch."""
-    x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    logits, _ = forward_with_cache(model, x)
-    return logits[0] if single else logits
-
-
 def encode(classifier, x: np.ndarray) -> np.ndarray:
     """Classifier-input features: ReLU(x W^T + b) through the encoder, or ``x`` without one."""
     if classifier.encoder_w is None:
@@ -274,8 +264,20 @@ def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, out=None) 
 
 
 def weight_norms(model: ModelState) -> np.ndarray:
-    """Classifier row L2 norms per class, in class-index order."""
-    return np.linalg.norm(model.cls_w, axis=1)
+    """Classifier row L2 norms per class, in class-index order.
+
+    A finite row whose plain norm overflows (an entry above ~1.3e154 squares to inf) is
+    recomputed as max|w| * ||w / max|w|||; every other row keeps the plain norm's bits.
+    """
+    w = model.cls_w
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(w, axis=1)
+        big = np.flatnonzero(np.isinf(norms))
+        big = big[np.isfinite(w[big]).all(axis=1)]
+        if big.size:
+            peak = np.abs(w[big]).max(axis=1)
+            norms[big] = peak * np.linalg.norm(w[big] / peak[:, None], axis=1)
+    return norms
 
 
 def tau_normalize(model: ModelState, tau: float) -> ModelState:
@@ -286,7 +288,7 @@ def tau_normalize(model: ModelState, tau: float) -> ModelState:
     if tau == 0:
         new_w = out.cls_w
     else:
-        norms = np.linalg.norm(out.cls_w, axis=1)
+        norms = weight_norms(out)
         zero = np.flatnonzero(norms == 0)
         if zero.size:
             raise ValueError(f"class {int(zero[0])} has a zero-norm row; tau={tau} is undefined")

@@ -146,7 +146,7 @@ def sam_step(optimizer: Optimizer, params: np.ndarray, grad_fn,
     """One training step on the flat parameter buffer ``params``, sharpness-aware when the
     spec asks for it.
 
-    grad_fn(params) -> (loss_value, grads), grads a dict in parameter order.
+    grad_fn(params) -> (loss, grads), grads a dict in parameter order.
     With sam enabled the gradient is recomputed at params + rho * g / ||g||
     (same batch, same stochastic draws), written into ``shifted`` (a new buffer
     if None), and the inner optimizer applies that gradient from the

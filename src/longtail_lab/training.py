@@ -6,6 +6,8 @@ fields: the head init, the trainable keys, the sampler (``class_balanced``,
 or ``original`` for DisAlign) and whether the CE plan's per-sample ``weight``
 is inverse frequency (DisAlign). ``_fit_head`` serves all four: it encodes the
 train rows once, trains a head-only model on them and puts the encoder back.
+``apply_stage2`` calls ``_fit_head(kind, ...)`` for a kind in ``_HEAD_FITS``,
+and ``tau_normalize`` or ``stage2_ncm`` for the other two schemes.
 """
 from __future__ import annotations
 
@@ -195,30 +197,6 @@ def train_stage1(manifest: Manifest, config: TrainConfig,
     return model, history
 
 
-def stage2_crt(model: ModelState, manifest: Manifest, config: TrainConfig,
-               rng: np.random.Generator | None = None) -> ModelState:
-    """Classifier re-training: frozen encoder, re-initialized head, class-balanced CE."""
-    return _fit_head("crt", model, manifest, config, rng)
-
-
-def stage2_lws(model: ModelState, manifest: Manifest, config: TrainConfig,
-               rng: np.random.Generator | None = None) -> ModelState:
-    """Learnable per-class weight scaling; only the scales train."""
-    return _fit_head("lws", model, manifest, config, rng)
-
-
-def stage2_disalign(model: ModelState, manifest: Manifest, config: TrainConfig,
-                    rng: np.random.Generator | None = None) -> ModelState:
-    """Affine logit calibration z' = scale * z + offset under 1/n_c-reweighted CE."""
-    return _fit_head("disalign", model, manifest, config, rng)
-
-
-def stage2_cosine_retrain(model: ModelState, manifest: Manifest, config: TrainConfig,
-                          rng: np.random.Generator | None = None) -> ModelState:
-    """Swap in a re-initialized cosine head and retrain it with class-balanced CE."""
-    return _fit_head("cosine_retrain", model, manifest, config, rng)
-
-
 def stage2_ncm(model: ModelState, manifest: Manifest) -> NcmClassifier:
     """Nearest-class-mean classifier from train-split means through the frozen encoder.
 
@@ -242,21 +220,18 @@ def stage2_ncm(model: ModelState, manifest: Manifest) -> NcmClassifier:
     return NcmClassifier(means=means, encoder_w=frozen.encoder_w, encoder_b=frozen.encoder_b)
 
 
-_STAGE2 = {
-    "none": lambda model, manifest, config, rng: model,
-    "tau_norm": lambda model, manifest, config, rng: tau_normalize(model, config.stage2.tau),
-    "ncm": lambda model, manifest, config, rng: stage2_ncm(model, manifest),
-    "crt": stage2_crt,
-    "lws": stage2_lws,
-    "disalign": stage2_disalign,
-    "cosine_retrain": stage2_cosine_retrain,
-}
-
-
 def apply_stage2(model: ModelState, manifest: Manifest, config: TrainConfig,
                  rng: np.random.Generator | None = None):
-    """Dispatch the configured stage-2 scheme; returns the final classifier."""
-    return _STAGE2[config.stage2.kind](model, manifest, config, rng)
+    """Run the configured stage-2 scheme (see the module docstring); returns the final
+    classifier."""
+    kind = config.stage2.kind
+    if kind in _HEAD_FITS:
+        return _fit_head(kind, model, manifest, config, rng)
+    if kind == "tau_norm":
+        return tau_normalize(model, config.stage2.tau)
+    if kind == "ncm":
+        return stage2_ncm(model, manifest)
+    return model  # "none"
 
 
 def _head_keys(model: ModelState) -> tuple[str, ...]:

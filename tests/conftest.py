@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from longtail_lab import Manifest, manifest as manifest_module
+from longtail_lab import Manifest, batch_loss_and_grad, draw_noise, loss_plan
+from longtail_lab import manifest as manifest_module
 
 
 @pytest.fixture(autouse=True)
@@ -27,6 +28,20 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def row_loss(spec, logits, target, dist, *, seed=None, training=True):
+    """The loss value and gradient of one logit vector: row 0 of one ``batch_loss_and_grad``
+    call on the batch of that row alone.
+
+    With ``seed``, the row's noise (seql, gcl) is ``draw_noise`` from a generator seeded
+    with it; without, a stochastic kind in training mode is refused for want of noise.
+    """
+    z = np.asarray(logits, dtype=np.float64)[None]
+    noise = None if seed is None else draw_noise(spec, np.random.default_rng(seed), *z.shape)
+    values, grads = batch_loss_and_grad(loss_plan(spec, dist), z, np.asarray(target)[None],
+                                        noise=noise, training=training)
+    return float(values[0]), grads[0]
 
 
 def blob_manifest(train_counts, feature_dim=4, val_per_class=5, test_per_class=5,

@@ -7,23 +7,22 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import longtail_lab
-from longtail_lab import (BatchSampler, LossContext, LossSpec, OptimizerSpec,
-                          SamplerSpec, TrainConfig, average_precision_per_label,
+from longtail_lab import (BatchSampler, LossSpec, OptimizerSpec, SamplerSpec, Stage2Spec,
+                          TrainConfig, apply_stage2, average_precision_per_label,
                           compute_distribution, distribution_from_counts,
                           gaps_from_series, group_report_from_values, group_split,
-                          loss_grad, loss_value, loss_value_and_grad, pareto_targets,
-                          parse_config, run_experiment, run_sweep, subsample_longtail,
-                          sweep_csv, synth_gaussian, tau_normalize, train_stage1,
-                          weight_norms)
+                          pareto_targets, parse_config, run_experiment, run_sweep,
+                          subsample_longtail, sweep_csv, synth_gaussian, tau_normalize,
+                          train_stage1, weight_norms)
 from longtail_lab.losses import LOSS_KINDS, MULTI_LABEL_KINDS
-from longtail_lab.training import stage2_crt
 
-from conftest import blob_manifest
+from conftest import blob_manifest, row_loss
 
 SGD = OptimizerSpec("sgd", lr=0.05)
 
@@ -57,12 +56,9 @@ def test_criterion_1_gradient_suite():
             target = (rng.integers(0, 2, size=k) if kind in MULTI_LABEL_KINDS
                       else int(rng.integers(k)))
             noise_seed = int(rng.integers(2 ** 32))
-
-            def ctx():
-                return LossContext(dist, rng=np.random.default_rng(noise_seed))
-
-            analytic = loss_grad(spec, z, target, ctx())
-            numeric = _central_difference(lambda zz: loss_value(spec, zz, target, ctx()), z)
+            analytic = row_loss(spec, z, target, dist, seed=noise_seed)[1]
+            numeric = _central_difference(
+                lambda zz: row_loss(spec, zz, target, dist, seed=noise_seed)[0], z)
             # unit floor in the denominator: the h=1e-5 central difference carries
             # |f|*eps/h ~ 1e-9 of roundoff, which swamps any stricter ratio when a
             # saturated instance drives the true gradient toward zero
@@ -95,11 +91,9 @@ def test_criterion_2_degenerate_equivalences():
             counts = rng.integers(1, 500, size=k)
             z = rng.standard_normal(k)
             y = int(rng.integers(k))
-            va, ga = loss_value_and_grad(
-                spec, z, y, LossContext(distribution_from_counts(counts),
-                                        rng=np.random.default_rng(i)))
-            vb, gb = loss_value_and_grad(
-                ce, z, y, LossContext(distribution_from_counts(counts)))
+            dist = distribution_from_counts(counts)
+            va, ga = row_loss(spec, z, y, dist, seed=i)
+            vb, gb = row_loss(ce, z, y, dist)
             worst = max(worst, abs(va - vb), np.abs(ga - gb).max())
     # balanced softmax under uniform counts
     for i in range(100):
@@ -107,8 +101,8 @@ def test_criterion_2_degenerate_equivalences():
         z = rng.standard_normal(k)
         y = int(rng.integers(k))
         dist = distribution_from_counts([13] * k)
-        va = loss_value(LossSpec("balanced_softmax"), z, y, LossContext(dist))
-        vb = loss_value(ce, z, y, LossContext(dist))
+        va = row_loss(LossSpec("balanced_softmax"), z, y, dist)[0]
+        vb = row_loss(ce, z, y, dist)[0]
         worst = max(worst, abs(va - vb))
     # prior_ce is balanced_softmax, everywhere
     for i in range(100):
@@ -117,8 +111,8 @@ def test_criterion_2_degenerate_equivalences():
         dist = distribution_from_counts(counts)
         z = rng.standard_normal(k)
         y = int(rng.integers(k))
-        va, ga = loss_value_and_grad(LossSpec("prior_ce"), z, y, LossContext(dist))
-        vb, gb = loss_value_and_grad(LossSpec("balanced_softmax"), z, y, LossContext(dist))
+        va, ga = row_loss(LossSpec("prior_ce"), z, y, dist)
+        vb, gb = row_loss(LossSpec("balanced_softmax"), z, y, dist)
         worst = max(worst, abs(va - vb), np.abs(ga - gb).max())
     _criterion(2, "degenerate kinds equal plain cross-entropy", worst < 1e-12,
                f"(max deviation {worst:.2e})")
@@ -273,7 +267,8 @@ def test_criterion_9_weight_norm_trend(trend_runs):
         cv_stage1 = norms.std() / norms.mean()
         unit = weight_norms(tau_normalize(model, 1.0))
         cv_drops_tau.append((unit.std() / unit.mean()) < cv_stage1)
-        crt = stage2_crt(model, manifest, config, np.random.default_rng(seed + 500))
+        crt = apply_stage2(model, manifest, replace(config, stage2=Stage2Spec("crt")),
+                           np.random.default_rng(seed + 500))
         crt_norms = weight_norms(crt)
         cv_drops_crt.append((crt_norms.std() / crt_norms.mean()) < cv_stage1)
     mean_corr = float(np.mean(correlations))

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from longtail_lab import LOSS_KINDS, LossContext, LossSpec, distribution_from_counts
-from longtail_lab.losses import (MULTI_LABEL_KINDS, STOCHASTIC_KINDS, loss_grad,
-                                 loss_value)
+from longtail_lab import LOSS_KINDS, LossSpec, distribution_from_counts
+from longtail_lab.losses import MULTI_LABEL_KINDS
+
+from conftest import row_loss
 
 H = 1e-5
 
@@ -40,12 +41,9 @@ def check_kind(kind, instances, seed0=0):
             target = int(rng.integers(k))
         # a fresh generator per evaluation pins the stochastic draw
         noise_seed = int(rng.integers(2 ** 32))
-
-        def ctx():
-            return LossContext(dist, rng=np.random.default_rng(noise_seed))
-
-        analytic = loss_grad(spec, z, target, ctx())
-        numeric = central_difference(lambda zz: loss_value(spec, zz, target, ctx()), z)
+        analytic = row_loss(spec, z, target, dist, seed=noise_seed)[1]
+        numeric = central_difference(
+            lambda zz: row_loss(spec, zz, target, dist, seed=noise_seed)[0], z)
         worst = max(worst, relative_error(analytic, numeric))
     return worst
 
@@ -55,26 +53,12 @@ def test_analytic_gradient_matches_central_differences(kind):
     assert check_kind(kind, instances=6) < 1e-5
 
 
-def test_stochastic_value_and_grad_share_one_draw():
-    for kind in STOCHASTIC_KINDS:
-        spec = LossSpec(kind)
-        dist = distribution_from_counts([300, 30, 3])
-        z = np.array([0.1, -0.4, 1.2])
-        from longtail_lab import loss_value_and_grad
-
-        value, grad = loss_value_and_grad(spec, z, 1, LossContext(dist, rng=np.random.default_rng(5)))
-        # re-evaluating either half with the same rng state reproduces it
-        assert value == loss_value(spec, z, 1, LossContext(dist, rng=np.random.default_rng(5)))
-        assert np.array_equal(grad, loss_grad(spec, z, 1, LossContext(dist, rng=np.random.default_rng(5))))
-
-
 def test_vs_collapse_gradient_equals_ce_elementwise():
     rng = np.random.default_rng(3)
     dist = distribution_from_counts([40, 20, 10, 5])
     for _ in range(20):
         z = rng.standard_normal(4)
         y = int(rng.integers(4))
-        ctx = LossContext(dist)
-        ga = loss_grad(LossSpec("vs", gamma_vs=0.0, tau_vs=0.0), z, y, ctx)
-        gb = loss_grad(LossSpec("ce"), z, y, ctx)
+        ga = row_loss(LossSpec("vs", gamma_vs=0.0, tau_vs=0.0), z, y, dist)[1]
+        gb = row_loss(LossSpec("ce"), z, y, dist)[1]
         assert np.abs(ga - gb).max() < 1e-12

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, NcmClassifier, build_dataset,
-                          decision_scores, evaluate_split, group_split, init_model, jsonio,
-                          load_checkpoint,
-                          load_manifest, mean_average_precision, optim, parse_config,
+from longtail_lab import (LOSS_KINDS, ConfigError, LossSpec, NcmClassifier,
+                          average_precision_per_label, build_dataset, decision_scores,
+                          evaluate_split, group_split, init_model, jsonio, load_checkpoint,
+                          load_manifest, optim, parse_config,
                           run_experiment, run_sweep, save_checkpoint, save_manifest, sweep_csv)
 from longtail_lab.harness import sweep_workers
 from longtail_lab.model import MAX_HIDDEN_DIM
@@ -381,6 +381,15 @@ class TestRunExperiment:
         assert final["gaps"]["gap_best"] >= 0
         assert result.report["config_digest"] == report["config_digest"]
 
+    def test_weight_norms_whose_squares_overflow_are_reported(self, tmp_path):
+        # this step size trains rows past 1.3e154, whose entries square to inf
+        raw = small_config()
+        raw["train"].update(epochs=2, optimizer={"kind": "sgd", "lr": 1e300})
+        out = tmp_path / "report.json"
+        run_experiment(parse_config(raw), out_path=out)
+        norms = json.loads(out.read_text())["final"]["weight_norms"]
+        assert len(norms) == 5 and all(1e154 < v < float("inf") for v in norms)
+
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config()
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -426,9 +435,9 @@ class TestRunExperiment:
         # final classifier is the last epoch's model, whose reports are reused
         assert len(scored) == 2 * len(result.history)
         test_idx = result.manifest.split_indices("test")
-        expected = mean_average_precision(
+        expected = float(np.nanmean(average_precision_per_label(
             decision_scores(result.final_classifier, result.manifest.features[test_idx]),
-            result.manifest.labels[test_idx])
+            result.manifest.labels[test_idx])))
         assert result.report["final"]["map"] == expected
         assert 0.0 <= expected <= 1.0
 
@@ -633,6 +642,12 @@ class TestSweep:
         assert not built
         run_sweep(self.entries()[:1], parallelism=1)
         assert built == [1]
+
+    @pytest.mark.parametrize("parallelism", [1.5, 2.0, "2", True, None])
+    def test_parallelism_not_an_int_rejected_before_any_config_is_parsed(self, parallelism):
+        bad = small_config(seed=-1)  # parse_config refuses it with an error of its own
+        with pytest.raises(ConfigError, match="^parallelism must be an integer, got "):
+            run_sweep([("bad", bad)], parallelism=parallelism)
 
     def test_row_scores_test_once_and_difficulty_val_per_evaluated_epoch(self, monkeypatch):
         plain = small_config(name="plain")

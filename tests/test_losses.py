@@ -7,33 +7,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from longtail_lab import (LOSS_KINDS, LossContext, LossSpec, batch_loss_and_grad,
-                          cb_weights, distribution_from_counts, draw_noise, gcl_amplitudes,
-                          label_smoothing_eps, ldam_margins, loss_grad, loss_plan, loss_value,
-                          loss_value_and_grad, posthoc_adjust)
+from longtail_lab import (LOSS_KINDS, LossSpec, batch_loss_and_grad, cb_weights,
+                          distribution_from_counts, draw_noise, gcl_amplitudes,
+                          label_smoothing_eps, ldam_margins, loss_plan)
 from longtail_lab import jsonio, losses
-from longtail_lab.losses import MULTI_LABEL_KINDS, SINGLE_LABEL_KINDS, STOCHASTIC_KINDS
+from longtail_lab.losses import (MULTI_LABEL_KINDS, SINGLE_LABEL_KINDS, STOCHASTIC_KINDS,
+                                 posthoc_shift)
 
-
-def ctx_for(counts, seed=0, training=True):
-    return LossContext(distribution_from_counts(counts),
-                       rng=np.random.default_rng(seed), training_mode=training)
+from conftest import row_loss
 
 
 class TestReferenceValues:
     def test_ce_symmetric_logits(self):
-        assert abs(loss_value(LossSpec("ce"), [0.0, 0.0], 0, ctx_for([1, 1])) - math.log(2)) < 1e-12
+        value = row_loss(LossSpec("ce"), [0.0, 0.0], 0, distribution_from_counts([1, 1]))[0]
+        assert abs(value - math.log(2)) < 1e-12
 
     def test_balanced_softmax_textbook(self):
-        value = loss_value(LossSpec("balanced_softmax"), [0.0, 0.0], 1, ctx_for([3, 1]))
+        value = row_loss(LossSpec("balanced_softmax"), [0.0, 0.0], 1,
+                         distribution_from_counts([3, 1]))[0]
         assert abs(value - (-math.log(0.25))) < 1e-12
 
     def test_weighted_softmax_textbook(self):
-        value = loss_value(LossSpec("weighted_softmax"), [0.0, 0.0], 1, ctx_for([3, 1]))
+        value = row_loss(LossSpec("weighted_softmax"), [0.0, 0.0], 1,
+                         distribution_from_counts([3, 1]))[0]
         assert abs(value - (-math.log(0.25) + 1.0) * math.log(2)) < 1e-12
 
     def test_focal_symmetric_logits(self):
-        value = loss_value(LossSpec("focal", alpha=1.0, gamma=2.0), [0.0, 0.0], 0, ctx_for([1, 1]))
+        value = row_loss(LossSpec("focal", alpha=1.0, gamma=2.0), [0.0, 0.0], 0,
+                         distribution_from_counts([1, 1]))[0]
         assert abs(value - 0.25 * math.log(2)) < 1e-12
 
     def test_ldam_margins(self):
@@ -43,7 +44,7 @@ class TestReferenceValues:
         np.testing.assert_allclose(margins, [0.088914, 0.5], atol=5e-7)
 
     def test_ce_grad_softmax_minus_onehot(self):
-        grad = loss_grad(LossSpec("ce"), [0.0, 0.0], 0, ctx_for([1, 1]))
+        grad = row_loss(LossSpec("ce"), [0.0, 0.0], 0, distribution_from_counts([1, 1]))[1]
         np.testing.assert_allclose(grad, [-0.5, 0.5], atol=1e-15)
 
     def test_ce_matches_direct_log_softmax(self):
@@ -52,7 +53,8 @@ class TestReferenceValues:
             z = rng.standard_normal(5)
             y = int(rng.integers(5))
             direct = -math.log(math.exp(z[y]) / np.exp(z).sum())
-            assert abs(loss_value(LossSpec("ce"), z, y, ctx_for([1] * 5)) - direct) < 1e-10
+            value = row_loss(LossSpec("ce"), z, y, distribution_from_counts([1] * 5))[0]
+            assert abs(value - direct) < 1e-10
 
 
 class TestCbWeights:
@@ -92,29 +94,29 @@ class TestCbWeights:
             LossSpec("cb_ce", beta=1.0)
 
 
-class TestPosthocAdjust:
+class TestPosthocShift:
     def test_tau_zero_identity(self):
         z = np.array([0.3, -1.0])
-        np.testing.assert_array_equal(posthoc_adjust(z, distribution_from_counts([9, 1]), 0.0), z)
+        np.testing.assert_array_equal(z - posthoc_shift(distribution_from_counts([9, 1]), 0.0), z)
 
     def test_uniform_prior_preserves_argmax(self):
         rng = np.random.default_rng(2)
         dist = distribution_from_counts([5, 5, 5])
         for _ in range(20):
             z = rng.standard_normal(3)
-            adjusted = posthoc_adjust(z, dist, rng.uniform(0, 3))
+            adjusted = z - posthoc_shift(dist, rng.uniform(0, 3))
             assert np.argmax(adjusted) == np.argmax(z)
 
     def test_textbook_flip(self):
         dist = distribution_from_counts([99, 1])
-        adjusted = posthoc_adjust(np.array([0.1, 0.0]), dist, 1.0)
+        adjusted = np.array([0.1, 0.0]) - posthoc_shift(dist, 1.0)
         np.testing.assert_allclose(adjusted, [0.1 - math.log(0.99), -math.log(0.01)], rtol=1e-12)
         assert np.argmax(adjusted) == 1
 
     @pytest.mark.parametrize("tau", [1e308, -1e308, float("nan")])
     def test_shift_that_is_not_finite_rejected(self, tau):
         with pytest.raises(ValueError, match="not finite"):
-            posthoc_adjust(np.array([0.1, 0.0]), distribution_from_counts([99, 1]), tau)
+            posthoc_shift(distribution_from_counts([99, 1]), tau)
 
 
 def _random_instance(kind, rng):
@@ -145,9 +147,8 @@ class TestDegenerateCollapses:
         ce = LossSpec("ce")
         for _i in range(100):
             k, counts, z, y = _random_instance("ce", rng)
-            ctx_a, ctx_b = ctx_for(counts, seed=_i), ctx_for(counts, seed=_i)
-            va, ga = loss_value_and_grad(spec, z, y, ctx_a)
-            vb, gb = loss_value_and_grad(ce, z, y, ctx_b)
+            va, ga = row_loss(spec, z, y, distribution_from_counts(counts), seed=_i)
+            vb, gb = row_loss(ce, z, y, distribution_from_counts(counts), seed=_i)
             assert abs(va - vb) < 1e-12
             assert np.abs(ga - gb).max() < 1e-12
 
@@ -158,17 +159,17 @@ class TestDegenerateCollapses:
             z = rng.standard_normal(k)
             y = int(rng.integers(k))
             counts = [17] * k
-            va = loss_value(LossSpec("balanced_softmax"), z, y, ctx_for(counts))
-            vb = loss_value(LossSpec("ce"), z, y, ctx_for(counts))
+            va = row_loss(LossSpec("balanced_softmax"), z, y, distribution_from_counts(counts))[0]
+            vb = row_loss(LossSpec("ce"), z, y, distribution_from_counts(counts))[0]
             assert abs(va - vb) < 1e-12
 
     def test_prior_ce_equals_balanced_softmax_everywhere(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             k, counts, z, y = _random_instance("ce", rng)
-            ctx = ctx_for(counts)
-            va, ga = loss_value_and_grad(LossSpec("prior_ce"), z, y, ctx)
-            vb, gb = loss_value_and_grad(LossSpec("balanced_softmax"), z, y, ctx)
+            dist = distribution_from_counts(counts)
+            va, ga = row_loss(LossSpec("prior_ce"), z, y, dist)
+            vb, gb = row_loss(LossSpec("balanced_softmax"), z, y, dist)
             assert va == vb
             assert np.array_equal(ga, gb)
 
@@ -180,7 +181,7 @@ class TestCatalogProperties:
         spec = LossSpec(kind)
         for i in range(30):
             _, counts, z, target = _random_instance(kind, rng)
-            value, grad = loss_value_and_grad(spec, z, target, ctx_for(counts, seed=i))
+            value, grad = row_loss(spec, z, target, distribution_from_counts(counts), seed=i)
             assert value >= 0.0
             assert math.isfinite(value)
             assert np.isfinite(grad).all()
@@ -193,14 +194,14 @@ class TestCatalogProperties:
         z = np.full(5, -20.0)
         y = 2
         z[y] = 20.0
-        grad = loss_grad(spec, z, y, ctx_for([50, 40, 30, 20, 10]))
+        grad = row_loss(spec, z, y, distribution_from_counts([50, 40, 30, 20, 10]), seed=0)[1]
         assert np.linalg.norm(grad) < 1e-6
 
     @pytest.mark.parametrize("kind", MULTI_LABEL_KINDS)
     def test_saturated_gradient_vanishes_multilabel(self, kind):
         target = np.array([1, 0, 1, 0])
         z = np.where(target == 1, 20.0, -20.0)
-        grad = loss_grad(LossSpec(kind), z, target, ctx_for([4, 3, 2, 1]))
+        grad = row_loss(LossSpec(kind), z, target, distribution_from_counts([4, 3, 2, 1]))[1]
         assert np.linalg.norm(grad) < 1e-6
 
     def test_gcl_amplitude_ordering(self):
@@ -227,8 +228,8 @@ class TestCatalogProperties:
             spec = LossSpec(kind)
             z = np.array([0.5, -1.0, 0.2, 0.0, 1.4])
             counts = [200, 100, 50, 3, 1]
-            a = loss_value_and_grad(spec, z, 1, ctx_for(counts, seed=77))
-            b = loss_value_and_grad(spec, z, 1, ctx_for(counts, seed=77))
+            a = row_loss(spec, z, 1, distribution_from_counts(counts), seed=77)
+            b = row_loss(spec, z, 1, distribution_from_counts(counts), seed=77)
             assert a[0] == b[0]
             assert np.array_equal(a[1], b[1])
 
@@ -236,15 +237,17 @@ class TestCatalogProperties:
         z = np.array([0.5, -1.0, 0.2])
         counts = [100, 10, 1]
         for kind in STOCHASTIC_KINDS:
-            value = loss_value(LossSpec(kind), z, 0, ctx_for(counts, training=False))
-            ce = loss_value(LossSpec("ce"), z, 0, ctx_for(counts))
+            value = row_loss(LossSpec(kind), z, 0, distribution_from_counts(counts),
+                             training=False)[0]
+            ce = row_loss(LossSpec("ce"), z, 0, distribution_from_counts(counts))[0]
             assert value == ce
 
     def test_seql_keeps_frequent_classes_and_target(self):
         # with q=1 every rare negative is masked: softmax over {y} + frequent set
         counts = [960, 30, 6, 4]  # pi = [0.96, 0.03, 0.006, 0.004], threshold 0.05
         z = np.array([1.0, 0.4, -0.3, 0.2])
-        value = loss_value(LossSpec("seql", seql_q=1.0), z, 2, ctx_for(counts, seed=3))
+        value = row_loss(LossSpec("seql", seql_q=1.0), z, 2, distribution_from_counts(counts),
+                         seed=3)[0]
         kept = [0, 2]  # frequent class 0 plus the target
         direct = -(z[2] - math.log(sum(math.exp(z[c]) for c in kept)))
         assert abs(value - direct) < 1e-12
@@ -253,34 +256,29 @@ class TestCatalogProperties:
 class TestErrorHandling:
     def test_k_mismatch(self):
         with pytest.raises(ValueError, match="classes"):
-            loss_value(LossSpec("ce"), [0.0, 0.0, 0.0], 0, ctx_for([1, 1]))
+            row_loss(LossSpec("ce"), [0.0, 0.0, 0.0], 0, distribution_from_counts([1, 1]))
 
     def test_zero_count_class_named(self):
         for kind in ("balanced_softmax", "ldam", "gcl", "cb_ce", "weighted_softmax"):
-            ctx = ctx_for([5, 0, 3])
             with pytest.raises(ValueError, match="class 1"):
-                loss_value(LossSpec(kind), [0.0, 0.0, 0.0], 0, ctx)
+                row_loss(LossSpec(kind), [0.0, 0.0, 0.0], 0, distribution_from_counts([5, 0, 3]))
 
     def test_non_finite_logits_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            loss_value(LossSpec("ce"), [np.inf, 0.0], 0, ctx_for([1, 1]))
+            row_loss(LossSpec("ce"), [np.inf, 0.0], 0, distribution_from_counts([1, 1]))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown loss kind"):
             LossSpec("hinge")
 
-    def test_stochastic_kind_requires_rng(self):
-        ctx = LossContext(distribution_from_counts([5, 1]))
-        with pytest.raises(ValueError, match="rng"):
-            loss_value(LossSpec("gcl"), [0.0, 0.0], 0, ctx)
-
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            loss_value(LossSpec("ce"), [0.0, 0.0], 2, ctx_for([1, 1]))
+            row_loss(LossSpec("ce"), [0.0, 0.0], 2, distribution_from_counts([1, 1]))
 
     def test_multilabel_target_must_be_binary(self):
         with pytest.raises(ValueError):
-            loss_value(LossSpec("bce_ml"), [0.0, 0.0], np.array([2, 0]), ctx_for([1, 1]))
+            row_loss(LossSpec("bce_ml"), [0.0, 0.0], np.array([2, 0]),
+                     distribution_from_counts([1, 1]))
 
     @pytest.mark.parametrize("targets", [[[0, 2]], [[-1, 1]], [[0.5, 1.0]], [[0, 1, 0]], [0, 1]],
                              ids=["int-2", "int-minus-1", "float-half", "wide", "flat"])
@@ -324,7 +322,7 @@ class TestBceValues:
     def test_bce_sum_over_classes(self):
         z = np.array([0.0, 0.0, 0.0])
         target = np.array([1, 0, 1])
-        value = loss_value(LossSpec("bce_ml"), z, target, ctx_for([1, 1, 1]))
+        value = row_loss(LossSpec("bce_ml"), z, target, distribution_from_counts([1, 1, 1]))[0]
         assert abs(value - 3 * math.log(2)) < 1e-12
 
     def test_focal_bce_gamma_zero_is_bce(self):
@@ -332,8 +330,9 @@ class TestBceValues:
         for _ in range(50):
             z = rng.standard_normal(4)
             t = rng.integers(0, 2, size=4)
-            a = loss_value_and_grad(LossSpec("focal_bce_ml", gamma=0.0), z, t, ctx_for([1] * 4))
-            b = loss_value_and_grad(LossSpec("bce_ml"), z, t, ctx_for([1] * 4))
+            dist = distribution_from_counts([1] * 4)
+            a = row_loss(LossSpec("focal_bce_ml", gamma=0.0), z, t, dist)
+            b = row_loss(LossSpec("bce_ml"), z, t, dist)
             assert abs(a[0] - b[0]) < 1e-12
             assert np.abs(a[1] - b[1]).max() < 1e-12
 
@@ -533,6 +532,30 @@ class TestLossPlan:
 
 def u64(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestRowIndependence:
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(case=ce_family_cases(), gamma=st.floats(0.0, 4.0), eps=st.floats(0.0, 0.9))
+    def test_row_loss_bitwise_equals_its_row_of_the_batch(self, kind, case, gamma, eps):
+        # the per-vector oracles (the gradient suite, the degenerate collapses) evaluate
+        # row_loss, a batch of one row; a fit evaluates whole batches
+        spec, z, y, dist, rng = case
+        spec = replace(spec, kind=kind, gamma=gamma, eps_head=eps)
+        n, k = z.shape
+        targets = rng.integers(0, 2, size=(n, k)) if spec.multi_label else y
+        seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=n)]
+        rows = [draw_noise(spec, np.random.default_rng(s), 1, k) for s in seeds]
+        noise = None if rows[0] is None else np.concatenate(rows)  # pre-drawn, row by row
+        plan = loss_plan(spec, dist)
+        for training in (True, False):
+            values, grads = batch_loss_and_grad(plan, z, targets, noise=noise, training=training)
+            for i in range(n):
+                value, grad = row_loss(spec, z[i], targets[i], dist, seed=seeds[i],
+                                       training=training)
+                assert np.array_equal(u64([value]), u64(values[i:i + 1]))
+                assert np.array_equal(u64(grad), u64(grads[i]))
 
 
 class TestInPlaceKernel:

@@ -9,37 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longtail_lab import (Manifest, ManifestFormatError, SynthSpec, compute_distribution,
-                          label_cardinality, load_manifest, pareto_targets, run_sweep,
+                          load_manifest, pareto_targets, run_sweep,
                           save_manifest, subsample_longtail, synth_gaussian)
 from longtail_lab import manifest as manifest_module
 from longtail_lab import model as model_module
 
 from conftest import blob_manifest, multilabel_manifest, traced_peak
-
-
-class TestLabelCardinality:
-    def _ml(self, labels):
-        labels = np.asarray(labels)
-        n, k = labels.shape
-        return Manifest(
-            ids=tuple(f"r{i}" for i in range(n)),
-            features=np.zeros((n, 2)), labels=labels,
-            splits=np.array(["train"] * n), num_classes=k, feature_dim=2,
-            task_kind="multi",
-        )
-
-    def test_basic(self):
-        assert label_cardinality(self._ml([[1, 0, 1], [0, 1, 0]])) == 1.5
-
-    def test_all_zero(self):
-        assert label_cardinality(self._ml([[0, 0], [0, 0]])) == 0.0
-
-    def test_mean_of_positives(self):
-        assert label_cardinality(self._ml([[1, 0, 0], [1, 1, 0], [1, 1, 1]])) == 2.0
-
-    def test_single_label_rejected(self, tiny_manifest):
-        with pytest.raises(ValueError, match="multi-label"):
-            label_cardinality(tiny_manifest)
 
 
 class TestSubsampleLongtail:

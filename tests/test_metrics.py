@@ -9,7 +9,7 @@ from longtail_lab import metrics as metrics_module
 from longtail_lab import (EpochRecord, GroupReport, RunHistory, checkpoint_gaps,
                           average_precision_per_label, distribution_from_counts,
                           gaps_from_series, group_report, group_report_from_values,
-                          group_split, mean_average_precision)
+                          group_split)
 
 
 def isic_style_split():
@@ -96,7 +96,7 @@ class TestGroupReport:
             group_report([0, 1], [0], isic_style_split())
 
     def test_posthoc_with_uniform_prior_leaves_report_unchanged(self):
-        from longtail_lab import posthoc_adjust
+        from longtail_lab.losses import posthoc_shift
 
         rng = np.random.default_rng(3)
         dist = distribution_from_counts([25, 25, 25, 25])
@@ -105,7 +105,7 @@ class TestGroupReport:
         truths = rng.integers(0, 4, size=200)
         base = group_report(np.argmax(scores, axis=1), truths, split)
         for tau in (0.5, 1.0, 3.0):
-            adjusted = posthoc_adjust(scores, dist, tau)
+            adjusted = scores - posthoc_shift(dist, tau)
             report = group_report(np.argmax(adjusted, axis=1), truths, split)
             assert report.average == base.average
             assert report.head == base.head
@@ -149,23 +149,23 @@ def ap_bruteforce(scores, truth):
     return total / hits if hits else float("nan")
 
 
-class TestMeanAveragePrecision:
+class TestAveragePrecision:
     def test_textbook_single_label(self):
         scores = np.array([[0.9], [0.8], [0.1]])
         truths = np.array([[1], [0], [1]])
-        assert mean_average_precision(scores, truths) == pytest.approx((1 + 2 / 3) / 2)
+        assert average_precision_per_label(scores, truths)[0] == pytest.approx((1 + 2 / 3) / 2)
 
     def test_perfect_ranking(self):
         scores = np.array([[0.9], [0.8], [0.1]])
         truths = np.array([[1], [1], [0]])
-        assert mean_average_precision(scores, truths) == 1.0
+        assert average_precision_per_label(scores, truths)[0] == 1.0
 
     def test_single_positive_at_last_rank(self):
         n = 6
         scores = np.arange(n, dtype=float)[::-1].reshape(-1, 1)
         truths = np.zeros((n, 1), dtype=int)
         truths[-1, 0] = 1
-        assert mean_average_precision(scores, truths) == pytest.approx(1 / n)
+        assert average_precision_per_label(scores, truths)[0] == pytest.approx(1 / n)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(5)
@@ -175,30 +175,25 @@ class TestMeanAveragePrecision:
             truths = rng.integers(0, 2, size=(n, 1))
             if truths.sum() == 0:
                 continue
-            got = mean_average_precision(scores, truths)
+            got = average_precision_per_label(scores, truths)[0]
             assert got == pytest.approx(ap_bruteforce(scores[:, 0], truths[:, 0]), abs=1e-12)
 
     def test_tie_break_by_sample_index(self):
         scores = np.array([[0.5], [0.5], [0.5]])
         truths = np.array([[0], [1], [0]])
         # ranking is 0,1,2 by index; the positive sits at rank 2
-        assert mean_average_precision(scores, truths) == pytest.approx(0.5)
+        assert average_precision_per_label(scores, truths)[0] == pytest.approx(0.5)
 
     def test_zero_positive_label_skipped_with_warning(self):
         scores = np.random.default_rng(0).random((4, 2))
         truths = np.array([[1, 0], [0, 0], [1, 0], [0, 0]])
         with pytest.warns(UserWarning, match=r"labels \[1\]"):
-            value = mean_average_precision(scores, truths)
             aps = average_precision_per_label(scores, truths)
-        assert np.isnan(aps[1]) and value == pytest.approx(aps[0])
-
-    def test_no_positives_anywhere_rejected(self):
-        with pytest.raises(ValueError, match="no positive"), pytest.warns(UserWarning):
-            mean_average_precision(np.ones((3, 2)), np.zeros((3, 2), dtype=int))
+        assert np.isnan(aps[1]) and not np.isnan(aps[0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            mean_average_precision(np.ones((3, 2)), np.ones((2, 3), dtype=int))
+            average_precision_per_label(np.ones((3, 2)), np.ones((2, 3), dtype=int))
 
 
 def ap_per_label_loop(scores, truths):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from longtail_lab import (LossSpec, ModelState, NcmClassifier, batch_loss_and_grad,
-                          decision_scores, distribution_from_counts, forward,
+                          decision_scores, distribution_from_counts,
                           init_model, load_checkpoint, loss_plan, save_checkpoint, tau_normalize,
                           weight_norms)
 from longtail_lab.model import backward, forward_with_cache
@@ -17,33 +17,33 @@ from conftest import traced_peak
 class TestForward:
     def test_zero_parameters_zero_logits(self):
         model = init_model(3, 4)
-        np.testing.assert_array_equal(forward(model, np.zeros(4)), np.zeros(3))
+        np.testing.assert_array_equal(decision_scores(model, np.zeros(4)), np.zeros(3))
 
     def test_identity_weights(self):
         model = ModelState(cls_w=np.eye(2), cls_b=np.zeros(2))
-        np.testing.assert_array_equal(forward(model, [3.0, -1.0]), [3.0, -1.0])
+        np.testing.assert_array_equal(decision_scores(model, [3.0, -1.0]), [3.0, -1.0])
 
     def test_cosine_aligned_feature_gives_temperature(self):
         w = np.array([[2.0, 0.0], [0.0, 1.0]])
         model = ModelState(cls_w=w, cls_b=None, classifier_kind="cosine", temperature=16.0)
-        logits = forward(model, [5.0, 0.0])
+        logits = decision_scores(model, [5.0, 0.0])
         assert abs(logits[0] - 16.0) < 1e-12
 
     def test_dimension_mismatch(self):
         model = init_model(3, 4)
         with pytest.raises(ValueError, match="dimension"):
-            forward(model, np.zeros(5))
+            decision_scores(model, np.zeros(5))
 
     def test_hidden_layer_shapes(self):
         model = init_model(3, 4, hidden_dim=8, rng=np.random.default_rng(0))
-        batch = forward(model, np.random.default_rng(1).standard_normal((6, 4)))
+        batch = decision_scores(model, np.random.default_rng(1).standard_normal((6, 4)))
         assert batch.shape == (6, 3)
 
     def test_scale_offset_applied(self):
         model = ModelState(cls_w=np.eye(2), cls_b=np.zeros(2),
                            logit_scale=np.array([2.0, 1.0]),
                            logit_offset=np.array([0.0, -1.0]))
-        np.testing.assert_array_equal(forward(model, [1.0, 1.0]), [2.0, 0.0])
+        np.testing.assert_array_equal(decision_scores(model, [1.0, 1.0]), [2.0, 0.0])
 
 
 class TestTauNormalize:
@@ -86,6 +86,18 @@ class TestWeightNorms:
     def test_rows(self):
         model = ModelState(cls_w=np.array([[3.0, 4.0], [0.0, 0.0]]), cls_b=np.zeros(2))
         np.testing.assert_array_equal(weight_norms(model), [5.0, 0.0])
+
+    def test_rows_whose_squares_overflow_stay_finite(self):
+        # an entry above ~1.3e154 squares past the float range; the other rows keep the
+        # plain norm's bits
+        w = np.array([[3e200, 4e200], [0.1, 0.7], [-1e308, 1e308]])
+        model = ModelState(cls_w=w, cls_b=np.zeros(3))
+        norms = weight_norms(model)
+        np.testing.assert_allclose(norms, [5e200, np.hypot(0.1, 0.7), np.sqrt(2) * 1e308],
+                                   rtol=1e-15)
+        assert norms[1] == np.linalg.norm(w[1])
+        out = tau_normalize(model, 1.0)
+        np.testing.assert_allclose(weight_norms(out), np.ones(3), rtol=1e-15)
 
 
 class TestNcm:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from longtail_lab import samplers
-from longtail_lab import (BatchSampler, LossContext, LossSpec, MixupSpec, SamplerSpec,
-                          distribution_from_counts, loss_value, mixup_batch)
+from longtail_lab import (BatchSampler, LossSpec, MixupSpec, SamplerSpec,
+                          distribution_from_counts, mixup_batch)
 
-from conftest import blob_manifest, multilabel_manifest
+from conftest import blob_manifest, multilabel_manifest, row_loss
 
 
 def one_batch(sampler, batch_size, rng):
@@ -131,12 +131,11 @@ class TestMixup:
         mixed = mixup_batch((xa, ya), (xb, yb), MixupSpec(), np.random.default_rng(0), lam=1.0)
         np.testing.assert_array_equal(mixed.features, xa)
         dist = distribution_from_counts([1, 1])
-        ctx = LossContext(dist)
         spec = LossSpec("ce")
         logits = np.array([0.3, -0.2])
-        combined = (mixed.lam * loss_value(spec, logits, int(mixed.labels_a[0]), ctx)
-                    + (1 - mixed.lam) * loss_value(spec, logits, int(mixed.labels_b[0]), ctx))
-        assert combined == loss_value(spec, logits, 0, ctx)
+        combined = (mixed.lam * row_loss(spec, logits, int(mixed.labels_a[0]), dist)[0]
+                    + (1 - mixed.lam) * row_loss(spec, logits, int(mixed.labels_b[0]), dist)[0])
+        assert combined == row_loss(spec, logits, 0, dist)[0]
 
     def test_midpoint(self):
         mixed = mixup_batch((np.array([[2.0, 0.0]]), [0]), (np.array([[0.0, 2.0]]), [1]),
