@@ -23,37 +23,24 @@ the block. The bytes equal those of encoding each record with
 ``jsonio.dumps``, and memory does not grow with the number of records.
 
 ``load_manifest`` checks the records in file order and names the first line
-at fault. It holds no whole form of the file: it reads the file in passes
-through one reused buffer of ``READ_BUFFER_BYTES``. The first pass hashes the
-bytes; on a miss, one more decodes them and counts the record lines, to size
-preallocated columns, and a last one parses, checks and writes the lines into
-those columns a row block (``model.BLOCK_ROWS``) of lines at a time. So
-invalid UTF-8 anywhere is named before any record is checked. It parses a
+at fault. It holds no whole form of the file: it hashes the bytes, and on a
+miss reads them as text through ``io.TextIOWrapper`` twice, to count the
+record lines and then to parse them into preallocated columns. It parses a
 given file content once per process: one module slot keeps the last manifest
 it parsed, keyed on the sha256 of the file's bytes (not on the path, size or
-mtime); a hit decodes nothing. The kept parse's ``features``, ``labels``
-and ``splits`` are read-only, and every load of the same bytes returns a new
-``Manifest`` that shares them, so no load copies them. A failed parse is
-never kept, and ``save_manifest`` does not fill the slot.
+mtime); a hit decodes nothing. The kept parse's ``features``, ``labels`` and
+``splits`` are read-only, and every load of the same bytes returns a new
+``Manifest`` that shares them. A failed parse is never kept, and
+``save_manifest`` does not fill the slot.
 
 In memory a manifest's ``labels`` column is (n,) int64 for single-label (the
 labels index classes) and (n, K) int8 for multi-label, one byte per 0/1 entry.
-
-``synth_gaussian`` costs little beyond its one normal draw. Its ids, record
-``i`` of class ``c`` in a split being ``f"{split}-{c}-{i}"``, depend only on
-the layout (the number of classes and the per-(split, class) counts), not on
-the seed: one module slot keeps the ids tuple of the last layout built. The
-class means are added a row block (``model.row_blocks``) at a time, the same
-elementwise adds as one whole-array add, so the bits are the same.
-
-``Manifest`` checks an ids tuple when it is built; the tuples those two slots
-hold were checked then, and pass again unchecked.
 """
 from __future__ import annotations
 
-import codecs
 import copy
 import hashlib
+import io
 import json
 import math
 from collections import Counter
@@ -84,16 +71,16 @@ class Manifest:
     array as given: floats must be whole numbers and are converted through
     int64; a multi-label int8 array is kept as it is, and any other is
     narrowed once after its 0/1 check. Splits partition the records.
-    ``ids`` is a tuple of unique strings (a list is stored as a tuple),
-    checked once per tuple: the tuple kept for the last synth layout or by the
-    kept parse was checked when it was built, cannot change, and passes
-    unchecked. Features are checked for finiteness a row block
+    ``ids`` is a tuple of unique strings (a list is stored as a tuple), checked
+    by ``_checked_ids``. Features are checked for finiteness a row block
     (``model.row_blocks``) at a time, and integer labels by their minimum and
     maximum, so the checks hold no whole-array temporary.
 
     ``splits`` is always read-only. A manifest returned by ``load_manifest``
     shares read-only ``features`` and ``labels`` with the kept parse: writing
-    into them raises ``ValueError``; ``subset`` returns writable copies.
+    into them raises ``ValueError``; ``subset`` returns writable copies. A
+    caller's writable ``features`` or ``labels`` already of the stored dtype
+    is kept by reference: a later write into it bypasses every check.
     """
 
     ids: tuple[str, ...]
@@ -191,13 +178,12 @@ class Manifest:
 def _checked_ids(ids) -> tuple[str, ...]:
     """``ids`` as a tuple, refused unless it holds unique strings.
 
-    A tuple and its strings are immutable, so the ids tuple kept by the synth
-    layout slot or by the kept parse, which were checked when they were built,
-    pass without a second check.
+    The tuple kept by the synth layout slot, immutable and checked when it was
+    built, passes unchecked: every ``synth_gaussian`` call of its layout reuses it.
     """
     ids = tuple(ids)
-    synth, parse = _synth_ids, _last_parse  # read once: another thread may replace a slot
-    if (synth is not None and ids is synth[1]) or (parse is not None and ids is parse[1].ids):
+    synth = _synth_ids  # read once: another thread may replace the slot
+    if synth is not None and ids is synth[1]:
         return ids
     if not ids:
         raise ValueError("manifest has no records")
@@ -285,8 +271,9 @@ def synth_gaussian(
     Records run split by split (train, val, test), class by class within a
     split; record ``i`` of class ``c`` has the id ``f"{split}-{c}-{i}"``. The
     features are one ``standard_normal`` draw of all records, and the class
-    means are added to it a row block (``model.row_blocks``) at a time, so no
-    (n, d) gather of means is held. The ids tuple depends only on the layout
+    means are added to it a row block (``model.row_blocks``) at a time: the
+    same elementwise adds as one whole-array add, with no (n, d) gather of
+    means held. The ids tuple depends only on the layout
     (K and the per-(split, class) counts), so the last layout's tuple is kept
     and reused by a call of the same layout, whatever its seed.
     """
@@ -369,31 +356,29 @@ def _manifest_blocks(manifest: Manifest):
 
 # (sha256 of a file's bytes, the Manifest parsed from them): the last successful parse
 _last_parse: tuple[bytes, Manifest] | None = None
-# bytes a load reads from its file at a time, into one buffer it reuses for every pass
+# bytes a load hashes at a time, read from its file into one buffer it reuses
 READ_BUFFER_BYTES = 2 ** 20
 
 
 def load_manifest(path) -> Manifest:
     """Read a JSONL manifest, rejecting records that violate the header.
 
-    The file is read through one open file and one reusable buffer
-    (``READ_BUFFER_BYTES``), in passes. The first hashes its bytes; when their
-    sha256 is that of the last successful parse in this process, that parse is
-    returned and nothing is decoded. Otherwise two more passes decode the
-    file: one checks that it is UTF-8 and counts its record lines, which sizes
-    the columns, and one hands its lines to ``_parse``. So no whole form of the
-    file is ever held, and what is parsed is the bytes that were hashed, even
-    if the path is replaced meanwhile. The kept parse's
-    ``features``, ``labels`` and ``splits`` are read-only; every load, the
-    first included, returns a new ``Manifest`` that shares them.
+    One open file is read in passes. The first hashes its bytes through one reusable
+    buffer (``READ_BUFFER_BYTES``); when their sha256 is that of the last successful
+    parse in this process, that parse is returned and nothing is decoded. Otherwise
+    ``io.TextIOWrapper`` (UTF-8, universal newlines: the same three breaks) decodes
+    the same file a chunk at a time: one pass over its lines checks that it is UTF-8
+    and counts the record lines, to size the columns, and one hands the lines to
+    ``_parse``. So what is parsed is the bytes that were hashed, even if the path is
+    replaced meanwhile. Every load, the first included, returns a new ``Manifest``
+    sharing the kept parse's read-only arrays.
     """
     global _last_parse
-    buf = bytearray(READ_BUFFER_BYTES + 3)  # room for a UTF-8 sequence that a read cut
-    reads = memoryview(buf)[:READ_BUFFER_BYTES]
+    buf = memoryview(bytearray(READ_BUFFER_BYTES))
     with open(path, "rb", buffering=0) as fh:
         sha, size = hashlib.sha256(), 0
-        while got := fh.readinto(reads):
-            sha.update(reads[:got])
+        while got := fh.readinto(buf):
+            sha.update(buf[:got])
             size += got
         digest = sha.digest()
         kept = _last_parse  # read once: another thread may replace the slot meanwhile
@@ -401,67 +386,46 @@ def load_manifest(path) -> Manifest:
             return copy.copy(kept[1])
         if not size:
             raise ManifestFormatError("manifest file is empty")
-        lines = _read_lines(fh, buf)  # every line is decoded before any is parsed
-        next(lines)  # the header line
-        records = sum(1 for line in lines if line.strip())
-        manifest = _parse(_read_lines(fh, buf), records)
+        del buf  # not held while the file is decoded
+        fh.seek(0)
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline=None)
+        try:  # every line is decoded before any is parsed
+            records = sum(1 for line in islice(text, 1, None) if line.strip())
+        except UnicodeDecodeError as exc:
+            raise _non_utf8_error(fh) from exc
+        text.seek(0)
+        manifest = _parse(text, records)
     _last_parse = (digest, manifest)
     return copy.copy(manifest)
 
 
-def _read_lines(fh, buf: bytearray) -> Iterator[str]:
-    """The lines of file ``fh`` from its start, cut at ``"\\n"``, ``"\\r\\n"`` and ``"\\r"``.
+def _non_utf8_error(fh) -> ManifestFormatError:
+    """The error naming the first line of file ``fh`` that is not UTF-8, read in binary.
 
-    The file is read into ``buf``, ``READ_BUFFER_BYTES`` at a time, after the
-    at most three bytes of a UTF-8 sequence that the last read cut, and each
-    read is decoded and split on its own. A ``"\\r\\n"`` cut by a read is one
-    break. The last line is what follows the last break (``""`` after a
-    trailing one). Bytes that are not UTF-8 raise once the lines before them
-    are yielded, naming the line they stand on.
+    ``bytes.splitlines`` cuts only at the three breaks, and no UTF-8 sequence
+    holds a ``\\r`` or ``\\n`` byte, so each line decodes, or fails, on its own.
     """
-    view = memoryview(buf)
     fh.seek(0)
-    done, carry, tail, after_cr = 0, 0, "", False
-    while True:
-        got = fh.readinto(view[carry:carry + READ_BUFFER_BYTES])
-        end = carry + got
-        try:
-            text, used = codecs.utf_8_decode(view[:end], "strict", not got)
-            fault = None
-        except UnicodeDecodeError as exc:  # the bytes before the fault decode
-            text, used, fault = str(view[:exc.start], "utf-8"), exc.start, exc
-        if text:
-            cut_crlf = after_cr and text[0] == "\n"  # the second half of a cut "\r\n"
-            after_cr = text[-1] == "\r"
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            lines = text.split("\n")
-            del text  # not held while the lines are
-            if cut_crlf:
-                del lines[0]
-            lines[0] = tail + lines[0]
-            tail = lines.pop()
-            done += len(lines)
-            yield from lines
-        if fault is not None:
-            raise ManifestFormatError(f"line {done + 1}: not valid UTF-8") from fault
-        if not got:
-            yield tail
-            return
-        carry = end - used
-        buf[:carry] = buf[used:end]
+    with io.BufferedReader(fh) as binary:  # closes fh too: the load fails
+        lines = chain.from_iterable(map(bytes.splitlines, binary))
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return ManifestFormatError(f"line {lineno}: not valid UTF-8")
+    return ManifestFormatError("manifest file changed while it was read")
 
 
 def _parse(lines: Iterator[str], n: int) -> Manifest:
     """Check a manifest file's lines into read-only columns, naming the first line at fault.
 
-    ``lines`` yields the file's lines, the header first; ``n``, the number
-    of record lines that are not blank, sizes the preallocated
-    ``features``, ``labels`` and ``splits`` columns. Blank lines are skipped.
-    The record lines are drawn a row block (``model.BLOCK_ROWS``) of lines at
-    a time: each line is parsed and its keys, id, features, label and split
-    are checked, and then the block's values are written into the columns, so
-    one block of lines and their parsed values is held at a time.
+    ``lines`` yields the file's lines, the header first, each with or without
+    its ``"\\n"``; ``n``, the number of record lines that are not blank, sizes
+    the preallocated ``features``, ``labels`` and ``splits`` columns. Blank
+    lines are skipped. The record lines are drawn, parsed and checked a row
+    block (``model.BLOCK_ROWS``) of lines at a time, and then the block's
+    values are written into the columns, so one block of lines and their
+    parsed values is held at a time.
 
     A structural fault raises at once, so the first in file order wins. A
     non-finite feature (``NaN``, ``Infinity`` and ``1e400`` all parse, and an
@@ -567,8 +531,8 @@ def _is_int(value) -> bool:
 
 
 def _parse_line(line: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(line)
+    try:  # without its break: in a string left open, json would name the break
+        obj = json.loads(line.removesuffix("\n"))
     except json.JSONDecodeError as exc:
         raise ManifestFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):

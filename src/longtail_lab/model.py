@@ -184,8 +184,8 @@ def forward_with_cache(model: ModelState, x: np.ndarray):
         if model.cls_b is not None:
             base += model.cls_b
     else:
-        w_norm = np.linalg.norm(model.cls_w, axis=1)
-        x_norm = np.linalg.norm(feats, axis=1)
+        w_norm = row_norms(model.cls_w)
+        x_norm = row_norms(feats)
         w_safe = np.where(w_norm > 0, w_norm, 1.0)
         x_safe = np.where(x_norm > 0, x_norm, 1.0)
         w_hat = model.cls_w / w_safe[:, None]
@@ -263,21 +263,27 @@ def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, out=None) 
     return grads
 
 
-def weight_norms(model: ModelState) -> np.ndarray:
-    """Classifier row L2 norms per class, in class-index order.
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of ``a``, with none lost to the range of its squares.
 
-    A finite row whose plain norm overflows (an entry above ~1.3e154 squares to inf) is
-    recomputed as max|w| * ||w / max|w|||; every other row keeps the plain norm's bits.
+    A row whose plain norm reads 0 though an entry is nonzero (entries below ~1.5e-154
+    square to 0), or inf though every entry is finite (one above ~1.3e154 squares to
+    inf), is recomputed as max|w| * ||w / max|w|||; other rows keep the plain norm's bits.
     """
-    w = model.cls_w
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(w, axis=1)
-        big = np.flatnonzero(np.isinf(norms))
-        big = big[np.isfinite(w[big]).all(axis=1)]
-        if big.size:
-            peak = np.abs(w[big]).max(axis=1)
-            norms[big] = peak * np.linalg.norm(w[big] / peak[:, None], axis=1)
+        norms = np.linalg.norm(a, axis=1)
+        redo = np.flatnonzero((norms == 0) | (norms == np.inf))
+        if redo.size:
+            peak = np.abs(a[redo]).max(axis=1)
+            scaled = (peak > 0) & (peak < np.inf)  # neither a zero row nor one holding inf
+            redo, peak = redo[scaled], peak[scaled]
+            norms[redo] = peak * np.linalg.norm(a[redo] / peak[:, None], axis=1)
     return norms
+
+
+def weight_norms(model: ModelState) -> np.ndarray:
+    """Classifier row L2 norms per class, in class-index order (``row_norms``)."""
+    return row_norms(model.cls_w)
 
 
 def tau_normalize(model: ModelState, tau: float) -> ModelState:

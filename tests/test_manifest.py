@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -829,6 +830,17 @@ class TestLineBreaks:
         with pytest.raises(ManifestFormatError, match=r"^line 2: invalid JSON \(Extra data\)$"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("end", HARD_BREAKS, ids=["lf", "crlf", "cr"])
+    def test_string_left_open_at_a_break_named_as_the_reference(self, tmp_path, end):
+        # the break that ends the line is not part of the JSON text that is decoded
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(end.join(['{"num_classes": 2, "feature_dim": 2, "task": "single"}',
+                                   '{"id": "a', _record("b"), ""]).encode("utf-8"))
+        with pytest.raises(ManifestFormatError,
+                           match=r"^line 2: invalid JSON \(Unterminated string starting at\)$"):
+            load_manifest(path)
+        assert _outcome(_reference_load, path) == _outcome(load_manifest, path)
+
     @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
     def test_non_utf8_line_named_after_an_id_holding_a_raw_break(self, tmp_path, char):
         lines = [b'{"num_classes": 2, "feature_dim": 2, "task": "single"}',
@@ -972,9 +984,20 @@ def manifest_bytes(draw):
     return data
 
 
+def decode_chunks_of(patch, size):
+    """Make every ``io.TextIOWrapper`` built from now on read and decode ``size`` bytes at
+    a time."""
+    class SmallChunks(io.TextIOWrapper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._CHUNK_SIZE = size
+
+    patch.setattr(io, "TextIOWrapper", SmallChunks)
+
+
 class TestReadBufferEdges:
-    """Reads of 1-7 bytes: every break, wide character and byte run that is not UTF-8
-    then straddles the edge of some read."""
+    """Decode chunks of 1-7 bytes: every break, wide character and byte run that is not
+    UTF-8 then straddles the edge of some chunk."""
 
     @settings(max_examples=300, deadline=None)
     @given(manifest_bytes(), st.integers(1, 7))
@@ -983,15 +1006,26 @@ class TestReadBufferEdges:
         from pathlib import Path
 
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(manifest_module, "READ_BUFFER_BYTES", read_bytes)
+            decode_chunks_of(patch, read_bytes)
             patch.setattr(manifest_module, "_last_parse", None)  # a cold load
             path = Path(tmp) / "m.jsonl"
             path.write_bytes(data)
             assert _outcome(load_manifest, path) == _reference_outcome(path)
 
+    def test_bad_byte_past_the_first_decode_chunk(self, tmp_path):
+        lines = [TestBlockEdges.HEADER] + [_record(f"r{i:04d}") for i in range(1200)] + [""]
+        data = "\r\n".join(lines).encode("utf-8")
+        at = data.index(b'"r1100"') + 2
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(data[:at] + b"\xe2\x82" + data[at:])
+        assert at > 64 * 2 ** 10
+        with pytest.raises(ManifestFormatError, match="^line 1102: not valid UTF-8$"):
+            load_manifest(path)
+        assert _outcome(load_manifest, path) == _reference_outcome(path)
+
     @pytest.mark.parametrize("read_bytes", [1, 2, 3])
     def test_crlf_cut_by_a_read_is_one_break(self, tmp_path, monkeypatch, read_bytes):
-        monkeypatch.setattr(manifest_module, "READ_BUFFER_BYTES", read_bytes)
+        decode_chunks_of(monkeypatch, read_bytes)
         records = [_record("a"), "", _record("b")]
         path = tmp_path / "m.jsonl"
         path.write_bytes("\r\n".join([TestBlockEdges.HEADER] + records + ["\xff"]).encode("latin-1"))
@@ -1099,34 +1133,38 @@ class TestLoadCache:
         assert hit < 2 * 2 ** 20
 
     def test_hit_decodes_nothing(self, tiny_manifest, tmp_path, monkeypatch):
-        reads = []
-        read_lines = manifest_module._read_lines
+        passes = []
 
-        def counting(fh, buf):
-            reads.append(1)
-            return read_lines(fh, buf)
+        class Counting(io.TextIOWrapper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                passes.append(1)  # the count pass
 
-        monkeypatch.setattr(manifest_module, "_read_lines", counting)
+            def seek(self, *args):
+                passes.append(1)  # the parse pass
+                return super().seek(*args)
+
+        monkeypatch.setattr(io, "TextIOWrapper", Counting)
         path = tmp_path / "m.jsonl"
         save_manifest(tiny_manifest, path)
         load_manifest(path)
-        assert reads == [1, 1]  # a miss: one pass counts the record lines, one parses them
+        assert passes == [1, 1]  # a miss: one pass counts the record lines, one parses them
         load_manifest(path)
-        assert reads == [1, 1]
+        assert passes == [1, 1]
 
     def test_file_replaced_after_hashing_parses_the_hashed_bytes(self, tmp_path, monkeypatch):
         path = tmp_path / "m.jsonl"
         first, second = blob_manifest([3, 2]), blob_manifest([4, 1])
         save_manifest(first, path)
         hashed = path.read_bytes()
-        read_lines = manifest_module._read_lines
 
-        def replacing(fh, buf):  # save_manifest replaces the path with os.replace
-            if path.read_bytes() == hashed:
-                save_manifest(second, path)
-            return read_lines(fh, buf)
+        class Replacing(io.TextIOWrapper):  # built once the bytes are hashed
+            def __init__(self, *args, **kwargs):
+                if path.read_bytes() == hashed:  # save_manifest replaces the path with os.replace
+                    save_manifest(second, path)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(manifest_module, "_read_lines", replacing)
+        monkeypatch.setattr(io, "TextIOWrapper", Replacing)
         assert _outcome(load_manifest, path) == _outcome(lambda _: first, path)
         assert manifest_module._last_parse[0] == hashlib.sha256(hashed).digest()
         assert _outcome(load_manifest, path) == _outcome(lambda _: second, path)

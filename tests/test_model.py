@@ -9,7 +9,7 @@ from longtail_lab import (LossSpec, ModelState, NcmClassifier, batch_loss_and_gr
                           decision_scores, distribution_from_counts,
                           init_model, load_checkpoint, loss_plan, save_checkpoint, tau_normalize,
                           weight_norms)
-from longtail_lab.model import backward, forward_with_cache
+from longtail_lab.model import backward, forward_with_cache, row_norms
 
 from conftest import traced_peak
 
@@ -28,6 +28,13 @@ class TestForward:
         model = ModelState(cls_w=w, cls_b=None, classifier_kind="cosine", temperature=16.0)
         logits = decision_scores(model, [5.0, 0.0])
         assert abs(logits[0] - 16.0) < 1e-12
+
+    def test_cosine_rows_whose_squares_overflow_are_scored(self):
+        # entries above ~1.3e154 square past the float range, in a weight row and in a feature
+        w = np.array([[3e200, 4e200], [0.0, 1.0]])
+        model = ModelState(cls_w=w, cls_b=None, classifier_kind="cosine", temperature=16.0)
+        logits, _ = forward_with_cache(model, np.array([[1.0, 0.0], [2e200, 0.0]]))
+        np.testing.assert_allclose(logits, [[9.6, 0.0], [9.6, 0.0]], rtol=1e-15, atol=0)
 
     def test_dimension_mismatch(self):
         model = init_model(3, 4)
@@ -98,6 +105,28 @@ class TestWeightNorms:
         assert norms[1] == np.linalg.norm(w[1])
         out = tau_normalize(model, 1.0)
         np.testing.assert_allclose(weight_norms(out), np.ones(3), rtol=1e-15)
+
+    def test_rows_whose_squares_underflow_keep_their_norm(self):
+        # every entry below ~1.5e-154 squares to 0; a zero row still reads 0
+        w = np.array([[1e-300, 0.0], [3e-170, 4e-170], [0.0, 0.0]])
+        norms = weight_norms(ModelState(cls_w=w, cls_b=np.zeros(3)))
+        np.testing.assert_allclose(norms, [1e-300, 5e-170, 0.0], rtol=1e-15, atol=0)
+        out = tau_normalize(ModelState(cls_w=w[:2], cls_b=np.zeros(2)), 1.0)
+        np.testing.assert_allclose(weight_norms(out), np.ones(2), rtol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)),
+                      elements=st.one_of(st.just(0.0), st.floats(1e-150, 1e150),
+                                         st.floats(-1e150, -1e-150))),
+           st.floats(0.1, 100.0))
+    def test_rows_in_normal_range_keep_the_plain_norms_bits(self, w, temperature):
+        plain = np.linalg.norm(w, axis=1)
+        assert row_norms(w).tobytes() == plain.tobytes()
+        assert weight_norms(ModelState(cls_w=w, cls_b=None)).tobytes() == plain.tobytes()
+        model = ModelState(cls_w=w, cls_b=None, classifier_kind="cosine",
+                           temperature=temperature)
+        _, cache = forward_with_cache(model, w)  # the rows as features too
+        assert cache["w_norm"].tobytes() == cache["x_norm"].tobytes() == plain.tobytes()
 
 
 class TestNcm:

@@ -20,6 +20,7 @@ def test_report_digests_prints_one_stable_line_per_named_report(tmp_path):
     for prefix in ("desk_sweep/", "mid_stage2/", "hidden/", "manifest/bce_ml",
                    "manifest/focal_bce_ml", "cosine", "mixup", "sam/sgd", "sam/adam",
                    "sampler/difficulty", "sampler/batch-above-cap",
-                   "sampler/difficulty-short-last-draw", "stage2/ncm", "stage2/cosine_retrain"):
+                   "sampler/difficulty-short-last-draw", "stage2/ncm", "stage2/cosine_retrain",
+                   "manifest/single-crlf-pareto"):
         assert any(name.startswith(prefix) for name in names), prefix
     assert list(tmp_path.iterdir()) == []  # its files went to a directory of its own

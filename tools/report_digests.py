@@ -12,9 +12,10 @@ The set, at ``--seed``: the bench's ``desk_sweep`` and ``mid_stage2`` configs
 (``bench/workloads.py``); every loss kind with a hidden layer; cosine heads;
 MixUp, SGD+SAM and Adam+SAM; every sampler kind, one epoch of it longer than a
 fit draws at once; every stage-2 kind; the multi-label kinds trained from a
-saved manifest; and two edges of a fit's draw schedule, a batch above the draw
-cap and difficulty epochs whose last draw is short. ``--tiny`` shrinks every
-dataset and epoch count, for a smoke test.
+saved manifest; two edges of a fit's draw schedule, a batch above the draw
+cap and difficulty epochs whose last draw is short; and a Pareto cut of a saved
+single-label manifest, ``single-crlf.jsonl``, whose line breaks are rewritten as
+``"\r\n"``. ``--tiny`` shrinks every dataset and epoch count, for a smoke test.
 
 Reports and the manifest are written to a temporary directory that is removed
 at the end, so nothing is written into the checkout. The configs name the
@@ -41,6 +42,7 @@ from longtail_lab.samplers import SAMPLER_KINDS  # noqa: E402
 from longtail_lab.training import _HEAD_FITS, MAX_DRAWN_ROWS, STAGE2_KINDS  # noqa: E402
 
 MANIFEST = "multilabel.jsonl"  # relative to the working directory of the runs
+SINGLE = "single-crlf.jsonl"  # a balanced synth draw, saved, its breaks rewritten as "\r\n"
 
 
 def named_configs(seed: int, tiny: bool) -> list[tuple[str, dict]]:
@@ -91,7 +93,11 @@ def named_configs(seed: int, tiny: bool) -> list[tuple[str, dict]]:
           sampler={"kind": "class_balanced", "epoch_length": 2 * (MAX_DRAWN_ROWS + 1)})
     entry("sampler/difficulty-short-last-draw", batch_size=MAX_DRAWN_ROWS // 8,
           sampler={"kind": "difficulty", "epoch_length": 11 * (MAX_DRAWN_ROWS // 8)})
-    for _, raw in own[-2:]:
+    # a single-label manifest read from a file and cut to a long tail
+    entry("manifest/single-crlf-pareto", dataset={"manifest": SINGLE,
+                                                  "pareto": {"n0": 40 if tiny else 200,
+                                                             "ratio": 10.0}})
+    for _, raw in own[-3:]:
         raw["seed"] = seed
     return entries + own
 
@@ -110,6 +116,11 @@ def report_digests(seed: int, tiny: bool) -> list[str]:
             ml = (12, 8, 400) if tiny else (60, 16, 1200)  # labels, feature dim, records
             longtail_lab.save_manifest(workloads.multilabel_manifest(seed, *ml, 2.3), MANIFEST)
             lines = [_digest_line(MANIFEST, f"manifest/{MANIFEST}")]
+            single = longtail_lab.synth_gaussian(5, 6, 60 if tiny else 300, 1.0, seed=seed,
+                                                 val_per_class=10, test_per_class=20)
+            longtail_lab.save_manifest(single, SINGLE)
+            crlf = Path(SINGLE).read_bytes().replace(b"\n", b"\r\n")
+            Path(SINGLE).write_bytes(crlf)
             for i, (name, raw) in enumerate(named_configs(seed, tiny)):
                 out = f"report-{i}.json"
                 longtail_lab.run_experiment(longtail_lab.parse_config(raw), out_path=out)
