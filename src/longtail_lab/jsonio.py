@@ -78,24 +78,28 @@ def _array_text(a: np.ndarray) -> str:
     if np.isinf(x).any():
         raise ValueError("cannot serialize non-finite float")
     nan = np.isnan(x)
-    # format_float appends ".0" to a token with neither a point nor an exponent;
-    # %.17g prints such a token for exactly the integral values below 1e17 in magnitude
-    whole = (x == np.trunc(x)) & (np.abs(x) < 1e17)
+    whole = point_free(x)
     if not (nan.any() or whole.any()):
         return _template("%.17g", x.shape) % tuple(x.ravel().tolist())
     tokens = np.where(nan, "null", np.where(whole, "%.17g.0", "%.17g"))
     return str(tokens.tolist()).replace("'", "") % tuple(x[~nan].tolist())
 
 
-def row_texts(a: np.ndarray) -> list[str]:
-    """The JSON text of each row of 2-D numeric array ``a``, each equal to ``dumps(row)``.
+def point_free(x: np.ndarray) -> np.ndarray:
+    """Where ``%.17g`` prints float64 ``x`` with neither a point nor an exponent, so that
+    ``format_float`` appends ``.0``: exactly the integral values below 1e17 in magnitude."""
+    return (x == np.trunc(x)) & (np.abs(x) < 1e17)
 
-    Floats take one ``%.17g`` pass over the whole array; integers from 0 to 9,
-    such as 0/1 labels, come from one byte table, a digit every third byte.
+
+def row_texts(a: np.ndarray) -> list[str]:
+    """The JSON text of each row of 2-D integer array ``a``, each equal to ``dumps(row)``.
+
+    Integers from 0 to 9, such as 0/1 labels, come from one byte table, a digit
+    every third byte; others from each row's list, whose repr is its JSON text.
     """
-    if not a.size:
-        return [_array_text(row) for row in a]
-    if a.dtype.kind in "iu" and a.min() >= 0 and a.max() <= 9:
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"row_texts takes integer rows, not {a.dtype}")
+    if a.size and a.min() >= 0 and a.max() <= 9:
         n, d = a.shape
         table = np.full((n, 3 * d), ord(" "), dtype=np.uint8)  # "[0, 1, 0]": 3 bytes a value
         table[:, 0] = ord("[")
@@ -104,8 +108,7 @@ def row_texts(a: np.ndarray) -> list[str]:
         table[:, -1] = ord("]")
         text = table.tobytes().decode("ascii")
         return [text[i:i + 3 * d] for i in range(0, len(text), 3 * d)]
-    # "[[1.5, 2.0], [3.0, 4.5]]": no number's text holds a bracket or a line break
-    return _array_text(a)[1:-1].replace("], [", "]\n[").split("\n")
+    return [str(row) for row in a.tolist()]
 
 
 def _template(token: str, shape: tuple[int, ...]) -> str:

@@ -17,10 +17,13 @@ U+2029 stand raw in them. A line ends only at ``"\n"``, ``"\r\n"`` or
 among them, is an ordinary character of its line.
 
 ``save_manifest`` renders and writes the records a block of rows at a time
-(``SAVE_BLOCK_VALUES`` feature values): one ``%.17g`` pass over the block's
-features, 0/1 label rows from one byte table, and one record template for
-the block. The bytes equal those of encoding each record with
-``jsonio.dumps``, and memory does not grow with the number of records.
+(``SAVE_BLOCK_VALUES`` feature values). A block is one %-template that holds
+each feature's token inline, ``%.17g`` or, for a value it prints with neither
+a point nor an exponent, ``%.17g.0``; one tuple of ids, features, 0/1 label
+rows (from one byte table) and splits fills it. The bytes equal those of
+encoding each record with ``jsonio.dumps``, and memory does not grow with the
+number of records. A NaN or infinite feature, which a caller can write into
+an array the manifest keeps by reference, is refused with ``ValueError``.
 
 ``load_manifest`` checks the records in file order and names the first line
 at fault. It holds no whole form of the file: it hashes the bytes, and on a
@@ -328,7 +331,8 @@ def save_manifest(manifest: Manifest, path) -> None:
     """Write JSON Lines, a header line and then one record per line, atomically.
 
     Records are rendered and written a block of rows (``SAVE_BLOCK_VALUES``
-    feature values) at a time, so memory does not grow with the manifest.
+    feature values) at a time, so memory does not grow with the manifest. A
+    non-finite feature raises ``ValueError`` and leaves ``path`` as it was.
     """
     jsonio.write_atomic(path, _manifest_blocks(manifest))
 
@@ -341,17 +345,29 @@ def _manifest_blocks(manifest: Manifest):
         "task": manifest.task_kind,
     }
     yield jsonio.dumps(header) + "\n"
-    record = ('{"id": %s, "features": %s, "' + _LABEL_KEY[manifest.task_kind]
-              + '": %s, "split": "%s"}\n')
-    rows = max(1, SAVE_BLOCK_VALUES // max(1, manifest.feature_dim))
+    d = manifest.feature_dim
+    opens = '{"id": %s, "features": ['
+    closes = '], "' + _LABEL_KEY[manifest.task_kind] + '": %s, "split": "%s"}\n'
+    record = opens + ", ".join(["%.17g"] * d) + closes
+    rows = max(1, SAVE_BLOCK_VALUES // max(1, d))
     for start in range(0, len(manifest), rows):
         block = slice(start, start + rows)
-        ids = [_json_string(rid) for rid in manifest.ids[block]]
+        features = manifest.features[block]
+        if not np.isfinite(features).all():  # a caller may have written into its array
+            raise ValueError("features must be finite")
+        whole = jsonio.point_free(features)
+        if whole.any():
+            template = "".join(opens + ", ".join(tokens) + closes
+                               for tokens in np.where(whole, "%.17g.0", "%.17g").tolist())
+        else:
+            template = record * len(features)
         labels = manifest.labels[block]
-        labels = labels.tolist() if labels.ndim == 1 else jsonio.row_texts(labels)
-        fields = zip(ids, jsonio.row_texts(manifest.features[block]), labels,
-                     manifest.splits[block].tolist())
-        yield (record * len(ids)) % tuple(chain.from_iterable(fields))
+        values = np.empty((len(features), d + 3), dtype=object)  # a record's values in a row
+        values[:, 0] = [_json_string(rid) for rid in manifest.ids[block]]
+        values[:, 1:-2] = features
+        values[:, -2] = labels if labels.ndim == 1 else jsonio.row_texts(labels)
+        values[:, -1] = manifest.splits[block]
+        yield template % tuple(values.ravel().tolist())
 
 
 # (sha256 of a file's bytes, the Manifest parsed from them): the last successful parse

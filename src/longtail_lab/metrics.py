@@ -101,14 +101,16 @@ def average_precision_per_label(scores, truths) -> np.ndarray:
     (NaN scores rank last, and -0.0 ties with 0.0). Labels are scored in blocks
     of rows of a transposed (labels, samples) layout, at most
     ``AP_CHUNK_ELEMENTS`` elements per block, so memory stays bounded for any
-    size. Only the positives are ranked: each row of negated scores is sorted
-    by value, and one binary search over all positives of the block counts the
-    keys below each positive's key. A positive whose key equals another
-    sample's gets the count of equal keys at a lower sample index added, which
-    gives its place in the (score, index) order. Its precision, hits / rank, is
-    put at that rank in a row of zeros, and each row is summed. That row is the
-    one a cumulative sum over the whole ranked row gives, and it is contiguous,
-    so its pairwise sum, and every AP, is bitwise equal to a per-label loop.
+    size. Only the positives are ranked. They are found, and counted per label,
+    through a bool view of 1-byte 0/1 truths (other dtypes are compared with 0).
+    Each row of negated scores is sorted by value, and one binary search over
+    all positives of the block counts the keys below each positive's key. A
+    positive whose key equals another sample's gets the count of equal keys at
+    a lower sample index added, which gives its place in the (score, index)
+    order. Its precision, hits / rank, is put at that rank in a row of zeros,
+    and each row is summed. That row is the one a cumulative sum over the whole
+    ranked row gives, and it is contiguous, so its pairwise sum, and every AP,
+    is bitwise equal to a per-label loop.
     """
     s = np.asarray(scores, dtype=np.float64)
     t = np.asarray(truths)
@@ -118,18 +120,19 @@ def average_precision_per_label(scores, truths) -> np.ndarray:
         raise ValueError("truths must be binary")
     n, k = s.shape
     aps = np.full(k, np.nan)
-    positives = t.sum(axis=0)
-    scored = np.flatnonzero(positives > 0)
+    positive = t.view(np.bool_) if t.dtype.itemsize == 1 else t != 0  # 0/1 bytes read as bools
+    scored = np.flatnonzero(positive.any(axis=0))
     block = max(1, AP_CHUNK_ELEMENTS // max(1, n))
     for start in range(0, scored.size, block):
         labels = scored[start:start + block]
         keys = s.T[labels]
         np.negative(keys, out=keys)
         flat = keys.ravel()
-        at = np.flatnonzero(t.T[labels])  # flat positions of the positives, row by row
+        at = np.flatnonzero(positive.T[labels])  # flat positions of the positives, row by row
         own = flat[at]
         keys.sort(axis=1)  # NaN last
-        row_start = at - at % n
+        row = at // n
+        row_start = row * n
         below = _count_below(flat, row_start, own, n, np.less)
         nan = np.isnan(own)
         if nan.any():  # a NaN key ranks after every number of its row
@@ -145,7 +148,7 @@ def average_precision_per_label(scores, truths) -> np.ndarray:
         hits = np.arange(1, ranked.size + 1) - np.searchsorted(row_start, row_start)
         precision = np.zeros_like(keys)
         precision.ravel()[ranked] = hits / (ranked - row_start + 1)
-        aps[labels] = precision.sum(axis=1) / positives[labels]
+        aps[labels] = precision.sum(axis=1) / np.bincount(row, minlength=labels.size)
     empty = [int(c) for c in np.flatnonzero(np.isnan(aps))]
     if empty:
         warnings.warn(f"labels {empty} have no positives; skipped in mAP")

@@ -287,7 +287,12 @@ def weight_norms(model: ModelState) -> np.ndarray:
 
 
 def tau_normalize(model: ModelState, tau: float) -> ModelState:
-    """Rescale rows to w_c / ||w_c||^tau and zero the bias; no training involved."""
+    """Rescale rows to w_c / ||w_c||^tau and zero the bias; no training involved.
+
+    A row whose ||w_c||^tau reads 0 or inf, or falls below the smallest normal
+    float, is recomputed as (w_c / ||w_c||) * ||w_c||^(1 - tau); other rows keep
+    the bits of the plain quotient, and at tau = 1 so do these.
+    """
     if model.classifier_kind != "linear":
         raise ValueError("tau normalization requires a linear classifier")
     out = model.copy()
@@ -298,7 +303,13 @@ def tau_normalize(model: ModelState, tau: float) -> ModelState:
         zero = np.flatnonzero(norms == 0)
         if zero.size:
             raise ValueError(f"class {int(zero[0])} has a zero-norm row; tau={tau} is undefined")
-        new_w = out.cls_w / norms[:, None] ** tau
+        with np.errstate(over="ignore"):
+            scale = norms ** tau
+        redo = (scale < np.finfo(np.float64).tiny) | (scale == np.inf)
+        scale[redo] = 1.0  # those rows are recomputed below
+        new_w = out.cls_w / scale[:, None]
+        n = norms[redo, None]
+        new_w[redo] = (out.cls_w[redo] / n) * n ** (1 - tau)
     return replace(out, cls_w=new_w, cls_b=np.zeros(model.num_classes))
 
 

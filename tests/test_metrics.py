@@ -221,6 +221,10 @@ SCORE_VALUES = st.one_of(
 )
 
 
+# int8 is the manifest's label dtype; 1-byte truths are read through a bool view
+TRUTH_DTYPES = (np.int8, np.uint8, bool, np.int64, np.float64)
+
+
 @st.composite
 def scored_truths(draw):
     """(n, K) scores, each drawn from a small pool with some probability, else normal."""
@@ -229,7 +233,7 @@ def scored_truths(draw):
     pool = np.array(draw(st.lists(SCORE_VALUES, min_size=1, max_size=8)))
     pooled = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
     rates = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=k, max_size=k))
-    dtype = draw(st.sampled_from([np.int64, np.float64, bool]))
+    dtype = draw(st.sampled_from(TRUTH_DTYPES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scores = np.where(rng.random((n, k)) < pooled, rng.choice(pool, size=(n, k)),
                       rng.standard_normal((n, k)))
@@ -302,6 +306,27 @@ class TestAveragePrecisionPerLabel:
         assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
         assert np.array_equal(whole.view(np.uint64),
                               ap_per_label_loop(scores, truths).view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(scored_truths())
+    def test_bits_equal_across_truth_dtypes(self, case):
+        scores, truths = case
+        truths[:, 0] = 0  # a label with no positives
+        want = ap_blocked(scores, truths.astype(np.int8))
+        for dtype in TRUTH_DTYPES:
+            got = ap_blocked(scores, truths.astype(dtype))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), dtype
+
+    @pytest.mark.parametrize("name, scores, truths", tie_cases(), ids=[c[0] for c in tie_cases()])
+    @pytest.mark.parametrize("dtype", TRUTH_DTYPES)
+    def test_ties_bitwise_equal_for_every_truth_dtype(self, name, scores, truths, dtype):
+        truths = truths.astype(dtype)
+        want = ap_per_label_loop(scores, truths)
+        got = ap_blocked(scores, truths)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # a strided view of the same bytes reads the same
+        got = ap_blocked(np.asfortranarray(scores), np.asfortranarray(truths))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_inputs_are_not_modified(self):
         scores = np.random.default_rng(3).standard_normal((20, 4))

@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from longtail_lab import (LossSpec, ModelState, NcmClassifier, batch_loss_and_grad,
@@ -87,6 +88,29 @@ class TestTauNormalize:
         before = model.cls_w.copy()
         tau_normalize(model, 1.0)
         np.testing.assert_array_equal(model.cls_w, before)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau, want", [
+        (1.5, [[1e150, 0.0], [0.6 / math.sqrt(5e-170), 0.8 / math.sqrt(5e-170)], [1e-100, 0.0]]),
+        (2.0, [[1e300, 0.0], [0.6 * 2e169, 0.8 * 2e169], [1e-200, 0.0]]),
+    ])
+    def test_rows_whose_power_leaves_the_normal_range(self, tau, want):
+        # ||w||^tau underflows for the first two rows and overflows for the last at tau=2
+        w = np.array([[1e-300, 0.0], [3e-170, 4e-170], [1e200, 0.0]])
+        out = tau_normalize(ModelState(cls_w=w, cls_b=np.zeros(3)), tau)
+        np.testing.assert_allclose(out.cls_w, want, rtol=1e-14, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)),
+                      elements=st.one_of(st.just(0.0), st.floats(1e-60, 1e60),
+                                         st.floats(-1e60, -1e-60))),
+           st.floats(-2.0, 3.0))
+    def test_rows_in_normal_range_keep_the_plain_quotients_bits(self, w, tau):
+        # norms within [1e-60, 3e60] keep ||w||^tau, and the quotients, in the normal range
+        norms = weight_norms(ModelState(cls_w=w, cls_b=None))
+        assume((norms > 0).all())
+        out = tau_normalize(ModelState(cls_w=w, cls_b=np.zeros(w.shape[0])), tau)
+        assert out.cls_w.tobytes() == (w / norms[:, None] ** tau).tobytes()
 
 
 class TestWeightNorms:

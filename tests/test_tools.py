@@ -21,6 +21,7 @@ def test_report_digests_prints_one_stable_line_per_named_report(tmp_path):
                    "manifest/focal_bce_ml", "cosine", "mixup", "sam/sgd", "sam/adam",
                    "sampler/difficulty", "sampler/batch-above-cap",
                    "sampler/difficulty-short-last-draw", "stage2/ncm", "stage2/cosine_retrain",
-                   "manifest/single-crlf-pareto"):
+                   "manifest/single-crlf-pareto", "manifest/single-integral"):
         assert any(name.startswith(prefix) for name in names), prefix
+    assert names[-2:] == ["manifest/single-integral", "manifest/single-integral.jsonl"]
     assert list(tmp_path.iterdir()) == []  # its files went to a directory of its own

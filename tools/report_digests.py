@@ -15,7 +15,9 @@ fit draws at once; every stage-2 kind; the multi-label kinds trained from a
 saved manifest; two edges of a fit's draw schedule, a batch above the draw
 cap and difficulty epochs whose last draw is short; and a Pareto cut of a saved
 single-label manifest, ``single-crlf.jsonl``, whose line breaks are rewritten as
-``"\r\n"``. ``--tiny`` shrinks every dataset and epoch count, for a smoke test.
+``"\r\n"``. Last come a run from a saved single-label manifest whose features are
+whole numbers, ``-0.0`` among them, and that file, ``manifest/single-integral.jsonl``.
+``--tiny`` shrinks every dataset and epoch count, for a smoke test.
 
 Reports and the manifest are written to a temporary directory that is removed
 at the end, so nothing is written into the checkout. The configs name the
@@ -26,11 +28,14 @@ tree and every run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -43,6 +48,7 @@ from longtail_lab.training import _HEAD_FITS, MAX_DRAWN_ROWS, STAGE2_KINDS  # no
 
 MANIFEST = "multilabel.jsonl"  # relative to the working directory of the runs
 SINGLE = "single-crlf.jsonl"  # a balanced synth draw, saved, its breaks rewritten as "\r\n"
+INTEGRAL = "single-integral.jsonl"  # that draw, its features doubled and rounded to whole numbers
 
 
 def named_configs(seed: int, tiny: bool) -> list[tuple[str, dict]]:
@@ -97,7 +103,9 @@ def named_configs(seed: int, tiny: bool) -> list[tuple[str, dict]]:
     entry("manifest/single-crlf-pareto", dataset={"manifest": SINGLE,
                                                   "pareto": {"n0": 40 if tiny else 200,
                                                              "ratio": 10.0}})
-    for _, raw in own[-3:]:
+    # features that %.17g prints with neither a point nor an exponent
+    entry("manifest/single-integral", dataset={"manifest": INTEGRAL})
+    for _, raw in own[-4:]:
         raw["seed"] = seed
     return entries + own
 
@@ -121,10 +129,14 @@ def report_digests(seed: int, tiny: bool) -> list[str]:
             longtail_lab.save_manifest(single, SINGLE)
             crlf = Path(SINGLE).read_bytes().replace(b"\n", b"\r\n")
             Path(SINGLE).write_bytes(crlf)
+            features = np.round(2.0 * single.features)
+            features[0, 0] = -0.0
+            longtail_lab.save_manifest(dataclasses.replace(single, features=features), INTEGRAL)
             for i, (name, raw) in enumerate(named_configs(seed, tiny)):
                 out = f"report-{i}.json"
                 longtail_lab.run_experiment(longtail_lab.parse_config(raw), out_path=out)
                 lines.append(_digest_line(out, name))
+            lines.append(_digest_line(INTEGRAL, f"manifest/{INTEGRAL}"))
         finally:
             os.chdir(here)
     return lines
