@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Annotated
 
 import numpy as np
@@ -129,10 +129,10 @@ def config_values():
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON config dict; rejected before any compute on error."""
+    # the experiment seed is the one seed authority: the caller derives each stage's
+    # generator from it with stage_rngs
     with config_values():
-        config = jsonio.parse_fields(ExperimentConfig, raw, "config")
-    # the experiment seed is the one seed authority; the train section has none of its own
-    return replace(config, train=replace(config.train, seed=config.seed))
+        return jsonio.parse_fields(ExperimentConfig, raw, "config")
 
 
 def check_task(train: TrainConfig, task_kind: str) -> None:

@@ -165,18 +165,17 @@ def takes(predicate) -> dict:
 
 @functools.cache  # get_type_hints evaluates every string annotation on each call
 def _config_fields(cls) -> tuple:
-    """(field, annotation) of each field of dataclass ``cls`` that a config sets: all fields
-    but those marked ``config: False``."""
+    """(field, annotation) of each field of dataclass ``cls``; a config may set every one."""
     hints = typing.get_type_hints(cls, include_extras=True)
-    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls)
-                 if f.metadata.get("config", True))
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def check_finite(spec) -> None:
     """Refuse a NaN or infinite value in a ``float`` (or ``float | None``) field of ``spec``.
 
     A spec's constructor calls it last, for library callers: a config value is
-    already refused by ``parse_fields``.
+    already refused by ``parse_fields``. Every field of a spec is a config field,
+    so every one is checked.
     """
     for f, hint in _config_fields(type(spec)):
         value = getattr(spec, f.name)

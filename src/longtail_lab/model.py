@@ -118,10 +118,12 @@ def check_hidden_dim(hidden_dim: int | None) -> None:
 
 def init_model(num_classes: int, feature_dim: int, *, hidden_dim: int | None = None,
                classifier_kind: str = "linear", temperature: float = 16.0,
-               rng: np.random.Generator | None = None) -> ModelState:
-    """Fresh model: zero-initialized linear head, or small random rows for cosine."""
+               rng: np.random.Generator) -> ModelState:
+    """Fresh model: zero-initialized linear head, or small random rows for cosine.
+
+    The encoder and cosine rows are drawn from ``rng``, which the caller passes.
+    """
     check_hidden_dim(hidden_dim)
-    rng = rng or np.random.default_rng(0)
     encoder_w = encoder_b = None
     f = feature_dim
     if hidden_dim is not None:
@@ -290,8 +292,9 @@ def tau_normalize(model: ModelState, tau: float) -> ModelState:
     """Rescale rows to w_c / ||w_c||^tau and zero the bias; no training involved.
 
     A row whose ||w_c||^tau reads 0 or inf, or falls below the smallest normal
-    float, is recomputed as (w_c / ||w_c||) * ||w_c||^(1 - tau); other rows keep
-    the bits of the plain quotient, and at tau = 1 so do these.
+    float, is recomputed as (w_c / ||w_c||) * ||w_c||^(1 - tau), with a zero entry
+    kept 0 where that factor overflows; other rows keep the bits of the plain
+    quotient, and at tau = 1 so do these.
     """
     if model.classifier_kind != "linear":
         raise ValueError("tau normalization requires a linear classifier")
@@ -309,7 +312,9 @@ def tau_normalize(model: ModelState, tau: float) -> ModelState:
         scale[redo] = 1.0  # those rows are recomputed below
         new_w = out.cls_w / scale[:, None]
         n = norms[redo, None]
-        new_w[redo] = (out.cls_w[redo] / n) * n ** (1 - tau)
+        unit = out.cls_w[redo] / n
+        np.multiply(unit, n ** (1 - tau), out=unit, where=unit != 0)  # 0, not 0 * inf = nan
+        new_w[redo] = unit
     return replace(out, cls_w=new_w, cls_b=np.zeros(model.num_classes))
 
 

@@ -70,9 +70,11 @@ class Stage2Spec:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The train section of a config. It holds no seed: each stage takes its generator
+    from the caller, derived from the experiment seed by ``stage_rngs``."""
+
     epochs: int = 30
     batch_size: int = 64
-    seed: int = field(default=0, metadata={"config": False})  # the experiment's seed
     loss: LossSpec = field(default_factory=lambda: LossSpec("ce"))
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
     mixup: MixupSpec = field(default_factory=MixupSpec)
@@ -105,9 +107,9 @@ def _check_temperature(value, name: str) -> None:
 def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
     """Independent (dataset, train, stage-2) generators for a run seeded with ``seed``.
 
-    The one seed derivation, also of the stages called without ``rng``: a run
-    in one go, stage by stage, or resumed from a stage-1 checkpoint gives the
-    same models.
+    The one seed derivation. No stage seeds itself: the caller passes each its
+    generator from here, so a run in one go, stage by stage, or resumed from a
+    stage-1 checkpoint gives the same models.
     """
     return tuple(np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(3))
 
@@ -172,17 +174,18 @@ def check_scorable(manifest: Manifest, groups: GroupSplit) -> None:
             group_report_from_values(np.where(present, 0.0, np.nan), groups)
 
 
-def train_stage1(manifest: Manifest, config: TrainConfig,
-                 rng: np.random.Generator | None = None,
+def train_stage1(manifest: Manifest, config: TrainConfig, rng: np.random.Generator,
                  groups: GroupSplit | None = None, *, keep_history: bool = True):
     """First-stage training; returns the model and its per-epoch history.
+
+    Every draw (init, batches, MixUp, loss noise) comes from ``rng``, which the
+    caller passes: a run's is ``stage_rngs(seed)[1]``.
 
     With ``keep_history`` (the default), val and test are scored on every
     ``eval_every``-th epoch and at the last, each such epoch a record of the
     history. Without it, the history is None and an epoch is scored only on
     val, only for the ``difficulty`` sampler; the model is the same.
     """
-    rng = rng if rng is not None else stage_rngs(config.seed)[1]
     if groups is None:
         groups = group_split(manifest.train_distribution())
     model = init_model(
@@ -221,9 +224,10 @@ def stage2_ncm(model: ModelState, manifest: Manifest) -> NcmClassifier:
 
 
 def apply_stage2(model: ModelState, manifest: Manifest, config: TrainConfig,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator):
     """Run the configured stage-2 scheme (see the module docstring); returns the final
-    classifier."""
+    classifier. A head fit draws from ``rng``, which the caller passes: a run's is
+    ``stage_rngs(seed)[2]``."""
     kind = config.stage2.kind
     if kind in _HEAD_FITS:
         return _fit_head(kind, model, manifest, config, rng)
@@ -274,10 +278,9 @@ _HEAD_FITS = {
 
 
 def _fit_head(kind: str, model: ModelState, manifest: Manifest, config: TrainConfig,
-              rng: np.random.Generator | None) -> ModelState:
+              rng: np.random.Generator) -> ModelState:
     """Re-fit a head-only model on the train rows, encoded once by the frozen encoder."""
     init, trainable, sampler_kind, reweight = _HEAD_FITS[kind]
-    rng = rng if rng is not None else stage_rngs(config.seed)[2]
     frozen = model.copy()
     head = init(replace(frozen, encoder_w=None, encoder_b=None), config, rng)
     dist = manifest.train_distribution()

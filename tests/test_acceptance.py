@@ -229,7 +229,7 @@ def trend_runs():
         dist = manifest.train_distribution()
         groups = group_split(dist, (3, 7))
         for name, loss, sampler in recipes:
-            config = TrainConfig(epochs=30, batch_size=64, seed=seed,
+            config = TrainConfig(epochs=30, batch_size=64,
                                  loss=LossSpec(loss), sampler=SamplerSpec(sampler),
                                  optimizer=SGD)
             model, history = train_stage1(manifest, config,

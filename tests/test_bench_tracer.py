@@ -36,7 +36,7 @@ def steps_per_fit(sampler_spec, manifest, epochs, batch_size):
 
 def test_tracer_sees_sam_stage1_and_crt_stage2():
     manifest = blob_manifest([40, 20, 6], val_per_class=10, test_per_class=10)
-    config = TrainConfig(epochs=2, batch_size=16, seed=0, hidden_dim=4,
+    config = TrainConfig(epochs=2, batch_size=16, hidden_dim=4,
                          optimizer=OptimizerSpec("adam", lr=0.01, sam=True, sam_rho=0.05),
                          stage2=Stage2Spec("crt", epochs=3))
     groups = group_split(manifest.train_distribution(), (1, 2))

@@ -7,7 +7,7 @@ import typing
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from longtail_lab import (ConfigError, ExperimentConfig, LossSpec, MixupSpec, OptimizerSpec,
                           SamplerSpec, Stage2Spec, jsonio, parse_config)
@@ -196,8 +196,6 @@ def spec_sections(draw, cls, section: str):
     ruled_out = SOURCES[cls][source] if cls in SOURCES else ()
     raw, values = {}, {}
     for f in fields(cls):
-        if not f.metadata.get("config", True):
-            continue
         if f.name in ruled_out:  # left out, or null where the field may be null
             if nullable(hints[f.name]) and draw(st.booleans()):
                 raw[f.name] = values[f.name] = None
@@ -219,7 +217,7 @@ def untaken(spec, path=()):
         value = getattr(spec, f.name)
         if is_dataclass(value):
             yield from untaken(value, path + (f.name,))
-        elif f.metadata.get("config", True) and not takes(spec, f.name):
+        elif not takes(spec, f.name):
             yield path, f.name, value
 
 
@@ -232,11 +230,20 @@ class TestCodec:
     def test_round_trip(self, drawn):
         raw, spec = drawn
         config = parse_config(raw)
-        assert config == replace(spec, train=replace(spec.train, seed=spec.seed))
+        assert config == spec
         for again in (parse_config(config.to_config()),
                       parse_config(json.loads(jsonio.dumps(config.to_config())))):
             assert again == config
             assert again.digest == config.digest
+
+    @settings(max_examples=50, deadline=None)
+    @given(configs, st.integers(0, 2 ** 32))
+    def test_a_config_given_another_seed_round_trips(self, drawn, seed):
+        # the experiment seed is the config's one seed: no section keeps a copy of the old one
+        config = parse_config(drawn[0])
+        assume(seed != config.seed)
+        config = replace(config, seed=seed)
+        assert parse_config(config.to_config()) == config
 
     @settings(max_examples=150, deadline=None)
     @given(configs, st.data())

@@ -849,9 +849,11 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, classifier", [
-        ("eval", init_model(4, 4)), ("eval", init_model(3, 5)),
+        ("eval", init_model(4, 4, rng=np.random.default_rng(0))),
+        ("eval", init_model(3, 5, rng=np.random.default_rng(0))),
         ("eval", NcmClassifier(means=np.zeros((2, 4)))),
-        ("stage2", init_model(4, 4)), ("stage2", init_model(3, 5)),
+        ("stage2", init_model(4, 4, rng=np.random.default_rng(0))),
+        ("stage2", init_model(3, 5, rng=np.random.default_rng(0))),
     ], ids=["eval 4 classes", "eval 5 features", "eval ncm of 2 classes", "stage2 4 classes",
             "stage2 5 features"])
     def test_checkpoint_that_does_not_fit_the_manifest_exits_2(self, tmp_path, capsys, command,

@@ -123,7 +123,6 @@ class Spec:
     name: str = "a"
     limit: int | None = None
     inner: Inner = field(default_factory=Inner)
-    hidden: int = field(default=0, metadata={"config": False})
 
     def __post_init__(self):
         if self.count < 0:
@@ -136,8 +135,6 @@ class TestConfigFields:
         spec = jsonio.parse_fields(Spec, raw, "spec")
         assert spec == Spec(2, 3, "b", None, Inner(True))
         assert jsonio.fields_to_config(spec) == raw
-        assert jsonio.fields_to_config(Spec(1, limit=4, hidden=9)) == {
-            "count": 1, "scale": 1.0, "name": "a", "limit": 4, "inner": {"flag": False}}
 
     @pytest.mark.parametrize("raw, message", [
         ([], "spec must be a JSON object"),

@@ -17,7 +17,7 @@ from conftest import traced_peak
 
 class TestForward:
     def test_zero_parameters_zero_logits(self):
-        model = init_model(3, 4)
+        model = init_model(3, 4, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(decision_scores(model, np.zeros(4)), np.zeros(3))
 
     def test_identity_weights(self):
@@ -38,7 +38,7 @@ class TestForward:
         np.testing.assert_allclose(logits, [[9.6, 0.0], [9.6, 0.0]], rtol=1e-15, atol=0)
 
     def test_dimension_mismatch(self):
-        model = init_model(3, 4)
+        model = init_model(3, 4, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="dimension"):
             decision_scores(model, np.zeros(5))
 
@@ -99,6 +99,15 @@ class TestTauNormalize:
         w = np.array([[1e-300, 0.0], [3e-170, 4e-170], [1e200, 0.0]])
         out = tau_normalize(ModelState(cls_w=w, cls_b=np.zeros(3)), tau)
         np.testing.assert_allclose(out.cls_w, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
+    def test_a_zero_entry_stays_zero_where_its_rows_result_overflows(self):
+        # 1e-300^-2 overflows at tau=3: the nonzero entry reads +-inf, the zero keeps its sign
+        w = np.array([[1e-300, 0.0], [-0.0, -1e-300], [0.0, 1.0]])
+        with np.errstate(invalid="raise"):  # 0 * inf would be nan
+            out = tau_normalize(ModelState(cls_w=w, cls_b=np.zeros(3)), 3.0)
+        np.testing.assert_array_equal(out.cls_w, [[np.inf, 0.0], [0.0, -np.inf], [0.0, 1.0]])
+        assert np.array_equal(np.signbit(out.cls_w), np.signbit(w))
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)),
@@ -313,7 +322,7 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_shape_header_mismatch_rejected(self, tmp_path):
-        model = init_model(3, 4)
+        model = init_model(3, 4, rng=np.random.default_rng(0))
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         import json
@@ -336,7 +345,7 @@ class TestShapeInvariants:
         ({"encoder_w": None}, "given together"),
     ])
     def test_model_refuses_arrays_that_do_not_fit(self, change, message):
-        model = init_model(3, 4, hidden_dim=5)
+        model = init_model(3, 4, hidden_dim=5, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match=message):
             replace(model, **change)
 

@@ -1,4 +1,4 @@
-"""Smoke test of ``tools/report_digests.py`` at tiny sizes."""
+"""Tests of the tools: ``tools/report_digests.py`` at tiny sizes, and ``tools/code_lines.py``."""
 import re
 import subprocess
 import sys
@@ -25,3 +25,57 @@ def test_report_digests_prints_one_stable_line_per_named_report(tmp_path):
         assert any(name.startswith(prefix) for name in names), prefix
     assert names[-2:] == ["manifest/single-integral", "manifest/single-integral.jsonl"]
     assert list(tmp_path.iterdir()) == []  # its files went to a directory of its own
+
+
+CODE_LINES = TOOL.with_name("code_lines.py")
+SRC = TOOL.parents[1] / "src" / "longtail_lab"
+FIXTURE = '''"""A module docstring
+
+over three lines."""
+import os  # a comment after code is code
+
+
+# a comment line
+def f(x):
+    """One line."""
+    text = """a string, not a docstring
+# not a comment
+
+"""
+    "a second string statement is code"
+    return x
+
+
+class C:
+    """Two
+    lines."""
+'''
+
+
+def code_lines(*files):
+    """The rows ``tools/code_lines.py`` prints for ``files``: {name: (code, docstring,
+    comment, blank, lines)}."""
+    out = subprocess.run([sys.executable, str(CODE_LINES), *map(str, files)],
+                         capture_output=True, text=True, check=True).stdout
+    header, *rows = out.splitlines()
+    assert header.split() == ["code", "docstring", "comment", "blank", "lines", "file"]
+    return {row.split()[-1]: tuple(int(v) for v in row.split()[:-1]) for row in rows}
+
+
+def test_code_lines_counts_a_fixture_module_exactly(tmp_path):
+    path = tmp_path / "fixture.py"
+    path.write_text(FIXTURE)
+    rows = code_lines(path)
+    # code: lines 4, 8, 10-15, 18; docstring: 1-3, 9, 19-20; comment: 7; blank: 5-6, 16-17
+    assert rows["fixture.py"] == (9, 6, 1, 4, 20)
+    assert rows["total"] == rows["fixture.py"]
+
+
+def test_code_lines_sum_to_each_modules_line_count():
+    rows = code_lines()
+    files = sorted(SRC.glob("*.py"))
+    assert list(rows) == [path.name for path in files] + ["total"]
+    for path in files:
+        *counts, lines = rows[path.name]
+        assert sum(counts) == lines == path.read_bytes().count(b"\n"), path.name
+    assert rows["total"] == tuple(map(sum, zip(*(rows[path.name] for path in files))))

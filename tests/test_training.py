@@ -17,7 +17,7 @@ from longtail_lab import optim as optim_module, samplers as samplers_module
 from longtail_lab.losses import LOSS_KINDS, MULTI_LABEL_KINDS, STOCHASTIC_KINDS, posthoc_shift
 from longtail_lab.model import BLOCK_ROWS, ModelState, backward, encode, forward_with_cache
 from longtail_lab.optim import Optimizer, flatten, global_grad_norm, sam_step, unflatten
-from longtail_lab.training import stage2_ncm
+from longtail_lab.training import STAGE2_KINDS, stage2_ncm, stage_rngs
 
 from conftest import blob_manifest, multilabel_manifest, traced_peak
 
@@ -45,8 +45,9 @@ class TestTrainStage1:
     @pytest.mark.filterwarnings("ignore:group 'tail' contains no classes")
     def test_separable_blobs_reach_high_accuracy(self):
         manifest = two_blob_manifest()
-        config = TrainConfig(epochs=20, batch_size=32, seed=0, optimizer=SGD)
-        _, history = train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+        config = TrainConfig(epochs=20, batch_size=32, optimizer=SGD)
+        _, history = train_stage1(manifest, config, stage_rngs(0)[1],
+                                  groups=groups_for(manifest, (1, 2)))
         assert len(history) == 20
         val_acc = np.nanmean(history.records[-1].val.per_class_acc)
         assert val_acc >= 95.0
@@ -57,28 +58,37 @@ class TestTrainStage1:
 
     def test_deterministic_final_parameters(self):
         manifest = blob_manifest([30, 15, 5], val_per_class=10, test_per_class=10)
-        config = TrainConfig(epochs=4, batch_size=16, seed=11, optimizer=SGD)
+        config = TrainConfig(epochs=4, batch_size=16, optimizer=SGD)
         groups = groups_for(manifest, (1, 2))
-        a, _ = train_stage1(manifest, config, groups=groups)
-        b, _ = train_stage1(manifest, config, groups=groups)
+        a, _ = train_stage1(manifest, config, stage_rngs(11)[1], groups=groups)
+        b, _ = train_stage1(manifest, config, stage_rngs(11)[1], groups=groups)
         assert np.array_equal(a.cls_w, b.cls_w)
         assert np.array_equal(a.cls_b, b.cls_b)
 
-    @pytest.mark.parametrize("stage2", ["crt", "cosine_retrain"])
-    def test_stage_by_stage_equals_run_experiment(self, stage2):
+    @pytest.mark.parametrize("stage2", STAGE2_KINDS)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32))
+    @example(seed=6)
+    def test_stage_by_stage_equals_run_experiment(self, stage2, seed):
+        # the experiment seed is the one seed authority: stage_rngs(seed) gives each stage
+        # the generator run_experiment gives it
+        stage2_spec = ({"kind": stage2, "epochs": 2} if stage2 in training_module._HEAD_FITS
+                       else {"kind": stage2})
         config = parse_config({
-            "seed": 6,
+            "seed": seed,
             "dataset": {"synth": {"num_classes": 4, "feature_dim": 4, "n0": 40, "ratio": 10.0,
                                   "val_per_class": 5, "test_per_class": 5},
                         "group_boundaries": [1, 3]},
             "train": {"epochs": 3, "batch_size": 16, "hidden_dim": 5,
                       "optimizer": jsonio.fields_to_config(SGD),
-                      "stage2": {"kind": stage2, "epochs": 2}},
+                      "stage2": stage2_spec},
         })
         result = run_experiment(config)
         manifest = result.manifest
-        model, _ = train_stage1(manifest, config.train, groups=groups_for(manifest, (1, 3)))
-        final = apply_stage2(model, manifest, config.train)
+        _, train_rng, stage2_rng = stage_rngs(config.seed)
+        model, _ = train_stage1(manifest, config.train, train_rng,
+                                groups=groups_for(manifest, (1, 3)))
+        final = apply_stage2(model, manifest, config.train, stage2_rng)
         for got, want in ((model, result.stage1_model), (final, result.final_classifier)):
             for name, value in vars(want).items():
                 other = getattr(got, name)
@@ -89,19 +99,20 @@ class TestTrainStage1:
         from longtail_lab import jsonio
 
         manifest = blob_manifest([30, 15, 5], val_per_class=10, test_per_class=10)
-        config = TrainConfig(epochs=3, batch_size=16, seed=2, optimizer=SGD)
+        config = TrainConfig(epochs=3, batch_size=16, optimizer=SGD)
         groups = groups_for(manifest, (1, 2))
-        dumps = [jsonio.dumps(train_stage1(manifest, config, groups=groups)[1].to_dict())
+        dumps = [jsonio.dumps(train_stage1(manifest, config, stage_rngs(2)[1],
+                                           groups=groups)[1].to_dict())
                  for _ in range(2)]
         assert dumps[0] == dumps[1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf ripples before the raise
     def test_divergence_carries_epoch_and_step(self):
         manifest = blob_manifest([20, 10, 5], val_per_class=5, test_per_class=5)
-        config = TrainConfig(epochs=2, batch_size=8, seed=0, hidden_dim=8,
+        config = TrainConfig(epochs=2, batch_size=8, hidden_dim=8,
                              optimizer=OptimizerSpec("sgd", lr=1e200))
         with pytest.raises(TrainingDivergedError) as exc_info:
-            train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+            train_stage1(manifest, config, stage_rngs(0)[1], groups=groups_for(manifest, (1, 2)))
         assert exc_info.value.epoch == 0
         assert exc_info.value.step >= 0
 
@@ -111,11 +122,11 @@ class TestTrainStage1:
     ], ids=["step", "sam-shifted-point"])
     def test_temperature_crossing_zero_is_a_divergence(self, optimizer, temperature):
         manifest = blob_manifest([20, 10, 5])
-        config = TrainConfig(epochs=2, batch_size=8, seed=0, classifier_kind="cosine",
+        config = TrainConfig(epochs=2, batch_size=8, classifier_kind="cosine",
                              temperature=temperature, optimizer=optimizer)
         with pytest.raises(TrainingDivergedError, match="temperature -[0-9.]+ is not a finite "
                                                         "number > 0|got -[0-9.]+$") as exc_info:
-            train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+            train_stage1(manifest, config, stage_rngs(0)[1], groups=groups_for(manifest, (1, 2)))
         assert exc_info.value.epoch == 0
         if not optimizer.sam:
             assert exc_info.value.step == 0
@@ -123,14 +134,15 @@ class TestTrainStage1:
     def test_cosine_temperature_refused_by_the_model(self):
         for temperature in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="cosine temperature must be a finite number > 0"):
-                init_model(3, 4, classifier_kind="cosine", temperature=temperature)
+                init_model(3, 4, classifier_kind="cosine", temperature=temperature,
+                           rng=np.random.default_rng(0))
 
     def test_single_step_decreases_convex_batch_loss(self):
         rng = np.random.default_rng(4)
         dist = distribution_from_counts([10, 10, 10])
         spec = LossSpec("ce")
         for trial in range(10):
-            model = init_model(3, 4)
+            model = init_model(3, 4, rng=np.random.default_rng(0))
             model.cls_w = 0.1 * rng.standard_normal((3, 4))
             features = rng.standard_normal((16, 4))
             targets = rng.integers(0, 3, size=16)
@@ -154,33 +166,35 @@ class TestTrainStage1:
 
     def test_eval_every_thins_history_but_keeps_final(self):
         manifest = blob_manifest([20, 10, 5], val_per_class=5, test_per_class=5)
-        config = TrainConfig(epochs=5, batch_size=16, seed=0, optimizer=SGD, eval_every=2)
-        _, history = train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+        config = TrainConfig(epochs=5, batch_size=16, optimizer=SGD, eval_every=2)
+        _, history = train_stage1(manifest, config, stage_rngs(0)[1],
+                                  groups=groups_for(manifest, (1, 2)))
         assert [r.epoch for r in history.records] == [1, 3, 4]
 
     def test_mixup_training_runs_and_is_deterministic(self):
         manifest = blob_manifest([30, 15, 5], val_per_class=10, test_per_class=10)
-        config = TrainConfig(epochs=3, batch_size=16, seed=5, optimizer=SGD,
+        config = TrainConfig(epochs=3, batch_size=16, optimizer=SGD,
                              mixup=MixupSpec(alpha=0.2, enabled=True))
         groups = groups_for(manifest, (1, 2))
-        a, _ = train_stage1(manifest, config, groups=groups)
-        b, _ = train_stage1(manifest, config, groups=groups)
+        a, _ = train_stage1(manifest, config, stage_rngs(5)[1], groups=groups)
+        b, _ = train_stage1(manifest, config, stage_rngs(5)[1], groups=groups)
         assert np.array_equal(a.cls_w, b.cls_w)
 
     def test_difficulty_sampler_trains(self):
         manifest = blob_manifest([40, 20, 4], val_per_class=10, test_per_class=10)
-        config = TrainConfig(epochs=4, batch_size=16, seed=1, optimizer=SGD,
+        config = TrainConfig(epochs=4, batch_size=16, optimizer=SGD,
                              sampler=SamplerSpec("difficulty"))
-        model, history = train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+        model, history = train_stage1(manifest, config, stage_rngs(1)[1],
+                                      groups=groups_for(manifest, (1, 2)))
         assert len(history) == 4
 
     def test_stochastic_loss_trains_deterministically(self):
         manifest = blob_manifest([40, 20, 4], val_per_class=10, test_per_class=10)
-        config = TrainConfig(epochs=3, batch_size=16, seed=1, optimizer=SGD,
+        config = TrainConfig(epochs=3, batch_size=16, optimizer=SGD,
                              loss=LossSpec("gcl"))
         groups = groups_for(manifest, (1, 2))
-        a, _ = train_stage1(manifest, config, groups=groups)
-        b, _ = train_stage1(manifest, config, groups=groups)
+        a, _ = train_stage1(manifest, config, stage_rngs(1)[1], groups=groups)
+        b, _ = train_stage1(manifest, config, stage_rngs(1)[1], groups=groups)
         assert np.array_equal(a.cls_w, b.cls_w)
 
 
@@ -188,24 +202,26 @@ class TestSamCollapse:
     def test_full_run_bit_identical(self):
         manifest = blob_manifest([30, 15, 5], val_per_class=10, test_per_class=10)
         groups = groups_for(manifest, (1, 2))
-        base = dict(epochs=10, batch_size=16, seed=7)
-        plain, _ = train_stage1(manifest, TrainConfig(**base, optimizer=SGD), groups=groups)
+        base = dict(epochs=10, batch_size=16)
+        plain, _ = train_stage1(manifest, TrainConfig(**base, optimizer=SGD), stage_rngs(7)[1],
+                                groups=groups)
         sam0, _ = train_stage1(
             manifest,
             TrainConfig(**base, optimizer=OptimizerSpec("sgd", lr=0.05, sam=True, sam_rho=0.0)),
-            groups=groups)
+            stage_rngs(7)[1], groups=groups)
         assert np.array_equal(plain.cls_w, sam0.cls_w)
         assert np.array_equal(plain.cls_b, sam0.cls_b)
 
     def test_sam_actually_changes_updates(self):
         manifest = blob_manifest([30, 15, 5], val_per_class=10, test_per_class=10)
         groups = groups_for(manifest, (1, 2))
-        base = dict(epochs=3, batch_size=16, seed=7)
-        plain, _ = train_stage1(manifest, TrainConfig(**base, optimizer=SGD), groups=groups)
+        base = dict(epochs=3, batch_size=16)
+        plain, _ = train_stage1(manifest, TrainConfig(**base, optimizer=SGD), stage_rngs(7)[1],
+                                groups=groups)
         sam, _ = train_stage1(
             manifest,
             TrainConfig(**base, optimizer=OptimizerSpec("sgd", lr=0.05, sam=True, sam_rho=0.05)),
-            groups=groups)
+            stage_rngs(7)[1], groups=groups)
         assert not np.array_equal(plain.cls_w, sam.cls_w)
 
 
@@ -226,10 +242,11 @@ class TestFlatParameterBuffer:
     def test_stage1_result_owns_its_arrays(self, monkeypatch, classifier_kind):
         buffers = self.record_buffers(monkeypatch)
         manifest = blob_manifest([30, 15, 5], val_per_class=10, test_per_class=10)
-        config = TrainConfig(epochs=2, batch_size=16, seed=3, hidden_dim=4,
+        config = TrainConfig(epochs=2, batch_size=16, hidden_dim=4,
                              classifier_kind=classifier_kind,
                              optimizer=OptimizerSpec("adam", lr=0.01, sam=True, sam_rho=0.05))
-        model, _ = train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+        model, _ = train_stage1(manifest, config, stage_rngs(3)[1],
+                                groups=groups_for(manifest, (1, 2)))
         flat = buffers[0]
         assert all(b is flat for b in buffers)  # one buffer, moved in place, for the fit
         assert flat.size == sum(np.size(getattr(model, k)) for k in
@@ -261,14 +278,15 @@ class TestTargetsCheckedOncePerFit:
     def test_out_of_range_class_refused_before_the_first_step(self, monkeypatch, label):
         steps = TestFlatParameterBuffer.record_buffers(monkeypatch)
         manifest = blob_manifest([20, 10, 5])
-        config = TrainConfig(epochs=2, batch_size=8, seed=0, optimizer=SGD)
+        config = TrainConfig(epochs=2, batch_size=8, optimizer=SGD)
         plan = loss_plan(config.loss, manifest.train_distribution())
         manifest.labels[manifest.split_indices("train")[7]] = label  # K = 3
         # train_stage1 counts the train labels first, and refuses them there
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-            train_stage1(manifest, config, groups=groups_for(blob_manifest([20, 10, 5]), (1, 2)))
+            train_stage1(manifest, config, stage_rngs(0)[1],
+                         groups=groups_for(blob_manifest([20, 10, 5]), (1, 2)))
         # a fit whose plan was made before the change refuses them itself
-        model = init_model(3, manifest.feature_dim)
+        model = init_model(3, manifest.feature_dim, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"^targets must lie in \[0, 3\)$"):
             training_module._fit(model, manifest, config, np.random.default_rng(0),
                                  ("cls_w", "cls_b"), SamplerSpec(), plan, MixupSpec(), 2)
@@ -280,11 +298,11 @@ class TestTargetsCheckedOncePerFit:
         steps = TestFlatParameterBuffer.record_buffers(monkeypatch)
         manifest = multilabel_manifest(n=60)
         manifest.labels[manifest.split_indices("train")[-1], 1] = entry
-        config = TrainConfig(epochs=2, batch_size=8, seed=0, loss=LossSpec("bce_ml"),
+        config = TrainConfig(epochs=2, batch_size=8, loss=LossSpec("bce_ml"),
                              optimizer=SGD)
         with pytest.raises(ValueError, match=r"^multi-label targets must be a binary \(n, 3\)"):
-            train_stage1(manifest, config, groups=group_split(distribution_from_counts([5, 5, 5]),
-                                                              (1, 2)))
+            train_stage1(manifest, config, stage_rngs(0)[1],
+                         groups=group_split(distribution_from_counts([5, 5, 5]), (1, 2)))
         assert steps == []
 
 
@@ -436,10 +454,10 @@ class TestFlatGradientBuffer:
         monkeypatch.setattr(training_module, "flatten", counting_flatten)
         monkeypatch.setattr(optim_module, "flatten", None)  # no step may flatten
         manifest = blob_manifest([30, 15, 5])
-        config = TrainConfig(epochs=2, batch_size=16, seed=3, hidden_dim=4,
+        config = TrainConfig(epochs=2, batch_size=16, hidden_dim=4,
                              classifier_kind="cosine",
                              optimizer=OptimizerSpec("adam", lr=0.01, sam=True, sam_rho=0.05))
-        train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+        train_stage1(manifest, config, stage_rngs(3)[1], groups=groups_for(manifest, (1, 2)))
         assert flattened == [("cls_w", "temperature", "encoder_w", "encoder_b")]  # once a fit
         assert len(seen) > 1 and all(grads is seen[0] for grads in seen)
         buffer = seen[0]["cls_w"].base
@@ -448,7 +466,7 @@ class TestFlatGradientBuffer:
 
 
 def trained_stage1(manifest, seed=0, epochs=8, hidden=None):
-    config = TrainConfig(epochs=epochs, batch_size=32, seed=seed, optimizer=SGD,
+    config = TrainConfig(epochs=epochs, batch_size=32, optimizer=SGD,
                          hidden_dim=hidden)
     groups = groups_for(manifest, (1, 2))
     model, _ = train_stage1(manifest, config, rng=np.random.default_rng(seed), groups=groups)
@@ -528,8 +546,7 @@ class TestStage2Lws:
     def test_zero_epochs_identity_predictions(self):
         manifest = blob_manifest([40, 20, 6], val_per_class=10, test_per_class=10)
         model, config, groups = trained_stage1(manifest)
-        config0 = TrainConfig(epochs=config.epochs, batch_size=config.batch_size,
-                              seed=config.seed, optimizer=SGD,
+        config0 = TrainConfig(epochs=config.epochs, batch_size=config.batch_size, optimizer=SGD,
                               stage2=Stage2Spec("lws", epochs=0))
         out = fit_stage2("lws", model, manifest, config0, np.random.default_rng(0))
         np.testing.assert_array_equal(out.logit_scale, np.ones(3))
@@ -558,7 +575,7 @@ class TestStage2EncodesOnce:
     def test_one_pass_over_train_rows(self, monkeypatch, kind, epochs):
         manifest = blob_manifest([40, 20, 6], val_per_class=10, test_per_class=10)
         model, _, _ = trained_stage1(manifest, epochs=2, hidden=6)
-        config = TrainConfig(epochs=2, batch_size=8, seed=0, hidden_dim=6,
+        config = TrainConfig(epochs=2, batch_size=8, hidden_dim=6,
                              optimizer=OptimizerSpec("sgd", lr=0.05, sam=True, sam_rho=0.05),
                              stage2=Stage2Spec(kind, epochs=epochs))
         encode, encoded_rows = model_module.encode, []
@@ -664,7 +681,7 @@ class TestBlockedStage2:
     def test_same_classifier_as_encoding_all_rows_at_once(self, kind, n_train):
         manifest = blocked_manifest(n_train, 10, 5, 6, seed=n_train)
         model = random_classifier("linear", 5, 6, 8, np.random.default_rng(2))
-        config = TrainConfig(epochs=1, batch_size=64, seed=0, hidden_dim=8,
+        config = TrainConfig(epochs=1, batch_size=64, hidden_dim=8,
                              optimizer=OptimizerSpec("adam", lr=0.01),
                              stage2=Stage2Spec(kind, **({} if kind == "ncm" else {"epochs": 2})))
         got = apply_stage2(model, manifest, config, np.random.default_rng(3))
@@ -677,7 +694,7 @@ class TestBlockedStage2:
         n_train, k, d, hidden = 8 * BLOCK_ROWS, 8, 32, 32
         manifest = blocked_manifest(n_train, 10, k, d, seed=0)
         model = random_classifier("linear", k, d, hidden, np.random.default_rng(1))
-        config = TrainConfig(epochs=1, batch_size=256, seed=0, hidden_dim=hidden,
+        config = TrainConfig(epochs=1, batch_size=256, hidden_dim=hidden,
                              stage2=Stage2Spec(kind, **({} if kind == "ncm" else {"epochs": 1})))
         manifest.split_indices("train")
         _, peak = traced_peak(apply_stage2, model, manifest, config, np.random.default_rng(0))
@@ -708,15 +725,16 @@ class TestStage2Disalign:
     def test_empty_train_class_rejected(self, kind):
         # DisAlign's inverse-frequency weights would be 1/0; it refuses as cRT's sampler does
         manifest = blob_manifest([20, 10, 0])
-        config = TrainConfig(epochs=2, batch_size=16, seed=0, optimizer=SGD,
+        config = TrainConfig(epochs=2, batch_size=16, optimizer=SGD,
                              stage2=Stage2Spec(kind))
         with pytest.raises(ValueError, match="class 2 has no training samples"):
-            apply_stage2(init_model(3, 4), manifest, config, np.random.default_rng(0))
+            apply_stage2(init_model(3, 4, rng=np.random.default_rng(0)), manifest, config,
+                         np.random.default_rng(0))
 
     def test_zero_epochs_identity_calibration(self):
         manifest = blob_manifest([40, 20, 6], val_per_class=10, test_per_class=10)
         model, config, _ = trained_stage1(manifest)
-        config0 = TrainConfig(epochs=1, batch_size=16, seed=0, optimizer=SGD,
+        config0 = TrainConfig(epochs=1, batch_size=16, optimizer=SGD,
                               stage2=Stage2Spec("disalign", epochs=0))
         out = fit_stage2("disalign", model, manifest, config0, np.random.default_rng(0))
         np.testing.assert_array_equal(out.logit_scale, np.ones(3))
@@ -756,9 +774,9 @@ class TestWeightNormTrend:
     def test_erm_norms_track_class_frequency(self):
         manifest = blob_manifest([200, 60, 18, 5], feature_dim=6, separation=2.0,
                                  val_per_class=20, test_per_class=20, seed=0)
-        config = TrainConfig(epochs=15, batch_size=32, seed=0, optimizer=SGD)
+        config = TrainConfig(epochs=15, batch_size=32, optimizer=SGD)
         groups = groups_for(manifest, (1, 3))
-        model, _ = train_stage1(manifest, config, groups=groups)
+        model, _ = train_stage1(manifest, config, stage_rngs(0)[1], groups=groups)
         norms = weight_norms(model)
         counts = manifest.train_distribution().counts
         corr = np.corrcoef(np.log(counts), norms)[0, 1]
@@ -792,7 +810,7 @@ class TestMultiBatchDrawInFits:
         manifest = (multilabel_manifest(n=54) if multi
                     else blob_manifest([20, 9, 5], val_per_class=4, test_per_class=4))
         groups = groups_for(manifest, (1, 2))
-        configs = [TrainConfig(epochs=2, batch_size=7, seed=5, hidden_dim=3,
+        configs = [TrainConfig(epochs=2, batch_size=7, hidden_dim=3,
                                loss=LossSpec(loss_kind), sampler=SamplerSpec(sampler),
                                mixup=MixupSpec(enabled=mixup),
                                optimizer=OptimizerSpec("adam", lr=0.01, sam=sam))
@@ -803,21 +821,24 @@ class TestMultiBatchDrawInFits:
         shipped = []
         for config in configs:
             draws.clear()
-            shipped.append(model_bytes(train_stage1(manifest, config, groups=groups)[0]))
+            shipped.append(model_bytes(train_stage1(manifest, config, stage_rngs(5)[1],
+                                                    groups=groups)[0]))
             alone = config.mixup.enabled or loss_kind in STOCHASTIC_KINDS
             assert all(count == 1 for count, _ in draws) == alone, config
         monkeypatch.setattr(training_module, "MAX_DRAWN_ROWS", 1)  # one batch per draw
         for config, expected in zip(configs, shipped):
-            assert model_bytes(train_stage1(manifest, config, groups=groups)[0]) == expected
+            assert model_bytes(train_stage1(manifest, config, stage_rngs(5)[1],
+                                            groups=groups)[0]) == expected
 
     @pytest.mark.parametrize("sam", [False, True])
     @pytest.mark.parametrize("kind", sorted(training_module._HEAD_FITS))
     def test_head_fits_equal_one_batch_per_draw(self, monkeypatch, kind, sam):
         manifest = blob_manifest([20, 9, 5], val_per_class=4, test_per_class=4)
-        config = TrainConfig(epochs=2, batch_size=7, seed=5, hidden_dim=3,
+        config = TrainConfig(epochs=2, batch_size=7, hidden_dim=3,
                              optimizer=OptimizerSpec("adam", lr=0.01, sam=sam),
                              stage2=Stage2Spec(kind, epochs=2))
-        model, _ = train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+        model, _ = train_stage1(manifest, config, stage_rngs(5)[1],
+                                groups=groups_for(manifest, (1, 2)))
         draws = self.record_draws(monkeypatch)
         shipped = model_bytes(apply_stage2(model, manifest, config, np.random.default_rng(2)))
         assert max(count for count, _ in draws) > 1
@@ -829,9 +850,10 @@ class TestMultiBatchDrawInFits:
         draws = self.record_draws(monkeypatch)
         cap = training_module.MAX_DRAWN_ROWS
         manifest = blob_manifest([20, 9, 5])
-        config = TrainConfig(epochs=2, batch_size=100, seed=1, optimizer=SGD,
+        config = TrainConfig(epochs=2, batch_size=100, optimizer=SGD,
                              sampler=SamplerSpec("class_balanced", epoch_length=10 * cap))
-        train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)), keep_history=False)
+        train_stage1(manifest, config, stage_rngs(1)[1],
+                     groups=groups_for(manifest, (1, 2)), keep_history=False)
         steps = -(-10 * cap // 100)
         assert max(count * size for count, size in draws) <= cap
         assert sum(count for count, _ in draws) == 2 * steps  # each epoch's batches, no more
@@ -841,9 +863,10 @@ class TestMultiBatchDrawInFits:
         draws = self.record_draws(monkeypatch)
         big = training_module.MAX_DRAWN_ROWS + 1
         manifest = blob_manifest([20, 9, 5])
-        config = TrainConfig(epochs=1, batch_size=big, seed=1, optimizer=SGD,
+        config = TrainConfig(epochs=1, batch_size=big, optimizer=SGD,
                              sampler=SamplerSpec(epoch_length=3 * big))
-        train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)), keep_history=False)
+        train_stage1(manifest, config, stage_rngs(1)[1],
+                     groups=groups_for(manifest, (1, 2)), keep_history=False)
         assert draws == [(1, big)] * 3
 
     @settings(max_examples=40, deadline=None)
@@ -857,14 +880,15 @@ class TestMultiBatchDrawInFits:
                                                                  cap, kind, seed):
         manifest = blob_manifest([20, 9, 5], val_per_class=4, test_per_class=4)
         groups = groups_for(manifest, (1, 2))
-        config = TrainConfig(epochs=3, batch_size=batch_size, seed=seed, optimizer=SGD,
+        config = TrainConfig(epochs=3, batch_size=batch_size, optimizer=SGD,
                              sampler=SamplerSpec(kind, epoch_length=epoch_length))
         models = []
         for limit in (cap, 1):
             with pytest.MonkeyPatch.context() as patch:
                 draws = self.record_draws(patch)
                 patch.setattr(training_module, "MAX_DRAWN_ROWS", limit)
-                model, _ = train_stage1(manifest, config, groups=groups, keep_history=False)
+                model, _ = train_stage1(manifest, config, stage_rngs(seed)[1],
+                                        groups=groups, keep_history=False)
             models.append(model_bytes(model))
             counts = [count for count, _ in draws]
             steps = -(-epoch_length // batch_size)
@@ -877,16 +901,15 @@ class TestMultiBatchDrawInFits:
     def test_stage1_fit_holds_no_copy_of_the_train_rows(self):
         manifest = blob_manifest([3000] * 4, feature_dim=64, val_per_class=2, test_per_class=2)
         train_bytes = manifest.split_indices("train").size * 64 * 8  # 6.1 MB
-        config = TrainConfig(epochs=1, batch_size=64, seed=0, optimizer=SGD)
-        _, peak = traced_peak(train_stage1, manifest, config,
+        config = TrainConfig(epochs=1, batch_size=64, optimizer=SGD)
+        _, peak = traced_peak(train_stage1, manifest, config, stage_rngs(0)[1],
                               groups=groups_for(manifest, (1, 2)), keep_history=False)
         assert peak < train_bytes / 8
 
 
-def reference_sam_fit(manifest, config) -> dict:
+def reference_sam_fit(manifest, config, rng) -> dict:
     """A SAM stage-1 fit that builds a new model and a new params + scale * g for every
     shifted point, and steps on a flattened gradient dict: the trained parameters."""
-    rng = training_module.stage_rngs(config.seed)[1]
     model = init_model(manifest.num_classes, manifest.feature_dim, hidden_dim=config.hidden_dim,
                        classifier_kind=config.classifier_kind, temperature=config.temperature,
                        rng=rng)
@@ -921,25 +944,25 @@ class TestSamShiftedPoint:
     @pytest.mark.parametrize("classifier_kind", ["linear", "cosine"])
     def test_fit_equals_a_new_shifted_model_per_step(self, optimizer, classifier_kind):
         manifest = blob_manifest([30, 15, 5], val_per_class=4, test_per_class=4)
-        config = TrainConfig(epochs=3, batch_size=8, seed=4, hidden_dim=4,
+        config = TrainConfig(epochs=3, batch_size=8, hidden_dim=4,
                              classifier_kind=classifier_kind, temperature=5.0,
                              optimizer=optimizer)
-        model, _ = train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)),
-                                keep_history=False)
-        expected = reference_sam_fit(manifest, config)
+        model, _ = train_stage1(manifest, config, stage_rngs(4)[1],
+                                groups=groups_for(manifest, (1, 2)), keep_history=False)
+        expected = reference_sam_fit(manifest, config, stage_rngs(4)[1])
         assert {key: np.asarray(getattr(model, key)).tobytes() for key in expected} == expected
         if classifier_kind == "cosine":  # the temperature trained
             assert expected["temperature"] != np.asarray(5.0).tobytes()
 
     def test_temperature_leaving_zero_at_the_shifted_point_stops_the_fit(self):
         manifest = blob_manifest([20, 10, 5])
-        config = TrainConfig(epochs=2, batch_size=8, seed=0, classifier_kind="cosine",
+        config = TrainConfig(epochs=2, batch_size=8, classifier_kind="cosine",
                              temperature=0.1,
                              optimizer=OptimizerSpec("sgd", lr=0.01, sam=True, sam_rho=50.0))
         # the message of the shifted point's check, not of the stepped model's
         with pytest.raises(TrainingDivergedError,
                            match="cosine temperature must be a finite number > 0, got -"):
-            train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)))
+            train_stage1(manifest, config, stage_rngs(0)[1], groups=groups_for(manifest, (1, 2)))
 
     def test_no_model_is_built_per_step(self, monkeypatch):
         built, post_init = [], ModelState.__post_init__
@@ -952,11 +975,11 @@ class TestSamShiftedPoint:
         manifest = blob_manifest([30, 15, 5])
         counts = []
         for epochs in (1, 4):
-            config = TrainConfig(epochs=epochs, batch_size=8, seed=4, hidden_dim=4,
+            config = TrainConfig(epochs=epochs, batch_size=8, hidden_dim=4,
                                  classifier_kind="cosine",
                                  optimizer=OptimizerSpec("adam", lr=0.01, sam=True))
             built.clear()
-            train_stage1(manifest, config, groups=groups_for(manifest, (1, 2)),
+            train_stage1(manifest, config, stage_rngs(4)[1], groups=groups_for(manifest, (1, 2)),
                          keep_history=False)
             counts.append(len(built))
         assert counts[0] == counts[1]
