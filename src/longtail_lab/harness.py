@@ -214,7 +214,9 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
     """Execute one configured run and (optionally) write its report JSON.
 
     Reports are written atomically after success, so a failed run leaves no
-    partial output. Byte-identical reports for identical configs.
+    partial output. Identical configs give byte-identical reports on one numpy
+    and BLAS build at one BLAS thread count; the thread count can change the
+    bits of a GEMM, and so a report's (at K=1000, its ``weight_norms``).
     """
     manifest, groups, model, history, final = _run_stages(config, keep_history=True)
     with _stage("evaluate"):

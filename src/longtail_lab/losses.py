@@ -16,7 +16,7 @@ Single-label kinds (softmax family), with the ``LossPlan`` fields each sets:
   seql              ce with rare negative classes (pi_c < t) dropped from the
                     softmax denominator with probability q, redrawn per sample [frequent]
   gcl               ce over z - a * A (.) |eps|, eps ~ N(0,1), A_c in [0,1] largest
-                    for tail classes (training mode only)           [noise_scale a * A]
+                    for tail classes                                [noise_scale a * A]
   label_smooth_lt   ce against a smoothed target whose smoothing strength grows
                     with the true class's count (head classes smoothed most) [smoothing]
 
@@ -28,18 +28,18 @@ Multi-label kinds (per-class sigmoid, summed over classes):
 ``loss_plan`` computes the per-class constants once per distribution. Every
 kind but focal, cb_focal, label_smooth_lt and the multi-label kinds (kernels of
 their own) is one cross-entropy over z adjusted, in this order: margin off the
-target logit, ``* mult``, ``+ add``, then in training only ``- noise_scale *
-noise`` and the seql mask; its gradient is multiplied by ``mult``. Last, every
-single-label row's value and gradient are scaled by ``weight[y]``, which stage-2
-DisAlign sets to inverse class frequency.
+target logit, ``* mult``, ``+ add``, ``- noise_scale * noise``, then the seql
+mask; its gradient is multiplied by ``mult``. Last, every single-label row's
+value and gradient are scaled by ``weight[y]``, which stage-2 DisAlign sets to
+inverse class frequency.
 
 ``loss_plan`` + ``batch_loss_and_grad`` is the one entry point: a batch of
 (n, K) logits in, per-sample values and gradients out; a single logit vector
-is a batch of one row. The stochastic kinds (seql, gcl) take their noise in
-training from ``draw_noise``, drawn once per batch so that one draw serves
-value, gradient and a sharpness-aware second pass. ``batch_loss_and_grad``
-checks its targets (``check_targets``) on each call, unless its caller did: a
-fit checks them once.
+is a batch of one row. The stochastic kinds (seql, gcl) always take their
+noise from ``draw_noise``, drawn once per batch so that one draw serves value,
+gradient and a sharpness-aware second pass. ``batch_loss_and_grad`` checks its
+targets (``check_targets``) on each call, unless its caller did: a fit checks
+them once.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ SINGLE_LABEL_KINDS = (
 )
 MULTI_LABEL_KINDS = ("bce_ml", "focal_bce_ml")
 LOSS_KINDS = SINGLE_LABEL_KINDS + MULTI_LABEL_KINDS
-# the kinds that draw per-sample noise in training, and how (draw_noise)
+# the kinds that take per-sample noise, and how it is drawn (draw_noise)
 _NOISE = {
     "seql": lambda rng, shape: rng.random(shape),
     "gcl": lambda rng, shape: np.abs(rng.standard_normal(shape)),
@@ -222,7 +222,7 @@ def loss_plan(spec: LossSpec, dist: ClassDistribution) -> LossPlan:
 
 
 def batch_loss_and_grad(plan: LossPlan, logits, targets, *, noise: np.ndarray | None = None,
-                        training: bool = True, targets_checked: bool = False):
+                        targets_checked: bool = False):
     """Per-sample loss values (n,) and gradients (n, K) for a batch.
 
     ``noise`` carries the pre-drawn stochastic component for seql/gcl so the
@@ -258,7 +258,7 @@ def batch_loss_and_grad(plan: LossPlan, logits, targets, *, noise: np.ndarray | 
         values = -np.sum(np.where(t > 0, t * logp, 0.0), axis=1)
         grads = np.exp(logp) - t
     else:
-        values, grads = _adjusted_ce(plan, z, y, noise, training)
+        values, grads = _adjusted_ce(plan, z, y, noise)
     if plan.weight is not None:
         w = plan.weight[y]
         values *= w
@@ -267,18 +267,24 @@ def batch_loss_and_grad(plan: LossPlan, logits, targets, *, noise: np.ndarray | 
 
 
 def check_targets(plan: LossPlan, targets, n: int) -> None:
-    """Refuse targets for ``n`` rows but a class in [0, K) each, or a binary (n, K) matrix."""
+    """Refuse targets for ``n`` rows but a class in [0, K) each, or a binary (n, K) matrix.
+
+    A single-label target must be a whole number: an integer, or a float without a
+    fraction (not NaN), as ``Manifest`` takes labels; a string is refused.
+    """
     k, t = plan.num_classes, np.asarray(targets)
     if plan.spec.multi_label:
         if t.shape != (n, k) or not is_binary(t):
             raise ValueError(f"multi-label targets must be a binary (n, {k}) matrix")
-    elif (y := t.astype(np.int64, copy=False)).shape != (n,):
+    elif t.shape != (n,):
         raise ValueError("single-label targets must be one class index per row")
-    elif y.min() < 0 or y.max() >= k:
+    elif t.dtype.kind not in "biuf" or (t.dtype.kind == "f" and not (np.trunc(t) == t).all()):
+        raise ValueError("single-label targets must be whole numbers")
+    elif t.min() < 0 or t.max() >= k:
         raise ValueError(f"targets must lie in [0, {k})")
 
 
-def _adjusted_ce(plan, z, y, noise, training):
+def _adjusted_ce(plan, z, y, noise):
     """Cross-entropy over the logits adjusted by the plan's fields, in the documented order."""
     if plan.margin is not None:
         z = z.copy()
@@ -287,9 +293,9 @@ def _adjusted_ce(plan, z, y, noise, training):
         z = z * plan.mult
     if plan.add is not None:
         z = z + plan.add
-    if training and (plan.noise_scale is not None or plan.frequent is not None):
+    if plan.noise_scale is not None or plan.frequent is not None:
         if noise is None:
-            raise ValueError(f"{plan.spec.kind} needs pre-drawn noise in training mode")
+            raise ValueError(f"{plan.spec.kind} needs pre-drawn noise")
         if plan.noise_scale is not None:
             z = z - plan.noise_scale * noise
         if plan.frequent is not None:

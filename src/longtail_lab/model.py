@@ -206,50 +206,45 @@ def forward_with_cache(model: ModelState, x: np.ndarray):
     return logits, cache
 
 
-# every parameter backward() can differentiate; the ones below the logit calibration
-_PARAM_KEYS = frozenset(("logit_offset", "logit_scale", "cls_w", "cls_b", "temperature",
-                         "encoder_w", "encoder_b"))
-_BELOW_CALIBRATION = _PARAM_KEYS - {"logit_offset", "logit_scale"}
+_CALIBRATION = frozenset(("logit_offset", "logit_scale"))  # the keys above the head
 
 
-def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, out=None) -> dict:
+def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, out: dict) -> dict:
     """Parameter gradients (summed over the batch) from d(loss)/d(logits).
 
-    With ``out`` (views of a fit's flat buffer), the gradients it names are written into
-    it and ``out`` returned; else every gradient of the model is returned.
+    ``out`` maps the names of parameters of ``model`` to arrays of their shapes (a fit's
+    views of its optimizer's gradient buffer); each named gradient is written into its
+    array, no other is computed, and ``out`` is returned.
     """
-    grads = {} if out is None else out
-    want = _PARAM_KEYS if out is None else frozenset(out)
     g = grad_logits
-    if model.logit_offset is not None and "logit_offset" in want:
-        grads["logit_offset"] = g.sum(axis=0, out=grads.get("logit_offset"))
-    if model.logit_scale is not None and "logit_scale" in want:
-        grads["logit_scale"] = (g * cache["base"]).sum(axis=0, out=grads.get("logit_scale"))
-    if want.isdisjoint(_BELOW_CALIBRATION):
-        return grads
+    if "logit_offset" in out:
+        g.sum(axis=0, out=out["logit_offset"])
+    if "logit_scale" in out:
+        (g * cache["base"]).sum(axis=0, out=out["logit_scale"])
+    if out.keys() <= _CALIBRATION:
+        return out
     if model.logit_scale is not None:
         g = g * model.logit_scale
 
     feats = cache["feats"]
     if model.classifier_kind == "linear":
-        if "cls_w" in want:
-            grads["cls_w"] = np.matmul(g.T, feats, out=grads.get("cls_w"))
-        if model.cls_b is not None and "cls_b" in want:
-            grads["cls_b"] = g.sum(axis=0, out=grads.get("cls_b"))
+        if "cls_w" in out:
+            np.matmul(g.T, feats, out=out["cls_w"])
+        if "cls_b" in out:
+            g.sum(axis=0, out=out["cls_b"])
     else:
         temp = model.temperature
-        cos = cache["cos"]
-        g_cos = g * cos
-        if "temperature" in want:
-            grads["temperature"] = np.asarray(g_cos.sum(out=grads.get("temperature")))
-        if "cls_w" in want:
+        g_cos = g * cache["cos"]
+        if "temperature" in out:
+            g_cos.sum(out=out["temperature"])
+        if "cls_w" in out:
             # d cos_ic / d w_c = (x_hat_i - cos_ic * w_hat_c) / ||w_c||
             per_class = g.T @ cache["x_hat"] - g_cos.sum(axis=0)[:, None] * cache["w_hat"]
             per_class *= temp
-            grads["cls_w"] = np.divide(per_class, cache["w_safe"][:, None], out=grads.get("cls_w"))
-            grads["cls_w"][cache["w_norm"] == 0] = 0.0
+            np.divide(per_class, cache["w_safe"][:, None], out=out["cls_w"])
+            out["cls_w"][cache["w_norm"] == 0] = 0.0
 
-    if model.encoder_w is not None and not want.isdisjoint(("encoder_w", "encoder_b")):
+    if "encoder_w" in out or "encoder_b" in out:
         if model.classifier_kind == "linear":
             g_feats = g @ model.cls_w
         else:
@@ -258,11 +253,11 @@ def backward(model: ModelState, cache: dict, grad_logits: np.ndarray, out=None) 
                               * cache["x_hat"]) / cache["x_safe"][:, None]
             g_feats[cache["x_norm"] == 0] = 0.0
         g_feats *= feats > 0  # ReLU mask: feats > 0 exactly where pre > 0
-        if "encoder_w" in want:
-            grads["encoder_w"] = np.matmul(g_feats.T, cache["x"], out=grads.get("encoder_w"))
-        if "encoder_b" in want:
-            grads["encoder_b"] = g_feats.sum(axis=0, out=grads.get("encoder_b"))
-    return grads
+        if "encoder_w" in out:
+            np.matmul(g_feats.T, cache["x"], out=out["encoder_w"])
+        if "encoder_b" in out:
+            g_feats.sum(axis=0, out=out["encoder_b"])
+    return out
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:

@@ -1,15 +1,18 @@
 """SGD, Adam, and a sharpness-aware wrapper over one flat float64 parameter buffer.
 
 A fit keeps its trainable parameters in one buffer (``flatten``), read through views
-shaped like each parameter (``unflatten``); ``backward`` writes the gradients into such
-views of the optimizer's gradient buffer, which ``step`` and SAM read as it is. A step
-updates the parameters in place with elementwise ufuncs, so each element gets the bits
-of an update of its own array; the gradient buffer, the moments and two scratch buffers
-are allocated once. A step whose SGD momentum or Adam second moment is not finite (a
-non-finite gradient, or one whose square overflows) raises before the parameters move.
+shaped like each parameter (``unflatten``). An ``Optimizer`` owns one gradient buffer
+of the same layout: ``gradients`` allocates it and hands out its views, ``backward``
+writes a pass's gradients into them, and ``step`` and ``sam_step`` read the buffer as
+it is. A step updates the parameters in place with elementwise ufuncs, so each element
+gets the bits of an update of its own array; the gradient buffer, the moments and two
+scratch buffers are allocated once. A step whose SGD momentum or Adam second moment is
+not finite (a non-finite gradient, or one whose square overflows) raises before the
+parameters move.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,32 +70,25 @@ def unflatten(flat: np.ndarray, like: dict) -> dict:
 
 
 class Optimizer:
-    """Stateful inner optimizer over one flat parameter buffer."""
+    """Stateful inner optimizer over one flat parameter buffer and its own gradient buffer."""
 
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
-        self._grad = self._views = None  # the flat gradient buffer, and its views handed out
         self._t = 0
 
     def gradients(self, like: dict) -> dict:
-        """Views, shaped as ``like``, of a new flat gradient buffer that ``step`` reads as is."""
+        """Views, named and shaped as the values of ``like``, of a new flat gradient buffer:
+        the gradients that ``step`` applies are written into them."""
         self._grad = g = np.empty(sum(np.size(value) for value in like.values()))
         self._moments = tuple(np.zeros_like(g) for _ in range(1 if self.spec.kind == "sgd" else 2))
         self._scratch = (np.empty_like(g), np.empty_like(g))
-        self._views = unflatten(self._grad, like)
+        self._views = unflatten(g, like)
         return self._views
 
-    def _flat(self, grads: dict) -> np.ndarray:  # the gradient buffer, holding ``grads``
-        if grads is not self._views:  # a dict of the caller's own: copied into the buffer
-            if self._grad is None:
-                self.gradients(grads)
-            np.concatenate(list(grads.values()), axis=None, out=self._grad)
-        return self._grad
-
-    def step(self, flat: np.ndarray, grads: dict) -> np.ndarray:
-        """Apply ``grads``, a dict of gradients in the order of the parameters, to the flat
-        parameter buffer ``flat`` in place; returns ``flat``."""
-        g = self._flat(grads)
+    def step(self, flat: np.ndarray) -> np.ndarray:
+        """Apply the gradients held in the views of ``gradients`` to the flat parameter buffer
+        ``flat``, in the same order, in place; returns ``flat``."""
+        g = self._grad
         spec = self.spec
         update, denom = self._scratch
         if spec.kind == "sgd":
@@ -100,7 +96,7 @@ class Optimizer:
             buf *= spec.momentum
             buf += g
             if not np.isfinite(buf).all():
-                _refuse(buf, "SGD momentum", grads)
+                _refuse(buf, "SGD momentum", self._views)
             flat -= np.multiply(spec.lr, buf, out=update)
         else:
             m, v = self._moments
@@ -113,7 +109,7 @@ class Optimizer:
             np.multiply(1.0 - spec.beta2, g, out=update)
             v += np.multiply(update, g, out=update)
             if not np.isfinite(v).all():
-                _refuse(v, "Adam second moment", grads)
+                _refuse(v, "Adam second moment", self._views)
             np.divide(m, correct1, out=update)
             update *= spec.lr
             np.divide(v, correct2, out=denom)
@@ -124,21 +120,32 @@ class Optimizer:
         return flat
 
 
-def _refuse(moment: np.ndarray, what: str, grads: dict) -> None:
+def _refuse(moment: np.ndarray, what: str, views: dict) -> None:
     """Raise ``ValueError`` for a ``moment`` that is not finite, naming the first parameter
-    with a non-finite gradient or, with every gradient finite, the first whose part of
-    ``moment`` overflowed."""
-    for name, value in grads.items():
+    whose gradient view is not finite or, with every gradient finite, the first whose part
+    of ``moment`` overflowed."""
+    for name, value in views.items():
         if not np.isfinite(value).all():
             raise ValueError(f"non-finite gradient for {name!r}")
-    for name, part in unflatten(moment, grads).items():
+    for name, part in unflatten(moment, views).items():
         if not np.isfinite(part).all():
             raise ValueError(f"{what} overflows for {name!r}")
 
 
 def global_grad_norm(grads: dict) -> float:
-    """The L2 norm of all gradients, summed parameter by parameter."""
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    """The L2 norm of all gradients, from their squares summed parameter by parameter.
+
+    Finite gradients whose squares overflow that sum are recomputed as
+    max|g| * ||g / max|g|||; any other sum keeps the plain norm's bits.
+    """
+    with np.errstate(over="ignore"):
+        total = sum(float((g * g).sum()) for g in grads.values())
+    if total == math.inf:
+        peak = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
+        if peak < math.inf:
+            return peak * math.sqrt(sum(float(np.square(g / peak).sum())
+                                        for g in grads.values()))
+    return float(np.sqrt(total))
 
 
 def sam_step(optimizer: Optimizer, params: np.ndarray, grad_fn,
@@ -146,17 +153,17 @@ def sam_step(optimizer: Optimizer, params: np.ndarray, grad_fn,
     """One training step on the flat parameter buffer ``params``, sharpness-aware when the
     spec asks for it.
 
-    grad_fn(params) -> (loss, grads), grads a dict in parameter order.
-    With sam enabled the gradient is recomputed at params + rho * g / ||g||
-    (same batch, same stochastic draws), written into ``shifted`` (a new buffer
-    if None), and the inner optimizer applies that gradient from the
-    unperturbed params. rho = 0 reduces exactly to the inner optimizer: the
-    perturbation is the zero vector, so the second pass is skipped.
+    grad_fn(p) -> (loss, grads) writes the gradients at the flat point ``p`` into the views
+    of ``optimizer.gradients`` and returns them as ``grads``. With sam enabled the gradient
+    is recomputed at params + rho * g / ||g|| (same batch, same stochastic draws), the point
+    written into ``shifted`` (a new buffer if None), and the inner optimizer applies that
+    gradient from the unperturbed params. rho = 0 reduces exactly to the inner optimizer:
+    the perturbation is the zero vector, so the second pass is skipped.
     """
     spec = optimizer.spec
     value, grads = grad_fn(params)
     if spec.sam and spec.sam_rho > 0:
         scale = spec.sam_rho / (global_grad_norm(grads) + 1e-12)
-        shifted = np.multiply(scale, optimizer._flat(grads), out=shifted)
-        _, grads = grad_fn(np.add(params, shifted, out=shifted))
-    return value, optimizer.step(params, grads)
+        shifted = np.multiply(scale, optimizer._grad, out=shifted)
+        grad_fn(np.add(params, shifted, out=shifted))
+    return value, optimizer.step(params)

@@ -30,18 +30,51 @@ def traced_peak(fn, *args, **kwargs):
     return result, peak
 
 
-def row_loss(spec, logits, target, dist, *, seed=None, training=True):
+def row_loss(spec, logits, target, dist, *, seed=None):
     """The loss value and gradient of one logit vector: row 0 of one ``batch_loss_and_grad``
     call on the batch of that row alone.
 
     With ``seed``, the row's noise (seql, gcl) is ``draw_noise`` from a generator seeded
-    with it; without, a stochastic kind in training mode is refused for want of noise.
+    with it; without, a stochastic kind is refused for want of noise.
     """
     z = np.asarray(logits, dtype=np.float64)[None]
     noise = None if seed is None else draw_noise(spec, np.random.default_rng(seed), *z.shape)
     values, grads = batch_loss_and_grad(loss_plan(spec, dist), z, np.asarray(target)[None],
-                                        noise=noise, training=training)
+                                        noise=noise)
     return float(values[0]), grads[0]
+
+
+def reference_backward(model, cache, g, keys):
+    """The gradients of ``keys`` (summed over the batch) from d(loss)/d(logits) ``g``, each
+    written from its formula as an out-of-place expression into a new array: the oracle
+    for ``model.backward``, which writes them into a fit's gradient buffer."""
+    grads = {}
+    if model.logit_offset is not None:
+        grads["logit_offset"] = g.sum(axis=0)
+    if model.logit_scale is not None:
+        grads["logit_scale"] = (g * cache["base"]).sum(axis=0)
+        g = g * model.logit_scale  # d(loss)/d(base)
+    feats = cache["feats"]
+    if model.classifier_kind == "linear":
+        grads["cls_w"] = g.T @ feats
+        grads["cls_b"] = g.sum(axis=0)
+        g_feats = g @ model.cls_w
+    else:  # base = T * cos(x_i, w_c)
+        temp, g_cos = model.temperature, g * cache["cos"]
+        grads["temperature"] = np.asarray(g_cos.sum())
+        # d cos_ic / d w_c = (x_hat_i - cos_ic * w_hat_c) / ||w_c||, 0 for a zero row
+        per_class = g.T @ cache["x_hat"] - g_cos.sum(axis=0)[:, None] * cache["w_hat"]
+        grads["cls_w"] = temp * per_class / cache["w_safe"][:, None]
+        grads["cls_w"][cache["w_norm"] == 0] = 0.0
+        # d cos_ic / d x_i = (w_hat_c - cos_ic * x_hat_i) / ||x_i||, 0 for a zero row
+        g_feats = temp * (g @ cache["w_hat"] - g_cos.sum(axis=1, keepdims=True)
+                          * cache["x_hat"]) / cache["x_safe"][:, None]
+        g_feats[cache["x_norm"] == 0] = 0.0
+    if model.encoder_w is not None:  # feats = ReLU(x W^T + b)
+        g_pre = g_feats * (feats > 0)
+        grads["encoder_w"] = g_pre.T @ cache["x"]
+        grads["encoder_b"] = g_pre.sum(axis=0)
+    return {k: grads[k] for k in keys}
 
 
 def blob_manifest(train_counts, feature_dim=4, val_per_class=5, test_per_class=5,

@@ -233,15 +233,6 @@ class TestCatalogProperties:
             assert a[0] == b[0]
             assert np.array_equal(a[1], b[1])
 
-    def test_eval_mode_disables_perturbations(self):
-        z = np.array([0.5, -1.0, 0.2])
-        counts = [100, 10, 1]
-        for kind in STOCHASTIC_KINDS:
-            value = row_loss(LossSpec(kind), z, 0, distribution_from_counts(counts),
-                             training=False)[0]
-            ce = row_loss(LossSpec("ce"), z, 0, distribution_from_counts(counts))[0]
-            assert value == ce
-
     def test_seql_keeps_frequent_classes_and_target(self):
         # with q=1 every rare negative is masked: softmax over {y} + frequent set
         counts = [960, 30, 6, 4]  # pi = [0.96, 0.03, 0.006, 0.004], threshold 0.05
@@ -286,6 +277,27 @@ class TestErrorHandling:
         plan = loss_plan(LossSpec("bce_ml"), distribution_from_counts([1, 1]))
         with pytest.raises(ValueError, match=r"^multi-label targets must be a binary \(n, 2\)"):
             batch_loss_and_grad(plan, np.zeros((1, 2)), targets)
+
+    @pytest.mark.parametrize("targets", [[0.9, 2.5], [0.0, np.nan], ["0", "2"], [0, None]],
+                             ids=["fraction", "nan", "string", "object"])
+    def test_single_label_target_that_is_not_a_whole_number_refused(self, targets):
+        plan = loss_plan(LossSpec("ce"), distribution_from_counts([1, 1, 1]))
+        with pytest.raises(ValueError, match="^single-label targets must be whole numbers$"):
+            batch_loss_and_grad(plan, np.zeros((2, 3)), targets)
+
+    @pytest.mark.parametrize("targets", [[0.0, 2.0], [-0.0, 1.0], np.array([2, 0], dtype=np.uint8),
+                                         [True, False]], ids=["float", "minus-zero", "uint8", "bool"])
+    def test_whole_number_single_label_targets_of_any_numeric_dtype_pass(self, targets):
+        plan = loss_plan(LossSpec("ce"), distribution_from_counts([1, 1, 1]))
+        z = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -4.0]])
+        expected = batch_loss_and_grad(plan, z, np.asarray(targets).astype(np.int64))
+        got = batch_loss_and_grad(plan, z, targets)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+    def test_infinite_single_label_target_out_of_range(self):
+        plan = loss_plan(LossSpec("ce"), distribution_from_counts([1, 1, 1]))
+        with pytest.raises(ValueError, match=r"targets must lie in \[0, 3\)"):
+            batch_loss_and_grad(plan, np.zeros((2, 3)), [0.0, np.inf])
 
     @pytest.mark.parametrize("targets", [[[0, 1]], [[1.0, -0.0]], [[True, False]]],
                              ids=["int", "float", "bool"])
@@ -446,10 +458,10 @@ def reference_softmax_ce(z, y):
     return -logp[rows, y], grads
 
 
-def reference_ce_family(spec, z, y, dist, noise, training):
+def reference_ce_family(spec, z, y, dist, noise):
     """Each CE-family kind's own formula, as batch_loss_and_grad wrote it per kind."""
     rows, kind, ce = np.arange(z.shape[0]), spec.kind, reference_softmax_ce
-    if kind == "ce" or (kind in ("seql", "gcl") and not training):
+    if kind == "ce":
         return ce(z, y)
     if kind in ("cb_ce", "weighted_softmax"):
         values, grads = ce(z, y)
@@ -501,10 +513,9 @@ class TestLossPlan:
         spec = replace(spec, kind=kind)
         plan = loss_plan(spec, dist)
         noise = draw_noise(spec, rng, *z.shape)
-        for training in (True, False):
-            got = batch_loss_and_grad(plan, z, y, noise=noise, training=training)
-            expected = reference_ce_family(spec, z, y, dist, noise, training)
-            assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        got = batch_loss_and_grad(plan, z, y, noise=noise)
+        expected = reference_ce_family(spec, z, y, dist, noise)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
 
     @settings(max_examples=100, deadline=None)
     @given(case=ce_family_cases())
@@ -549,13 +560,11 @@ class TestRowIndependence:
         rows = [draw_noise(spec, np.random.default_rng(s), 1, k) for s in seeds]
         noise = None if rows[0] is None else np.concatenate(rows)  # pre-drawn, row by row
         plan = loss_plan(spec, dist)
-        for training in (True, False):
-            values, grads = batch_loss_and_grad(plan, z, targets, noise=noise, training=training)
-            for i in range(n):
-                value, grad = row_loss(spec, z[i], targets[i], dist, seed=seeds[i],
-                                       training=training)
-                assert np.array_equal(u64([value]), u64(values[i:i + 1]))
-                assert np.array_equal(u64(grad), u64(grads[i]))
+        values, grads = batch_loss_and_grad(plan, z, targets, noise=noise)
+        for i in range(n):
+            value, grad = row_loss(spec, z[i], targets[i], dist, seed=seeds[i])
+            assert np.array_equal(u64([value]), u64(values[i:i + 1]))
+            assert np.array_equal(u64(grad), u64(grads[i]))
 
 
 class TestInPlaceKernel:
@@ -569,14 +578,13 @@ class TestInPlaceKernel:
         spec = replace(spec, kind=kind, gamma=gamma, eps_head=eps)
         plan = loss_plan(spec, dist)
         noise = draw_noise(spec, rng, *z.shape)
-        for training in (True, False):
-            got = batch_loss_and_grad(plan, z, y, noise=noise, training=training)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(losses, "_log_softmax", reference_log_softmax)
-                mp.setattr(losses, "_softmax_ce", reference_softmax_ce)
-                expected = batch_loss_and_grad(plan, z, y, noise=noise, training=training)
-            assert np.array_equal(u64(got[0]), u64(expected[0]))
-            assert np.array_equal(u64(got[1]), u64(expected[1]))
+        got = batch_loss_and_grad(plan, z, y, noise=noise)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(losses, "_log_softmax", reference_log_softmax)
+            mp.setattr(losses, "_softmax_ce", reference_softmax_ce)
+            expected = batch_loss_and_grad(plan, z, y, noise=noise)
+        assert np.array_equal(u64(got[0]), u64(expected[0]))
+        assert np.array_equal(u64(got[1]), u64(expected[1]))
 
     def test_logits_left_unchanged(self):
         z = np.array([[0.5, -1.0, 2.0], [3.0, 3.0, -4.0]])

@@ -12,7 +12,7 @@ from longtail_lab import (LossSpec, ModelState, NcmClassifier, batch_loss_and_gr
                           weight_norms)
 from longtail_lab.model import backward, forward_with_cache, row_norms
 
-from conftest import traced_peak
+from conftest import reference_backward, traced_peak
 
 
 class TestForward:
@@ -398,14 +398,15 @@ class TestBackward:
         dist = distribution_from_counts([5, 3, 2])
         spec = LossSpec("ce")
 
-        logits, cache = forward_with_cache(model, features)
-        values, grads = batch_loss_and_grad(loss_plan(spec, dist), logits, targets)
-        param_grads = backward(model, cache, grads / len(features))
-
         keys = ["cls_w"]
         keys += ["cls_b", "logit_scale", "logit_offset"] if classifier_kind == "linear" else ["temperature"]
         if hidden is not None:
             keys += ["encoder_w", "encoder_b"]
+
+        logits, cache = forward_with_cache(model, features)
+        values, grads = batch_loss_and_grad(loss_plan(spec, dist), logits, targets)
+        out = {key: np.empty_like(np.asarray(getattr(model, key))) for key in keys}
+        param_grads = backward(model, cache, grads / len(features), out)
         for key in keys:
             numeric = numeric_param_grad(model, key, features, targets, dist, spec)
             analytic = param_grads[key]
@@ -443,12 +444,13 @@ class TestKeptGradients:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), subset=st.integers(1, 2 ** 4))
     def test_kept_keys_bitwise_equal_full_backward(self, kind, seed, n, subset):
+        # "full": every trainable gradient of the head, from the formulas
         rng = np.random.default_rng(seed)
         model, trainable = head_for(kind, rng)
         x = rng.standard_normal((n, model.feature_dim))
         logits, cache = forward_with_cache(model, x)
         g = rng.standard_normal(logits.shape)
-        full = backward(model, cache, g)
+        full = reference_backward(model, cache, g, trainable)
         assert set(trainable) <= set(full)
         # the fit's trainable keys, and any non-empty subset of them, in any order
         picked = tuple(k for i, k in enumerate(trainable) if subset >> i & 1) or trainable
@@ -463,11 +465,12 @@ class TestKeptGradients:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9))
     def test_in_place_encoder_and_head_bitwise_equal_out_of_place(self, seed, n):
         rng = np.random.default_rng(seed)
-        model, _ = head_for("encoder", rng)
+        model, trainable = head_for("encoder", rng)
         x = rng.standard_normal((n, model.feature_dim))
         logits, cache = forward_with_cache(model, x)
         g = rng.standard_normal(logits.shape)
-        grads = backward(model, cache, g)
+        grads = backward(model, cache, g, {key: np.empty_like(getattr(model, key))
+                                           for key in trainable})
         # the out-of-place expressions of the encoder, the linear head and the ReLU mask
         feats = np.maximum(x @ model.encoder_w.T + model.encoder_b, 0.0)
         g_pre = (g @ model.cls_w) * (feats > 0)

@@ -19,7 +19,7 @@ from longtail_lab.model import BLOCK_ROWS, ModelState, backward, encode, forward
 from longtail_lab.optim import Optimizer, flatten, global_grad_norm, sam_step, unflatten
 from longtail_lab.training import STAGE2_KINDS, stage2_ncm, stage_rngs
 
-from conftest import blob_manifest, multilabel_manifest, traced_peak
+from conftest import blob_manifest, multilabel_manifest, reference_backward, traced_peak
 
 
 SGD = OptimizerSpec("sgd", lr=0.05)
@@ -155,12 +155,11 @@ class TestTrainStage1:
             logits, cache = forward_with_cache(model, features)
             _, grads = batch_loss_and_grad(loss_plan(spec, dist), logits, targets)
             params = {"cls_w": model.cls_w, "cls_b": model.cls_b}
-            out = {key: np.empty_like(value) for key, value in params.items()}
-            param_grads = backward(model, cache, grads / 16, out=out)
-            full = backward(model, cache, grads / 16)
-            assert all(param_grads[key].tobytes() == full[key].tobytes() for key in params)
             opt = Optimizer(OptimizerSpec("sgd", lr=0.01, momentum=0.0))
-            new = unflatten(opt.step(flatten(params), param_grads), params)
+            param_grads = backward(model, cache, grads / 16, out=opt.gradients(params))
+            full = reference_backward(model, cache, grads / 16, tuple(params))
+            assert all(param_grads[key].tobytes() == full[key].tobytes() for key in params)
+            new = unflatten(opt.step(flatten(params)), params)
             model.cls_w, model.cls_b = new["cls_w"], new["cls_b"]
             assert batch_loss(model) < before
 
@@ -231,9 +230,9 @@ class TestFlatParameterBuffer:
         """The ``params`` argument of every optimizer step from now on."""
         buffers, step = [], Optimizer.step
 
-        def recording_step(self, params, grads):
+        def recording_step(self, params):
             buffers.append(params)
-            return step(self, params, grads)
+            return step(self, params)
 
         monkeypatch.setattr(Optimizer, "step", recording_step)
         return buffers
@@ -306,36 +305,6 @@ class TestTargetsCheckedOncePerFit:
         assert steps == []
 
 
-def reference_backward(model, cache, g, keys):
-    """Each gradient of ``keys`` as its own out-of-place expression into a new array: the
-    reference for ``backward`` into a buffer."""
-    grads = {}
-    if model.logit_offset is not None:
-        grads["logit_offset"] = g.sum(axis=0)
-    if model.logit_scale is not None:
-        grads["logit_scale"] = (g * cache["base"]).sum(axis=0)
-        g = g * model.logit_scale
-    feats = cache["feats"]
-    if model.classifier_kind == "linear":
-        grads["cls_w"] = g.T @ feats
-        grads["cls_b"] = g.sum(axis=0)
-        g_feats = g @ model.cls_w
-    else:
-        temp, g_cos = model.temperature, g * cache["cos"]
-        grads["temperature"] = np.asarray(g_cos.sum())
-        per_class = g.T @ cache["x_hat"] - g_cos.sum(axis=0)[:, None] * cache["w_hat"]
-        grads["cls_w"] = temp * per_class / cache["w_safe"][:, None]
-        grads["cls_w"][cache["w_norm"] == 0] = 0.0
-        g_feats = temp * (g @ cache["w_hat"] - g_cos.sum(axis=1, keepdims=True)
-                          * cache["x_hat"]) / cache["x_safe"][:, None]
-        g_feats[cache["x_norm"] == 0] = 0.0
-    if model.encoder_w is not None:
-        g_pre = g_feats * (feats > 0)
-        grads["encoder_w"] = g_pre.T @ cache["x"]
-        grads["encoder_b"] = g_pre.sum(axis=0)
-    return {k: grads[k] for k in keys}
-
-
 def fit_model(kind, hidden, calibration, zero_rows, rng, k=4, d=3):
     """A model of one head kind, encoder and logit calibration, with random parameters."""
     model = init_model(k, d, hidden_dim=hidden, classifier_kind=kind, temperature=8.0, rng=rng)
@@ -387,7 +356,6 @@ class TestFlatGradientBuffer:
             for key in keys:
                 assert views[key].base is buffer, key  # one flat buffer, written in place
                 assert views[key].tobytes() == np.asarray(expected[key]).tobytes(), key
-                assert views[key].tobytes() == backward(model, cache, g)[key].tobytes()
 
     @pytest.mark.parametrize("spec", [
         OptimizerSpec("sgd", lr=0.05, momentum=0.9), OptimizerSpec("adam", lr=0.01),
@@ -420,8 +388,9 @@ class TestFlatGradientBuffer:
                 value, cache, g = logit_grads(candidate)
                 return value, backward(candidate, cache, g, out=views)
 
-            # the dict path: per-parameter arrays, flattened into a new buffer for the step
+            # the dict path: per-parameter arrays, flattened into the buffer of the step
             dict_opt, expected = Optimizer(spec), flatten(layout)
+            dict_grad = dict_opt.gradients({"all": expected})["all"]
 
             def grads_at(p):
                 candidate = replace(model, **unflatten(p, layout))
@@ -434,15 +403,16 @@ class TestFlatGradientBuffer:
                 if spec.sam:
                     scale = spec.sam_rho / (global_grad_norm(grads) + 1e-12)
                     grads = grads_at(expected + scale * flatten(grads))
-                dict_opt.step(expected, {"all": flatten(grads)})
+                dict_grad[...] = flatten(grads)
+                dict_opt.step(expected)
                 assert params.tobytes() == expected.tobytes(), keys
 
     def test_fit_steps_read_one_buffer_and_flatten_only_the_parameters(self, monkeypatch):
         seen, step = [], Optimizer.step
 
-        def recording_step(self, params, grads):
-            seen.append(grads)
-            return step(self, params, grads)
+        def recording_step(self, params):
+            seen.append((self._grad, self._views))  # the buffer this step reads
+            return step(self, params)
 
         flattened = []
 
@@ -459,10 +429,10 @@ class TestFlatGradientBuffer:
                              optimizer=OptimizerSpec("adam", lr=0.01, sam=True, sam_rho=0.05))
         train_stage1(manifest, config, stage_rngs(3)[1], groups=groups_for(manifest, (1, 2)))
         assert flattened == [("cls_w", "temperature", "encoder_w", "encoder_b")]  # once a fit
-        assert len(seen) > 1 and all(grads is seen[0] for grads in seen)
-        buffer = seen[0]["cls_w"].base
-        assert buffer.ndim == 1 and buffer.size == sum(np.size(v) for v in seen[0].values())
-        assert all(view.base is buffer for view in seen[0].values())
+        buffer, views = seen[0]
+        assert len(seen) > 1 and all(g is buffer and v is views for g, v in seen)
+        assert buffer.ndim == 1 and buffer.size == sum(np.size(v) for v in views.values())
+        assert all(view.base is buffer for view in views.values())
 
 
 def trained_stage1(manifest, seed=0, epochs=8, hidden=None):
@@ -916,6 +886,7 @@ def reference_sam_fit(manifest, config, rng) -> dict:
     keys = training_module._head_keys(model) + ("encoder_w", "encoder_b")
     layout = {key: getattr(model, key) for key in keys}
     params, optimizer = flatten(layout), Optimizer(config.optimizer)
+    grad = optimizer.gradients({"all": params})["all"]
     sampler = samplers_module.BatchSampler(config.sampler, manifest)
     plan = loss_plan(config.loss, manifest.train_distribution())
 
@@ -931,7 +902,8 @@ def reference_sam_fit(manifest, config, rng) -> dict:
         grads = grads_at(params, x, y)
         scale = config.optimizer.sam_rho / (global_grad_norm(grads) + 1e-12)
         grads = grads_at(params + scale * flatten(grads), x, y)
-        optimizer.step(params, {"all": flatten(grads)})
+        grad[...] = flatten(grads)
+        optimizer.step(params)
     return {key: value.tobytes() for key, value in unflatten(params, layout).items()}
 
 
@@ -989,12 +961,15 @@ class TestSamShiftedPoint:
         params, shifted = rng.standard_normal(5), np.empty(5)
         grad = rng.standard_normal(5)
         seen = []
+        spec = OptimizerSpec("sgd", lr=0.1, sam=True, sam_rho=0.3)
+        optimizer = Optimizer(spec)
+        views = optimizer.gradients({"all": grad})
 
         def grad_fn(p):
             seen.append(p.copy())
-            return 1.0, {"all": grad}
+            views["all"][...] = grad
+            return 1.0, views
 
-        spec = OptimizerSpec("sgd", lr=0.1, sam=True, sam_rho=0.3)
         expected = params + spec.sam_rho / (global_grad_norm({"all": grad}) + 1e-12) * grad
-        sam_step(Optimizer(spec), params, grad_fn, shifted=shifted)
+        sam_step(optimizer, params, grad_fn, shifted=shifted)
         assert seen[1].tobytes() == expected.tobytes() == shifted.tobytes()

@@ -8,6 +8,13 @@ compares the outputs:
 
     python3 tools/report_digests.py --seed 1 > digests.txt
 
+The bytes are the same only on one numpy and BLAS build at one BLAS thread
+count: the thread count can change the bits of a GEMM. So the tool sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before numpy loads, unless the environment sets them already, as
+``bench/run.py`` pins them for the bench, and writes the counts in effect on
+stderr; stdout holds only the digest lines.
+
 The set, at ``--seed``: the bench's ``desk_sweep`` and ``mid_stage2`` configs
 (``bench/workloads.py``); every loss kind with a hidden layer; cosine heads;
 MixUp, SGD+SAM and Adam+SAM; every sampler kind, one epoch of it longer than a
@@ -35,7 +42,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:  # before numpy loads, which reads them once
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -147,6 +158,8 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--tiny", action="store_true", help="tiny datasets and epoch counts")
     args = parser.parse_args(argv)
+    print("BLAS threads: " + " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS),
+          file=sys.stderr, flush=True)
     for line in report_digests(args.seed, args.tiny):
         print(line, flush=True)
 
